@@ -57,7 +57,7 @@ let setup_trace cli_trace =
 let specialize_arg =
   let doc =
     "Tier B executor specialization: compile each frozen schedule into a \
-     straight-line native executor (ocamlopt -shared + Dynlink) and run \
+     table-driven native executor (ocamlopt -shared + Dynlink) and run \
      that instead of the interpreted walk. Equivalent to \
      RTRT_SPECIALIZE=1. Falls back to the shape-specialized executor when \
      no OCaml toolchain is available. Compiled modules are cached on disk \

@@ -7,12 +7,13 @@
      as [for lo to hi] ranges instead of loading iteration ids.
 
    - Tier B (Codegen, opt-in via [--specialize] / RTRT_SPECIALIZE):
-     {!Codegen.specialized_source} emits a straight-line OCaml module
-     for the exact (kernel, schedule) pair, compiled out-of-process
-     with ocamlopt -shared and loaded with [Dynlink]. Compiled [.cmxs]
-     files are cached on disk keyed by a fingerprint over the schedule
-     content and the compiler identity, plus an in-process memo, so a
-     plan-cache hit never recompiles.
+     {!Codegen.specialized_source} emits a table-driven OCaml module
+     for the exact (kernel, schedule) pair (the schedule as array
+     literals, each loop body once), compiled out-of-process with
+     ocamlopt -shared in a build directory of its own and loaded with
+     [Dynlink]. Compiled [.cmxs] files are cached on disk keyed by a
+     fingerprint over the schedule content and the compiler identity,
+     plus an in-process memo, so a plan-cache hit never recompiles.
 
    The dynlinked module references only [Stdlib] and publishes its
    executor through [Callback.register "rtrt.spec.<key>"]; the host
@@ -28,8 +29,9 @@
    Both tiers are bitwise identical to [run_tiled]; [make] asserts
    this on two-step copies by default, the same way rtrt_par asserts
    parallel-vs-serial equivalence. Every downgrade (no toolchain,
-   compile failure, source-budget overflow, unprofitable shape) is
-   graceful and counted in [specialize.fallbacks]. *)
+   compile failure, unwritable cache directory, source-budget overflow,
+   unprofitable shape) is graceful and counted in
+   [specialize.fallbacks]. *)
 
 type tier = Interp | Shaped | Codegen
 
@@ -94,15 +96,31 @@ let fetch_exec key : exec option =
 (* Compiler discovery: RTRT_SPECIALIZE_OCAMLOPT overrides (probed, so
    pointing it at a nonexistent binary simulates a toolchain-free
    host); otherwise the first of ocamlfind ocamlopt / ocamlopt.opt /
-   ocamlopt that answers [-version]. *)
+   ocamlopt that answers [-version]. Each probe starts a shell, so the
+   answer is kept per value of the override and only a changed value
+   probes again. *)
 let probe cmd = Sys.command (cmd ^ " -version >/dev/null 2>&1") = 0
 
+let compiler_memo : (string option * string option) option Atomic.t =
+  Atomic.make None
+
 let find_compiler () =
-  match Sys.getenv_opt "RTRT_SPECIALIZE_OCAMLOPT" with
-  | Some cmd when String.trim cmd <> "" ->
-    let cmd = String.trim cmd in
-    if probe cmd then Some cmd else None
-  | _ -> List.find_opt probe [ "ocamlfind ocamlopt"; "ocamlopt.opt"; "ocamlopt" ]
+  let wanted =
+    match Sys.getenv_opt "RTRT_SPECIALIZE_OCAMLOPT" with
+    | Some cmd when String.trim cmd <> "" -> Some (String.trim cmd)
+    | _ -> None
+  in
+  match Atomic.get compiler_memo with
+  | Some (w, found) when w = wanted -> found
+  | _ ->
+    let found =
+      match wanted with
+      | Some cmd -> if probe cmd then Some cmd else None
+      | None ->
+        List.find_opt probe [ "ocamlfind ocamlopt"; "ocamlopt.opt"; "ocamlopt" ]
+    in
+    Atomic.set compiler_memo (Some (wanted, found));
+    found
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -120,7 +138,7 @@ let cache_dir () =
 
 (* Bumped whenever the emitted code changes meaning, so stale cached
    .cmxs never survive an emitter upgrade. *)
-let emitter_version = 1
+let emitter_version = 2
 
 let schedule_key ~kernel ~n_nodes ~n_inter (sched : Reorder.Schedule.t) =
   let b = Rtrt_plancache.Fingerprint.create () in
@@ -152,55 +170,87 @@ let load_cmxs cmxs key =
     fetch_exec key
   with Dynlink.Error _ | Sys_error _ -> None
 
+let build_counter = Atomic.make 0
+
+let remove_build_dir d =
+  Array.iter
+    (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
+    (try Sys.readdir d with Sys_error _ -> [||]);
+  try Sys.rmdir d with Sys_error _ -> ()
+
+(* Each compile runs in a fresh build directory of its own (pid and
+   counter), so concurrent compiles of one key, in two processes or two
+   domains, never share a file: ocamlopt's .cmi/.cmx/.o land there, only
+   the finished .cmxs is renamed into the cache, and the directory is
+   then removed. The compiler log survives, beside the .cmxs it would
+   have named, only when the compile failed. Returns the compile
+   seconds. *)
+let compile ~cc ~dir ~name source =
+  let build =
+    Filename.concat dir
+      (Printf.sprintf "build-%d-%d" (Unix.getpid ())
+         (Atomic.fetch_and_add build_counter 1))
+  in
+  Unix.mkdir build 0o755;
+  Fun.protect
+    ~finally:(fun () -> remove_build_dir build)
+    (fun () ->
+      let in_build ext = Filename.concat build (name ^ ext) in
+      write_file (in_build ".ml") source;
+      let cmd =
+        Printf.sprintf "%s -shared -w -a -o %s %s >%s 2>&1" cc
+          (Filename.quote (in_build ".cmxs"))
+          (Filename.quote (in_build ".ml"))
+          (Filename.quote (in_build ".log"))
+      in
+      let rc, secs = Rtrt_obs.Clock.time (fun () -> Sys.command cmd) in
+      if rc <> 0 then begin
+        (try Sys.rename (in_build ".log") (Filename.concat dir (name ^ ".log"))
+         with Sys_error _ -> ());
+        None
+      end
+      else begin
+        (* Atomic: a concurrent reader sees no .cmxs or a complete one. *)
+        Sys.rename (in_build ".cmxs") (Filename.concat dir (name ^ ".cmxs"));
+        Some secs
+      end)
+
 (* Compile [source] (or reuse the cached .cmxs) and return the
-   executor with its compile time and whether the disk cache hit. *)
+   executor with its compile time and whether the disk cache hit. A
+   cache directory that cannot be created or written is a miss like
+   any other: [None], which callers count as a fallback. *)
 let compile_and_load ~kernel ~key source : (exec * float * bool) option =
   match with_memo (fun () -> Hashtbl.find_opt memo key) with
   | Some f ->
     Rtrt_obs.Metrics.incr c_memo_hits;
     Some (f, 0., true)
   | None -> (
-    let dir = cache_dir () in
-    mkdir_p dir;
-    let stem = Filename.concat dir (Printf.sprintf "spec_%s_%s" kernel key) in
-    let ml = stem ^ ".ml" and cmxs = stem ^ ".cmxs" in
-    let from_disk =
-      if Sys.file_exists cmxs then
-        match load_cmxs cmxs key with
+    try
+      let dir = cache_dir () in
+      mkdir_p dir;
+      let name = Printf.sprintf "spec_%s_%s" kernel key in
+      let cmxs = Filename.concat dir (name ^ ".cmxs") in
+      let loaded =
+        match if Sys.file_exists cmxs then load_cmxs cmxs key else None with
         | Some f ->
           Rtrt_obs.Metrics.incr c_cmxs_hits;
           Some (f, 0., true)
-        | None -> None
-      else None
-    in
-    match from_disk with
-    | Some (f, _, _) as r ->
-      with_memo (fun () -> Hashtbl.replace memo key f);
-      r
-    | None -> (
-      match find_compiler () with
-      | None -> None
-      | Some cc -> (
-        write_file ml source;
-        (* Compile to a temp name and rename so concurrent processes
-           only ever see complete .cmxs files. *)
-        let tmp = stem ^ ".tmp.cmxs" and log = stem ^ ".log" in
-        let cmd =
-          Printf.sprintf "%s -shared -w -a -o %s %s >%s 2>&1" cc
-            (Filename.quote tmp) (Filename.quote ml) (Filename.quote log)
-        in
-        let rc, secs = Rtrt_obs.Clock.time (fun () -> Sys.command cmd) in
-        if rc <> 0 then None
-        else begin
-          (try Sys.rename tmp cmxs with Sys_error _ -> ());
-          Rtrt_obs.Metrics.incr c_compiles;
-          Rtrt_obs.Metrics.set g_compile_ns (secs *. 1e9);
-          match load_cmxs cmxs key with
+        | None -> (
+          match find_compiler () with
           | None -> None
-          | Some f ->
-            with_memo (fun () -> Hashtbl.replace memo key f);
-            Some (f, secs, false)
-        end)))
+          | Some cc -> (
+            match compile ~cc ~dir ~name source with
+            | None -> None
+            | Some secs ->
+              Rtrt_obs.Metrics.incr c_compiles;
+              Rtrt_obs.Metrics.set g_compile_ns (secs *. 1e9);
+              Option.map (fun f -> (f, secs, false)) (load_cmxs cmxs key)))
+      in
+      Option.iter
+        (fun (f, _, _) -> with_memo (fun () -> Hashtbl.replace memo key f))
+        loaded;
+      loaded
+    with Unix.Unix_error _ | Sys_error _ -> None)
 
 (* -------------------------------------------------------------- *)
 (* Host-side validation: the emitted bodies use unsafe accesses, so

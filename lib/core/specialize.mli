@@ -7,16 +7,21 @@
     - [Shaped] (Tier A, on whenever {!Reorder.Shape.profitable}): the
       run-length-index streaming executors, selected at plan time;
     - [Codegen] (Tier B, opt-in via [--specialize] or
-      [RTRT_SPECIALIZE=1]): a straight-line OCaml module emitted by
+      [RTRT_SPECIALIZE=1]): a table-driven OCaml module emitted by
       {!Codegen.specialized_source} for this exact (kernel, schedule)
       pair, compiled with [ocamlopt -shared] and loaded with
       [Dynlink]. Compiled modules are cached on disk (under
       [RTRT_PLAN_CACHE_DIR/spec] when the plan cache is configured)
       keyed by a fingerprint over the schedule content, the OCaml
-      version, word size, and OS, plus an in-process memo.
+      version, word size, OS and emitter version, plus an in-process
+      memo. Each compile runs in a build directory of its own, so
+      concurrent compiles of one key share no file; only the finished
+      [.cmxs] is renamed into the cache, and a failed compile leaves
+      its log beside it.
 
     Every failure to reach a higher tier — no toolchain, compile
-    error, emitter budget overflow, unprofitable shape — degrades
+    error, a cache directory that cannot be created or written,
+    emitter budget overflow, unprofitable shape — degrades
     gracefully to the next tier down and bumps
     [specialize.fallbacks]. By default the chosen tier is verified
     bitwise against the interpreted walk on two-step state copies

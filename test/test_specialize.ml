@@ -1,9 +1,11 @@
 (* Tests for staged executor specialization: the Shape run-length
    detector, the Tier A shaped executors (bitwise identical to the
    interpreted walk, serial and pooled), the Tier B compiled executors
-   (bitwise identical, with graceful no-toolchain fallback), and the
-   validated-once memos that let plan-cache hits skip the O(rows)
-   re-validation scans. *)
+   (bitwise identical, one copy of each loop body in a source that
+   grows with the schedule's runs, graceful fallback without a
+   toolchain or a writable cache directory, one cached module when two
+   processes compile the same key), and the validated-once memos that
+   let plan-cache hits skip the O(rows) re-validation scans. *)
 
 module Shape = Reorder.Shape
 module Schedule = Reorder.Schedule
@@ -310,27 +312,73 @@ let test_codegen_gs_bitwise () =
       (bits_equal t_interp.Kernels.Gauss_seidel.u t_spec.Kernels.Gauss_seidel.u)
   end
 
-let contains haystack needle =
+let count haystack needle =
   let nl = String.length needle and hl = String.length haystack in
-  let rec go i =
-    i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
+  let rec go i acc =
+    if i + nl > hl then acc
+    else go (i + 1) (if String.sub haystack i nl = needle then acc + 1 else acc)
   in
-  go 0
+  go 0 0
 
-(* The emitted source is printable without a toolchain and carries the
-   registration footer the host looks up. *)
+let contains haystack needle = count haystack needle > 0
+
+(* One line from each chain class's loop body, per kernel. *)
+let body_markers =
+  [
+    ( "moldyn",
+      [ "Array.unsafe_set x i"; "let gg = (0x1p+0) /. r2 in"; "Array.unsafe_set vx k" ] );
+    ("nbf", [ "Array.unsafe_set x i"; "let ir6 = ir2 *. ir2 *. ir2 in" ]);
+    ("irreg", [ "let d = Array.unsafe_get w v"; "Array.unsafe_set x k" ]);
+  ]
+
+(* Source size bound: the schedule costs at most this many bytes per
+   run and per row (two table entries each), on top of a fixed part
+   holding the bodies and the loop functions. *)
+let bytes_per_run = 16
+let fixed_bytes = 8192
+
+(* Sixteen tiles deal out blocks of 16 consecutive ids round-robin:
+   each node-loop row holds a few runs (streamed run by run) and each
+   interaction-loop row dozens (walked through its items). *)
+let dealt_sched (k : Kernels.Kernel.t) =
+  Schedule.of_tile_fns
+    (Array.map
+       (fun size -> tf 16 (Array.init size (fun i -> i / 16 mod 16)))
+       k.Kernels.Kernel.loop_sizes)
+
+(* The emitted source is printable without a toolchain, carries the
+   registration footer the host looks up, holds each chain class's
+   body exactly once, and grows with the schedule's runs, not with
+   body size times runs. *)
 let test_codegen_source_dump () =
   let d = Datagen.Generators.foil ~scale:128 () in
-  let k = Kernels.Irreg.of_dataset d in
-  let rng = Datagen.Rng.create 7 in
-  let sched = random_sched rng k in
-  match Specialize.dump_source k sched with
-  | None -> Alcotest.fail "emitter declined a small schedule"
-  | Some src ->
-    Alcotest.(check bool)
-      "has exec" true
-      (contains src "let exec (ia : int array array)");
-    Alcotest.(check bool) "registers" true (contains src "Callback.register")
+  List.iter
+    (fun (name, of_dataset) ->
+      let k = of_dataset d in
+      let sched = dealt_sched k in
+      match Specialize.dump_source k sched with
+      | None -> Alcotest.fail (name ^ ": emitter declined a small schedule")
+      | Some src ->
+        Alcotest.(check bool)
+          (name ^ " has exec") true
+          (contains src "let exec (ia : int array array)");
+        Alcotest.(check bool)
+          (name ^ " registers") true
+          (contains src "Callback.register");
+        List.iter
+          (fun marker ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s body line %S emitted once" name marker)
+              1 (count src marker))
+          (List.assoc name body_markers);
+        let sm = Shape.summary (Shape.analyze sched) in
+        let bound =
+          (bytes_per_run * (sm.Shape.runs + sm.Shape.rows)) + fixed_bytes
+        in
+        if String.length src > bound then
+          Alcotest.failf "%s: %d bytes of source for %d runs, bound %d" name
+            (String.length src) sm.Shape.runs bound)
+    kernels_under_test
 
 (* Pointing the compiler override at a nonexistent binary simulates a
    toolchain-free host: Tier B must degrade, not raise. *)
@@ -354,6 +402,97 @@ let test_no_toolchain_fallback () =
       Alcotest.(check bool)
         "fallback counted" true
         (Rtrt_obs.Metrics.value fallbacks > before))
+
+(* A cache directory that cannot be created — a path under a regular
+   file, whether named by RTRT_PLAN_CACHE_DIR or by the temp dir — is a
+   counted fallback, not an exception. *)
+let test_unwritable_cache_fallback () =
+  with_metrics (fun () ->
+      let d = Datagen.Generators.foil ~scale:96 () in
+      let k = Kernels.Irreg.of_dataset d in
+      let rng = Datagen.Rng.create 13 in
+      let sched = random_sched rng k in
+      let fallbacks = Rtrt_obs.Metrics.counter "specialize.fallbacks" in
+      let file = Filename.temp_file "rtrt-spec" ".notadir" in
+      let saved_cache = Sys.getenv_opt "RTRT_PLAN_CACHE_DIR" in
+      let saved_tmp = Filename.get_temp_dir_name () in
+      let falls_back what =
+        let before = Rtrt_obs.Metrics.value fallbacks in
+        let r = Specialize.make ~tier_b:true k sched in
+        Alcotest.(check bool)
+          (what ^ ": did not reach codegen") true
+          (r.Specialize.tier <> Specialize.Codegen);
+        Alcotest.(check int)
+          (what ^ ": fallback counted") (before + 1)
+          (Rtrt_obs.Metrics.value fallbacks)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.putenv "RTRT_PLAN_CACHE_DIR" (Option.value saved_cache ~default:"");
+          Filename.set_temp_dir_name saved_tmp;
+          Sys.remove file)
+        (fun () ->
+          Unix.putenv "RTRT_PLAN_CACHE_DIR" (Filename.concat file "cache");
+          falls_back "cache dir under a file";
+          Unix.putenv "RTRT_PLAN_CACHE_DIR" "";
+          Filename.set_temp_dir_name file;
+          falls_back "temp dir is a file"))
+
+(* Two processes specialize one schedule into one fresh cache directory
+   at the same time. The test executable re-runs itself as each writer
+   (forking is unavailable once a domain has run): a writer exits 0 iff
+   it reached the codegen tier, whose bitwise verification [make] runs
+   before returning. *)
+let writer_env = "RTRT_TEST_SPEC_WRITER"
+
+let writer_input () =
+  let k = Kernels.Irreg.of_dataset (Datagen.Generators.foil ~scale:128 ()) in
+  (k, dealt_sched k)
+
+let writer () =
+  let k, sched = writer_input () in
+  let r = Specialize.make ~tier_b:true k sched in
+  if r.Specialize.tier = Specialize.Codegen then 0 else 1
+
+let test_concurrent_writers () =
+  if not (have_toolchain ()) then ()
+  else begin
+    let k, sched = writer_input () in
+    let key = (Specialize.make ~tier_b:false ~verify:false k sched).Specialize.key in
+    let root = Filename.temp_dir "rtrt-spec-writers" "" in
+    let inherited =
+      List.filter
+        (fun e ->
+          not
+            (String.starts_with ~prefix:"RTRT_PLAN_CACHE_DIR=" e
+            || String.starts_with ~prefix:(writer_env ^ "=") e))
+        (Array.to_list (Unix.environment ()))
+    in
+    let env =
+      Array.of_list
+        ((writer_env ^ "=1") :: ("RTRT_PLAN_CACHE_DIR=" ^ root) :: inherited)
+    in
+    let spawn () =
+      Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    let writers = [ spawn (); spawn () ] in
+    let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) writers in
+    let spec = Filename.concat root "spec" in
+    let files = try Sys.readdir spec with Sys_error _ -> [||] in
+    Array.iter (fun f -> Sys.remove (Filename.concat spec f)) files;
+    (try Sys.rmdir spec with Sys_error _ -> ());
+    Sys.rmdir root;
+    List.iter
+      (fun st ->
+        Alcotest.(check bool)
+          "writer reached codegen and verified" true (st = Unix.WEXITED 0))
+      statuses;
+    Alcotest.(check (list string))
+      "spec dir holds one .cmxs and nothing else"
+      [ Printf.sprintf "spec_irreg_%s.cmxs" key ]
+      (Array.to_list files)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Validated-once memos (satellite: skip O(rows) re-validation on
@@ -425,6 +564,7 @@ let test_endpoint_scan_memo () =
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
+  if Sys.getenv_opt writer_env = Some "1" then exit (writer ());
   Alcotest.run "specialize"
     [
       ( "shape",
@@ -451,6 +591,10 @@ let () =
           Alcotest.test_case "source dump" `Quick test_codegen_source_dump;
           Alcotest.test_case "no-toolchain fallback" `Quick
             test_no_toolchain_fallback;
+          Alcotest.test_case "unwritable cache dir fallback" `Quick
+            test_unwritable_cache_fallback;
+          Alcotest.test_case "concurrent writers, one key" `Quick
+            test_concurrent_writers;
         ] );
       ( "memos",
         [
