@@ -49,6 +49,21 @@ let median_i xs =
   | [] -> 0
   | s -> List.nth s (List.length s / 2)
 
+(* Executor steps after which the cold path's dearer inspection has paid
+   for its better plan. The step times differ by a few microseconds, so
+   the sign of (repaired - cold) is decided by the min-max ranges over
+   the rounds, not by the two best times: overlapping ranges are no
+   measurable executor difference, reported as 0 (perfbench's
+   tier_b_breakeven_steps convention); -1 is a repaired plan that is
+   never slower; only a repaired range wholly above the cold one gets
+   the break-even, from the best times. *)
+let steps_to_amortize ~repair_s ~cold_s ~repaired_steps ~cold_steps =
+  let max_f xs = List.fold_left Float.max neg_infinity xs in
+  let rstep = min_f repaired_steps and cstep = min_f cold_steps in
+  if max_f repaired_steps < cstep then -1.0
+  else if rstep <= max_f cold_steps then 0.0
+  else (cold_s -. repair_s) /. (rstep -. cstep)
+
 (* ------------------------------------------------------------------ *)
 (* Bit-identity of a repaired result against frozen regrowth, executor
    output included (same check the churn test suite makes). *)
@@ -152,8 +167,8 @@ let run_cell ?pool ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan
     cb_repaired_step_seconds = rstep;
     cb_cold_step_seconds = cstep;
     cb_steps_to_amortize =
-      (if rstep <= cstep then -1.0
-       else (cold_s -. repair_s) /. (rstep -. cstep));
+      steps_to_amortize ~repair_s ~cold_s ~repaired_steps:!rstep_ss
+        ~cold_steps:!cstep_ss;
   }
 
 let default_levels = [ 0.01; 0.02; 0.05; 0.10 ]
@@ -265,6 +280,8 @@ let pp_report ppf r =
         (if row.cb_fell_back then " [fell back]" else "")
         row.cb_tiles_moved
         (if row.cb_steps_to_amortize < 0.0 then "never"
+         else if row.cb_steps_to_amortize = 0.0 then
+           "n/a (no measurable executor difference)"
          else Fmt.str "%.0f steps" row.cb_steps_to_amortize)
         (if row.cb_bit_identical then "bit-identical" else "OUTPUT DIFFERS"))
     r.rows;

@@ -34,12 +34,21 @@ type row = {
       (** steady-state executor seconds per step on the repaired plan *)
   cb_cold_step_seconds : float;  (** same on the cold re-inspected plan *)
   cb_steps_to_amortize : float;
-      (** executor steps after which the cold path's better plan has
-          paid back its dearer inspector:
-          (cold_inspect - repair) / (repaired_step - cold_step);
-          [-1] when the repaired plan's executor is not slower, i.e.
-          the cold path never catches up *)
+      (** see {!steps_to_amortize} *)
 }
+
+(** Executor steps after which the cold path's better plan has paid
+    back its dearer inspector, from the per-round step seconds of the
+    repaired and the cold plan. [0] when the two min-max ranges
+    overlap: no measurable executor difference. [-1] when the repaired
+    range lies wholly below the cold one: the cold path never catches
+    up. Otherwise (cold_s - repair_s) / (min repaired - min cold). *)
+val steps_to_amortize :
+  repair_s:float ->
+  cold_s:float ->
+  repaired_steps:float list ->
+  cold_steps:float list ->
+  float
 
 type report = {
   rep_scale : int;

@@ -351,8 +351,10 @@ let measure ~scale () =
     Rtrt_obs.Profile.record ~name:"specialize" (fun () ->
         (* Run-rich rows: the top-level plan tilePacks, so its rows are
            long contiguous runs — the shape the Tier A streaming
-           executors exploit. The final row drops tilePack for a
-           run-poor comparison on the same kernel. *)
+           executors exploit. The moldyn CL+FST row drops tilePack for
+           a run-poor comparison on the same kernel. The cg row has no
+           Tier B emitter (it falls back), so every kernel's walks get
+           an interpreted and a shaped row. *)
         let row p kname dname =
           let dataset = Option.get (Datagen.Generators.by_name ~scale dname) in
           let k = (Option.get (Kernels.by_name kname)) dataset in
@@ -367,11 +369,15 @@ let measure ~scale () =
           Compose.Plan.with_fst ~tile_pack:false ~seed_part_size:64
             Compose.Plan.cpack_lexgroup
         in
+        let cl =
+          Compose.Plan.with_fst ~seed_part_size:64 Compose.Plan.cpack_lexgroup
+        in
         [
           bench_spec ~plan_name:(Compose.Plan.name plan) result;
           row rich "nbf" "foil";
           row rich "irreg" "foil";
           row poor "moldyn" "mol1";
+          row cl "cg" "auto";
         ])
   in
   let phases, ph_insp =

@@ -142,54 +142,47 @@ let schedule tiling =
          { Reorder.Sparse_tile.n_tiles = tiling.n_tiles; tile_of = th })
        tiling.theta)
 
-(* Walk one tile of the flat schedule: sweeps in order, member nodes in
-   numbering order. [update] itself stays bounds-checked (it chases
-   graph adjacency), only the schedule rows stream flat. *)
-let run_tile t (sched : Reorder.Schedule.t) ~tile =
-  let nl = Reorder.Schedule.n_loops sched in
-  let rp = Reorder.Schedule.row_ptr sched in
-  let fl = Reorder.Schedule.flat_items sched in
-  for s = 0 to nl - 1 do
-    let r = (tile * nl) + s in
-    for i = rp.(r) to rp.(r + 1) - 1 do
-      update t fl.(i)
+(* The update as Walker loop functions: a row's items, a row's runs.
+   [update] itself stays bounds-checked (it chases graph adjacency). *)
+let update_items t fl lo hi =
+  for idx = lo to hi - 1 do
+    update t fl.(idx)
+  done
+
+let update_runs t rlo rln klo khi =
+  for k = klo to khi - 1 do
+    for v = rlo.(k) to rlo.(k) + rln.(k) - 1 do
+      update t v
     done
   done
 
-(* Walk a flat schedule directly — tiles in order, sweeps (chain
-   positions) in order within a tile, member nodes in row order.
-   [run_tiled] is [run_sched] of [schedule tiling]; exposing the
-   schedule-level walk lets the specialization tiers compare against
-   the same interpreted baseline as the other kernels. *)
-let run_sched t (sched : Reorder.Schedule.t) =
-  for tile = 0 to Reorder.Schedule.n_tiles sched - 1 do
-    run_tile t sched ~tile
+(* Walk one tile of the flat schedule: sweeps in order, member nodes in
+   numbering order. *)
+let run_tile t (sched : Reorder.Schedule.t) ~tile =
+  let nl = Reorder.Schedule.n_loops sched in
+  let rp = Reorder.Schedule.row_ptr sched in
+  for s = 0 to nl - 1 do
+    let r = (tile * nl) + s in
+    update_items t (Reorder.Schedule.flat_items sched) rp.(r) rp.(r + 1)
   done
 
+(* Walk a flat schedule directly — tiles in order, sweeps (chain
+   positions) in order within a tile, member nodes in row order —
+   through the pair kernels' walker. [run_tiled] is [run_sched] of
+   [schedule tiling]; exposing the schedule-level walk lets the
+   specialization tiers compare against the same interpreted baseline
+   as the other kernels. *)
+let run_sched t sched = Walker.walk_items [| update_items |] t sched
+
 (* Tier A shape-specialized twin of [run_sched]: streams each row's
-   run-length index as [for v = lo to hi] ranges. [update] itself
-   stays bounds-checked (it chases graph adjacency), so the shape only
-   has to come from this exact schedule for the walks to coincide
+   run-length index as [for v = lo to hi] ranges, so the shape only has
+   to come from this exact schedule for the walks to coincide
    bitwise. *)
 let run_sched_shaped t (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t) =
   if not (Reorder.Shape.for_schedule shape sched) then
     invalid_arg
       "Gauss_seidel.run_sched_shaped: shape built from a different schedule";
-  let nl = Reorder.Schedule.n_loops sched in
-  let rq = Reorder.Shape.run_ptr shape in
-  let rlo = Reorder.Shape.run_lo shape in
-  let rln = Reorder.Shape.run_len shape in
-  for tile = 0 to Reorder.Schedule.n_tiles sched - 1 do
-    for s = 0 to nl - 1 do
-      let r = (tile * nl) + s in
-      for k = rq.(r) to rq.(r + 1) - 1 do
-        let lo = rlo.(k) in
-        for v = lo to lo + rln.(k) - 1 do
-          update t v
-        done
-      done
-    done
-  done
+  Walker.walk_shape [| update_runs |] t sched shape
 
 let run_tiled t tiling = run_sched t (schedule tiling)
 

@@ -1,5 +1,5 @@
-(* The uniform executor interface over the three benchmarks (moldyn,
-   nbf, irreg).
+(* The uniform executor interface over the pair kernels (moldyn, nbf,
+   irreg, cg).
 
    A kernel instance owns its data arrays and index arrays. The
    composition framework transforms it through [apply_data_perm]
@@ -11,9 +11,9 @@
    Executors come in four flavors: plain (Figure 13-style: the code is
    unchanged, only the arrays moved) and sparse-tiled (Figure 14-style:
    tiles outermost), each with a traced twin that reports every memory
-   reference to a cache model. The traced twins duplicate the loop
-   bodies deliberately: the plain executors must stay allocation- and
-   closure-free for wall-clock measurements. *)
+   reference to a cache model. All of them are one loop body per chain
+   class run in different iteration orders: Walker derives every field
+   below from a kernel's declaration. *)
 
 (* A parallel tiled executor instance: the level-major renumbered
    schedule it executes (the serial twin for comparison) plus the run
@@ -96,12 +96,6 @@ type t = {
   (* Deep copy (fresh arrays, same values). *)
   copy : unit -> t;
 }
-
-(* Endpoint scans (each kernel's index-array range validation) are
-   memoized per kernel state; replays of a cache-hit schedule on the
-   same kernel skip the O(m) scan and count it here. *)
-let c_endpoint_skips = Rtrt_obs.Metrics.counter "plancache.endpoint_scan_skips"
-let endpoint_scan_skipped () = Rtrt_obs.Metrics.incr c_endpoint_skips
 
 (* The memory layout used by the paper's experiments: inter-array data
    regrouping over the node arrays, index/interaction arrays

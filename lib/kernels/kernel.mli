@@ -5,7 +5,8 @@
     [apply_iter_perm] (an iteration reordering T of the interaction
     loop). Executors come in plain (Figure 13) and sparse-tiled
     (Figure 14) forms, each with a traced twin feeding the cache
-    model. *)
+    model. Every executor runs the kernel's one body per chain class;
+    {!Walker} derives them all from the kernel's declaration. *)
 
 (** A parallel tiled executor instance: the level-major renumbered
     schedule it executes (the serial twin for comparison) and the
@@ -78,10 +79,6 @@ type t = {
   snapshot : unit -> (string * float array) list;
   copy : unit -> t;
 }
-
-val endpoint_scan_skipped : unit -> unit
-(** Bump the [plancache.endpoint_scan_skips] counter: a kernel skipped
-    its endpoint-range scan because the same state already passed it. *)
 
 (** The paper's memory layout: inter-array regrouping over the node
     arrays; index arrays separate. *)

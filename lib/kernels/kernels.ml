@@ -1,6 +1,8 @@
-(** The paper's three benchmarks as loop chains over flat float arrays,
-    each with plain, sparse-tiled, and trace-emitting executors, plus a
-    Gauss-Seidel smoother for the sparse-tiling generality claim. *)
+(** The paper's three benchmarks and a CG-style dependent reduction as
+    loop-chain declarations over flat float arrays, from which
+    {!Walker} derives plain, sparse-tiled, shaped, parallel and
+    trace-emitting executors, plus a Gauss-Seidel smoother for the
+    sparse-tiling generality claim. *)
 
 module Kernel = Kernel
 module Moldyn = Moldyn

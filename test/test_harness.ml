@@ -386,6 +386,24 @@ let test_benchdiff_directions () =
       ("scale", false);
     ]
 
+(* The churn break-even is decided on step-time ranges, not on the two
+   best times, so timer noise cannot flip it between "never" and a
+   large step count. *)
+let test_steps_to_amortize () =
+  let amortize repaired_steps cold_steps =
+    Harness.Churnbench.steps_to_amortize ~repair_s:0.001 ~cold_s:0.011
+      ~repaired_steps ~cold_steps
+  in
+  Alcotest.(check (float 0.0))
+    "overlapping ranges: no measurable difference" 0.0
+    (amortize [ 1.0e-3; 1.2e-3 ] [ 1.1e-3; 1.3e-3 ]);
+  Alcotest.(check (float 0.0))
+    "repaired range wholly faster: never" (-1.0)
+    (amortize [ 0.9e-3; 1.0e-3 ] [ 1.1e-3; 1.3e-3 ]);
+  Alcotest.(check (float 1e-6))
+    "repaired range wholly slower: break-even from the best times" 100.0
+    (amortize [ 1.3e-3; 1.4e-3 ] [ 1.2e-3; 1.25e-3 ])
+
 let () =
   Alcotest.run "harness"
     [
@@ -416,6 +434,10 @@ let () =
           Alcotest.test_case "smoke" `Slow test_ablations_smoke;
           Alcotest.test_case "regrouping direction" `Quick
             test_ablation_regrouping_direction;
+        ] );
+      ( "churnbench",
+        [
+          Alcotest.test_case "steps to amortize" `Quick test_steps_to_amortize;
         ] );
       ( "bench-diff",
         [

@@ -534,33 +534,6 @@ let test_coverage_memo_from_construction () =
         "constructed coverage skips" (before + 1)
         (Rtrt_obs.Metrics.value skips))
 
-let test_endpoint_scan_memo () =
-  with_metrics (fun () ->
-      let d = Datagen.Generators.foil ~scale:128 () in
-      let k = Kernels.Irreg.of_dataset d in
-      let rng = Datagen.Rng.create 3 in
-      let sched = random_sched rng k in
-      let skips = Rtrt_obs.Metrics.counter "plancache.endpoint_scan_skips" in
-      k.Kernels.Kernel.run_tiled sched ~steps:1;
-      let before = Rtrt_obs.Metrics.value skips in
-      k.Kernels.Kernel.run_tiled sched ~steps:1;
-      Alcotest.(check bool)
-        "endpoint rescan skipped" true
-        (Rtrt_obs.Metrics.value skips > before);
-      (* A data permutation rebuilds the index arrays: the memo must
-         not survive it. *)
-      let k' =
-        k.Kernels.Kernel.apply_data_perm
-          (Reorder.Perm.id k.Kernels.Kernel.n_nodes)
-      in
-      let mid = Rtrt_obs.Metrics.value skips in
-      let sched' = random_sched rng k' in
-      k'.Kernels.Kernel.run_tiled sched' ~steps:1;
-      k'.Kernels.Kernel.run_tiled sched' ~steps:1;
-      Alcotest.(check bool)
-        "fresh state scans then skips" true
-        (Rtrt_obs.Metrics.value skips > mid))
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -601,6 +574,5 @@ let () =
           Alcotest.test_case "check_fits memo" `Quick test_check_fits_memo;
           Alcotest.test_case "coverage memo from construction" `Quick
             test_coverage_memo_from_construction;
-          Alcotest.test_case "endpoint scan memo" `Quick test_endpoint_scan_memo;
         ] );
     ]
