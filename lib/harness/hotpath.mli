@@ -96,7 +96,9 @@ val bench_spec :
     per-span-name aggregates (descending total time). *)
 val inspector_phases : Compose.Plan.t -> Kernels.Kernel.t -> phase list
 
-(** The whole table on moldyn/mol1 with the Full-sparse-tiling plan. *)
+(** The whole table: the walk, executor and phase sections on
+    moldyn/mol1 with the Full-sparse-tiling plan, and tier rows for
+    moldyn, nbf, irreg and cg. *)
 val measure : scale:int -> unit -> report
 
 val json_of_report : report -> Rtrt_obs.Json.t
