@@ -50,8 +50,10 @@ val fingerprint :
   Rtrt_plancache.Fingerprint.t
 
 (** [run ?strategy ?share_symmetric_deps plan kernel] validates the
-    plan and executes the composed inspector. The kernel is copied
-    first; the caller's arrays are never aliased.
+    plan and executes the composed inspector. The result's kernel
+    never aliases the caller's arrays: a cold inspection works on a
+    private copy, and a warm replay is a {!remap}, which builds fresh
+    ones.
     [share_symmetric_deps] enables the Section 6 symmetric-dependence
     elision during sparse-tile growth (default true). Default strategy
     is [Remap_once]. When [pool] is given (and has more than one
@@ -64,11 +66,11 @@ val fingerprint :
     the domain count.
 
     When [cache] is given, the inspection is keyed by {!fingerprint}:
-    a hit skips every per-transformation inspector and replays the
-    cached reordering functions onto a fresh kernel copy (bit-identical
-    to the cold run, since both remap strategies reduce to applying
-    the composed delta then sigma); a miss runs the inspectors and
-    stores the result. *)
+    a hit skips every per-transformation inspector and {!remap}s the
+    caller's kernel through the cached composed reorderings
+    (bit-identical to the cold run, since every remap strategy reduces
+    to applying the composed delta then sigma); a miss runs the
+    inspectors and stores the result. *)
 val run :
   ?cache:Rtrt_plancache.Cache.t ->
   ?pool:Rtrt_par.Pool.t ->
@@ -77,3 +79,16 @@ val run :
   Plan.t ->
   Kernels.Kernel.t ->
   result
+
+(** [remap kernel ~delta ~sigma] is a warm replay of composed
+    reorderings: [kernel] under the interaction reordering [delta],
+    then the data reordering [sigma], with the number of data remaps
+    that counts (0 when [sigma] is the identity, else 1). The result
+    shares no array with [kernel] (see [Kernel.apply_iter_perm] and
+    [Kernel.apply_data_perm]), so [kernel] is never copied. Cache hits
+    and {!Repair}'s frozen replays both go through it. *)
+val remap :
+  Kernels.Kernel.t ->
+  delta:Reorder.Perm.t ->
+  sigma:Reorder.Perm.t ->
+  Kernels.Kernel.t * int

@@ -265,15 +265,6 @@ let check_kernel state (kernel : Kernels.Kernel.t) =
       kernel.Kernels.Kernel.name kernel.Kernels.Kernel.n_nodes
       kernel.Kernels.Kernel.n_inter f.kernel_name
 
-(* Exactly what [Inspector.replay] does with a cache entry: the
-   churned kernel under the frozen composed reorderings. *)
-let replay state (kernel : Kernels.Kernel.t) =
-  let f = state.f in
-  let kernel = kernel.Kernels.Kernel.copy () in
-  let k = kernel.Kernels.Kernel.apply_iter_perm f.delta in
-  if Perm.is_id f.sigma then (k, 0)
-  else (k.Kernels.Kernel.apply_data_perm f.sigma, 1)
-
 let result_of state ~kernel ~sched ~remaps ~seconds =
   let f = state.f in
   {
@@ -299,7 +290,7 @@ let regrow ?pool state (kernel : Kernels.Kernel.t) =
   in
   let f = state.f in
   let t0 = Rtrt_obs.Clock.now_s () in
-  let k, remaps = replay state kernel in
+  let k, remaps = Inspector.remap kernel ~delta:f.delta ~sigma:f.sigma in
   let sched =
     match f.seed_tile_of with
     | None -> None
@@ -447,7 +438,7 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
   | None ->
     let cold_ref = state.cold_seconds in
     let t0 = Rtrt_obs.Clock.now_s () in
-    let k, remaps = replay state kernel in
+    let k, remaps = Inspector.remap kernel ~delta:f.delta ~sigma:f.sigma in
     let t_replay = Rtrt_obs.Clock.now_s () -. t0 in
     (* Adjacency maintenance, in final coordinates. Churn reports old
        and new endpoints in original coordinates; the frozen forward

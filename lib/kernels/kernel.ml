@@ -60,6 +60,10 @@ type t = {
      [chain.conn.(conn_index)] — the paper's symmetric-dependence
      observation (Section 6), letting the inspector traverse one set. *)
   symmetric_backward : (int * int) list;
+  (* [apply_data_perm]: fresh index and node arrays, per-interaction
+     arrays shared; [apply_iter_perm]: fresh index and per-interaction
+     arrays, node arrays shared. Both copy the scalars, so one of each
+     aliases nothing of the original kernel. *)
   apply_data_perm : Reorder.Perm.t -> t;
   apply_iter_perm : Reorder.Perm.t -> t;
   (* Executors; [run*] mutate the kernel's arrays in place. *)

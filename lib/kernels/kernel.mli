@@ -48,7 +48,19 @@ type t = {
           growing [backward_loop] equals [chain.conn.(conn_index)]
           (Section 6 symmetric dependences) *)
   apply_data_perm : Reorder.Perm.t -> t;
+      (** The kernel under data reordering [sigma]: fresh index arrays
+          (values renamed) and fresh node arrays (permuted). The
+          per-interaction float arrays are shared with this kernel. *)
   apply_iter_perm : Reorder.Perm.t -> t;
+      (** The kernel under interaction reordering [delta]: fresh index
+          arrays and fresh per-interaction float arrays (permuted). The
+          node arrays are shared with this kernel.
+
+          Both copy the scalar state no reordering moves, so applying
+          one of each yields a kernel that shares no array with the
+          original, and running it leaves the original untouched. A
+          kernel from only one of them shares arrays with the
+          original, and running it may write the original's. *)
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
   run_tiled_shaped :

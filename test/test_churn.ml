@@ -260,6 +260,40 @@ let test_cache_block_unsupported () =
     "fallback is a cold inspection" true
     (results_equal repaired (Inspector.run plan kernel'))
 
+(* Repair replays the frozen reorderings onto the churned kernel
+   without copying it first, so stepping the repaired result must
+   leave that kernel untouched, with or without a data reordering in
+   the plan. *)
+let test_repair_aliases_nothing () =
+  List.iter
+    (fun (label, plan) ->
+      let d = mol1 () in
+      let cold = Inspector.run plan (Kernels.Moldyn.of_dataset d) in
+      let state = Repair.prepare plan cold in
+      let churned, damage = churn d in
+      let kernel' = Kernels.Moldyn.of_dataset churned in
+      let before = kernel'.Kernels.Kernel.snapshot () in
+      let repaired, info =
+        Repair.repair ~policy:`Repair state kernel' ~damage
+      in
+      Alcotest.(check bool) (label ^ ": incremental") false
+        info.Repair.fell_back;
+      let k = repaired.Inspector.kernel in
+      let stepped = k.Kernels.Kernel.snapshot () in
+      k.Kernels.Kernel.run_tiled (Option.get repaired.Inspector.schedule)
+        ~steps:2;
+      Alcotest.(check bool) (label ^ ": the step wrote node data") false
+        (Kernels.Kernel.snapshots_equal_bits stepped
+           (k.Kernels.Kernel.snapshot ()));
+      Alcotest.(check bool) (label ^ ": churned kernel bit-identical") true
+        (Kernels.Kernel.snapshots_equal_bits before
+           (kernel'.Kernels.Kernel.snapshot ())))
+    [
+      ("CL+FST", fst_plan);
+      ( "FST without tilePack (identity sigma)",
+        Plan.with_fst ~tile_pack:false ~seed_part_size:16 Plan.base );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Plan-cache and specialization interplay *)
 
@@ -356,6 +390,11 @@ let () =
             test_auto_fallback;
           Alcotest.test_case "cache-block plans fall back" `Quick
             test_cache_block_unsupported;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "repaired kernel aliases nothing" `Quick
+            test_repair_aliases_nothing;
         ] );
       ( "interop",
         [
