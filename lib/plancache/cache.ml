@@ -516,18 +516,15 @@ let disk_store t hex e =
   | None -> ()
   | Some dir -> (
     let path = file_path dir hex in
-    let tmp = Fmt.str "%s.tmp.%d" path (Unix.getpid ()) in
     match
-      Out_channel.with_open_bin tmp (fun oc ->
+      Disk_write.atomically path (fun oc ->
           output_string oc (J.to_string (json_of_entry ~hex e));
-          output_char oc '\n');
-      Sys.rename tmp path
+          output_char oc '\n')
     with
-    | () -> ()
-    | exception Sys_error msg ->
+    | Ok () -> ()
+    | Error msg ->
       t.disk_errors <- t.disk_errors + 1;
       Rtrt_obs.Metrics.incr c_disk_error;
-      (try Sys.remove tmp with Sys_error _ -> ());
       Fmt.epr "rtrt: warning: cannot write plan-cache entry %s (%s)@." path msg)
 
 (* ------------------------------------------------------------------ *)

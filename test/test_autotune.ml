@@ -143,6 +143,44 @@ let test_tuned_store_machine_keyed () =
   Alcotest.(check bool)
     "other machine searches afresh" false other.A.at_cached
 
+(* Two writers in one process, each with its own store over one
+   directory, store one key again and again: every write must land
+   (no temp file shared between them), and a fresh store must hit. *)
+let test_tuned_concurrent_writers () =
+  let dir = fresh_dir () in
+  let key =
+    let b = Rtrt_plancache.Fingerprint.create () in
+    Rtrt_plancache.Fingerprint.add_string b "two-writers";
+    Rtrt_plancache.Fingerprint.value b
+  in
+  let entry =
+    {
+      Tuned.winner = "CL";
+      winner_plan = "[]";
+      winner_score_ns = 1.0;
+      scores =
+        List.init 512 (fun i ->
+            ((if i = 0 then "CL" else Fmt.str "p%d" i), 1.0 +. float_of_int i));
+      machine = "m";
+    }
+  in
+  let writer () =
+    let tuned = Tuned.create ~dir () in
+    for _ = 1 to 200 do
+      Tuned.store tuned ~key entry
+    done;
+    (Tuned.stats tuned).Tuned.disk_errors
+  in
+  let other = Domain.spawn writer in
+  let errors = writer () in
+  Alcotest.(check (pair int int)) "no writer counts a disk error" (0, 0)
+    (errors, Domain.join other);
+  let fresh = Tuned.create ~dir () in
+  Alcotest.(check bool) "a fresh store hits" true
+    (Tuned.find fresh ~key ~machine:"m" <> None);
+  Alcotest.(check int) "only the entry is left" 1
+    (Array.length (Sys.readdir dir))
+
 (* ------------------------------------------------------------------ *)
 (* Degenerate spaces                                                   *)
 
@@ -185,6 +223,8 @@ let () =
             test_tuned_store_roundtrip;
           Alcotest.test_case "tuned store keyed by machine" `Slow
             test_tuned_store_machine_keyed;
+          Alcotest.test_case "tuned store: two writers, one key" `Quick
+            test_tuned_concurrent_writers;
           Alcotest.test_case "single-candidate space" `Quick
             test_single_candidate;
           Alcotest.test_case "bad spaces rejected" `Quick
