@@ -10,9 +10,16 @@
     {e only} for the iterations whose dependence neighborhoods
     intersect the damage set — every other iteration's grown tile is
     the min/max of an unchanged set and cannot move. The recomputed
-    memberships are spliced back into the flat-CSR schedule in place
-    ({!Reorder.Schedule.splice}), so the cost is proportional to the
-    damage, not the dataset.
+    memberships are spliced back into the flat-CSR schedule
+    ({!Reorder.Schedule.splice}).
+
+    Adjacency maintenance, regrowth and the splice's row merges cost
+    O(damage); the splice blits the untouched rows in one pass. Three
+    parts stay O(dataset) whatever the damage: the replay of the frozen
+    reorderings ({!Inspector.remap}), the {!fingerprint} that keys the
+    repaired entry when a cache is attached, and the
+    {!Reorder.Shape} summary of the result. At a few percent churn
+    those dominate a repair.
 
     {2 Contract}
 
