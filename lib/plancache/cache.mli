@@ -4,11 +4,15 @@
     inspection outcome (kernel access pattern, plan transformations,
     strategy, symmetric-dependence sharing). Two tiers: an in-memory
     LRU bounded by a byte budget, and an optional on-disk store (one
-    JSON file per key) so the amortization survives process restarts.
+    binary [<key>.plan] file per key, format v3: a fixed header,
+    little-endian int32 arrays and a trailing FNV-1a checksum) so the
+    amortization survives process restarts.
 
-    Disk entries are validated on load — array sizes against the
-    kernel at hand, permutation bijectivity, schedule coverage — so a
-    corrupt or stale file degrades to a miss, never a crash. All
+    Disk entries are checked on load (length, magic, version,
+    checksum, key, header sizes) and then validated — array sizes
+    against the kernel at hand, permutation bijectivity, schedule
+    coverage — so a corrupt or stale file degrades to a miss, never a
+    crash. Files of older formats (JSON, [<key>.json]) are ignored. All
     operations are mutex-guarded and safe to call from worker domains.
 
     Traffic is published to {!Rtrt_obs.Metrics} under
@@ -30,8 +34,8 @@ type entry = {
       (** plan-time {!Reorder.Shape} analysis of [schedule], cached so
           warm hits pick an executor tier without re-walking the items
           array. Only the summary is stored; the run-length index is
-          always rebuilt from the validated schedule. Absent in files
-          written before this member existed. *)
+          always rebuilt from the validated schedule. A loaded summary
+          that cannot belong to its schedule is dropped to [None]. *)
   reordering_fns : (string * Perm.t) list;
       (** per-transformation reordering functions, in application order *)
   n_data_remaps : int;
@@ -76,8 +80,10 @@ val find :
 
 (** Insert into the memory tier (evicting least-recently-used entries
     past the byte budget) and, when a [dir] is configured, write the
-    JSON file atomically (tmp + rename). Write failures warn and count
-    as [disk_errors]; they never raise. *)
+    entry file atomically (tmp + rename). Write failures, including an
+    entry holding a value the format cannot represent (negative, or
+    2{^31} and up), warn and count as [disk_errors]; they never
+    raise, and the memory tier keeps the entry. *)
 val store : t -> key:Fingerprint.t -> entry -> unit
 
 (** Memory-tier-only lookup with no stats or LRU side effects. *)
