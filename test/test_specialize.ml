@@ -439,10 +439,9 @@ let test_unwritable_cache_fallback () =
           falls_back "temp dir is a file"))
 
 (* Two processes specialize one schedule into one fresh cache directory
-   at the same time. The test executable re-runs itself as each writer
-   (forking is unavailable once a domain has run): a writer exits 0 iff
-   it reached the codegen tier, whose bitwise verification [make] runs
-   before returning. *)
+   at the same time ([Self_exec]): a writer exits 0 iff it reached the
+   codegen tier, whose bitwise verification [make] runs before
+   returning. *)
 let writer_env = "RTRT_TEST_SPEC_WRITER"
 
 let writer_input () =
@@ -460,24 +459,10 @@ let test_concurrent_writers () =
     let k, sched = writer_input () in
     let key = (Specialize.make ~tier_b:false ~verify:false k sched).Specialize.key in
     let root = Filename.temp_dir "rtrt-spec-writers" "" in
-    let inherited =
-      List.filter
-        (fun e ->
-          not
-            (String.starts_with ~prefix:"RTRT_PLAN_CACHE_DIR=" e
-            || String.starts_with ~prefix:(writer_env ^ "=") e))
-        (Array.to_list (Unix.environment ()))
+    let statuses =
+      Self_exec.run_children 2
+        [ (writer_env, "1"); ("RTRT_PLAN_CACHE_DIR", root) ]
     in
-    let env =
-      Array.of_list
-        ((writer_env ^ "=1") :: ("RTRT_PLAN_CACHE_DIR=" ^ root) :: inherited)
-    in
-    let spawn () =
-      Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env
-        Unix.stdin Unix.stdout Unix.stderr
-    in
-    let writers = [ spawn (); spawn () ] in
-    let statuses = List.map (fun pid -> snd (Unix.waitpid [] pid)) writers in
     let spec = Filename.concat root "spec" in
     let files = try Sys.readdir spec with Sys_error _ -> [||] in
     Array.iter (fun f -> Sys.remove (Filename.concat spec f)) files;
