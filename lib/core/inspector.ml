@@ -316,16 +316,15 @@ let fingerprint ?(strategy = Remap_once) ?(share_symmetric_deps = true) plan
   F.add_bool b share_symmetric_deps;
   F.value b
 
-(* The composed delta then sigma, as Remap_once's tail applies them,
-   but to the caller's kernel itself. It needs no private copy:
-   [apply_iter_perm] builds fresh index and per-interaction arrays and
-   [apply_data_perm] fresh index and node arrays, so the two together
-   share nothing with [kernel]. An identity sigma is applied too, only
-   to copy the node arrays the iteration reordering left shared; it
-   moves no data and is not counted as a remap. *)
+(* The composed delta then sigma in one kernel rebuild
+   ([apply_perms]), applied to the caller's kernel itself. It needs no
+   private copy: the rebuild writes fresh index, per-interaction and
+   node arrays, even under identity permutations, so the result shares
+   nothing with [kernel]. An identity sigma moves no data and is not
+   counted as a remap. *)
 let remap (kernel : Kernels.Kernel.t) ~delta ~sigma =
-  let k = kernel.Kernels.Kernel.apply_iter_perm delta in
-  (k.Kernels.Kernel.apply_data_perm sigma, if Perm.is_id sigma then 0 else 1)
+  ( kernel.Kernels.Kernel.apply_perms ~delta ~sigma,
+    if Perm.is_id sigma then 0 else 1 )
 
 (* A warm hit skips every per-transformation inspector and only
    remaps. All strategies produce exactly the kernel [remap] builds,
@@ -371,10 +370,15 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
   | Ok () -> ()
   | Error msg -> invalid "Inspector: %s" msg);
   let inspect () =
-  (* Work on a private copy: [apply_*_perm] rebuild only the arrays
-     they touch, so the transformed kernel would otherwise alias (and
-     its executor mutate) the caller's arrays. *)
-  let kernel = kernel.Kernels.Kernel.copy () in
+  (* Remap_each works on a private copy: [apply_*_perm] rebuild only
+     the arrays they touch, so its kernel would otherwise alias (and
+     its executor mutate) the caller's arrays. The other strategies end
+     in one [remap], which shares nothing with its input. *)
+  let kernel =
+    match strategy with
+    | Remap_each -> kernel.Kernels.Kernel.copy ()
+    | Remap_once | Fused -> kernel
+  in
   Rtrt_obs.Span.with_span ~name:"inspector.run"
     ~attrs:
       [
@@ -559,8 +563,8 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       walk.schedule <- Some sched'
     end
   | _ -> ());
-  (* Remap_once/Fused: one data remap at the very end (plus the
-     index-array adjustment that every strategy pays). *)
+  (* Remap_once/Fused: one data remap at the very end, in the same
+     rebuild as the index-array adjustment that every strategy pays. *)
   let kern =
     match strategy with
     | Remap_each -> walk.kern
@@ -571,13 +575,10 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
         | _ -> "inspector.final_remap"
       in
       Rtrt_obs.Span.with_ ~name:span_name @@ fun () ->
-      let k = walk.kern.Kernels.Kernel.apply_iter_perm delta_total in
-      if Perm.is_id sigma_total then k
-      else begin
-        walk.remaps <- walk.remaps + 1;
-        Rtrt_obs.Metrics.incr c_data_remaps;
-        k.Kernels.Kernel.apply_data_perm sigma_total
-      end
+      let k, remaps = remap walk.kern ~delta:delta_total ~sigma:sigma_total in
+      walk.remaps <- walk.remaps + remaps;
+      Rtrt_obs.Metrics.add c_data_remaps remaps;
+      k
   in
   let seconds = Rtrt_obs.Clock.now_s () -. t0 in
   Rtrt_obs.Span.set_attr root_span "inspector_seconds"

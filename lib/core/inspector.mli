@@ -51,9 +51,10 @@ val fingerprint :
 
 (** [run ?strategy ?share_symmetric_deps plan kernel] validates the
     plan and executes the composed inspector. The result's kernel
-    never aliases the caller's arrays: a cold inspection works on a
-    private copy, and a warm replay is a {!remap}, which builds fresh
-    ones.
+    never aliases the caller's arrays: a cold [Remap_each] inspection
+    works on a private copy, and every other path (the [Remap_once]
+    and [Fused] cold tails, a warm replay) ends in a {!remap}, which
+    builds fresh ones.
     [share_symmetric_deps] enables the Section 6 symmetric-dependence
     elision during sparse-tile growth (default true). Default strategy
     is [Remap_once]. When [pool] is given (and has more than one
@@ -80,13 +81,14 @@ val run :
   Kernels.Kernel.t ->
   result
 
-(** [remap kernel ~delta ~sigma] is a warm replay of composed
-    reorderings: [kernel] under the interaction reordering [delta],
-    then the data reordering [sigma], with the number of data remaps
-    that counts (0 when [sigma] is the identity, else 1). The result
-    shares no array with [kernel] (see [Kernel.apply_iter_perm] and
-    [Kernel.apply_data_perm]), so [kernel] is never copied. Cache hits
-    and {!Repair}'s frozen replays both go through it. *)
+(** [remap kernel ~delta ~sigma] applies composed reorderings:
+    [kernel] under the interaction reordering [delta], then the data
+    reordering [sigma], built in one rebuild
+    ([Kernel.apply_perms]), with the number of data remaps that counts
+    (0 when [sigma] is the identity, else 1). The result shares no
+    array with [kernel], also under identity permutations, so [kernel]
+    is never copied. The [Remap_once] and [Fused] cold tails, cache
+    hits and {!Repair}'s frozen replays all go through it. *)
 val remap :
   Kernels.Kernel.t ->
   delta:Reorder.Perm.t ->

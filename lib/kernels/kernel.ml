@@ -62,10 +62,13 @@ type t = {
   symmetric_backward : (int * int) list;
   (* [apply_data_perm]: fresh index and node arrays, per-interaction
      arrays shared; [apply_iter_perm]: fresh index and per-interaction
-     arrays, node arrays shared. Both copy the scalars, so one of each
-     aliases nothing of the original kernel. *)
+     arrays, node arrays shared; [apply_perms ~delta ~sigma]: both in
+     one rebuild, every array fresh. All copy the scalars, so one of
+     each, or one [apply_perms], aliases nothing of the original
+     kernel. *)
   apply_data_perm : Reorder.Perm.t -> t;
   apply_iter_perm : Reorder.Perm.t -> t;
+  apply_perms : delta:Reorder.Perm.t -> sigma:Reorder.Perm.t -> t;
   (* Executors; [run*] mutate the kernel's arrays in place. *)
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;

@@ -61,6 +61,13 @@ type t = {
           original, and running it leaves the original untouched. A
           kernel from only one of them shares arrays with the
           original, and running it may write the original's. *)
+  apply_perms : delta:Reorder.Perm.t -> sigma:Reorder.Perm.t -> t;
+      (** [apply_iter_perm delta] then [apply_data_perm sigma] in one
+          rebuild: each index array is written once, as
+          [sigma (left (delta^-1 j))], the per-interaction arrays are
+          permuted by [delta] and the node arrays by [sigma]. Every
+          array is fresh, also under identity permutations, so the
+          result shares nothing with this kernel. *)
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
   run_tiled_shaped :

@@ -13,7 +13,8 @@
    - plan_par: the items loop as Rtrt_par.Exec.run's body;
    - run_traced / run_tiled_traced: the same orders, reporting each
      class's touches (bounds-checked, no arithmetic);
-   - the data and iteration reorderings, copy, snapshot, exec_arrays.
+   - the data and iteration reorderings (one rebuild, alone or
+     composed), copy, snapshot, exec_arrays.
 
    Each class's body is an [@inline always] function over a tuple of
    arrays, inlined into two closed loop functions: one walks a row's
@@ -253,6 +254,27 @@ let rec make decl st =
   in
   let trace = trace decl st in
   let rebuild st' = make decl { st' with scalars = Array.copy st.scalars } in
+  (* Every reordering is this one rebuild. An iteration reordering
+     [delta] moves the index and per-interaction arrays, a data
+     reordering [sigma] renames the index arrays and moves the node
+     arrays, and each array is written once, whichever of the two are
+     given. A missing reordering leaves the arrays only it would move
+     shared. *)
+  let permute ?delta ?sigma () =
+    let move p a =
+      match p with
+      | Some p -> Reorder.Perm.apply_to_float_array p a
+      | None -> a
+    in
+    rebuild
+      {
+        st with
+        left = Reorder.Perm.reindex ?delta ?sigma st.left;
+        right = Reorder.Perm.reindex ?delta ?sigma st.right;
+        nodes = Array.map (move sigma) st.nodes;
+        inters = Array.map (move delta) st.inters;
+      }
+  in
   {
     Kernel.name = decl.name;
     n_nodes = n;
@@ -267,26 +289,9 @@ let rec make decl st =
         Reorder.Sparse_tile.make_chain ~loop_sizes ~conn:(decl.conn acc));
     wrap_conn_of_access = decl.wrap n;
     symmetric_backward = decl.symmetric_backward;
-    apply_data_perm =
-      (fun sigma ->
-        rebuild
-          {
-            st with
-            left = Reorder.Perm.remap_values sigma st.left;
-            right = Reorder.Perm.remap_values sigma st.right;
-            nodes =
-              Array.map (Reorder.Perm.apply_to_float_array sigma) st.nodes;
-          });
-    apply_iter_perm =
-      (fun delta ->
-        rebuild
-          {
-            st with
-            left = Reorder.Perm.apply_to_array delta st.left;
-            right = Reorder.Perm.apply_to_array delta st.right;
-            inters =
-              Array.map (Reorder.Perm.apply_to_float_array delta) st.inters;
-          });
+    apply_data_perm = (fun sigma -> permute ~sigma ());
+    apply_iter_perm = (fun delta -> permute ~delta ());
+    apply_perms = (fun ~delta ~sigma -> permute ~delta ~sigma ());
     run =
       (fun ~steps ->
         stepping ~steps (fun () -> walk_runs runs a plain) (sum_runs plain));

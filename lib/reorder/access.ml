@@ -151,20 +151,22 @@ let shift_data ~offset ~n_data a =
 
 (* Transpose: for each datum, the iterations that touch it, in
    ascending iteration order. Used to derive dependence connectivity
-   (e.g. which j iterations read x.(i)). *)
+   (e.g. which j iterations read x.(i)). Plain loops over [ptr]/[dat]:
+   besides its output it allocates only the per-datum cursor. *)
 let transpose a =
-  let deg = Array.make a.n_data 0 in
-  Array.iter (fun d -> deg.(d) <- deg.(d) + 1) a.dat;
   let ptr = Array.make (a.n_data + 1) 0 in
+  Array.iter (fun d -> ptr.(d + 1) <- ptr.(d + 1) + 1) a.dat;
   for d = 0 to a.n_data - 1 do
-    ptr.(d + 1) <- ptr.(d) + deg.(d)
+    ptr.(d + 1) <- ptr.(d) + ptr.(d + 1)
   done;
   let dat = Array.make ptr.(a.n_data) 0 in
-  let cursor = Array.copy ptr in
+  let cursor = Array.sub ptr 0 a.n_data in
   for it = 0 to a.n_iter - 1 do
-    iter_touches a it (fun d ->
-        dat.(cursor.(d)) <- it;
-        cursor.(d) <- cursor.(d) + 1)
+    for idx = a.ptr.(it) to a.ptr.(it + 1) - 1 do
+      let d = a.dat.(idx) in
+      dat.(cursor.(d)) <- it;
+      cursor.(d) <- cursor.(d) + 1
+    done
   done;
   { n_iter = a.n_data; n_data = a.n_iter; ptr; dat }
 

@@ -53,6 +53,13 @@ val apply_to_float_array : t -> float array -> float array
     [new_idx.(k) = forward idx.(k)]. *)
 val remap_values : t -> int array -> int array
 
+(** An index array under iteration reordering [delta] and then data
+    reordering [sigma], in one pass:
+    [(reindex ~delta ~sigma idx).(forward delta i) = forward sigma idx.(i)],
+    so it equals [remap_values sigma (apply_to_array delta idx)]. An
+    absent reordering is the identity. Always a fresh array. *)
+val reindex : ?delta:t -> ?sigma:t -> int array -> int array
+
 val to_forward_array : t -> int array
 val to_inverse_array : t -> int array
 val equal : t -> t -> bool

@@ -199,16 +199,18 @@ let cache_block ~chain ~(seed_tiles : tile_fn) =
 
 (* Run-time legality check: every dependence edge a -> b between
    adjacent loops must satisfy tile(a) <= tile(b). Returns the list of
-   violated (loop_pair, a, b) triples (empty = legal). *)
+   violated (loop_pair, a, b) triples (empty = legal). Plain loops over
+   [ptr]/[dat], so a legal chain allocates nothing per iteration. *)
 let check_legality ~chain ~tiles =
   let violations = ref [] in
   Array.iteri
     (fun l (conn : Access.t) ->
-      let t_src = tiles.(l) and t_dst = tiles.(l + 1) in
+      let src = tiles.(l).tile_of and dst = tiles.(l + 1).tile_of in
       for b = 0 to Access.n_iter conn - 1 do
-        Access.iter_touches conn b (fun a ->
-            if t_src.tile_of.(a) > t_dst.tile_of.(b) then
-              violations := (l, a, b) :: !violations)
+        for idx = conn.Access.ptr.(b) to conn.Access.ptr.(b + 1) - 1 do
+          let a = conn.Access.dat.(idx) in
+          if src.(a) > dst.(b) then violations := (l, a, b) :: !violations
+        done
       done)
     chain.conn;
   List.rev !violations

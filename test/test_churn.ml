@@ -5,8 +5,7 @@
    churned access, on every kernel, serial and pooled, across chained
    churn rounds. The churn itself must preserve the degree multiset
    and be deterministic under the figure RNG, and repaired plans must
-   interoperate with the plan cache and the staged specializer without
-   replaying anything stale. *)
+   never replay a stale specialization. *)
 
 open Compose
 
@@ -241,6 +240,53 @@ let test_auto_fallback () =
     "second round = regrowth" true
     (results_equal repaired2 (Repair.regrow state kernel2))
 
+(* [Churn.rewire] keeps every degree, but [damage] is a public record,
+   and any consistent damage set must repair. Here one endpoint moves,
+   so one node loses an interaction and a node that had none gains it:
+   its adjacency row has no room. A degree-preserving round then
+   repairs on top. Serial and pooled, each against [regrow]. *)
+let test_degree_changing_damage () =
+  let d = mol1 () in
+  let n = d.Datagen.Dataset.n_nodes in
+  let d = { d with Datagen.Dataset.n_nodes = n + 1; coords = None } in
+  let j = Array.length d.Datagen.Dataset.left / 2 in
+  let a = d.Datagen.Dataset.left.(j) and b = d.Datagen.Dataset.right.(j) in
+  let right = Array.copy d.Datagen.Dataset.right in
+  right.(j) <- n;
+  let moved = { d with Datagen.Dataset.right } in
+  let damage =
+    {
+      Datagen.Churn.rewired = [| (j, (a, b), (a, n)) |];
+      touched_nodes = [| b; n |];
+      requested_edges = 1;
+      swaps = 0;
+    }
+  in
+  let check ?pool label kernel' damage state =
+    let repaired, info =
+      Repair.repair ?pool ~policy:`Repair ~verify:true state kernel' ~damage
+    in
+    Alcotest.(check bool) (label ^ ": incremental") false info.Repair.fell_back;
+    Alcotest.(check bool) (label ^ ": = regrowth") true
+      (results_equal repaired (Repair.regrow ?pool state kernel'))
+  in
+  let run ?pool label =
+    let cold = Inspector.run ?pool fst_plan (Kernels.Moldyn.of_dataset d) in
+    let state = Repair.prepare fst_plan cold in
+    check ?pool (label ^ ", endpoint moved") (Kernels.Moldyn.of_dataset moved)
+      damage state;
+    let churned, damage2 = churn ~seed:9 moved in
+    check ?pool (label ^ ", then rewired")
+      (Kernels.Moldyn.of_dataset churned)
+      damage2 state
+  in
+  run "serial";
+  List.iter
+    (fun domains ->
+      Rtrt_par.Pool.with_pool ~domains (fun pool ->
+          run ~pool (Fmt.str "%d domains" domains)))
+    [ 2; 4 ]
+
 (* Cache-block growth is not incrementally repairable: the state says
    so and every repair is a (correct) cold fallback. *)
 let test_cache_block_unsupported () =
@@ -297,46 +343,6 @@ let test_repair_aliases_nothing () =
 (* ------------------------------------------------------------------ *)
 (* Plan-cache and specialization interplay *)
 
-let test_plancache_interop () =
-  let d = mol1 () in
-  let kernel = Kernels.Moldyn.of_dataset d in
-  let cache = Rtrt_plancache.Cache.create () in
-  let cold = Inspector.run ~cache fst_plan kernel in
-  let state = Repair.prepare fst_plan cold in
-  let churned, damage = churn d in
-  let kernel' = Kernels.Moldyn.of_dataset churned in
-  (* Content addressing: the pre-churn entry cannot replay against the
-     churned kernel — its key is gone. *)
-  Alcotest.(check bool)
-    "churn re-fingerprints the cold key" false
-    (Rtrt_plancache.Fingerprint.equal
-       (Inspector.fingerprint fst_plan kernel)
-       (Inspector.fingerprint fst_plan kernel'));
-  (* The repair key is distinct from the churned kernel's cold key:
-     the repaired entry never shadows a cold inspection. *)
-  Alcotest.(check bool)
-    "repair key distinct from cold key" false
-    (Rtrt_plancache.Fingerprint.equal
-       (Repair.fingerprint state kernel')
-       (Inspector.fingerprint fst_plan kernel'));
-  let repaired, info =
-    Repair.repair ~cache ~policy:`Repair state kernel' ~damage
-  in
-  Alcotest.(check bool) "first repair stores" false info.Repair.cache_replayed;
-  Alcotest.(check bool)
-    "moved something (churn was real)" true
-    (info.Repair.tiles_moved > 0);
-  (* A second process arriving at the same churned state replays the
-     stored repair and verifies it against its own splice. *)
-  let state2 = Repair.prepare fst_plan (Inspector.run fst_plan kernel) in
-  let repaired2, info2 =
-    Repair.repair ~cache ~policy:`Repair state2 kernel' ~damage
-  in
-  Alcotest.(check bool) "second repair replays" true info2.Repair.cache_replayed;
-  Alcotest.(check bool)
-    "replayed repair bit-identical" true
-    (results_equal repaired repaired2)
-
 (* The spliced schedule is a fresh value with its own shape and
    specialization key: nothing pinned to the pre-churn schedule can be
    replayed against it. *)
@@ -391,6 +397,11 @@ let () =
           Alcotest.test_case "cache-block plans fall back" `Quick
             test_cache_block_unsupported;
         ] );
+      ( "damage",
+        [
+          Alcotest.test_case "degree-changing damage = regrowth" `Quick
+            test_degree_changing_damage;
+        ] );
       ( "isolation",
         [
           Alcotest.test_case "repaired kernel aliases nothing" `Quick
@@ -398,8 +409,6 @@ let () =
         ] );
       ( "interop",
         [
-          Alcotest.test_case "plan cache: repair keys and replay" `Quick
-            test_plancache_interop;
           Alcotest.test_case "no stale specialization" `Quick
             test_no_stale_specialization;
         ] );

@@ -448,6 +448,81 @@ let prop_gs_tiled_equals_plain =
       Kernels.Gauss_seidel.run_tiled t2 tiling;
       Array.for_all2 ( = ) t1.Kernels.Gauss_seidel.u t2.Kernels.Gauss_seidel.u)
 
+(* Property: [apply_perms] is [apply_iter_perm] then [apply_data_perm]
+   in one rebuild, array for array, and shares no array with its
+   input, also when sigma is the identity. *)
+let prop_apply_perms_is_two_steps =
+  let builders =
+    [|
+      ("moldyn", Kernels.Moldyn.of_dataset);
+      ("nbf", Kernels.Nbf.of_dataset);
+      ("irreg", Kernels.Irreg.of_dataset);
+      ("cg", Kernels.Cg.of_dataset);
+    |]
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (b, n, pairs, seed, sigma_id) ->
+        Printf.sprintf "%s n=%d m=%d seed=%d sigma_id=%b" (fst builders.(b)) n
+          (Array.length pairs) seed sigma_id)
+      QCheck.Gen.(
+        let* b = int_bound (Array.length builders - 1) in
+        let* n = int_range 2 40 in
+        let* m = int_range 1 90 in
+        let* pairs =
+          array_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+        in
+        let* seed = int_bound 10_000 in
+        let* sigma_id = bool in
+        return (b, n, pairs, seed, sigma_id))
+  in
+  let same_bits a b =
+    Array.length a = Array.length b
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b
+  in
+  QCheck.Test.make ~name:"apply_perms = apply_iter_perm then apply_data_perm"
+    ~count:200 arb (fun (b, n, pairs, seed, sigma_id) ->
+      let d =
+        {
+          Datagen.Dataset.name = "rand";
+          n_nodes = n;
+          left = Array.map fst pairs;
+          right = Array.map snd pairs;
+          coords = None;
+        }
+      in
+      let k = (snd builders.(b)) d in
+      let rng = Datagen.Rng.create seed in
+      let delta =
+        Reorder.Perm.of_forward
+          (Datagen.Rng.permutation rng k.Kernels.Kernel.n_inter)
+      in
+      let sigma =
+        if sigma_id then Reorder.Perm.id n
+        else Reorder.Perm.of_forward (Datagen.Rng.permutation rng n)
+      in
+      let one = k.Kernels.Kernel.apply_perms ~delta ~sigma in
+      let two =
+        (k.Kernels.Kernel.apply_iter_perm delta).Kernels.Kernel.apply_data_perm
+          sigma
+      in
+      let i1, f1 = one.Kernels.Kernel.exec_arrays ()
+      and i2, f2 = two.Kernels.Kernel.exec_arrays ()
+      and i0, f0 = k.Kernels.Kernel.exec_arrays () in
+      let a1 = one.Kernels.Kernel.access and a2 = two.Kernels.Kernel.access in
+      i1 = i2
+      && a1.Reorder.Access.ptr = a2.Reorder.Access.ptr
+      && a1.Reorder.Access.dat = a2.Reorder.Access.dat
+      && Array.for_all2 same_bits f1 f2
+      && Kernels.Kernel.snapshots_equal_bits
+           (one.Kernels.Kernel.snapshot ())
+           (two.Kernels.Kernel.snapshot ())
+      && not
+           (Array.exists (fun x -> Array.exists (( == ) x) i0) i1
+           || Array.exists (fun x -> Array.exists (( == ) x) f0) f1))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -478,5 +553,10 @@ let () =
           Alcotest.test_case "golden hashes" `Quick test_gs_golden;
         ] );
       ( "prop",
-        qsuite [ prop_gs_constraints; prop_gs_tiled_equals_plain ] );
+        qsuite
+          [
+            prop_gs_constraints;
+            prop_gs_tiled_equals_plain;
+            prop_apply_perms_is_two_steps;
+          ] );
     ]

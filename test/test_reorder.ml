@@ -92,6 +92,28 @@ let test_access_transpose () =
   (* Datum 0 is touched by iterations 0 (left) and 5 (right). *)
   Alcotest.(check (array int)) "touchers of 0" [| 0; 5 |] (Access.touches t 0)
 
+(* A transpose allocates its output plus O(n_data) words of counters,
+   never a closure per iteration. A count rather than a timer, like
+   the fingerprint's [no allocation per byte] test; [Gc.allocated_bytes]
+   also counts the arrays too large for the minor heap. *)
+let test_access_transpose_allocation () =
+  let n_data = 1_000 and n_iter = 100_000 in
+  let left = Array.init n_iter (fun j -> j mod n_data) in
+  let right = Array.init n_iter (fun j -> ((j * 7919) + 1) mod n_data) in
+  let a = Access.of_pairs ~n_data left right in
+  let before = Gc.allocated_bytes () in
+  let t = Access.transpose a in
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let output = Array.length t.Access.ptr + Array.length t.Access.dat in
+  let bound = output + (4 * n_data) + 64 in
+  Alcotest.(check bool)
+    (Fmt.str "transpose allocated %.0f words (output %d, bound %d)" words
+       output bound)
+    true
+    (words <= float_of_int bound)
+
 let test_access_to_graph () =
   let a = access_ex () in
   let g = Access.to_graph a in
@@ -804,6 +826,8 @@ let () =
           Alcotest.test_case "map_data" `Quick test_access_map_data;
           Alcotest.test_case "reorder_iters" `Quick test_access_reorder_iters;
           Alcotest.test_case "transpose" `Quick test_access_transpose;
+          Alcotest.test_case "transpose allocation" `Quick
+            test_access_transpose_allocation;
           Alcotest.test_case "to_graph" `Quick test_access_to_graph;
           Alcotest.test_case "shift_data" `Quick test_access_shift_data;
           Alcotest.test_case "of_lists" `Quick test_access_of_lists;
