@@ -99,7 +99,6 @@ let bench_inspectors ~bench_name ~dataset_name =
       [
         make_test Compose.Inspector.Remap_each "remap-each";
         make_test Compose.Inspector.Remap_once "remap-once";
-        make_test Compose.Inspector.Fused "fused";
       ]
   in
   print_results
@@ -299,7 +298,7 @@ let hotpath_only =
   Rtrt_obs.Config.env_bool ~name:"RTRT_BENCH_HOTPATH_ONLY" ~default:false ()
 
 (* ------------------------------------------------------------------ *)
-(* Inspector cold-cost table: serial Remap_once vs the fused one-pass
+(* Inspector cold-cost table: Remap_each vs the one-pass Remap_once
    composition, serial and pooled, with bit-identity checks (writes
    BENCH_INSPECTOR.json for the CI perf trajectory). *)
 
@@ -312,7 +311,7 @@ let inspector_table () =
   let report = Harness.Inspctime.measure ~scale () in
   Fmt.pr "%a" Harness.Inspctime.pp_report report;
   if not (Harness.Inspctime.identical report) then
-    Fmt.pr "WARNING: a fused variant diverged from the serial baseline@.";
+    Fmt.pr "WARNING: a remap-once variant diverged from remap-each@.";
   Harness.Inspctime.write_json ~path:bench_inspector_json_path report;
   Fmt.pr "wrote %s@." bench_inspector_json_path
 
@@ -404,9 +403,9 @@ let () =
     exit 0);
 
   if inspector_only then (
-    (* Fast mode for the CI inspector job: only the fused cold-cost
-       table + JSON. *)
-    section "Inspector cold cost (serial vs fused vs fused+pool)";
+    (* Fast mode for the CI inspector job: only the inspector
+       cold-cost table + JSON. *)
+    section "Inspector cold cost (remap-each vs remap-once, serial/pool)";
     inspector_table ();
     exit 0);
 
@@ -505,7 +504,7 @@ let () =
   section "Hot paths (flat-CSR schedule walk, tiled steady state)";
   hotpath_table ();
 
-  section "Inspector cold cost (serial vs fused vs fused+pool)";
+  section "Inspector cold cost (remap-each vs remap-once, serial/pool)";
   inspector_table ();
 
   section "Plan autotuning (cost-model search over the plan space)";

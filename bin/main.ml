@@ -479,7 +479,7 @@ let run_bench only out domains scale =
     let report = Harness.Inspctime.measure ~scale () in
     Fmt.pr "%a" Harness.Inspctime.pp_report report;
     if not (Harness.Inspctime.identical report) then
-      Fmt.pr "WARNING: a fused variant diverged from the serial baseline@.";
+      Fmt.pr "WARNING: a remap-once variant diverged from remap-each@.";
     Harness.Inspctime.write_json ~path:out report;
     Fmt.pr "wrote %s@." out
   | "autotune" ->
@@ -804,10 +804,11 @@ let bench_cmd =
             "Which wall-clock table to run. $(b,hotpath): flat-CSR \
              schedule-walk bandwidth vs the nested reference, moldyn \
              tiled-vs-plain steady state, and the inspector phase breakdown. \
-             $(b,inspector): cold-inspection cost, serial vs fused vs \
-             fused+pool, with bit-identity checks. $(b,par): serial vs \
-             domain-pool tiled execution with the makespan model's \
-             prediction (honours --domains / RTRT_DOMAINS). $(b,autotune): \
+             $(b,inspector): cold-inspection cost, remap-each vs \
+             remap-once, serial and pooled, with bit-identity checks. \
+             $(b,par): serial vs domain-pool tiled execution with the \
+             makespan model's prediction (honours --domains / \
+             RTRT_DOMAINS). $(b,autotune): \
              cost-model plan search per (bench, dataset, machine) cell with \
              the winner's and the best hand-named plan's wall clocks. \
              $(b,churn): incremental plan repair vs cold re-inspection \

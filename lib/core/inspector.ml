@@ -6,29 +6,26 @@
    functions, the transformed kernel for the executor, and (when the
    plan sparse-tiles) the tile schedule.
 
-   Three remap strategies realize the Section 6 overhead trade-off:
+   Two remap strategies realize the Section 6 overhead trade-off:
    - [Remap_each] (Figure 15): every transformation immediately
      remaps the kernel's data and index arrays, so later inspectors
      traverse plain arrays;
-   - [Remap_once] (Figure 11): inspectors traverse a working copy of
-     the index arrays (adjusted after every transformation, which the
-     paper found cheapest) while the data arrays are remapped a single
-     time, at the very end, through the composed sigma;
-   - [Fused]: inspectors traverse a *view* of the original index
-     arrays through the composed (sigma, delta) accumulators, so a
-     composition performs one pass over the access per transformation,
-     one in-place pointer update per reordering function
-     ([Perm.compose_into] over scratch-backed accumulators), and one
-     final data remap. Even the schedule's identity-loop renames are
-     deferred and applied once through the composed post-tiling
-     rename.
+   - [Remap_once] (Figure 11, one step further): inspectors traverse a
+     *view* of the original index arrays through the composed
+     (sigma, delta) accumulators instead of an adjusted working copy,
+     so a composition performs one pass over the access per
+     transformation, one in-place pointer update per reordering
+     function ([Perm.compose_into] over scratch-backed accumulators),
+     and one data remap at the very end. Even the schedule's
+     identity-loop renames are deferred and applied once through the
+     composed post-tiling rename.
 
-   All strategies produce identical results; only the inspector cost
+   Both strategies produce identical results; only the inspector cost
    differs (Figure 16 measures the difference). *)
 
 open Reorder
 
-type strategy = Remap_each | Remap_once | Fused
+type strategy = Remap_each | Remap_once
 
 type result = {
   kernel : Kernels.Kernel.t; (* transformed kernel for the executor *)
@@ -53,27 +50,26 @@ let invalid fmt = Fmt.kstr invalid_arg fmt
 let c_data_remaps = Rtrt_obs.Metrics.counter "inspector.data_remaps"
 let c_perms_composed = Rtrt_obs.Metrics.counter "inspector.permutations_composed"
 
-(* Fused-path accounting: in-place compositions performed and view
-   materializations that could not be avoided (transforms with no view
-   traversal, or the sparse-tiling chain build). *)
-let c_fused_compositions = Rtrt_obs.Metrics.counter "inspector.fused_compositions"
-let c_fused_materializations =
-  Rtrt_obs.Metrics.counter "inspector.fused_materializations"
+(* Remap_once view materializations that could not be avoided
+   (transforms with no view traversal, or the sparse-tiling chain
+   build). *)
+let c_view_materializations =
+  Rtrt_obs.Metrics.counter "inspector.view_materializations"
 
-(* Mutable walk state shared by all strategies. *)
+(* Mutable walk state shared by both strategies. *)
 type walk = {
-  mutable kern : Kernels.Kernel.t; (* original (Remap_once/Fused) or current *)
-  base : Access.t; (* the kernel's original access (the Fused basis) *)
-  (* Remap_each/Remap_once: the access under all reorderings so far,
-     always present. Fused: a lazily materialized cache of the
+  mutable kern : Kernels.Kernel.t; (* original (Remap_once) or current *)
+  base : Access.t; (* the kernel's original access (the view's basis) *)
+  (* Remap_each: the access under all reorderings so far, always
+     present. Remap_once: a lazily materialized cache of the
      (sigma, delta) view, invalidated by every composition. *)
   mutable work_access : Access.t option;
   sigma_acc : int array; (* composed data forward; live prefix n_nodes *)
   delta_acc : int array; (* composed iteration forward; prefix n_inter *)
   delta_inv : int array; (* inverse of [delta_acc]; prefix n_inter *)
-  (* Fused: snapshot of [sigma_acc] when the schedule was created, so
-     the identity-loop renames can be applied once at the end through
-     the composed post-tiling rename. *)
+  (* Remap_once: snapshot of [sigma_acc] when the schedule was
+     created, so the identity-loop renames can be applied once at the
+     end through the composed post-tiling rename. *)
   mutable sigma_at_tiling : int array option;
   mutable schedule : Schedule.t option;
   mutable remaps : int;
@@ -116,14 +112,14 @@ let materialize_serial (base : Access.t) ~sigma ~delta_inv =
   done;
   Access.unsafe_make ~n_iter ~n_data ~ptr ~dat
 
-(* The access under all reorderings so far. Remap strategies keep it
-   eagerly materialized; Fused materializes the view on demand and
-   caches it until the next composition invalidates it. *)
+(* The access under all reorderings so far. Remap_each keeps it
+   eagerly materialized; Remap_once materializes the view on demand
+   and caches it until the next composition invalidates it. *)
 let current ?pool walk =
   match walk.work_access with
   | Some a -> a
   | None ->
-    Rtrt_obs.Metrics.incr c_fused_materializations;
+    Rtrt_obs.Metrics.incr c_view_materializations;
     let a =
       match pool with
       | Some pool ->
@@ -136,60 +132,49 @@ let current ?pool walk =
     walk.work_access <- Some a;
     a
 
+(* Identity-mapped loops are renamed by a data reordering
+   (T_{I3->I4}); the interaction loop's ids are untouched. *)
+let rename_identity_loops walk sched rename =
+  let seed = walk.kern.Kernels.Kernel.seed_loop in
+  List.fold_left
+    (fun acc l ->
+      if l = seed then acc else Schedule.remap_loop acc ~loop:l rename)
+    sched
+    (List.init (Schedule.n_loops sched) Fun.id)
+
 let data_perm walk strategy sigma_new =
   Rtrt_obs.Metrics.incr c_perms_composed;
-  let prev = walk.work_access in
   Perm.compose_into sigma_new walk.sigma_acc;
   match strategy with
-  | Fused ->
+  | Remap_once ->
     (* Defer everything: later inspectors traverse the view through
        the updated accumulator; the schedule's identity loops are
        renamed once at finalization. *)
-    Rtrt_obs.Metrics.incr c_fused_compositions;
     walk.work_access <- None
-  | Remap_each | Remap_once ->
-    let work = match prev with Some a -> a | None -> assert false in
-    walk.work_access <- Some (Access.map_data sigma_new work);
-    (match walk.schedule with
-    | None -> ()
-    | Some sched ->
-      (* Identity-mapped loops are renamed by the data reordering
-         (T_{I3->I4}); the interaction loop's ids are untouched. *)
-      let seed = walk.kern.Kernels.Kernel.seed_loop in
-      let sched' =
-        List.fold_left
-          (fun acc l ->
-            if l = seed then acc else Schedule.remap_loop acc ~loop:l sigma_new)
-          sched
-          (List.init (Schedule.n_loops sched) Fun.id)
-      in
-      walk.schedule <- Some sched');
-    (match strategy with
-    | Remap_each ->
-      walk.kern <- walk.kern.Kernels.Kernel.apply_data_perm sigma_new;
-      walk.remaps <- walk.remaps + 1;
-      Rtrt_obs.Metrics.incr c_data_remaps
-    | _ -> ())
+  | Remap_each ->
+    walk.work_access <-
+      Some (Access.map_data sigma_new (Option.get walk.work_access));
+    walk.schedule <-
+      Option.map
+        (fun sched -> rename_identity_loops walk sched sigma_new)
+        walk.schedule;
+    walk.kern <- walk.kern.Kernels.Kernel.apply_data_perm sigma_new;
+    walk.remaps <- walk.remaps + 1;
+    Rtrt_obs.Metrics.incr c_data_remaps
 
 let iter_perm walk strategy delta_new =
   Rtrt_obs.Metrics.incr c_perms_composed;
-  let prev = walk.work_access in
   Perm.compose_into delta_new walk.delta_acc;
   let n = Perm.size delta_new in
   for i = 0 to n - 1 do
     walk.delta_inv.(walk.delta_acc.(i)) <- i
   done;
   match strategy with
-  | Fused ->
-    Rtrt_obs.Metrics.incr c_fused_compositions;
-    walk.work_access <- None
-  | Remap_each | Remap_once ->
-    let work = match prev with Some a -> a | None -> assert false in
-    walk.work_access <- Some (Access.reorder_iters delta_new work);
-    (match strategy with
-    | Remap_each ->
-      walk.kern <- walk.kern.Kernels.Kernel.apply_iter_perm delta_new
-    | _ -> ())
+  | Remap_once -> walk.work_access <- None
+  | Remap_each ->
+    walk.work_access <-
+      Some (Access.reorder_iters delta_new (Option.get walk.work_access));
+    walk.kern <- walk.kern.Kernels.Kernel.apply_iter_perm delta_new
 
 let seed_tiles_of ?pool walk (seed : Transform.seed_partition) ~seed_loop ~work
     =
@@ -220,7 +205,7 @@ let seed_tiles_of ?pool walk (seed : Transform.seed_partition) ~seed_loop ~work
 let sparse_tile ?pool walk strategy ~share_symmetric_deps growth seed =
   let kern = walk.kern in
   if walk.schedule <> None then invalid "Inspector: already sparse tiled";
-  (* The chain build is the one fused stage that needs a concrete
+  (* The chain build is the one Remap_once stage that needs a concrete
      access (it is a kernel closure); the lazy cache makes it a single
      materialization. *)
   let work = current ?pool walk in
@@ -240,10 +225,12 @@ let sparse_tile ?pool walk strategy ~share_symmetric_deps growth seed =
           ~grow_backward:(Rtrt_par.Inspect.grow_backward ~pool)
           ~grow_forward:(Rtrt_par.Inspect.grow_forward ~pool)
           ~chain ~seed:seed_loop ~seed_tiles ()
-      | None, Fused ->
+      | None, Remap_once when share_symmetric_deps ->
+        (* Traverse one dependence set: scatter-min over the
+           predecessors instead of gathering over the successors. *)
         Sparse_tile.full ~grow_backward:Sparse_tile.grow_backward_scatter
           ~chain ~seed:seed_loop ~seed_tiles ()
-      | None, (Remap_each | Remap_once) ->
+      | None, _ ->
         let shared_succ =
           if share_symmetric_deps then
             List.map
@@ -266,23 +253,15 @@ let sparse_tile ?pool walk strategy ~share_symmetric_deps growth seed =
   | (l, a, b) :: _ ->
     invalid "Inspector: illegal tile function (loop pair %d, %d -> %d)" l a b);
   walk.schedule <- Some (Schedule.of_tile_fns tiles);
-  if strategy = Fused then
+  if strategy = Remap_once then
     walk.sigma_at_tiling <-
       Some (Array.sub walk.sigma_acc 0 (Access.n_data work))
 
+(* Also the fingerprint's strategy ingredient: changing a name changes
+   every key, orphaning the stored plans. *)
 let strategy_name = function
   | Remap_each -> "remap_each"
   | Remap_once -> "remap_once"
-  | Fused -> "fused"
-
-(* [Fused] produces bit-identical results to [Remap_once] (it defers
-   the same work instead of skipping it), so both share the
-   "remap_once" fingerprint ingredient: entries written by either
-   strategy replay for the other, and pre-existing caches keep
-   hitting. The run-time agreement is verified at store time. *)
-let fingerprint_strategy = function
-  | Remap_each -> "remap_each"
-  | Remap_once | Fused -> "remap_once"
 
 (* Everything that determines the inspection outcome goes into the
    cache key: the kernel's shape and access pattern (the run-time
@@ -312,7 +291,7 @@ let fingerprint ?(strategy = Remap_once) ?(share_symmetric_deps = true) plan
   List.iter
     (fun t -> F.add_string b (Fmt.str "%a" Transform.pp t))
     (Plan.transforms plan);
-  F.add_string b (fingerprint_strategy strategy);
+  F.add_string b (strategy_name strategy);
   F.add_bool b share_symmetric_deps;
   F.value b
 
@@ -372,12 +351,12 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
   let inspect () =
   (* Remap_each works on a private copy: [apply_*_perm] rebuild only
      the arrays they touch, so its kernel would otherwise alias (and
-     its executor mutate) the caller's arrays. The other strategies end
-     in one [remap], which shares nothing with its input. *)
+     its executor mutate) the caller's arrays. Remap_once ends in one
+     [remap], which shares nothing with its input. *)
   let kernel =
     match strategy with
     | Remap_each -> kernel.Kernels.Kernel.copy ()
-    | Remap_once | Fused -> kernel
+    | Remap_once -> kernel
   in
   Rtrt_obs.Span.with_span ~name:"inspector.run"
     ~attrs:
@@ -424,7 +403,7 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       counters = [];
     }
   in
-  (* The fused view of the original access under the composed
+  (* The Remap_once view of the original access under the composed
      reorderings: current iteration [cur] touches [sigma_acc.(d)] for
      each [d] in base row [delta_inv.(cur)]. *)
   let view = (walk.sigma_acc, walk.delta_inv) in
@@ -438,34 +417,34 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
         match alg with
         | Transform.Cpack -> (
           match (strategy, pool) with
-          | Fused, Some pool -> Rtrt_par.Inspect.cpack ~pool ~view walk.base
-          | Fused, None ->
+          | Remap_once, Some pool ->
+            Rtrt_par.Inspect.cpack ~pool ~view walk.base
+          | Remap_once, None ->
             Cpack.run_view walk.base ~sigma:walk.sigma_acc
               ~delta_inv:walk.delta_inv
-          | _, Some pool -> Rtrt_par.Inspect.cpack ~pool (current walk)
-          | _, None -> Cpack.run (current walk))
+          | Remap_each, Some pool ->
+            Rtrt_par.Inspect.cpack ~pool (current walk)
+          | Remap_each, None -> Cpack.run (current walk))
         | Transform.Gpart { part_size } -> (
           match (strategy, pool) with
-          | Fused, Some pool ->
+          | Remap_once, Some pool ->
             let graph = Rtrt_par.Inspect.to_graph ~pool ~view walk.base in
             Rtrt_par.Inspect.gpart ~pool ~graph walk.base ~part_size
-          | Fused, None ->
-            Gpart_reorder.run (current walk) ~part_size
-          | _, Some pool ->
+          | Remap_each, Some pool ->
             let work = current walk in
             let graph = Rtrt_par.Inspect.to_graph ~pool work in
             Rtrt_par.Inspect.gpart ~pool ~graph work ~part_size
           | _, None -> Gpart_reorder.run (current walk) ~part_size)
         | Transform.Multilevel { part_size } -> (
           match (strategy, pool) with
-          | Fused, Some pool ->
+          | Remap_once, Some pool ->
             let graph = Rtrt_par.Inspect.to_graph ~pool ~view walk.base in
             Rtrt_par.Inspect.multilevel ~pool ~graph walk.base ~part_size
-          | _, Some pool ->
+          | Remap_each, Some pool ->
             let work = current walk in
             let graph = Rtrt_par.Inspect.to_graph ~pool work in
             Rtrt_par.Inspect.multilevel ~pool ~graph work ~part_size
-          | _, None -> Multilevel_reorder.run (current ?pool walk) ~part_size)
+          | _, None -> Multilevel_reorder.run (current walk) ~part_size)
         | Transform.Rcm -> Rcm_reorder.run (current ?pool walk)
         | Transform.Tile_pack -> (
           match walk.schedule with
@@ -474,20 +453,20 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
             let seed_loop = walk.kern.Kernels.Kernel.seed_loop in
             (* tilePack is CPACK over the tiled execution order of the
                seed loop (whose schedule rows data perms never touch,
-               so the deferred Fused schedule is already correct
+               so the deferred Remap_once schedule is already correct
                here). *)
             match (strategy, pool) with
-            | Fused, Some pool ->
+            | Remap_once, Some pool ->
               let order = Schedule.loop_order sched seed_loop in
               Rtrt_par.Inspect.cpack ~pool ~order ~view walk.base
-            | Fused, None ->
+            | Remap_once, None ->
               let order = Schedule.loop_order sched seed_loop in
               Cpack.run_view ~order walk.base ~sigma:walk.sigma_acc
                 ~delta_inv:walk.delta_inv
-            | _, Some pool ->
+            | Remap_each, Some pool ->
               let order = Schedule.loop_order sched seed_loop in
               Rtrt_par.Inspect.cpack ~pool ~order (current walk)
-            | _, None ->
+            | Remap_each, None ->
               Tile_pack.run ~schedule:sched
                 ~accesses:[ (seed_loop, current walk) ]
                 ~n_data:(Access.n_data (current walk))))
@@ -508,12 +487,14 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
         match alg with
         | Transform.Lexgroup -> (
           match (strategy, pool) with
-          | Fused, Some pool -> Rtrt_par.Inspect.lexgroup ~pool ~view walk.base
-          | Fused, None ->
+          | Remap_once, Some pool ->
+            Rtrt_par.Inspect.lexgroup ~pool ~view walk.base
+          | Remap_once, None ->
             Lexgroup.run_view walk.base ~sigma:walk.sigma_acc
               ~delta_inv:walk.delta_inv
-          | _, Some pool -> Rtrt_par.Inspect.lexgroup ~pool (current walk)
-          | _, None -> Lexgroup.run (current walk))
+          | Remap_each, Some pool ->
+            Rtrt_par.Inspect.lexgroup ~pool (current walk)
+          | Remap_each, None -> Lexgroup.run (current walk))
         | Transform.Lexsort -> Lexsort.run (current ?pool walk)
         | Transform.Bucket_tile { bucket_size } ->
           (Bucket_tile.run (current ?pool walk) ~bucket_size).Bucket_tile.delta
@@ -533,13 +514,13 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
   List.iter apply (Plan.transforms plan);
   let sigma_total = Perm.unsafe_of_forward (Array.sub sigma_acc 0 n_nodes) in
   let delta_total = Perm.unsafe_of_forward (Array.sub delta_acc 0 n_inter) in
-  (* Fused: the schedule's identity loops have seen none of the data
-     reorderings applied after tiling; rename them once through the
-     composed post-tiling rename sigma_total . sigma_at_tiling^-1
+  (* Remap_once: the schedule's identity loops have seen none of the
+     data reorderings applied after tiling; rename them once through
+     the composed post-tiling rename sigma_total . sigma_at_tiling^-1
      (remap_loop re-sorts each row, so one composed rename is
      bit-identical to the per-transformation renames). *)
-  (match (strategy, walk.schedule, walk.sigma_at_tiling) with
-  | Fused, Some sched, Some sig_tile ->
+  (match (walk.schedule, walk.sigma_at_tiling) with
+  | Some sched, Some sig_tile ->
     let n = Array.length sig_tile in
     let inv_tile = Array.make n 0 in
     for d = 0 to n - 1 do
@@ -550,31 +531,17 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     for x = 0 to n - 1 do
       if rename.(x) <> x then is_identity := false
     done;
-    if not !is_identity then begin
-      let rperm = Perm.unsafe_of_forward rename in
-      let seed = walk.kern.Kernels.Kernel.seed_loop in
-      let sched' =
-        List.fold_left
-          (fun acc l ->
-            if l = seed then acc else Schedule.remap_loop acc ~loop:l rperm)
-          sched
-          (List.init (Schedule.n_loops sched) Fun.id)
-      in
-      walk.schedule <- Some sched'
-    end
+    if not !is_identity then
+      walk.schedule <-
+        Some (rename_identity_loops walk sched (Perm.unsafe_of_forward rename))
   | _ -> ());
-  (* Remap_once/Fused: one data remap at the very end, in the same
-     rebuild as the index-array adjustment that every strategy pays. *)
+  (* Remap_once: one data remap at the very end, in the same rebuild
+     as the index-array adjustment that both strategies pay. *)
   let kern =
     match strategy with
     | Remap_each -> walk.kern
-    | Remap_once | Fused ->
-      let span_name =
-        match strategy with
-        | Fused -> "inspector.fused_final_remap"
-        | _ -> "inspector.final_remap"
-      in
-      Rtrt_obs.Span.with_ ~name:span_name @@ fun () ->
+    | Remap_once ->
+      Rtrt_obs.Span.with_ ~name:"inspector.final_remap" @@ fun () ->
       let k, remaps = remap walk.kern ~delta:delta_total ~sigma:sigma_total in
       walk.remaps <- walk.remaps + remaps;
       Rtrt_obs.Metrics.add c_data_remaps remaps;
@@ -610,22 +577,17 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     | Some entry -> replay entry kernel
     | None ->
       let r = inspect () in
-      (* Fused shares Remap_once's fingerprint; if an entry appeared
-         under the key meanwhile (e.g. stored by another domain), the
-         fused result must agree with it — verify before (re)storing
-         rather than silently shadowing. *)
-      (match strategy with
-      | Fused -> (
-        match Rtrt_plancache.Cache.peek cache ~key with
-        | Some entry ->
-          if
-            not
-              (Perm.equal entry.Rtrt_plancache.Cache.sigma_total r.sigma_total
-              && Perm.equal entry.Rtrt_plancache.Cache.delta_total
-                   r.delta_total)
-          then invalid "Inspector: fused result disagrees with cached entry"
-        | None -> ())
-      | _ -> ());
+      (* If an entry appeared under the key meanwhile (e.g. stored by
+         another domain), the result must agree with it — verify
+         before (re)storing rather than silently shadowing. *)
+      (match Rtrt_plancache.Cache.peek cache ~key with
+      | Some entry ->
+        if
+          not
+            (Perm.equal entry.Rtrt_plancache.Cache.sigma_total r.sigma_total
+            && Perm.equal entry.Rtrt_plancache.Cache.delta_total r.delta_total)
+        then invalid "Inspector: result disagrees with cached entry"
+      | None -> ());
       Rtrt_plancache.Cache.store cache ~key
         {
           Rtrt_plancache.Cache.sigma_total = r.sigma_total;

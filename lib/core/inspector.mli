@@ -3,17 +3,17 @@
     dependences as modified by the previously planned inspectors. *)
 
 (** Section 6's remap trade-off: [Remap_each] remaps the kernel after
-    every transformation (Figure 15); [Remap_once] adjusts only the
-    index arrays along the way and remaps the data arrays a single
-    time at the end (Figure 11); [Fused] goes one step further and
-    defers the index and schedule updates too — inspectors traverse a
-    *view* of the original access through the composed (sigma, delta)
-    accumulators (updated in place with {!Reorder.Perm.compose_into}),
-    so a composition performs one pass over the access per
-    transformation and one final remap. Results are identical across
-    all three (bit for bit); only the inspector cost differs
-    (Figure 16). *)
-type strategy = Remap_each | Remap_once | Fused
+    every transformation (Figure 15); [Remap_once] remaps the data
+    arrays a single time at the end (Figure 11). Where Figure 11
+    adjusts a working copy of the index arrays after every
+    transformation, [Remap_once] defers the index and schedule updates
+    too: inspectors traverse a *view* of the original access through
+    the composed (sigma, delta) accumulators (updated in place with
+    {!Reorder.Perm.compose_into}), so a composition performs one pass
+    over the access per transformation and one final remap. Results
+    are identical across both (bit for bit); only the inspector cost
+    differs (Figure 16). *)
+type strategy = Remap_each | Remap_once
 
 type result = {
   kernel : Kernels.Kernel.t; (** transformed kernel for the executor *)
@@ -38,10 +38,7 @@ type result = {
     kernel's shape and access pattern, the plan's transformations and
     parameters, the remap strategy, and the symmetric-dependence flag.
     Defaults match {!run}'s defaults. The plan name is excluded — two
-    differently-named plans with the same transforms share a key, and
-    [Fused] fingerprints as [Remap_once] (their results are
-    bit-identical, so cache entries interchange; the agreement is
-    verified when a fused run stores over an existing entry). *)
+    differently-named plans with the same transforms share a key. *)
 val fingerprint :
   ?strategy:strategy ->
   ?share_symmetric_deps:bool ->
@@ -53,25 +50,30 @@ val fingerprint :
     plan and executes the composed inspector. The result's kernel
     never aliases the caller's arrays: a cold [Remap_each] inspection
     works on a private copy, and every other path (the [Remap_once]
-    and [Fused] cold tails, a warm replay) ends in a {!remap}, which
-    builds fresh ones.
+    cold tail, a warm replay) ends in a {!remap}, which builds fresh
+    ones.
     [share_symmetric_deps] enables the Section 6 symmetric-dependence
-    elision during sparse-tile growth (default true). Default strategy
-    is [Remap_once]. When [pool] is given (and has more than one
-    domain), the inspector hot paths — CPACK, lexGroup, Gpart,
-    multilevel, graph construction, tile growth (which then walks only
-    the predecessor dependence set, reconstructing the successor
-    direction by scatter-min), legality checking, tilePack, and the
-    fused view materialization — run on the pool; their output is
-    bit-identical to the serial algorithms, so results never depend on
-    the domain count.
+    elision during sparse-tile growth (default true): serial
+    [Remap_once] growth then scatters over the predecessor dependence
+    set alone, and [Remap_each] gathers over the kernel's shared
+    symmetric twin; with [false] both build the successor set (a
+    transpose) and gather over it. Default strategy is [Remap_once].
+    When [pool] is given (and has more than one domain), the inspector
+    hot paths — CPACK, lexGroup, Gpart, multilevel, graph
+    construction, tile growth (which then walks only the predecessor
+    dependence set, reconstructing the successor direction by
+    scatter-min, whatever [share_symmetric_deps] says), legality
+    checking, tilePack, and the view materialization — run on the
+    pool; their output is bit-identical to the serial algorithms, so
+    results never depend on the domain count.
 
     When [cache] is given, the inspection is keyed by {!fingerprint}:
     a hit skips every per-transformation inspector and {!remap}s the
     caller's kernel through the cached composed reorderings
-    (bit-identical to the cold run, since every remap strategy reduces
+    (bit-identical to the cold run, since both remap strategies reduce
     to applying the composed delta then sigma); a miss runs the
-    inspectors and stores the result. *)
+    inspectors and stores the result, after checking that it agrees
+    with any entry stored under the key meanwhile. *)
 val run :
   ?cache:Rtrt_plancache.Cache.t ->
   ?pool:Rtrt_par.Pool.t ->
@@ -87,8 +89,8 @@ val run :
     ([Kernel.apply_perms]), with the number of data remaps that counts
     (0 when [sigma] is the identity, else 1). The result shares no
     array with [kernel], also under identity permutations, so [kernel]
-    is never copied. The [Remap_once] and [Fused] cold tails, cache
-    hits and {!Repair}'s frozen replays all go through it. *)
+    is never copied. The [Remap_once] cold tail, cache hits and
+    {!Repair}'s frozen replays all go through it. *)
 val remap :
   Kernels.Kernel.t ->
   delta:Reorder.Perm.t ->

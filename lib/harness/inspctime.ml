@@ -1,29 +1,30 @@
-(* Cold-inspection cost of composed plans (the Figure 16 axis the
-   fused strategy attacks): for each composition, the serial Remap_once
-   inspector against the fused one-pass composition, serial and on a
-   domain pool. Every timed run's output is checked bit-identical to
-   the serial baseline (sigma/delta, reordering functions, and the
-   tile schedule when the plan sparse-tiles), so the table can never
-   report a speedup of a different answer. Results land in
-   BENCH_INSPECTOR.json and the [inspctime.*] gauges. *)
+(* Cold-inspection cost of composed plans (Figure 16's axis): for
+   each composition, the Remap_each inspector as the baseline against
+   the one-pass Remap_once composition, serial and on a domain pool.
+   Every timed run's output is checked bit-identical to the baseline
+   (sigma/delta, reordering functions, and the tile schedule when the
+   plan sparse-tiles), so the table can never report a speedup of a
+   different answer. Results land in BENCH_INSPECTOR.json and the
+   [inspctime.*] gauges. *)
 
-let g_fused_speedup = Rtrt_obs.Metrics.gauge "inspctime.fused_speedup"
+let g_remap_once_speedup =
+  Rtrt_obs.Metrics.gauge "inspctime.remap_once_speedup"
 
-let g_fused_pool_speedup =
-  Rtrt_obs.Metrics.gauge "inspctime.fused_pool_speedup"
+let g_pool_speedup =
+  Rtrt_obs.Metrics.gauge "inspctime.remap_once_pool_speedup"
 
 type timing = {
-  t_config : string;  (** "serial", "fused", or "fused+pN" *)
+  t_config : string;  (** "remap-each", "remap-once", or "remap-once+pN" *)
   t_domains : int;  (** 0 when no pool was used *)
   t_seconds : float;  (** best cold [inspector_seconds] of the repeats *)
-  t_speedup : float;  (** serial best / this best *)
-  t_identical : bool;  (** output bit-identical to the serial run *)
+  t_speedup : float;  (** remap-each best / this best *)
+  t_identical : bool;  (** output bit-identical to the remap-each run *)
 }
 
 type row = {
   row_plan : string;
-  row_serial_seconds : float;
-  row_timings : timing list;  (** serial first, then fused variants *)
+  row_serial_seconds : float;  (** remap-each best *)
+  row_timings : timing list;  (** remap-each first, then remap-once *)
 }
 
 type report = {
@@ -72,7 +73,7 @@ let measure_plan ~repeats ~domains plan kernel =
     Compose.Inspector.run ?pool ~strategy plan kernel
   in
   let serial_seconds, baseline =
-    best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_once)
+    best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_each)
   in
   let timing ~config ~pool_domains seconds result =
     {
@@ -83,31 +84,32 @@ let measure_plan ~repeats ~domains plan kernel =
       t_identical = results_equal baseline result;
     }
   in
-  let serial =
-    timing ~config:"serial" ~pool_domains:0 serial_seconds baseline
+  let each =
+    timing ~config:"remap-each" ~pool_domains:0 serial_seconds baseline
   in
-  let fused_seconds, fused_result =
-    best_of ~repeats (inspect ~strategy:Compose.Inspector.Fused)
-  in
-  let fused =
-    timing ~config:"fused" ~pool_domains:0 fused_seconds fused_result
+  let once =
+    let seconds, result =
+      best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_once)
+    in
+    timing ~config:"remap-once" ~pool_domains:0 seconds result
   in
   let pooled =
     List.map
       (fun d ->
         Rtrt_par.Pool.with_pool ~domains:d @@ fun pool ->
         let seconds, result =
-          best_of ~repeats (inspect ~pool ~strategy:Compose.Inspector.Fused)
+          best_of ~repeats
+            (inspect ~pool ~strategy:Compose.Inspector.Remap_once)
         in
         timing
-          ~config:(Printf.sprintf "fused+p%d" d)
+          ~config:(Printf.sprintf "remap-once+p%d" d)
           ~pool_domains:d seconds result)
       domains
   in
   {
     row_plan = Compose.Plan.name plan;
     row_serial_seconds = serial_seconds;
-    row_timings = (serial :: fused :: pooled);
+    row_timings = (each :: once :: pooled);
   }
 
 (* GC (two back-to-back data reorderings) plus the two full-sparse-
@@ -137,8 +139,8 @@ let measure ?(repeats = 5) ?(domains = [ 1; 2; 4 ]) ~scale () =
   | first :: _ ->
     List.iter
       (fun t ->
-        if t.t_config = "fused" then
-          Rtrt_obs.Metrics.set g_fused_speedup t.t_speedup)
+        if t.t_config = "remap-once" then
+          Rtrt_obs.Metrics.set g_remap_once_speedup t.t_speedup)
       first.row_timings;
     let max_pool =
       List.fold_left
@@ -146,7 +148,7 @@ let measure ?(repeats = 5) ?(domains = [ 1; 2; 4 ]) ~scale () =
         None first.row_timings
     in
     Option.iter
-      (fun t -> Rtrt_obs.Metrics.set g_fused_pool_speedup t.t_speedup)
+      (fun t -> Rtrt_obs.Metrics.set g_pool_speedup t.t_speedup)
       max_pool
   | [] -> ());
   {
@@ -209,7 +211,7 @@ let pp_report ppf r =
       Fmt.pf ppf "  %s:@." row.row_plan;
       List.iter
         (fun t ->
-          Fmt.pf ppf "    %-10s %.6fs  %.2fx%s@." t.t_config t.t_seconds
+          Fmt.pf ppf "    %-13s %.6fs  %.2fx%s@." t.t_config t.t_seconds
             t.t_speedup
             (if t.t_identical then "" else "  MISMATCH"))
         row.row_timings)

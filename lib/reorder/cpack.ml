@@ -54,10 +54,13 @@ let run (access : Access.t) =
    materializes the intermediate access. [order] optionally gives an
    explicit visit order over current iterations (tilePack's schedule
    traversal); default is ascending. Bit-identical to [run] /
-   [run_in_order] on the materialized access. *)
+   [run_in_order] on the materialized access. A plain loop over
+   [ptr]/[dat]: besides its output and two arrays per datum it
+   allocates nothing per iteration. *)
 let run_view ?order (base : Access.t) ~(sigma : int array)
     ~(delta_inv : int array) =
   let n_data = Access.n_data base in
+  let ptr = base.Access.ptr and dat = base.Access.dat in
   let already_ordered = Array.make n_data false in
   let inv = Array.make n_data 0 in
   let count = ref 0 in
@@ -69,7 +72,10 @@ let run_view ?order (base : Access.t) ~(sigma : int array)
     end
   in
   let visit cur =
-    Access.iter_touches base delta_inv.(cur) (fun d -> place sigma.(d))
+    let r = delta_inv.(cur) in
+    for idx = ptr.(r) to ptr.(r + 1) - 1 do
+      place sigma.(dat.(idx))
+    done
   in
   (match order with
   | Some order -> Array.iter visit order

@@ -8,12 +8,15 @@
    which is O(n_iter + n_data). Returns delta_lg with
    [Perm.forward delta old_iter = new_iter]. *)
 
-let run (access : Access.t) =
-  let n_iter = Access.n_iter access in
-  let n_data = Access.n_data access in
-  let key = Array.init n_iter (fun it -> Access.first_touch access it) in
+(* Stable counting sort of iterations by [key] (locations in
+   [0, n_data)). *)
+let sort_by_key ~n_data key =
+  let n_iter = Array.length key in
   let count = Array.make (n_data + 1) 0 in
-  Array.iter (fun k -> count.(k + 1) <- count.(k + 1) + 1) key;
+  for it = 0 to n_iter - 1 do
+    let k = key.(it) in
+    count.(k + 1) <- count.(k + 1) + 1
+  done;
   for d = 0 to n_data - 1 do
     count.(d + 1) <- count.(d + 1) + count.(d)
   done;
@@ -24,49 +27,25 @@ let run (access : Access.t) =
     count.(k) <- count.(k) + 1
   done;
   Perm.unsafe_of_forward forward
+
+let run (access : Access.t) =
+  sort_by_key ~n_data:(Access.n_data access)
+    (Array.init (Access.n_iter access) (Access.first_touch access))
 
 (* lexGroup over a fused-composition view: current iteration [cur]'s
    key is the current position of the first location base iteration
    [delta_inv.(cur)] touches, i.e. [sigma.(first_touch base
    delta_inv.(cur))]. Bit-identical to [run] on the materialized
-   access (the counting sort sees the same key sequence). *)
+   access (the counting sort sees the same key sequence). A plain
+   loop over [ptr]/[dat] that rejects an empty iteration as
+   [Access.first_touch] does. *)
 let run_view (base : Access.t) ~(sigma : int array) ~(delta_inv : int array) =
   let n_iter = Access.n_iter base in
-  let n_data = Access.n_data base in
-  let key =
-    Array.init n_iter (fun cur -> sigma.(Access.first_touch base delta_inv.(cur)))
-  in
-  let count = Array.make (n_data + 1) 0 in
-  Array.iter (fun k -> count.(k + 1) <- count.(k + 1) + 1) key;
-  for d = 0 to n_data - 1 do
-    count.(d + 1) <- count.(d + 1) + count.(d)
+  let ptr = base.Access.ptr and dat = base.Access.dat in
+  let key = Array.make n_iter 0 in
+  for cur = 0 to n_iter - 1 do
+    let r = delta_inv.(cur) in
+    if ptr.(r + 1) = ptr.(r) then invalid_arg "Access.first_touch: empty";
+    key.(cur) <- sigma.(dat.(ptr.(r)))
   done;
-  let forward = Array.make n_iter 0 in
-  for it = 0 to n_iter - 1 do
-    let k = key.(it) in
-    forward.(it) <- count.(k);
-    count.(k) <- count.(k) + 1
-  done;
-  Perm.unsafe_of_forward forward
-
-(* Group by the minimum touched location instead of the first; useful
-   when the touch order within an iteration is not meaningful. *)
-let run_by_min (access : Access.t) =
-  let n_iter = Access.n_iter access in
-  let n_data = Access.n_data access in
-  let key =
-    Array.init n_iter (fun it ->
-        Access.fold_touches access it min (n_data - 1))
-  in
-  let count = Array.make (n_data + 1) 0 in
-  Array.iter (fun k -> count.(k + 1) <- count.(k + 1) + 1) key;
-  for d = 0 to n_data - 1 do
-    count.(d + 1) <- count.(d + 1) + count.(d)
-  done;
-  let forward = Array.make n_iter 0 in
-  for it = 0 to n_iter - 1 do
-    let k = key.(it) in
-    forward.(it) <- count.(k);
-    count.(k) <- count.(k) + 1
-  done;
-  Perm.unsafe_of_forward forward
+  sort_by_key ~n_data:(Access.n_data base) key

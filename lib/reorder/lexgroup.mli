@@ -9,6 +9,3 @@ val run : Access.t -> Perm.t
     is keyed by [sigma.(first_touch base delta_inv.(cur))].
     Bit-identical to {!run} on the materialized access. *)
 val run_view : Access.t -> sigma:int array -> delta_inv:int array -> Perm.t
-
-(** Variant keyed on the minimum touched location. *)
-val run_by_min : Access.t -> Perm.t

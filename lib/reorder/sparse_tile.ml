@@ -36,31 +36,28 @@ let tile_fn_of_partition p =
     tile_of = Array.copy (Irgraph.Partition.assignment p);
   }
 
-let check_tile_fn t =
-  Array.iter
-    (fun x ->
-      if x < 0 || x >= t.n_tiles then invalid "Sparse_tile: tile %d" x)
-    t.tile_of
-
 (* [conn] maps each iteration of the loop being assigned to the
    already-assigned adjacent loop's iterations it has dependence edges
    with. Backward growth (this loop runs before the assigned one):
    every successor's tile is an upper bound, so take the min; an
    iteration without dependences may go anywhere — tile 0 keeps it
-   earliest. *)
+   earliest. The growers are plain loops over [ptr]/[dat] with
+   [Int.min]/[Int.max], so besides their output they allocate nothing
+   per iteration. *)
 let grow_backward ~(conn : Access.t) ~(next : tile_fn) =
   if Access.n_data conn <> Array.length next.tile_of then
     invalid "grow_backward: conn/next size mismatch";
   let n = Access.n_iter conn in
-  let tile_of =
-    Array.init n (fun a ->
-        let t =
-          Access.fold_touches conn a
-            (fun acc b -> min acc next.tile_of.(b))
-            max_int
-        in
-        if t = max_int then 0 else t)
-  in
+  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let next_of = next.tile_of in
+  let tile_of = Array.make n 0 in
+  for a = 0 to n - 1 do
+    let t = ref max_int in
+    for idx = ptr.(a) to ptr.(a + 1) - 1 do
+      t := Int.min !t next_of.(dat.(idx))
+    done;
+    if !t <> max_int then tile_of.(a) <- !t
+  done;
   count_growth ~conn next.n_tiles;
   { n_tiles = next.n_tiles; tile_of }
 
@@ -77,11 +74,14 @@ let grow_backward_scatter ~(conn : Access.t) ~(next : tile_fn) =
   if Access.n_iter conn <> Array.length next.tile_of then
     invalid "grow_backward_scatter: conn/next size mismatch";
   let n = Access.n_data conn in
+  let ptr = conn.Access.ptr and dat = conn.Access.dat in
   let tile_of = Array.make n max_int in
   for b = 0 to Access.n_iter conn - 1 do
     let t = next.tile_of.(b) in
-    Access.iter_touches conn b (fun a ->
-        if t < tile_of.(a) then tile_of.(a) <- t)
+    for idx = ptr.(b) to ptr.(b + 1) - 1 do
+      let a = dat.(idx) in
+      if t < tile_of.(a) then tile_of.(a) <- t
+    done
   done;
   for a = 0 to n - 1 do
     if tile_of.(a) = max_int then tile_of.(a) <- 0
@@ -95,10 +95,16 @@ let grow_forward ~(conn : Access.t) ~(prev : tile_fn) =
   if Access.n_data conn <> Array.length prev.tile_of then
     invalid "grow_forward: conn/prev size mismatch";
   let n = Access.n_iter conn in
-  let tile_of =
-    Array.init n (fun b ->
-        Access.fold_touches conn b (fun acc a -> max acc prev.tile_of.(a)) 0)
-  in
+  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let prev_of = prev.tile_of in
+  let tile_of = Array.make n 0 in
+  for b = 0 to n - 1 do
+    let t = ref 0 in
+    for idx = ptr.(b) to ptr.(b + 1) - 1 do
+      t := Int.max !t prev_of.(dat.(idx))
+    done;
+    tile_of.(b) <- !t
+  done;
   count_growth ~conn prev.n_tiles;
   { n_tiles = prev.n_tiles; tile_of }
 

@@ -9,9 +9,6 @@ type tile_fn = {
 
 val tile_fn_of_partition : Irgraph.Partition.t -> tile_fn
 
-(** Validate tile ids are in range. *)
-val check_tile_fn : tile_fn -> unit
-
 (** Backward growth: [conn] maps each iteration of the loop being
     assigned to its *successors* in the already-assigned loop; the
     result takes the min successor tile (dependence-free iterations go

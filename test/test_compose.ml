@@ -341,7 +341,7 @@ let test_strategies_agree () =
                 (Array.for_all2 (fun (x : float) y -> x = y) a b))
             (snap r1) (snap r2))
         (suite_plans kernel))
-    [ "irreg"; "moldyn" ]
+    [ "irreg"; "moldyn"; "cg" ]
 
 let test_remap_counts () =
   let kernel = test_kernel "moldyn" in
@@ -352,22 +352,37 @@ let test_remap_counts () =
   Alcotest.(check int) "remap-each remaps 3x" 3 each.Inspector.n_data_remaps;
   Alcotest.(check int) "remap-once remaps 1x" 1 once.Inspector.n_data_remaps
 
+(* Traversing one dependence set (the shared symmetric twin, or the
+   predecessor scatter) must tile exactly as traversing both does,
+   under either strategy and on every kernel. *)
 let test_symmetric_sharing_agrees () =
-  let kernel = test_kernel "moldyn" in
   let plan = Plan.with_fst ~seed_part_size:24 Plan.cpack_lexgroup in
-  let shared = Inspector.run ~share_symmetric_deps:true plan kernel in
-  let unshared = Inspector.run ~share_symmetric_deps:false plan kernel in
-  match shared.Inspector.schedule, unshared.Inspector.schedule with
-  | Some s1, Some s2 ->
-    Alcotest.(check int) "same tiles" (Reorder.Schedule.n_tiles s1)
-      (Reorder.Schedule.n_tiles s2);
-    for l = 0 to Reorder.Schedule.n_loops s1 - 1 do
-      Alcotest.(check (array int))
-        (Fmt.str "loop %d order" l)
-        (Reorder.Schedule.loop_order s1 l)
-        (Reorder.Schedule.loop_order s2 l)
-    done
-  | _ -> Alcotest.fail "expected schedules"
+  List.iter
+    (fun bench ->
+      let kernel = test_kernel bench in
+      List.iter
+        (fun (how, strategy) ->
+          let run share =
+            Inspector.run ~strategy ~share_symmetric_deps:share plan kernel
+          in
+          let label = Fmt.str "%s, %s" bench how in
+          match ((run true).Inspector.schedule, (run false).Inspector.schedule)
+          with
+          | Some s1, Some s2 ->
+            Alcotest.(check int) (label ^ ": same tiles")
+              (Reorder.Schedule.n_tiles s1) (Reorder.Schedule.n_tiles s2);
+            for l = 0 to Reorder.Schedule.n_loops s1 - 1 do
+              Alcotest.(check (array int))
+                (Fmt.str "%s: loop %d order" label l)
+                (Reorder.Schedule.loop_order s1 l)
+                (Reorder.Schedule.loop_order s2 l)
+            done
+          | _ -> Alcotest.fail (label ^ ": expected schedules"))
+        [
+          ("remap-each", Inspector.Remap_each);
+          ("remap-once", Inspector.Remap_once);
+        ])
+    Kernels.all_names
 
 let test_base_plan_is_noop () =
   let kernel = test_kernel "irreg" in

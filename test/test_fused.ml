@@ -1,9 +1,10 @@
-(* The Fused inspector strategy must be a pure cost optimization:
-   random composition chains on every kernel produce bit-identical
-   results (sigma/delta, per-layer reordering functions, tile
-   schedule, and remapped kernel arrays) under Remap_each, Remap_once
-   and Fused — serial and on a pool — and plan-cache entries written
-   by one strategy replay for the other. *)
+(* The fused composition — Remap_once traversing a view of the
+   original access through the composed (sigma, delta) instead of a
+   remapped copy — must be a pure cost optimization: random
+   composition chains on every kernel produce bit-identical results
+   (sigma/delta, per-layer reordering functions, tile schedule, and
+   remapped kernel arrays) under Remap_each and Remap_once, serial and
+   on a pool. *)
 
 (* ------------------------------------------------------------------ *)
 (* Random datasets (same shape as test_par's generator) *)
@@ -22,6 +23,8 @@ let kernels_under_test =
     ("moldyn", Kernels.Moldyn.of_dataset);
     ("nbf", Kernels.Nbf.of_dataset);
     ("irreg", Kernels.Irreg.of_dataset);
+    (* the one kernel with an epilogue fold and no time tiling *)
+    ("cg", Kernels.Cg.of_dataset);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -119,66 +122,47 @@ let results_equal (a : Compose.Inspector.result) (b : Compose.Inspector.result)
        (a.kernel.Kernels.Kernel.snapshot ())
        (b.kernel.Kernels.Kernel.snapshot ())
 
-let run ?cache ?pool ~strategy plan kernel =
-  Compose.Inspector.run ?cache ?pool ~strategy plan kernel
+let run ?pool ~strategy plan kernel =
+  Compose.Inspector.run ?pool ~strategy plan kernel
 
 (* ------------------------------------------------------------------ *)
-(* Fused = Remap_once = Remap_each, serial and pooled *)
+(* Remap_once = Remap_each, serial and pooled *)
 
-let prop_fused_bit_identical =
-  QCheck.Test.make ~name:"fused = remap-once = remap-each (all kernels)"
-    ~count:40 arb_case (fun (spec, plan) ->
+let prop_bit_identical =
+  QCheck.Test.make ~name:"remap-once = remap-each (all kernels)" ~count:40
+    arb_case (fun (spec, plan) ->
       QCheck.assume (Result.is_ok (Compose.Plan.validate plan));
       let d = dataset_of spec in
       List.for_all
         (fun (_, of_dataset) ->
           let kernel = of_dataset d in
-          let once = run ~strategy:Compose.Inspector.Remap_once plan kernel in
-          let each = run ~strategy:Compose.Inspector.Remap_each plan kernel in
-          let fused = run ~strategy:Compose.Inspector.Fused plan kernel in
-          results_equal once each && results_equal once fused)
+          results_equal
+            (run ~strategy:Compose.Inspector.Remap_each plan kernel)
+            (run ~strategy:Compose.Inspector.Remap_once plan kernel))
         kernels_under_test)
 
-let prop_fused_pool_bit_identical =
-  QCheck.Test.make ~name:"pooled fused = serial remap-once" ~count:15 arb_case
-    (fun (spec, plan) ->
+let prop_pool_bit_identical =
+  QCheck.Test.make ~name:"pooled = serial remap-each" ~count:15
+    arb_case (fun (spec, plan) ->
       QCheck.assume (Result.is_ok (Compose.Plan.validate plan));
-      let kernel = Kernels.Moldyn.of_dataset (dataset_of spec) in
-      let once = run ~strategy:Compose.Inspector.Remap_once plan kernel in
+      let d = dataset_of spec in
+      let kernels =
+        List.map (fun (_, of_dataset) -> of_dataset d) kernels_under_test
+      in
+      let serial =
+        List.map (run ~strategy:Compose.Inspector.Remap_each plan) kernels
+      in
       List.for_all
         (fun domains ->
           Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              results_equal once
-                (run ~pool ~strategy:Compose.Inspector.Fused plan kernel)))
+              List.for_all2
+                (fun kernel expected ->
+                  List.for_all
+                    (fun strategy ->
+                      results_equal expected (run ~pool ~strategy plan kernel))
+                    Compose.Inspector.[ Remap_once; Remap_each ])
+                kernels serial))
         [ 1; 2; 4 ])
-
-(* ------------------------------------------------------------------ *)
-(* Plan-cache interop: entries stored under one strategy replay for
-   the other (Fused fingerprints as Remap_once), in both directions. *)
-
-let check_cache_interop ~first ~second () =
-  let d = Option.get (Datagen.Generators.by_name ~scale:512 "mol1") in
-  let kernel = Kernels.Moldyn.of_dataset d in
-  let plan =
-    Compose.Plan.with_fst ~seed_part_size:16 Compose.Plan.cpack_lexgroup
-  in
-  let cache = Rtrt_plancache.Cache.create () in
-  let cold = run ~cache ~strategy:first plan kernel in
-  let st = Rtrt_plancache.Cache.stats cache in
-  Alcotest.(check int) "cold run misses" 1 st.Rtrt_plancache.Cache.misses;
-  let warm = run ~cache ~strategy:second plan kernel in
-  let st = Rtrt_plancache.Cache.stats cache in
-  Alcotest.(check int) "warm run hits" 1 st.Rtrt_plancache.Cache.hits;
-  Alcotest.(check bool)
-    "replayed result bit-identical" true (results_equal cold warm)
-
-let test_cache_once_then_fused =
-  check_cache_interop ~first:Compose.Inspector.Remap_once
-    ~second:Compose.Inspector.Fused
-
-let test_cache_fused_then_once =
-  check_cache_interop ~first:Compose.Inspector.Fused
-    ~second:Compose.Inspector.Remap_once
 
 (* The GC composition (two data reorderings back to back) end to end
    at a real scale, serial and pooled. *)
@@ -186,14 +170,14 @@ let test_gc_fused () =
   let d = Option.get (Datagen.Generators.by_name ~scale:512 "mol1") in
   let kernel = Kernels.Moldyn.of_dataset d in
   let plan = Compose.Plan.gpart_cpack ~part_size:16 in
+  let each = run ~strategy:Compose.Inspector.Remap_each plan kernel in
   let once = run ~strategy:Compose.Inspector.Remap_once plan kernel in
-  let fused = run ~strategy:Compose.Inspector.Fused plan kernel in
-  Alcotest.(check bool) "serial fused" true (results_equal once fused);
+  Alcotest.(check bool) "serial remap-once" true (results_equal each once);
   Rtrt_par.Pool.with_pool ~domains:4 (fun pool ->
       Alcotest.(check bool)
-        "pooled fused" true
-        (results_equal once
-           (run ~pool ~strategy:Compose.Inspector.Fused plan kernel)))
+        "pooled remap-once" true
+        (results_equal each
+           (run ~pool ~strategy:Compose.Inspector.Remap_once plan kernel)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -202,15 +186,7 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "fused"
     [
-      ( "equivalence",
-        qsuite [ prop_fused_bit_identical; prop_fused_pool_bit_identical ] );
-      ( "plan-cache",
-        [
-          Alcotest.test_case "remap-once entry replays for fused" `Quick
-            test_cache_once_then_fused;
-          Alcotest.test_case "fused entry replays for remap-once" `Quick
-            test_cache_fused_then_once;
-        ] );
+      ("equivalence", qsuite [ prop_bit_identical; prop_pool_bit_identical ]);
       ( "compositions",
         [ Alcotest.test_case "GC fused end to end" `Quick test_gc_fused ] );
     ]

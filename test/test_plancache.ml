@@ -367,7 +367,6 @@ let test_replay_aliases_nothing () =
           ("warm replay", warm);
           ("cold Remap_each", cold Inspector.Remap_each);
           ("cold Remap_once", cold Inspector.Remap_once);
-          ("cold Fused", cold Inspector.Fused);
         ])
     [
       ("CL+FST", key_plan, false);

@@ -92,27 +92,77 @@ let test_access_transpose () =
   (* Datum 0 is touched by iterations 0 (left) and 5 (right). *)
   Alcotest.(check (array int)) "touchers of 0" [| 0; 5 |] (Access.touches t 0)
 
-(* A transpose allocates its output plus O(n_data) words of counters,
-   never a closure per iteration. A count rather than a timer, like
-   the fingerprint's [no allocation per byte] test; [Gc.allocated_bytes]
-   also counts the arrays too large for the minor heap. *)
-let test_access_transpose_allocation () =
-  let n_data = 1_000 and n_iter = 100_000 in
-  let left = Array.init n_iter (fun j -> j mod n_data) in
-  let right = Array.init n_iter (fun j -> ((j * 7919) + 1) mod n_data) in
-  let a = Access.of_pairs ~n_data left right in
+(* Allocation bounds for the inspector's plain loops: over a
+   100,000-iteration pair access they allocate their output plus a few
+   words per datum, never a closure (or a ref) per iteration. A count
+   rather than a timer, like the fingerprint's [no allocation per
+   byte] test; [Gc.allocated_bytes] also counts the arrays too large
+   for the minor heap. *)
+let alloc_n_data = 1_000
+let alloc_n_iter = 100_000
+
+let alloc_pairs () =
+  let n_data = alloc_n_data in
+  let left = Array.init alloc_n_iter (fun j -> j mod n_data) in
+  let right =
+    Array.init alloc_n_iter (fun j -> ((j * 7919) + 1) mod n_data)
+  in
+  Access.of_pairs ~n_data left right
+
+(* [f ()] must allocate at most [output r] words plus four per datum. *)
+let check_allocation what f ~output =
   let before = Gc.allocated_bytes () in
-  let t = Access.transpose a in
+  let r = f () in
   let words =
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
-  let output = Array.length t.Access.ptr + Array.length t.Access.dat in
-  let bound = output + (4 * n_data) + 64 in
+  let output = output r in
+  let bound = output + (4 * alloc_n_data) + 64 in
   Alcotest.(check bool)
-    (Fmt.str "transpose allocated %.0f words (output %d, bound %d)" words
+    (Fmt.str "%s allocated %.0f words (output %d, bound %d)" what words
        output bound)
     true
     (words <= float_of_int bound)
+
+let test_access_transpose_allocation () =
+  let a = alloc_pairs () in
+  check_allocation "transpose"
+    (fun () -> Access.transpose a)
+    ~output:(fun t -> Array.length t.Access.ptr + Array.length t.Access.dat)
+
+let tile_fn_output (t : Sparse_tile.tile_fn) = Array.length t.tile_of
+
+let test_grow_forward_allocation () =
+  let conn = alloc_pairs () in
+  let prev =
+    {
+      Sparse_tile.n_tiles = 8;
+      tile_of = Array.init alloc_n_data (fun d -> d mod 8);
+    }
+  in
+  check_allocation "grow_forward"
+    (fun () -> Sparse_tile.grow_forward ~conn ~prev)
+    ~output:tile_fn_output
+
+let test_grow_backward_scatter_allocation () =
+  let conn = alloc_pairs () in
+  let next =
+    {
+      Sparse_tile.n_tiles = 8;
+      tile_of = Array.init alloc_n_iter (fun j -> j mod 8);
+    }
+  in
+  check_allocation "grow_backward_scatter"
+    (fun () -> Sparse_tile.grow_backward_scatter ~conn ~next)
+    ~output:tile_fn_output
+
+let test_cpack_view_allocation () =
+  let base = alloc_pairs () in
+  let sigma = Array.init alloc_n_data (fun d -> alloc_n_data - 1 - d) in
+  let delta_inv = Array.init alloc_n_iter (fun j -> alloc_n_iter - 1 - j) in
+  check_allocation "Cpack.run_view"
+    (fun () -> Cpack.run_view base ~sigma ~delta_inv)
+    ~output:Perm.size
 
 let test_access_to_graph () =
   let a = access_ex () in
@@ -838,6 +888,8 @@ let () =
             test_cpack_first_touch_order;
           Alcotest.test_case "untouched tail" `Quick test_cpack_untouched_tail;
           Alcotest.test_case "explicit order" `Quick test_cpack_in_order;
+          Alcotest.test_case "view allocation" `Quick
+            test_cpack_view_allocation;
         ] );
       ( "gpart/rcm",
         [
@@ -862,6 +914,10 @@ let () =
             test_fst_backward_min_forward_max;
           Alcotest.test_case "cache block leftover" `Quick
             test_cache_block_leftover;
+          Alcotest.test_case "grow_forward allocation" `Quick
+            test_grow_forward_allocation;
+          Alcotest.test_case "grow_backward_scatter allocation" `Quick
+            test_grow_backward_scatter_allocation;
         ] );
       ( "schedule",
         [
