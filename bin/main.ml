@@ -15,8 +15,9 @@
      rtrt raw                 absolute counts for one configuration
      rtrt autotune            cost-model plan search for one configuration
      rtrt churn               repair-vs-cold re-inspection under graph churn
-     rtrt bench               wall-clock tables
-                              (--only hotpath|inspector|par|autotune|churn)
+     rtrt bench               one wall-clock table and its BENCH_*.json
+                              (--only hotpath|inspector|par|autotune|
+                               churn|plancache)
      rtrt bench-diff          regression gate between two BENCH_*.json files
      rtrt json                one figure's rows as JSON (jq-ready)
      rtrt trace-report        span-tree summary of a JSONL trace
@@ -456,51 +457,6 @@ let run_trace_report file scale steps =
       scale;
     print_trace_report (events ())
 
-let run_bench only out domains scale =
-  let path default = Option.value out ~default in
-  match only with
-  | "par" ->
-    let out = path "BENCH_PAR.json" in
-    let config = config_of ~domains ~scale ~steps:2 () in
-    let report =
-      Harness.Parbench.measure ~machine:Cachesim.Machine.pentium4 ~config ()
-    in
-    Fmt.pr "%a" Harness.Parbench.pp_report report;
-    Harness.Parbench.write_json ~path:out report;
-    Fmt.pr "wrote %s@." out
-  | "hotpath" ->
-    let out = path "BENCH_HOTPATH.json" in
-    let report = Harness.Hotpath.measure ~scale () in
-    Fmt.pr "%a" Harness.Hotpath.pp_report report;
-    Harness.Hotpath.write_json ~path:out report;
-    Fmt.pr "wrote %s@." out
-  | "inspector" ->
-    let out = path "BENCH_INSPECTOR.json" in
-    let report = Harness.Inspctime.measure ~scale () in
-    Fmt.pr "%a" Harness.Inspctime.pp_report report;
-    if not (Harness.Inspctime.identical report) then
-      Fmt.pr "WARNING: a remap-once variant diverged from remap-each@.";
-    Harness.Inspctime.write_json ~path:out report;
-    Fmt.pr "wrote %s@." out
-  | "autotune" ->
-    let out = path "BENCH_AUTOTUNE.json" in
-    let config = config_of ~domains ~scale ~steps:2 () in
-    let report = Harness.Autotune.measure ~config () in
-    Fmt.pr "%a" Harness.Autotune.pp_report report;
-    Harness.Autotune.write_json ~path:out report;
-    Fmt.pr "wrote %s@." out
-  | "churn" ->
-    let out = path "BENCH_CHURN.json" in
-    let report = Harness.Churnbench.measure ~scale ~domains () in
-    Fmt.pr "%a" Harness.Churnbench.pp_report report;
-    Harness.Churnbench.write_json ~path:out report;
-    Fmt.pr "wrote %s@." out
-  | o ->
-    Fmt.invalid_arg
-      "unknown bench table %s (expected hotpath, inspector, par, autotune, \
-       or churn)"
-      o
-
 let run_churn ?cache_dir domains scale steps =
   ignore cache_dir;
   let report =
@@ -788,32 +744,23 @@ let json_cmd =
       $ steps_arg)
 
 let bench_cmd =
+  let suites = Harness.Suite.all in
+  (* [enum] compares its values with [compare], which decides two
+     suites on their distinct names before it reaches a closure. *)
   let only =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("hotpath", "hotpath"); ("inspector", "inspector");
-               ("par", "par"); ("autotune", "autotune");
-               ("churn", "churn");
-             ])
-          "hotpath"
+      & opt (enum (List.map (fun s -> (s.Harness.Suite.name, s)) suites))
+          (List.hd suites)
       & info [ "only" ] ~docv:"TABLE"
           ~doc:
-            "Which wall-clock table to run. $(b,hotpath): flat-CSR \
-             schedule-walk bandwidth vs the nested reference, moldyn \
-             tiled-vs-plain steady state, and the inspector phase breakdown. \
-             $(b,inspector): cold-inspection cost, remap-each vs \
-             remap-once, serial and pooled, with bit-identity checks. \
-             $(b,par): serial vs domain-pool tiled execution with the \
-             makespan model's prediction (honours --domains / \
-             RTRT_DOMAINS). $(b,autotune): \
-             cost-model plan search per (bench, dataset, machine) cell with \
-             the winner's and the best hand-named plan's wall clocks. \
-             $(b,churn): incremental plan repair vs cold re-inspection \
-             after rewiring 1/2/5/10% of interactions, with bit-identity \
-             checks and steps-to-amortize.")
+            ("Which wall-clock table to run. "
+            ^ String.concat " "
+                (List.map
+                   (fun s ->
+                     Fmt.str "$(b,%s): %s." s.Harness.Suite.name
+                       s.Harness.Suite.doc)
+                   suites)))
   in
   let out =
     Arg.(
@@ -821,17 +768,36 @@ let bench_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Path for the JSON results (default BENCH_HOTPATH.json, \
-             BENCH_INSPECTOR.json, or BENCH_PAR.json, by table).")
+            ("Path for the JSON results (default, by table: "
+            ^ String.concat ", "
+                (List.map Harness.Suite.default_out suites)
+            ^ ")."))
+  in
+  let scale =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "scale" ] ~docv:"N"
+          ~doc:
+            ("Dataset scale divisor (1 = full size; default, by table, the \
+              scale its baseline in bench/baselines/ was recorded at: "
+            ^ String.concat ", "
+                (List.map
+                   (fun s ->
+                     Fmt.str "%s %d" s.Harness.Suite.name
+                       s.Harness.Suite.scale)
+                   suites)
+            ^ ")."))
   in
   Cmd.v
-    (Cmd.info "bench" ~doc:"Wall-clock hot-path benchmarks")
+    (Cmd.info "bench"
+       ~doc:"Run one wall-clock bench table and write its BENCH_*.json")
     Term.(
-      const (fun trace specialize only out domains scale ->
+      const (fun trace specialize suite out domains scale ->
           setup_trace trace;
           setup_specialize specialize;
-          run_bench only out domains scale)
-      $ trace_arg $ specialize_arg $ only $ out $ domains_arg $ scale_arg)
+          Harness.Suite.run ?scale ~domains ?out suite)
+      $ trace_arg $ specialize_arg $ only $ out $ domains_arg $ scale)
 
 let bench_diff_cmd =
   let old_path =

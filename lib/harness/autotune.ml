@@ -437,8 +437,9 @@ let wall_of_plan ?cache ?pool ~wall_steps plan kernel =
   done;
   !best
 
-let measure ?(machines = [ Cachesim.Machine.power3; Cachesim.Machine.pentium4 ])
-    ~(config : Figures.config) () =
+let machines = [ Cachesim.Machine.power3; Cachesim.Machine.pentium4 ]
+
+let measure ~(config : Figures.config) () =
   let cache = config.Figures.plan_cache in
   let tuned =
     Rtrt_plancache.Tuned.create
@@ -551,11 +552,6 @@ let json_of_report r =
       ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
     ]
 
-let write_json ~path r =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (J.to_string (json_of_report r));
-      output_char oc '\n')
-
 let pp_scored ppf c =
   Fmt.pf ppf "%-12s %10.1f ns/step [%s]%a"
     (Compose.Plan.name c.sc_plan)
@@ -585,4 +581,12 @@ let pp_report ppf r =
         row.ab_winner_over_named_normalized
         row.ab_winner_wall_speedup_over_named
         (if row.ab_cached then " [cached]" else ""))
-    r.rep_rows
+    r.rep_rows;
+  let beaten =
+    List.length
+      (List.filter
+         (fun row -> row.ab_winner_over_named_normalized <= 1.0)
+         r.rep_rows)
+  in
+  Fmt.pf ppf "winner matches or beats the best hand-named plan on %d/%d cells@."
+    beaten (List.length r.rep_rows)

@@ -109,16 +109,11 @@ type report = {
 }
 
 (** Tune every (bench, dataset, machine) cell of the paper's pairings
-    and measure the winner's and the best hand-named plan's wall
-    clocks. [machines] defaults to power3 and pentium4. *)
-val measure :
-  ?machines:Cachesim.Machine.t list ->
-  config:Figures.config ->
-  unit ->
-  report
+    on power3 and pentium4, and measure the winner's and the best
+    hand-named plan's wall clocks. *)
+val measure : config:Figures.config -> unit -> report
 
 val json_of_report : report -> Rtrt_obs.Json.t
-val write_json : path:string -> report -> unit
 val pp_scored : scored Fmt.t
 val pp_result : t Fmt.t
 val pp_report : report Fmt.t

@@ -4,11 +4,12 @@
    Both files are flattened to (path, number) rows — object keys join
    with '.', list elements are labeled by their identifying string
    fields ("bench"/"dataset"/"plan"/"config"/"name", falling back to
-   the index) so rows line up even if list order changes. Each path is
-   classified by key-name heuristics into lower-is-better
-   (seconds, misses, ...), higher-is-better (speedup, gbps, identity
-   booleans), or informational (scale, steps, counts); gated rows
-   whose relative change exceeds the tolerance become verdicts.
+   the index; a repeated label gets "#k") so rows line up even if list
+   order changes. Each path is classified by key-name heuristics into
+   lower-is-better (seconds, misses, ...), higher-is-better (speedup,
+   gbps, identity booleans), or informational (scale, steps, counts);
+   gated rows whose relative change exceeds the tolerance become
+   verdicts.
 
    Absolute timings differ across machines, so CI gates with
    [ratios_only], which restricts gating to dimensionless or modeled
@@ -51,11 +52,18 @@ let rec flatten prefix (j : Rtrt_obs.Json.t) acc =
   | Rtrt_obs.Json.Obj kvs ->
     List.fold_left (fun acc (k, v) -> flatten (join prefix k) v acc) acc kvs
   | Rtrt_obs.Json.List xs ->
+    (* Elements that share a label (the churn rows of one cell differ
+       only in churn_pct) get an occurrence suffix, so no element's
+       metrics shadow another's. *)
+    let seen = Hashtbl.create 8 in
     let _, acc =
       List.fold_left
         (fun (i, acc) x ->
-          let label = Fmt.str "[%s]" (label_of_element i x) in
-          (i + 1, flatten (prefix ^ label) x acc))
+          let label = label_of_element i x in
+          let n = Option.value (Hashtbl.find_opt seen label) ~default:0 in
+          Hashtbl.replace seen label (n + 1);
+          let label = if n = 0 then label else Fmt.str "%s#%d" label n in
+          (i + 1, flatten (Fmt.str "%s[%s]" prefix label) x acc))
         (0, acc) xs
     in
     acc
@@ -173,8 +181,16 @@ let compare_json ?(tolerance = 0.1) ?(ratios_only = false) old_j new_j =
   in
   List.sort (fun a b -> compare a.r_path b.r_path) rows
 
-let regressions rows =
-  List.filter (fun r -> r.r_verdict = Regressed) rows
+(* A gated row the candidate lacks fails like a regression: otherwise a
+   suite that wrote no rows, or no file body at all, would pass its
+   gate. *)
+let gates r =
+  match r.r_verdict with
+  | Regressed -> true
+  | Missing -> r.r_dir <> Info
+  | Improved | Equal | Neutral | Added -> false
+
+let regressions rows = List.filter gates rows
 
 let has_regression rows = regressions rows <> []
 
@@ -190,12 +206,13 @@ let load path =
 let compare_files ?tolerance ?ratios_only ~old_path ~new_path () =
   compare_json ?tolerance ?ratios_only (load old_path) (load new_path)
 
-let verdict_name = function
+let verdict_name r =
+  match r.r_verdict with
   | Improved -> "improved"
   | Regressed -> "REGRESSED"
   | Equal -> "equal"
   | Neutral -> "info"
-  | Missing -> "missing"
+  | Missing -> if gates r then "MISSING" else "missing"
   | Added -> "added"
 
 let pp_cell ppf = function
@@ -210,7 +227,7 @@ let pp_row ppf r =
     (match r.r_delta_pct with
     | None -> "-"
     | Some d -> Fmt.str "%+.1f%%" d)
-    (verdict_name r.r_verdict)
+    (verdict_name r)
 
 (* [all] prints every row; otherwise informational rows whose value
    did not move are suppressed so the table stays readable. *)
@@ -230,6 +247,8 @@ let pp_table ?(all = false) ppf rows =
   let count v = List.length (List.filter (fun r -> r.r_verdict = v) rows) in
   Fmt.pf ppf
     "summary: %d metrics, %d improved, %d regressed, %d equal, %d \
-     missing/added@."
+     missing (%d gated), %d added@."
     (List.length rows) (count Improved) (count Regressed) (count Equal)
-    (count Missing + count Added)
+    (count Missing)
+    (List.length (List.filter (fun r -> r.r_verdict = Missing && gates r) rows))
+    (count Added)

@@ -4,9 +4,10 @@
 
     Both files are flattened to (path, number) rows; list elements are
     labeled by their identifying string fields
-    ([bench]/[dataset]/[plan]/[config]/[name]) so rows line up across
-    reorderings. Paths classify by key-name heuristics into
-    lower-is-better, higher-is-better, or informational. *)
+    ([bench]/[dataset]/[plan]/[config]/[name]; the [k]th repeat of a
+    label gets [#k]) so rows line up across reorderings. Paths
+    classify by key-name heuristics into lower-is-better,
+    higher-is-better, or informational. *)
 
 type direction = Lower_better | Higher_better | Info
 
@@ -15,7 +16,7 @@ type verdict =
   | Regressed
   | Equal      (** within tolerance (or exactly equal) *)
   | Neutral    (** informational metric: never gates *)
-  | Missing    (** present in old, absent in new *)
+  | Missing    (** present in old, absent in new; gates unless [Info] *)
   | Added      (** absent in old, present in new *)
 
 type row = {
@@ -56,7 +57,11 @@ val compare_files :
   unit ->
   row list
 
+(** Rows that fail the gate: every [Regressed] row, and every
+    [Missing] row whose direction is not [Info] (after [ratios_only]).
+    [Added] rows and missing [Info] rows never gate. *)
 val regressions : row list -> row list
+
 val has_regression : row list -> bool
 
 (** Table of the interesting rows plus a summary line; [all] prints

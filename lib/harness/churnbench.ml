@@ -3,10 +3,10 @@
    churn rounds: rewire -> incremental repair (timed) -> bit-check
    against frozen regrowth -> true cold re-inspection (timed) ->
    steady-state executor seconds on both resulting plans. Shared by
-   `rtrt churn` / `rtrt bench --only churn` and the bench binary's
-   RTRT_BENCH_CHURN_ONLY fast mode; the JSON lands in BENCH_CHURN.json
-   for the CI perf trajectory (the repair_speedup and bit_identical
-   fields are the dimensionless ones the ratios-only gate compares). *)
+   `rtrt churn` and `rtrt bench --only churn`; the JSON lands in
+   BENCH_CHURN.json for the CI perf trajectory (the repair_speedup and
+   bit_identical fields are the dimensionless ones the ratios-only
+   gate compares). *)
 
 module I = Compose.Inspector
 module R = Compose.Repair
@@ -171,18 +171,14 @@ let run_cell ?pool ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan
         ~cold_steps:!cstep_ss;
   }
 
-let default_levels = [ 0.01; 0.02; 0.05; 0.10 ]
+let levels = [ 0.01; 0.02; 0.05; 0.10 ]
 
-let measure ?(full = false) ?(rounds = 5) ?(levels = default_levels) ~scale
-    ~domains () =
+let measure ?(rounds = 5) ~scale ~domains () =
   let cells =
     [
       ("moldyn", "mol1", fun d -> Kernels.Moldyn.of_dataset d);
       ("cg", "foil", fun d -> Kernels.Cg.of_dataset d);
     ]
-    @
-    if full then [ ("irreg", "foil", fun d -> Kernels.Irreg.of_dataset d) ]
-    else []
   in
   let plans =
     [
@@ -259,11 +255,6 @@ let json_of_report r =
                    ])
                r.rows) );
       ])
-
-let write_json ~path r =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Rtrt_obs.Json.to_string (json_of_report r));
-      output_char oc '\n')
 
 let pp_report ppf r =
   Fmt.pf ppf "scale %d, domains %d, %d chained churn rounds per cell@."

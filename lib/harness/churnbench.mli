@@ -4,10 +4,8 @@
     compare against a true cold re-inspection — inspector seconds,
     executor steady-state seconds on both resulting plans, the
     steps-to-amortize break-even, and the bit-identity of repair
-    against frozen regrowth. Shared by [rtrt churn] /
-    [rtrt bench --only churn] and the bench binary's
-    [RTRT_BENCH_CHURN_ONLY] fast mode; the JSON feeds
-    BENCH_CHURN.json. *)
+    against frozen regrowth. Shared by [rtrt churn] and
+    [rtrt bench --only churn]; the JSON feeds BENCH_CHURN.json. *)
 
 type row = {
   cb_bench : string;
@@ -57,22 +55,13 @@ type report = {
   rows : row list;
 }
 
-(** Run the churn suite: moldyn/mol1 and cg/foil (plus irreg/foil when
-    [full]) under CL+FST and GL+FST, churned at [levels] (fractions;
-    default 1/2/5/10%) for [rounds] chained rounds per cell.
-    Deterministic datasets and churn (figure RNG); pooled growth and
-    inspection when [domains > 1]. Sets the
+(** Run the churn suite: moldyn/mol1 and cg/foil under CL+FST and
+    GL+FST, churned at 1/2/5/10% for [rounds] (default 5) chained
+    rounds per cell. Deterministic datasets and churn (figure RNG);
+    pooled growth and inspection when [domains > 1]. Sets the
     [churnbench.min_repair_speedup] and [churnbench.bit_identical]
     gauges. *)
-val measure :
-  ?full:bool ->
-  ?rounds:int ->
-  ?levels:float list ->
-  scale:int ->
-  domains:int ->
-  unit ->
-  report
+val measure : ?rounds:int -> scale:int -> domains:int -> unit -> report
 
 val json_of_report : report -> Rtrt_obs.Json.t
-val write_json : path:string -> report -> unit
 val pp_report : report Fmt.t

@@ -11,7 +11,7 @@
                                         -> [cache_target_sweep ~machine]
 
    Each driver returns structured rows plus a printer, so the CLI, the
-   bench harness and the tests all consume the same code path. *)
+   bench suites and the tests all consume the same code path. *)
 
 type config = {
   scale : int;       (* dataset node-count divisor; 1 = paper size *)

@@ -1,5 +1,5 @@
 (** Drivers regenerating every measured table/figure of the paper; the
-    CLI, the bench harness and the tests all consume these. *)
+    CLI, the bench suites and the tests all consume these. *)
 
 type config = {
   scale : int;       (** dataset node-count divisor; 1 = paper size *)

@@ -12,3 +12,4 @@ module Parbench = Parbench
 module Churnbench = Churnbench
 module Autotune = Autotune
 module Benchdiff = Benchdiff
+module Suite = Suite

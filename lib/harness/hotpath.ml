@@ -465,11 +465,6 @@ let json_of_report r =
         ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
       ])
 
-let write_json ~path r =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Rtrt_obs.Json.to_string (json_of_report r));
-      output_char oc '\n')
-
 let pp_report ppf r =
   Fmt.pf ppf
     "plan %s, scale %d@.  schedule walk: %d items, %d passes: nested %.3f \

@@ -102,5 +102,4 @@ val inspector_phases : Compose.Plan.t -> Kernels.Kernel.t -> phase list
 val measure : scale:int -> unit -> report
 
 val json_of_report : report -> Rtrt_obs.Json.t
-val write_json : path:string -> report -> unit
 val pp_report : report Fmt.t

@@ -68,7 +68,12 @@ let results_equal (a : Compose.Inspector.result)
        (fun (na, pa) (nb, pb) -> na = nb && Reorder.Perm.equal pa pb)
        a.reordering_fns b.reordering_fns
 
-let measure_plan ~repeats ~domains plan kernel =
+(* Best of 5 cold inspections per variant, pools of 1, 2 and 4
+   domains. *)
+let repeats = 5
+let domains = [ 1; 2; 4 ]
+
+let measure_plan plan kernel =
   let inspect ?pool ~strategy () =
     Compose.Inspector.run ?pool ~strategy plan kernel
   in
@@ -123,7 +128,7 @@ let plans ~part_size ~seed_part_size =
       (Compose.Plan.gpart_lexgroup ~part_size);
   ]
 
-let measure ?(repeats = 5) ?(domains = [ 1; 2; 4 ]) ~scale () =
+let measure ~scale () =
   let dataset = Option.get (Datagen.Generators.by_name ~scale "mol1") in
   let kernel = (Option.get (Kernels.by_name "moldyn")) dataset in
   let rows_profiled =
@@ -131,7 +136,7 @@ let measure ?(repeats = 5) ?(domains = [ 1; 2; 4 ]) ~scale () =
       (fun plan ->
         Rtrt_obs.Profile.record
           ~name:("plan:" ^ Compose.Plan.name plan)
-          (fun () -> measure_plan ~repeats ~domains plan kernel))
+          (fun () -> measure_plan plan kernel))
       (plans ~part_size:64 ~seed_part_size:64)
   in
   let rows = List.map fst rows_profiled in
@@ -198,11 +203,6 @@ let json_of_report r =
         ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
       ])
 
-let write_json ~path r =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Rtrt_obs.Json.to_string (json_of_report r));
-      output_char oc '\n')
-
 let pp_report ppf r =
   Fmt.pf ppf "inspector cold-cost table, scale %d, best of %d@." r.rep_scale
     r.rep_repeats;
@@ -215,4 +215,6 @@ let pp_report ppf r =
             t.t_speedup
             (if t.t_identical then "" else "  MISMATCH"))
         row.row_timings)
-    r.rows
+    r.rows;
+  if not (identical r) then
+    Fmt.pf ppf "WARNING: a remap-once variant diverged from remap-each@."

@@ -28,26 +28,17 @@ type report = {
       (** GC + monotonic timing, one phase per plan row *)
 }
 
-(** Time one plan's cold inspections (best of [repeats]) under
-    Remap_each, serial Remap_once, and Remap_once on a fresh pool per
-    domain count in [domains]; each variant's result is compared
-    against the Remap_each baseline. *)
-val measure_plan :
-  repeats:int ->
-  domains:int list ->
-  Compose.Plan.t ->
-  Kernels.Kernel.t ->
-  row
-
 (** The whole table on moldyn/mol1: GC (Gpart then CPACK) plus the
     CL+FST and GL+FST sparse-tiling compositions, part/seed size 64.
-    Defaults: best of 5, pools of 1, 2, and 4 domains. *)
-val measure : ?repeats:int -> ?domains:int list -> scale:int -> unit -> report
+    Each plan's cold inspections (best of 5) run under Remap_each,
+    serial Remap_once, and Remap_once on a fresh pool of 1, 2 and 4
+    domains; each variant's result is compared against the Remap_each
+    baseline. *)
+val measure : scale:int -> unit -> report
 
 (** Whether every timed variant matched the Remap_each baseline bit
     for bit. *)
 val identical : report -> bool
 
 val json_of_report : report -> Rtrt_obs.Json.t
-val write_json : path:string -> report -> unit
 val pp_report : report Fmt.t

@@ -1,8 +1,7 @@
 (* Parallel speedup table: serial vs pool execution of the Full-growth
    tiled executors, with the Tile_par makespan model's prediction
-   alongside. Shared by `rtrt bench --only par` and the bench binary's
-   RTRT_BENCH_PAR_ONLY fast mode; the JSON lands in BENCH_PAR.json for
-   the CI perf trajectory. *)
+   alongside. Run by `rtrt bench --only par`; the JSON lands in
+   BENCH_PAR.json for the CI perf trajectory. *)
 
 type row = {
   pb_bench : string;
@@ -95,11 +94,6 @@ let json_of_report r =
         ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
       ])
 
-let write_json ~path r =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Rtrt_obs.Json.to_string (json_of_report r));
-      output_char oc '\n')
-
 let pp_report ppf r =
   Fmt.pf ppf "domains %d, scale %d@." r.rep_domains r.rep_scale;
   List.iter
@@ -118,4 +112,12 @@ let pp_report ppf r =
       ())
     r.rows;
   if r.rows = [] then
-    Fmt.pf ppf "  (no Full-growth sparse-tiled plans produced a schedule)@."
+    Fmt.pf ppf "  (no Full-growth sparse-tiled plans produced a schedule)@.";
+  (* How often the auto-fallback ran serial because the pool's
+     synchronization cost could not pay. *)
+  let tally tier =
+    List.length
+      (List.filter (fun row -> row.pb_par.Experiment.par_tier = tier) r.rows)
+  in
+  Fmt.pf ppf "tier selection: %d parallel, %d serial (auto-fallback)@."
+    (tally "parallel") (tally "serial")

@@ -1,7 +1,7 @@
 (** Parallel speedup table (serial vs domain-pool execution of the
     Full-growth tiled executors, next to the Tile_par makespan model's
-    prediction). Shared by [rtrt bench --only par] and the bench
-    binary; the JSON feeds BENCH_PAR.json. *)
+    prediction). Run by [rtrt bench --only par]; the JSON feeds
+    BENCH_PAR.json. *)
 
 type row = {
   pb_bench : string;
@@ -30,5 +30,4 @@ val measure :
   machine:Cachesim.Machine.t -> config:Figures.config -> unit -> report
 
 val json_of_report : report -> Rtrt_obs.Json.t
-val write_json : path:string -> report -> unit
 val pp_report : report Fmt.t

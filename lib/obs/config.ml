@@ -16,8 +16,8 @@ let default_jsonl_path = "rtrt_trace.jsonl"
 
 (* ------------------------------------------------------------------ *)
 (* Warn-and-default environment parsing, shared by every RTRT_* env
-   var (RTRT_TRACE here, RTRT_DOMAINS in Pool, RTRT_SCALE and the
-   bench toggles in bench/main.ml, RTRT_PLAN_CACHE_DIR in Plancache):
+   var (RTRT_TRACE here, RTRT_DOMAINS in Pool, RTRT_PLAN_CACHE_DIR in
+   Plancache):
    an unset variable silently yields the default, an unparsable value
    warns once on stderr and yields the default — never a silent
    partial fallback, never an exception. *)

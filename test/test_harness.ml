@@ -335,8 +335,43 @@ let test_benchdiff_missing_added () =
     (find_row rows (row_path ^ ".measured_speedup")).r_verdict;
   Alcotest.check verdict "new metric is Added" Harness.Benchdiff.Added
     (find_row rows "extra").r_verdict;
-  (* Missing/Added report but do not gate. *)
-  Alcotest.(check bool) "no regression" false
+  (* A missing gated row fails the gate, so an emptied table cannot
+     pass; Added rows and missing informational rows never gate. *)
+  Alcotest.(check bool) "dropped gated metric regresses" true
+    (Harness.Benchdiff.has_regression rows);
+  List.iter
+    (fun ratios_only ->
+      Alcotest.(check bool) "{} regresses" true
+        (Harness.Benchdiff.has_regression
+           (Harness.Benchdiff.compare_json ~ratios_only old_j
+              (Rtrt_obs.Json.Obj []))))
+    [ false; true ];
+  let with_keys f =
+    match old_j with
+    | Rtrt_obs.Json.Obj kvs -> Rtrt_obs.Json.Obj (f kvs)
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "added metric does not gate" false
+    (Harness.Benchdiff.has_regression
+       (Harness.Benchdiff.compare_json old_j
+          (with_keys (fun kvs -> kvs @ [ ("extra", Rtrt_obs.Json.Int 7) ]))));
+  Alcotest.(check bool) "missing info metric does not gate" false
+    (Harness.Benchdiff.has_regression
+       (Harness.Benchdiff.compare_json old_j
+          (with_keys (List.filter (fun (k, _) -> k <> "scale")))));
+  (* Rows sharing a label stay distinct, so dropping one still gates. *)
+  let twice =
+    with_keys
+      (List.map (function
+        | "rows", Rtrt_obs.Json.List [ row ] ->
+          ("rows", Rtrt_obs.Json.List [ row; row ])
+        | kv -> kv))
+  in
+  let rows = Harness.Benchdiff.compare_json twice old_j in
+  Alcotest.check verdict "second same-label row is Missing"
+    Harness.Benchdiff.Missing
+    (find_row rows "rows[moldyn/cpack_lexgroup#1].measured_speedup").r_verdict;
+  Alcotest.(check bool) "dropped same-label row regresses" true
     (Harness.Benchdiff.has_regression rows)
 
 let test_benchdiff_ratios_only () =
@@ -385,6 +420,53 @@ let test_benchdiff_directions () =
       ("rows[x].serial_seconds_per_step", false);
       ("scale", false);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The bench driver: each suite at scale 512 under its own settings
+   (hotpath is left to CI: it takes seconds even at this scale). *)
+
+let identity_keys = [ "identical"; "bitwise_equal"; "bit_identical"; "bitwise" ]
+
+let rec identity_flags (j : Rtrt_obs.Json.t) acc =
+  match j with
+  | Obj kvs ->
+    List.fold_left
+      (fun acc (k, v) ->
+        match v with
+        | Rtrt_obs.Json.Bool b when List.mem k identity_keys -> (k, b) :: acc
+        | v -> identity_flags v acc)
+      acc kvs
+  | List xs -> List.fold_left (fun acc x -> identity_flags x acc) acc xs
+  | _ -> acc
+
+let test_suite name () =
+  let suite =
+    List.find (fun s -> s.Harness.Suite.name = name) Harness.Suite.all
+  in
+  let out = Filename.temp_file ("rtrt-bench-" ^ name) ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  (* One domain asked for: par and autotune still measure a pool. *)
+  Harness.Suite.run ~scale:512 ~domains:1 ~out suite;
+  let json =
+    match
+      Rtrt_obs.Json.of_string (In_channel.with_open_text out In_channel.input_all)
+    with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check bool) "passes its own gate" false
+    (Harness.Benchdiff.has_regression
+       (Harness.Benchdiff.compare_files ~old_path:out ~new_path:out ()));
+  List.iter
+    (fun (k, b) -> Alcotest.(check bool) (k ^ " reads true") true b)
+    (identity_flags json []);
+  Alcotest.(check bool) "rows written" true
+    (List.exists
+       (fun k ->
+         match Rtrt_obs.Json.member k json with
+         | Some (Rtrt_obs.Json.List (_ :: _)) -> true
+         | _ -> false)
+       [ "rows"; "plans" ])
 
 (* The churn break-even is decided on step-time ranges, not on the two
    best times, so timer noise cannot flip it between "never" and a
@@ -458,4 +540,8 @@ let () =
           Alcotest.test_case "direction heuristics" `Quick
             test_benchdiff_directions;
         ] );
+      ( "bench suites",
+        List.map
+          (fun name -> Alcotest.test_case name `Slow (test_suite name))
+          [ "inspector"; "par"; "autotune"; "churn"; "plancache" ] );
     ]
