@@ -299,7 +299,14 @@ let run_gs ?cache_dir domains scale steps =
     let par_t = Kernels.Gauss_seidel.copy serial in
     Kernels.Gauss_seidel.run_tiled serial tiling;
     Kernels.Gauss_seidel.run_tiled_par ~pool par_t tiling dag;
-    let tiled_eq = par_t.Kernels.Gauss_seidel.u = serial.Kernels.Gauss_seidel.u in
+    (* Bit patterns, not IEEE equality: [=] calls -0.0 equal to 0.0
+       and a NaN unequal to itself. *)
+    let bits_equal (a : Kernels.Gauss_seidel.t) (b : Kernels.Gauss_seidel.t) =
+      Kernels.Kernel.snapshots_equal_bits
+        [ ("u", a.Kernels.Gauss_seidel.u) ]
+        [ ("u", b.Kernels.Gauss_seidel.u) ]
+    in
+    let tiled_eq = bits_equal par_t serial in
     Fmt.pr
       "  parallel tiles on %d domains: %a, modeled speedup %.2fx, bitwise \
        equal: %b@."
@@ -314,8 +321,7 @@ let run_gs ?cache_dir domains scale steps =
     Kernels.Gauss_seidel.run_plain plain_t ~sweeps:slab;
     Kernels.Gauss_seidel.run_wavefront_par ~pool wave_t w ~sweeps:slab;
     Fmt.pr "  parallel wavefront: %a, bitwise equal: %b@." Reorder.Wavefront.pp
-      w
-      (wave_t.Kernels.Gauss_seidel.u = plain_t.Kernels.Gauss_seidel.u)
+      w (bits_equal wave_t plain_t)
 
 let run_guide bench ds budget scale steps =
   let machine = Cachesim.Machine.pentium4 in

@@ -215,128 +215,32 @@ let full_report (st : Symbolic.state) ~(program : Symbolic.program) =
 
    Everything above renders pseudo-code for inspection; this section
    emits a compilable OCaml module specialized to one (kernel,
-   schedule) pair. The module is table-driven: the schedule's row
-   bounds and its {!Reorder.Shape} run table become array literals,
-   and each chain class's loop body is emitted once, inlined into two
-   closed loop functions (one streams a run of consecutive ids, one
-   walks a dense row's items slice). A single tile loop hands every
-   row to them, so the source grows with the number of rows and runs,
-   not with body size times runs. The module depends only on Stdlib
-   and hands its executor to the host through [Callback.register] (see
-   Compose.Specialize for the compile / Dynlink / cache pipeline and
-   the array-order convention).
+   schedule) pair. The module opens with the kernel's body file
+   verbatim (Kernels.Body_files, the text the kernel's own module is
+   compiled from), so its loop bodies are the walker's. The rest is
+   table-driven: the schedule's row bounds and its {!Reorder.Shape} run
+   table become array literals, and each chain class gets two closed
+   loop functions that call its body (one streams a run of consecutive
+   ids, one walks a dense row's items slice). A single tile loop hands
+   every row to them, so the source grows with the number of rows and
+   runs, not with body size times runs. The module depends only on
+   Stdlib and hands its executor to the host through
+   [Callback.register] (see Compose.Specialize for the compile /
+   Dynlink / cache pipeline).
 
    Emitted executor type:  int array array -> float array array ->
-   int -> unit, where the int arrays are the kernel's index arrays
-   with the schedule's [items] appended last, and the float arrays are
-   the kernel's data arrays in [Kernels.Kernel.exec_arrays] order. *)
+   int -> unit, the kernel's [exec_arrays] with the schedule's [items]
+   appended to the int arrays. Each body takes the arrays in that
+   order, then the iteration. *)
 
-(* Float constants are emitted as hex literals so the compiled
-   executor computes with bit-for-bit the constants the interpreted
-   executor uses. *)
-let hex_float f = Printf.sprintf "(%h)" f
-
-(* Per-kernel emission tables: int-array names (items is appended by
-   the host), float-array names, chain length, and the loop body for
-   each chain class with [v] the iteration variable. Bodies mirror the
-   kernels' unsafe loop bodies statement for statement. *)
-let spec_tables :
-    (string * (string list * string list * int * (int -> string list))) list =
-  let dt = hex_float 0.0001 in
-  let relax = hex_float 0.001 in
-  let damping = hex_float 1.0 in
-  let one = hex_float 1.0 in
-  let two = hex_float 2.0 in
-  let g = Printf.sprintf in
-  let moldyn_body = function
-    | 0 ->
-      [
-        g "let i = v in";
-        g "Array.unsafe_set x i (Array.unsafe_get x i +. (%s *. (Array.unsafe_get vx i +. Array.unsafe_get fx i)));" dt;
-        g "Array.unsafe_set y i (Array.unsafe_get y i +. (%s *. (Array.unsafe_get vy i +. Array.unsafe_get fy i)));" dt;
-        g "Array.unsafe_set z i (Array.unsafe_get z i +. (%s *. (Array.unsafe_get vz i +. Array.unsafe_get fz i)));" dt;
-      ]
-    | 1 ->
-      [
-        g "let l = Array.unsafe_get left v and r = Array.unsafe_get right v in";
-        g "let dx = Array.unsafe_get x l -. Array.unsafe_get x r in";
-        g "let dy = Array.unsafe_get y l -. Array.unsafe_get y r in";
-        g "let dz = Array.unsafe_get z l -. Array.unsafe_get z r in";
-        g "let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. %s in" one;
-        g "let gg = %s /. r2 in" one;
-        g "Array.unsafe_set fx l (Array.unsafe_get fx l +. (gg *. dx));";
-        g "Array.unsafe_set fx r (Array.unsafe_get fx r -. (gg *. dx));";
-        g "Array.unsafe_set fy l (Array.unsafe_get fy l +. (gg *. dy));";
-        g "Array.unsafe_set fy r (Array.unsafe_get fy r -. (gg *. dy));";
-        g "Array.unsafe_set fz l (Array.unsafe_get fz l +. (gg *. dz));";
-        g "Array.unsafe_set fz r (Array.unsafe_get fz r -. (gg *. dz));";
-      ]
-    | _ ->
-      [
-        g "let k = v in";
-        g "Array.unsafe_set vx k (Array.unsafe_get vx k +. (%s *. Array.unsafe_get fx k));" dt;
-        g "Array.unsafe_set vy k (Array.unsafe_get vy k +. (%s *. Array.unsafe_get fy k));" dt;
-        g "Array.unsafe_set vz k (Array.unsafe_get vz k +. (%s *. Array.unsafe_get fz k));" dt;
-      ]
-  in
-  let nbf_body = function
-    | 0 ->
-      [
-        g "let i = v in";
-        g "Array.unsafe_set x i (Array.unsafe_get x i +. (%s *. Array.unsafe_get fx i));" dt;
-        g "Array.unsafe_set y i (Array.unsafe_get y i +. (%s *. Array.unsafe_get fy i));" dt;
-        g "Array.unsafe_set z i (Array.unsafe_get z i +. (%s *. Array.unsafe_get fz i));" dt;
-      ]
-    | _ ->
-      [
-        g "let l = Array.unsafe_get left v and r = Array.unsafe_get right v in";
-        g "let dx = Array.unsafe_get x l -. Array.unsafe_get x r in";
-        g "let dy = Array.unsafe_get y l -. Array.unsafe_get y r in";
-        g "let dz = Array.unsafe_get z l -. Array.unsafe_get z r in";
-        g "let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. %s in" one;
-        g "let ir2 = %s /. r2 in" one;
-        g "let ir6 = ir2 *. ir2 *. ir2 in";
-        g "let gg = ((%s *. ir6 *. ir6) -. ir6) *. ir2 in" two;
-        g "Array.unsafe_set fx l (Array.unsafe_get fx l +. (gg *. dx));";
-        g "Array.unsafe_set fx r (Array.unsafe_get fx r -. (gg *. dx));";
-        g "Array.unsafe_set fy l (Array.unsafe_get fy l +. (gg *. dy));";
-        g "Array.unsafe_set fy r (Array.unsafe_get fy r -. (gg *. dy));";
-        g "Array.unsafe_set fz l (Array.unsafe_get fz l +. (gg *. dz));";
-        g "Array.unsafe_set fz r (Array.unsafe_get fz r -. (gg *. dz));";
-      ]
-  in
-  let irreg_body = function
-    | 0 ->
-      [
-        g "let l = Array.unsafe_get left v and r = Array.unsafe_get right v in";
-        g "let d = Array.unsafe_get w v *. (Array.unsafe_get x l -. Array.unsafe_get x r) in";
-        g "Array.unsafe_set y l (Array.unsafe_get y l +. d);";
-        g "Array.unsafe_set y r (Array.unsafe_get y r -. d);";
-      ]
-    | _ ->
-      [
-        g "let k = v in";
-        g "Array.unsafe_set x k (Array.unsafe_get x k +. (%s *. Array.unsafe_get y k));" relax;
-      ]
-  in
-  let gs_body _ =
+(* Each kernel's body file and its chain classes' body names. *)
+let bodies =
+  Kernels.Body_files.
     [
-      g "let acc = ref (Array.unsafe_get f v) in";
-      g "let alo = Array.unsafe_get ptr v and ahi = Array.unsafe_get ptr (v + 1) in";
-      g "for e = alo to ahi - 1 do acc := !acc +. Array.unsafe_get u (Array.unsafe_get adj e) done;";
-      g "Array.unsafe_set u v (!acc /. (float_of_int (ahi - alo) +. %s));" damping;
+      ("moldyn", (moldyn, [| "position"; "pair"; "velocity" |]));
+      ("nbf", (nbf, [| "update"; "pair" |]));
+      ("irreg", (irreg, [| "edge"; "node" |]));
     ]
-  in
-  [
-    ( "moldyn",
-      ( [ "left"; "right" ],
-        [ "x"; "y"; "z"; "vx"; "vy"; "vz"; "fx"; "fy"; "fz" ],
-        3,
-        moldyn_body ) );
-    ("nbf", ([ "left"; "right" ], [ "x"; "y"; "z"; "fx"; "fy"; "fz" ], 2, nbf_body));
-    ("irreg", ([ "left"; "right" ], [ "w"; "x"; "y" ], 2, irreg_body));
-    ("gs", ([ "ptr"; "adj" ], [ "u"; "f" ], 1, gs_body));
-  ]
 
 (* Rows whose run count is at most this stream their runs through the
    run function; denser rows walk their items slice instead, and their
@@ -347,14 +251,14 @@ let inline_runs_max = 8
    entries, two per row and two per streamed run, which ocamlopt
    compiles at about 1.4 MB/s: moldyn on mol1 at paper size under
    CL+FST (1.4M iterations) emits 1.25 MB and compiles in 0.9 s. *)
-let default_max_source_bytes = 1 lsl 21 (* 2 MiB *)
+let max_source_bytes = 1 lsl 21 (* 2 MiB *)
 
-let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
+let specialized_source (kernel : Kernels.Kernel.t) ~key
     (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t) =
-  match List.assoc_opt kernel spec_tables with
+  match List.assoc_opt kernel.Kernels.Kernel.name bodies with
   | None -> None
   | Some _ when not (Reorder.Shape.for_schedule shape sched) -> None
-  | Some (int_names, float_names, chain, body) ->
+  | Some (body_file, classes) ->
     let b = Buffer.create 16384 in
     let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     (* The tables are the bulk of the source: give up as soon as they
@@ -364,7 +268,7 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
       Array.iteri
         (fun i v ->
           if i mod 16 = 0 then begin
-            if Buffer.length b > max_bytes then raise_notrace Exit;
+            if Buffer.length b > max_source_bytes then raise_notrace Exit;
             add "\n  "
           end;
           add "%d;" v)
@@ -402,11 +306,17 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
        built), and the plugin link step then generates no currying
        wrappers for these 10-plus-argument functions (about a third of
        a moldyn module's compile time). *)
-    let arrays = String.concat ", " (int_names @ float_names) in
+    let ia, fa = kernel.Kernels.Kernel.exec_arrays () in
+    let n_int = Array.length ia in
+    let arrays =
+      String.concat ", "
+        (List.init (n_int + Array.length fa) (Printf.sprintf "a%d"))
+    in
+    Buffer.add_string b body_file;
     add
-      "(* Specialized executor for kernel %s, schedule key %s.\n\
+      "\n(* Specialized executor for kernel %s, schedule key %s.\n\
       \   Emitted by Compose.Codegen.specialized_source; do not edit. *)\n\n"
-      kernel key;
+      kernel.Kernels.Kernel.name key;
     match
       table "row_ptr" (Reorder.Schedule.row_ptr sched);
       table "run_ptr" run_ptr;
@@ -415,28 +325,26 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
     with
     | exception Exit -> None
     | () ->
-      for c = 0 to chain - 1 do
-        add "\nlet[@inline always] body_%d (%s, v) =\n" c arrays;
-        List.iter (fun l -> add "  %s\n" l) (body c);
-        add "  ()\n";
-        add "let[@inline never] run_%d (%s, lo, hi) =\n" c arrays;
-        add "  for v = lo to hi do body_%d (%s, v) done\n" c arrays;
-        add "let[@inline never] idx_%d (items, %s, lo, hi) =\n" c arrays;
-        add "  for idx = lo to hi do body_%d (%s, Array.unsafe_get items idx) done\n"
-          c arrays
-      done;
+      Array.iteri
+        (fun c body ->
+          add "\nlet[@inline never] run_%d (%s, lo, hi) =\n" c arrays;
+          add "  for v = lo to hi do %s (%s, v) done\n" body arrays;
+          add "let[@inline never] idx_%d (items, %s, lo, hi) =\n" c arrays;
+          add "  for idx = lo to hi do %s (%s, Array.unsafe_get items idx) done\n"
+            body arrays)
+        classes;
       add "\nlet exec (ia : int array array) (fa : float array array) (steps : int) =\n";
-      List.iteri
-        (fun i n -> add "  let %s = Array.unsafe_get ia %d in\n" n i)
-        int_names;
-      add "  let items = Array.unsafe_get ia %d in\n" (List.length int_names);
-      List.iteri
-        (fun i n -> add "  let %s = Array.unsafe_get fa %d in\n" n i)
-        float_names;
+      for i = 0 to n_int - 1 do
+        add "  let a%d = Array.unsafe_get ia %d in\n" i i
+      done;
+      add "  let items = Array.unsafe_get ia %d in\n" n_int;
+      Array.iteri
+        (fun i _ -> add "  let a%d = Array.unsafe_get fa %d in\n" (n_int + i) i)
+        fa;
       add "  for _s = 1 to steps do\n";
       add "    for t = 0 to %d do\n" (n_tiles - 1);
       for c = 0 to n_loops - 1 do
-        let cls = c mod chain in
+        let cls = c mod Array.length classes in
         add "      (let r = (t * %d) + %d in\n" n_loops c;
         add "       let klo = Array.unsafe_get run_ptr r and khi = Array.unsafe_get run_ptr (r + 1) in\n";
         add "       if khi > klo then\n";
@@ -452,4 +360,5 @@ let specialized_source ?(max_bytes = default_max_source_bytes) ~kernel ~key
       add "    done\n";
       add "  done\n";
       add "\nlet () = Callback.register %S exec\n" ("rtrt.spec." ^ key);
-      if Buffer.length b > max_bytes then None else Some (Buffer.contents b)
+      if Buffer.length b > max_source_bytes then None
+      else Some (Buffer.contents b)

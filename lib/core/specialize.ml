@@ -8,11 +8,11 @@
 
    - Tier B (Codegen, opt-in via [--specialize] / RTRT_SPECIALIZE):
      {!Codegen.specialized_source} emits a table-driven OCaml module
-     for the exact (kernel, schedule) pair (the schedule as array
-     literals, each loop body once), compiled out-of-process with
-     ocamlopt -shared in a build directory of its own and loaded with
-     [Dynlink]. Compiled [.cmxs] files are cached on disk keyed by a
-     fingerprint over the schedule content and the compiler identity,
+     for the exact (kernel, schedule) pair (the kernel's body file,
+     then the schedule as array literals), compiled out-of-process
+     with ocamlopt -shared in a build directory of its own and loaded
+     with [Dynlink]. Compiled [.cmxs] files are cached on disk keyed by
+     a fingerprint over the schedule content and the compiler identity,
      plus an in-process memo, so a plan-cache hit never recompiles.
 
    The dynlinked module references only [Stdlib] and publishes its
@@ -136,9 +136,15 @@ let cache_dir () =
   | Some d -> Filename.concat d "spec"
   | None -> Filename.concat (Filename.get_temp_dir_name ()) "rtrt-spec"
 
-(* Bumped whenever the emitted code changes meaning, so stale cached
-   .cmxs never survive an emitter upgrade. *)
-let emitter_version = 2
+(* Bumped whenever the emitted code or the cached file's layout
+   changes. The seal below records it, so a module written by another
+   emitter never loads: it is recompiled over. *)
+let emitter_version = 3
+
+(* The version of the key's ingredient list, bumped only when what the
+   key hashes changes (test_plancache pins the key with a known
+   answer). The emitter is checked by the seal, not the key. *)
+let key_format = 2
 
 let schedule_key ~kernel ~n_nodes ~n_inter (sched : Reorder.Schedule.t) =
   let b = Rtrt_plancache.Fingerprint.create () in
@@ -151,7 +157,7 @@ let schedule_key ~kernel ~n_nodes ~n_inter (sched : Reorder.Schedule.t) =
   Rtrt_plancache.Fingerprint.add_string b Sys.ocaml_version;
   Rtrt_plancache.Fingerprint.add_int b Sys.word_size;
   Rtrt_plancache.Fingerprint.add_string b Sys.os_type;
-  Rtrt_plancache.Fingerprint.add_int b emitter_version;
+  Rtrt_plancache.Fingerprint.add_int b key_format;
   Rtrt_plancache.Fingerprint.to_hex (Rtrt_plancache.Fingerprint.value b)
 
 let memo : (string, exec) Hashtbl.t = Hashtbl.create 16
@@ -164,11 +170,42 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
+(* A cached module ends with a seal: its length, the emitter version
+   and a 64-bit FNV-1a checksum of its bytes, 8 bytes each,
+   little-endian (the loader ignores trailing bytes). Dynlink maps the
+   file without reading it, so a truncated one faults the process on
+   first touch (SIGBUS) instead of failing to load. [load_cmxs] checks
+   the seal first: a file that fails it is a miss, which the recompile
+   replaces. *)
+let seal_bytes = 24
+
+let seal_of data n =
+  let t = Bytes.create seal_bytes in
+  Bytes.set_int64_le t 0 (Int64.of_int n);
+  Bytes.set_int64_le t 8 (Int64.of_int emitter_version);
+  Bytes.set_int64_le t 16
+    (Rtrt_plancache.Fingerprint.checksum (Bytes.unsafe_of_string data) n);
+  Bytes.unsafe_to_string t
+
+let seal path =
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc (seal_of data (String.length data)))
+
+let sealed path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> false
+  | data ->
+    let n = String.length data - seal_bytes in
+    n >= 0 && String.sub data n seal_bytes = seal_of data n
+
 let load_cmxs cmxs key =
-  try
-    Dynlink.loadfile_private cmxs;
-    fetch_exec key
-  with Dynlink.Error _ | Sys_error _ -> None
+  if not (sealed cmxs) then None
+  else
+    try
+      Dynlink.loadfile_private cmxs;
+      fetch_exec key
+    with Dynlink.Error _ | Sys_error _ -> None
 
 let build_counter = Atomic.make 0
 
@@ -210,7 +247,8 @@ let compile ~cc ~dir ~name source =
         None
       end
       else begin
-        (* Atomic: a concurrent reader sees no .cmxs or a complete one. *)
+        seal (in_build ".cmxs");
+        (* Atomic: a concurrent reader sees no .cmxs or a sealed one. *)
         Sys.rename (in_build ".cmxs") (Filename.concat dir (name ^ ".cmxs"));
         Some secs
       end)
@@ -231,7 +269,7 @@ let compile_and_load ~kernel ~key source : (exec * float * bool) option =
       let name = Printf.sprintf "spec_%s_%s" kernel key in
       let cmxs = Filename.concat dir (name ^ ".cmxs") in
       let loaded =
-        match if Sys.file_exists cmxs then load_cmxs cmxs key else None with
+        match load_cmxs cmxs key with
         | Some f ->
           Rtrt_obs.Metrics.incr c_cmxs_hits;
           Some (f, 0., true)
@@ -259,18 +297,6 @@ let compile_and_load ~kernel ~key source : (exec * float * bool) option =
    loop's items as a permutation, so total = size implies id < size),
    and the kernel's own index arrays were range-checked when it was
    built (the kernels' Walker, through Access.of_pairs). *)
-
-let bits_equal (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  for i = 0 to Array.length a - 1 do
-    if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then ok := false
-  done;
-  !ok
-
-(* -------------------------------------------------------------- *)
-(* Kernel.t kernels (moldyn / nbf / irreg) *)
 
 let exec_args (kernel : Kernels.Kernel.t) sched =
   let ia, fa = kernel.Kernels.Kernel.exec_arrays () in
@@ -322,10 +348,7 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
            ~loop_sizes:kernel.Kernels.Kernel.loop_sizes)
     then None
     else
-      match
-        Codegen.specialized_source ~kernel:kernel.Kernels.Kernel.name ~key
-          sched shape
-      with
+      match Codegen.specialized_source kernel ~key sched shape with
       | None -> None
       | Some source -> (
         match compile_and_load ~kernel:kernel.Kernels.Kernel.name ~key source with
@@ -388,112 +411,6 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
   finish ~verify_run result
 
 (* -------------------------------------------------------------- *)
-(* Gauss-Seidel (separate state type; a schedule walk is the tiling's
-   [sweeps] sweeps, so [run ~steps] executes [steps] whole schedule
-   walks). *)
-
-let make_gs ?tier_b ?(verify = true) (t : Kernels.Gauss_seidel.t)
-    (sched : Reorder.Schedule.t) =
-  let shape = Reorder.Shape.analyze sched in
-  let summary = Reorder.Shape.summary shape in
-  let n = Irgraph.Csr.num_nodes t.Kernels.Gauss_seidel.graph in
-  let key =
-    schedule_key ~kernel:"gs" ~n_nodes:n
-      ~n_inter:(Irgraph.Csr.num_arcs t.Kernels.Gauss_seidel.graph)
-      sched
-  in
-  let want_b = match tier_b with Some b -> b | None -> enabled () in
-  let base tier run =
-    {
-      tier;
-      shape;
-      summary;
-      run;
-      compile_seconds = 0.;
-      cmxs_cache_hit = false;
-      key;
-    }
-  in
-  let interp_walk st steps =
-    for _s = 1 to steps do
-      Kernels.Gauss_seidel.run_sched st sched
-    done
-  in
-  let shaped_walk st steps =
-    for _s = 1 to steps do
-      Kernels.Gauss_seidel.run_sched_shaped st sched shape
-    done
-  in
-  let shaped () =
-    if Reorder.Shape.profitable summary then
-      base Shaped (fun ~steps -> shaped_walk t steps)
-    else base Interp (fun ~steps -> interp_walk t steps)
-  in
-  let gs_args st =
-    let ptr, adj = Kernels.Gauss_seidel.csr_arrays st.Kernels.Gauss_seidel.graph in
-    ( [| ptr; adj; Reorder.Schedule.flat_items sched |],
-      [| st.Kernels.Gauss_seidel.u; st.Kernels.Gauss_seidel.f |] )
-  in
-  let codegen () =
-    if not (Reorder.Schedule.check_fits sched ~loop_sizes:[| n |]) then None
-    else
-      match Codegen.specialized_source ~kernel:"gs" ~key sched shape with
-      | None -> None
-      | Some source -> (
-        match compile_and_load ~kernel:"gs" ~key source with
-        | None -> None
-        | Some (exec, compile_seconds, cmxs_cache_hit) ->
-          let ia, fa = gs_args t in
-          Some
-            {
-              tier = Codegen;
-              shape;
-              summary;
-              run = (fun ~steps -> exec ia fa steps);
-              compile_seconds;
-              cmxs_cache_hit;
-              key;
-            })
-  in
-  let result =
-    if not want_b then shaped ()
-    else
-      match codegen () with
-      | Some r -> r
-      | None ->
-        Rtrt_obs.Metrics.incr c_fallbacks;
-        shaped ()
-  in
-  let verify_run r =
-    if verify then begin
-      let reference = Kernels.Gauss_seidel.copy t in
-      let candidate = Kernels.Gauss_seidel.copy t in
-      interp_walk reference verify_steps;
-      (match r.tier with
-      | Interp -> ()
-      | Shaped -> shaped_walk candidate verify_steps
-      | Codegen -> (
-        match compile_and_load ~kernel:"gs" ~key "(* cached *)" with
-        | Some (exec, _, _) ->
-          let ia, fa = gs_args candidate in
-          exec ia fa verify_steps
-        | None -> failwith "Specialize: compiled executor vanished"));
-      if
-        not
-          (bits_equal reference.Kernels.Gauss_seidel.u
-             candidate.Kernels.Gauss_seidel.u
-          && bits_equal reference.Kernels.Gauss_seidel.f
-               candidate.Kernels.Gauss_seidel.f)
-      then
-        failwith
-          (Printf.sprintf
-             "Specialize: %s tier diverged bitwise from run_sched (gs/%s)"
-             (tier_name r.tier) r.key)
-    end
-  in
-  finish ~verify_run result
-
-(* -------------------------------------------------------------- *)
 (* Source dump for [rtrt codegen --plan]: the exact Tier B module that
    would be compiled, independent of whether a toolchain exists. *)
 
@@ -504,5 +421,4 @@ let dump_source (kernel : Kernels.Kernel.t) (sched : Reorder.Schedule.t) =
       ~n_nodes:kernel.Kernels.Kernel.n_nodes
       ~n_inter:kernel.Kernels.Kernel.n_inter sched
   in
-  Codegen.specialized_source ~kernel:kernel.Kernels.Kernel.name ~key sched
-    shape
+  Codegen.specialized_source kernel ~key sched shape

@@ -7,17 +7,21 @@
     - [Shaped] (Tier A, on whenever {!Reorder.Shape.profitable}): the
       run-length-index streaming executors, selected at plan time;
     - [Codegen] (Tier B, opt-in via [--specialize] or
-      [RTRT_SPECIALIZE=1]): a table-driven OCaml module emitted by
-      {!Codegen.specialized_source} for this exact (kernel, schedule)
-      pair, compiled with [ocamlopt -shared] and loaded with
-      [Dynlink]. Compiled modules are cached on disk (under
+      [RTRT_SPECIALIZE=1]; moldyn, nbf and irreg): a table-driven OCaml
+      module emitted by {!Codegen.specialized_source} for this exact
+      (kernel, schedule) pair, around the kernel's own body file,
+      compiled with [ocamlopt -shared] and loaded with [Dynlink].
+      Compiled modules are cached on disk (under
       [RTRT_PLAN_CACHE_DIR/spec] when the plan cache is configured)
       keyed by a fingerprint over the schedule content, the OCaml
-      version, word size, OS and emitter version, plus an in-process
-      memo. Each compile runs in a build directory of its own, so
-      concurrent compiles of one key share no file; only the finished
-      [.cmxs] is renamed into the cache, and a failed compile leaves
-      its log beside it.
+      version, word size and OS, plus an in-process memo. Each compile
+      runs in a build directory of its own, so concurrent compiles of
+      one key share no file; only the finished [.cmxs], sealed with its
+      length, the emitter version and a checksum, is renamed into the
+      cache, and a failed compile leaves its log beside it. A cached
+      file whose seal does not match (truncated, corrupted, or written
+      by another emitter) is never loaded: it is a miss that the
+      recompile replaces.
 
     Every failure to reach a higher tier — no toolchain, compile
     error, a cache directory that cannot be created or written,
@@ -40,9 +44,7 @@ type t = {
   summary : Reorder.Shape.summary;
   run : steps:int -> unit;
       (** Execute [steps] schedule walks on the kernel state the
-          specialization was built from. For [Kernels.Kernel.t]
-          kernels this matches [run_tiled ~steps]; for Gauss-Seidel
-          each step is one whole schedule walk ([sweeps] sweeps). *)
+          specialization was built from, as [run_tiled ~steps] does. *)
   compile_seconds : float;
       (** Tier B out-of-process compile time; 0 on a cache hit or for
           the other tiers. *)
@@ -68,18 +70,9 @@ val set_enabled : bool -> unit
 val make :
   ?tier_b:bool -> ?verify:bool -> Kernels.Kernel.t -> Reorder.Schedule.t -> t
 
-(** {!make} for the Gauss-Seidel smoother ([run ~steps] executes
-    [steps] whole schedule walks; verification compares [u] and [f]
-    bitwise). *)
-val make_gs :
-  ?tier_b:bool ->
-  ?verify:bool ->
-  Kernels.Gauss_seidel.t ->
-  Reorder.Schedule.t ->
-  t
-
 (** The exact Tier B source {!make} would compile for this pair (no
     toolchain needed), for [rtrt codegen --plan]. [None] when the
-    emitter declines (unknown kernel or source-budget overflow). *)
+    emitter declines (a kernel without a body file, such as cg, or
+    source-budget overflow). *)
 val dump_source :
   Kernels.Kernel.t -> Reorder.Schedule.t -> string option

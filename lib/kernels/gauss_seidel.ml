@@ -142,18 +142,11 @@ let schedule tiling =
          { Reorder.Sparse_tile.n_tiles = tiling.n_tiles; tile_of = th })
        tiling.theta)
 
-(* The update as Walker loop functions: a row's items, a row's runs.
-   [update] itself stays bounds-checked (it chases graph adjacency). *)
+(* The update as a Walker loop function over a row's items. [update]
+   itself stays bounds-checked (it chases graph adjacency). *)
 let update_items t fl lo hi =
   for idx = lo to hi - 1 do
     update t fl.(idx)
-  done
-
-let update_runs t rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for v = rlo.(k) to rlo.(k) + rln.(k) - 1 do
-      update t v
-    done
   done
 
 (* Walk one tile of the flat schedule: sweeps in order, member nodes in
@@ -169,40 +162,10 @@ let run_tile t (sched : Reorder.Schedule.t) ~tile =
 (* Walk a flat schedule directly — tiles in order, sweeps (chain
    positions) in order within a tile, member nodes in row order —
    through the pair kernels' walker. [run_tiled] is [run_sched] of
-   [schedule tiling]; exposing the schedule-level walk lets the
-   specialization tiers compare against the same interpreted baseline
-   as the other kernels. *)
+   [schedule tiling]. *)
 let run_sched t sched = Walker.walk_items [| update_items |] t sched
 
-(* Tier A shape-specialized twin of [run_sched]: streams each row's
-   run-length index as [for v = lo to hi] ranges, so the shape only has
-   to come from this exact schedule for the walks to coincide
-   bitwise. *)
-let run_sched_shaped t (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t) =
-  if not (Reorder.Shape.for_schedule shape sched) then
-    invalid_arg
-      "Gauss_seidel.run_sched_shaped: shape built from a different schedule";
-  Walker.walk_shape [| update_runs |] t sched shape
-
 let run_tiled t tiling = run_sched t (schedule tiling)
-
-(* The graph's CSR arrays (adjacency in [iter_neighbors] order), for
-   the Tier B executor emitter: generated code re-chases adjacency
-   through plain int arrays instead of the Csr abstraction. *)
-let csr_arrays graph =
-  let n = Irgraph.Csr.num_nodes graph in
-  let ptr = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    ptr.(v + 1) <- ptr.(v) + Irgraph.Csr.degree graph v
-  done;
-  let adj = Array.make ptr.(n) 0 in
-  let pos = ref 0 in
-  for v = 0 to n - 1 do
-    Irgraph.Csr.iter_neighbors graph v (fun w ->
-        adj.(!pos) <- w;
-        incr pos)
-  done;
-  (ptr, adj)
 
 (* Execute [total_sweeps] as consecutive slabs of the tiling's depth:
    temporal blocking in the usual sense. Tile growth smears by one

@@ -2,7 +2,8 @@
     sparse tiling was originally developed for (Section 2.3). Tiles
     grow across convergence sweeps; the tiled executor is bitwise
     identical to the plain smoother when {!check_constraints} reports
-    no violations. *)
+    no violations. Its schedule walk is the interpreted one only: the
+    specialized tiers (Compose.Specialize) cover the pair kernels. *)
 
 type t = {
   graph : Irgraph.Csr.t;
@@ -57,15 +58,6 @@ val run_tiled : t -> tiling -> unit
     member nodes in row order); [run_tiled] is [run_sched] of
     [schedule tiling]. *)
 val run_sched : t -> Reorder.Schedule.t -> unit
-
-(** Tier A shape-specialized twin of {!run_sched}: streams the
-    schedule's run-length index; bitwise identical. The shape must be
-    {!Reorder.Shape.analyze} of this exact schedule value. *)
-val run_sched_shaped : t -> Reorder.Schedule.t -> Reorder.Shape.t -> unit
-
-(** The graph's CSR arrays [(ptr, adj)] with adjacency in
-    [iter_neighbors] order, for the Tier B executor emitter. *)
-val csr_arrays : Irgraph.Csr.t -> int array * int array
 
 (** Execute [total_sweeps] as consecutive slabs of [tiling.sweeps]
     (temporal blocking); raises if not a multiple. *)

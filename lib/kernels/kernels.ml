@@ -11,6 +11,9 @@ module Irreg = Irreg
 module Cg = Cg
 module Gauss_seidel = Gauss_seidel
 
+(** The Tier B kernels' body files, [<kernel>_body.ml], as strings. *)
+module Body_files = Body_files
+
 (** Benchmark constructors by name. *)
 let by_name = function
   | "moldyn" -> Some Moldyn.of_dataset

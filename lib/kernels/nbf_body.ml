@@ -1,0 +1,35 @@
+(* Nbf's loop bodies, the only copy: one per chain class, each taking
+   the kernel's arrays in Kernel.exec_arrays order and then the
+   iteration. Stdlib only: dune splices this file into module Nbf and
+   Compose.Codegen into every specialized nbf module. *)
+
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+let dt = 0.0001
+
+(* Lennard-Jones 12-6 shape; shared by the pair body and the parallel
+   stash. *)
+let[@inline always] force dx dy dz =
+  let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) +. 1.0 in
+  let ir2 = 1.0 /. r2 in
+  let ir6 = ir2 *. ir2 *. ir2 in
+  ((2.0 *. ir6 *. ir6) -. ir6) *. ir2
+
+let[@inline always] update (_, _, x, y, z, fx, fy, fz, i) =
+  x.!(i) <- x.!(i) +. (dt *. fx.!(i));
+  y.!(i) <- y.!(i) +. (dt *. fy.!(i));
+  z.!(i) <- z.!(i) +. (dt *. fz.!(i))
+
+let[@inline always] pair (left, right, x, y, z, fx, fy, fz, j) =
+  let l = left.!(j) and r = right.!(j) in
+  let dx = x.!(l) -. x.!(r) in
+  let dy = y.!(l) -. y.!(r) in
+  let dz = z.!(l) -. z.!(r) in
+  let g = force dx dy dz in
+  fx.!(l) <- fx.!(l) +. (g *. dx);
+  fx.!(r) <- fx.!(r) -. (g *. dx);
+  fy.!(l) <- fy.!(l) +. (g *. dy);
+  fy.!(r) <- fy.!(r) -. (g *. dy);
+  fz.!(l) <- fz.!(l) +. (g *. dz);
+  fz.!(r) <- fz.!(r) -. (g *. dz)

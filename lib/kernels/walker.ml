@@ -21,7 +21,10 @@
    [items] slice, one streams a row's runs. The loop functions take the
    kernel's arrays as one tuple and bind them before the loop, so inside
    it the arrays live in registers rather than behind a closure
-   environment; the engine calls them once per row.
+   environment; the engine calls them once per row. Moldyn, nbf and
+   irreg keep their bodies in a Stdlib-only <kernel>_body.ml, which
+   dune places ahead of the declaration in the kernel's module (see
+   lib/kernels/dune) and Tier B splices into its specialized modules.
 
    Validated at construction, then unsafe. Every Kernel.t is built
    through Access.of_pairs, whose Access.make rejects an endpoint
@@ -129,8 +132,6 @@ let walk_runs fns a o =
       fns.(c mod Array.length fns) a o.lo o.len o.ptr.!(r) o.ptr.!(r + 1)
     done
   done
-
-let walk_shape fns a sched shape = walk_runs fns a (of_shape sched shape)
 
 (* The epilogue's fold of [v] over chain position [pos]'s iterations,
    tile-major: the walk's own iterations in the walk's own order. *)

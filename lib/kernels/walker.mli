@@ -2,7 +2,11 @@
     arrays, its loop chain and each chain class's body once; {!make}
     derives every walk of {!Kernel.t} from that declaration: the
     original order, the tiled and shaped schedule walks, the parallel
-    engine's body, the traced walks and the reorderings. *)
+    engine's body, the traced walks and the reorderings. For moldyn,
+    nbf and irreg the bodies live in a Stdlib-only [<kernel>_body.ml],
+    compiled into the kernel's module ahead of its declaration and
+    spliced by Tier B (Compose.Codegen) into every specialized module,
+    so the walker and Tier B run the same text. *)
 
 (** Unchecked indexing for the loop functions. Sound because every
     index is validated before a walk: endpoints at construction, the
@@ -91,15 +95,6 @@ val walk_items :
   ('a -> int array -> int -> int -> unit) array ->
   'a ->
   Reorder.Schedule.t ->
-  unit
-
-(** {!walk_items} over the schedule's run index; the shape must be
-    {!Reorder.Shape.analyze} of this schedule. *)
-val walk_shape :
-  ('a -> int array -> int array -> int -> int -> unit) array ->
-  'a ->
-  Reorder.Schedule.t ->
-  Reorder.Shape.t ->
   unit
 
 (** The kernel over a dataset's interactions, arrays at their declared

@@ -219,16 +219,6 @@ let file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~has_summary ~n_fns
   + (if has_summary then summary_bytes else 0)
   + (8 * n_fns) + fn_name_bytes + (4 * fn_ints) + trailer_bytes
 
-let fnv1a_64 buf len =
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to len - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get buf i))))
-        0x100000001b3L
-  done;
-  !h
-
 (* A cursor over everything before the checksum. Both directions go
    through [advance], so no read or write can leave [0, limit). *)
 type cursor = { buf : Bytes.t; mutable pos : int; limit : int }
@@ -334,7 +324,7 @@ let encode ~hex e =
     e.reordering_fns;
   put_int c e.n_data_remaps;
   put_float c e.cold_inspector_seconds;
-  Bytes.set_int64_le c.buf c.limit (fnv1a_64 c.buf c.limit);
+  Bytes.set_int64_le c.buf c.limit (Fingerprint.checksum c.buf c.limit);
   c.buf
 
 let get_int c =
@@ -429,7 +419,7 @@ let decode buf ~hex ~n_data ~n_iter =
   if get_string c (String.length magic) <> magic then
     corrupt "not a plan-cache entry";
   if get_int c <> format_version then corrupt "unsupported format version";
-  if Bytes.get_int64_le buf c.limit <> fnv1a_64 buf c.limit then
+  if Bytes.get_int64_le buf c.limit <> Fingerprint.checksum buf c.limit then
     corrupt "checksum mismatch";
   if get_string c key_bytes <> hex then corrupt "key mismatch";
   let f_n_data = get_int c in

@@ -64,3 +64,12 @@ let add_int_array b a =
 let add_float b f = b.h <- raw_int64 (byte b.h 0x05) (Int64.bits_of_float f)
 
 let value b = b.h
+
+(* Plain FNV-1a over the first [len] bytes of [buf], with no tags: the
+   checksum that seals the files of the on-disk tiers. *)
+let checksum buf len =
+  let h = ref fnv_offset in
+  for i = 0 to len - 1 do
+    h := byte !h (Char.code (Bytes.unsafe_get buf i))
+  done;
+  !h

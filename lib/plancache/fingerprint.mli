@@ -23,3 +23,7 @@ val add_string : builder -> string -> unit
 val add_int_array : builder -> int array -> unit
 val add_float : builder -> float -> unit
 val value : builder -> t
+
+(** 64-bit FNV-1a of the first [len] bytes of a buffer, untagged: the
+    checksum sealing plan-cache entries and Tier B [.cmxs] files. *)
+val checksum : Bytes.t -> int -> int64

@@ -13,7 +13,8 @@
    table for reporting.
 
    Same disk discipline as [Cache]: one [tuned-<hex>.json] file per
-   key, atomic tmp+rename writes, validated loads that degrade to a
+   key, atomic tmp+rename writes, validated loads (version, the key
+   the entry names, a checksum over its values) that degrade to a
    miss on any corruption. Traffic is published as [autotune.cache.*]
    metrics. *)
 
@@ -100,24 +101,38 @@ let pp_stats ppf (s : stats) =
 
 module J = Rtrt_obs.Json
 
-let format_version = 1
+(* Version 2 added the checksum: a version 1 file is a miss that the
+   next store overwrites. *)
+let format_version = 2
+
+let fields ~hex e =
+  [
+    ("version", J.Int format_version);
+    ("key", J.String hex);
+    ("winner", J.String e.winner);
+    ("winner_plan", J.String e.winner_plan);
+    ("winner_score_ns", J.Float e.winner_score_ns);
+    ( "scores",
+      J.List
+        (List.map
+           (fun (name, score) ->
+             J.Obj [ ("name", J.String name); ("score_ns", J.Float score) ])
+           e.scores) );
+    ("machine", J.String e.machine);
+  ]
+
+(* FNV-1a over the entry's JSON without the checksum field. A decoded
+   entry prints back to the same bytes (floats print as text that
+   reads back exactly), so the reader recomputes it from what it
+   decoded: a change to any value that still parses, such as a flipped
+   letter in the plan, is caught. *)
+let checksum ~hex e =
+  let s = J.to_string (J.Obj (fields ~hex e)) in
+  Printf.sprintf "%016Lx"
+    (Fingerprint.checksum (Bytes.unsafe_of_string s) (String.length s))
 
 let json_of_entry ~hex e =
-  J.Obj
-    [
-      ("version", J.Int format_version);
-      ("key", J.String hex);
-      ("winner", J.String e.winner);
-      ("winner_plan", J.String e.winner_plan);
-      ("winner_score_ns", J.Float e.winner_score_ns);
-      ( "scores",
-        J.List
-          (List.map
-             (fun (name, score) ->
-               J.Obj [ ("name", J.String name); ("score_ns", J.Float score) ])
-             e.scores) );
-      ("machine", J.String e.machine);
-    ]
+  J.Obj (fields ~hex e @ [ ("checksum", J.String (checksum ~hex e)) ])
 
 let ( let* ) = Result.bind
 
@@ -138,7 +153,9 @@ let float_field name j =
   | Some f -> Ok f
   | None -> Error ("field " ^ name ^ " is not a number")
 
-let entry_of_json j =
+(* [hex] names the file: an entry copied under another key's name is
+   not that key's winner. *)
+let entry_of_json ~hex j =
   let* version =
     let* v = field "version" j in
     match J.to_int_opt v with
@@ -147,6 +164,10 @@ let entry_of_json j =
   in
   if version <> format_version then Error "unsupported format version"
   else
+    let* key = string_field "key" j in
+    let* () =
+      if key = hex then Ok () else Error ("entry stored under key " ^ key)
+    in
     let* winner = string_field "winner" j in
     let* winner_plan = string_field "winner_plan" j in
     let* winner_score_ns = float_field "winner_score_ns" j in
@@ -164,9 +185,12 @@ let entry_of_json j =
       | _ -> Error "bad scores field"
     in
     let* machine = string_field "machine" j in
-    if not (List.mem_assoc winner scores) then
+    let e = { winner; winner_plan; winner_score_ns; scores; machine } in
+    let* sum = string_field "checksum" j in
+    if sum <> checksum ~hex e then Error "checksum mismatch"
+    else if not (List.mem_assoc winner scores) then
       Error "winner missing from the score table"
-    else Ok { winner; winner_plan; winner_score_ns; scores; machine }
+    else Ok e
 
 (* Is this (possibly deserialized, possibly fingerprint-colliding)
    entry usable for the machine the caller is tuning for? *)
@@ -192,7 +216,7 @@ let disk_load t hex ~machine =
         | contents -> (
           match J.of_string contents with
           | Ok j ->
-            let* e = entry_of_json j in
+            let* e = entry_of_json ~hex j in
             let* () = validate_entry e ~machine in
             Ok e
           | Error msg -> Error msg)

@@ -9,8 +9,10 @@
 
     Two tiers: an in-memory table and an optional on-disk store (one
     [tuned-<hex>.json] per key, written atomically). Disk loads are
-    validated — version, machine, winner present in the score table —
-    so a corrupt or stale file degrades to a miss, never a crash.
+    validated — version, the key the entry names, a checksum over its
+    values, machine, winner present in the score table — so a corrupt,
+    stale or misnamed file degrades to a counted miss, never a crash or
+    another entry's plan.
     Traffic is published to {!Rtrt_obs.Metrics} under
     [autotune.cache.hit], [autotune.cache.miss], [autotune.cache.store],
     [autotune.cache.disk_hit], [autotune.cache.disk_error]. *)

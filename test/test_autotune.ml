@@ -197,6 +197,104 @@ let test_tuned_concurrent_processes () =
     (Self_exec.run_children 2 [ (writer_env, dir) ]);
   check_one_entry_left dir
 
+(* A small real entry: a winning plan the harness can parse back. *)
+let sample_entry =
+  let plan = Plan.with_fst ~seed_part_size:24 Plan.cpack_lexgroup in
+  {
+    Tuned.winner = Plan.name plan;
+    winner_plan = A.plan_to_string plan;
+    winner_score_ns = 1.0;
+    scores = [ ("CL", 2.0); (Plan.name plan, 1.0) ];
+    machine = "m";
+  }
+
+let key_of name =
+  let b = Rtrt_plancache.Fingerprint.create () in
+  Rtrt_plancache.Fingerprint.add_string b name;
+  Rtrt_plancache.Fingerprint.value b
+
+let entry_path dir key =
+  Filename.concat dir
+    ("tuned-" ^ Rtrt_plancache.Fingerprint.to_hex key ^ ".json")
+
+let remove_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* An entry copied under another key's file name names its own key
+   inside: it is a counted disk error and a miss for the other key. *)
+let test_tuned_copied_entry () =
+  let dir = fresh_dir () in
+  let k1 = key_of "one" and k2 = key_of "two" in
+  Tuned.store (Tuned.create ~dir ()) ~key:k1 sample_entry;
+  let contents = In_channel.with_open_bin (entry_path dir k1) In_channel.input_all in
+  Out_channel.with_open_bin (entry_path dir k2) (fun oc ->
+      output_string oc contents);
+  let fresh = Tuned.create ~dir () in
+  Alcotest.(check bool) "copied entry is a miss" true
+    (Tuned.find fresh ~key:k2 ~machine:"m" = None);
+  let st = Tuned.stats fresh in
+  Alcotest.(check (pair int int)) "one disk error, no disk hit" (1, 0)
+    (st.Tuned.disk_errors, st.Tuned.disk_hits);
+  Alcotest.(check bool) "the original still hits" true
+    (Tuned.find fresh ~key:k1 ~machine:"m" <> None);
+  remove_dir dir
+
+(* The reader under damage: byte flips, truncations and appends to a
+   stored entry. [find] never raises; a miss counts exactly one disk
+   error; a hit's winner is in its score table and its plan parses. *)
+type damage = Flip of int * int | Truncate of int | Append of string
+
+let prop_tuned_reader_fuzz =
+  let key = key_of "fuzz" in
+  let stored =
+    let dir = fresh_dir () in
+    Tuned.store (Tuned.create ~dir ()) ~key sample_entry;
+    let s = In_channel.with_open_bin (entry_path dir key) In_channel.input_all in
+    remove_dir dir;
+    s
+  in
+  let n = String.length stored in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun i m -> Flip (i, m)) (int_bound (n - 1)) (int_range 1 255);
+          map (fun len -> Truncate len) (int_bound (n - 1));
+          map (fun s -> Append s) (string_size ~gen:char (int_range 1 16));
+        ])
+  in
+  let print = function
+    | Flip (i, m) -> Printf.sprintf "flip byte %d by 0x%02x" i m
+    | Truncate len -> Printf.sprintf "truncate to %d bytes" len
+    | Append s -> Printf.sprintf "append %S" s
+  in
+  QCheck.Test.make ~name:"tuned reader: damaged entry -> miss or valid hit"
+    ~count:300 (QCheck.make ~print gen) (fun d ->
+      let damaged =
+        match d with
+        | Flip (i, m) ->
+          let b = Bytes.of_string stored in
+          Bytes.set b i (Char.chr (Char.code stored.[i] lxor m));
+          Bytes.to_string b
+        | Truncate len -> String.sub stored 0 len
+        | Append s -> stored ^ s
+      in
+      let dir = fresh_dir () in
+      Sys.mkdir dir 0o755;
+      Out_channel.with_open_bin (entry_path dir key) (fun oc ->
+          output_string oc damaged);
+      let t = Tuned.create ~dir () in
+      let found = try Ok (Tuned.find t ~key ~machine:"m") with e -> Error e in
+      remove_dir dir;
+      match found with
+      | Error e ->
+        QCheck.Test.fail_reportf "find raised %s" (Printexc.to_string e)
+      | Ok None -> (Tuned.stats t).Tuned.disk_errors = 1
+      | Ok (Some e) ->
+        List.mem_assoc e.Tuned.winner e.Tuned.scores
+        && Result.is_ok (A.plan_of_string e.Tuned.winner_plan))
+
 (* ------------------------------------------------------------------ *)
 (* Degenerate spaces                                                   *)
 
@@ -246,6 +344,9 @@ let () =
             test_tuned_concurrent_writers;
           Alcotest.test_case "tuned store: two writer processes, one key"
             `Quick test_tuned_concurrent_processes;
+          Alcotest.test_case "tuned store: entry copied under another key"
+            `Quick test_tuned_copied_entry;
+          QCheck_alcotest.to_alcotest prop_tuned_reader_fuzz;
           Alcotest.test_case "single-candidate space" `Quick
             test_single_candidate;
           Alcotest.test_case "bad spaces rejected" `Quick

@@ -385,8 +385,8 @@ let test_gs_traced_counts () =
   let tiled = count (Kernels.Gauss_seidel.run_tiled_traced t tiling) in
   Alcotest.(check int) "same references" plain tiled
 
-(* The schedule walks' final bits, pinned like the pair kernels'. *)
-let gs_golden = ("41ae78df83120da0", "41ae78df83120da0")
+(* The schedule walk's final bits, pinned like the pair kernels'. *)
+let gs_golden = "41ae78df83120da0"
 
 let test_gs_golden () =
   let graph, f = gs_problem ~scale:512 in
@@ -400,13 +400,8 @@ let test_gs_golden () =
     run t;
     hash_snapshot [ ("u", t.Kernels.Gauss_seidel.u) ]
   in
-  let interp = walk (fun t -> Kernels.Gauss_seidel.run_sched t sched) in
-  let shape = Reorder.Shape.analyze sched in
-  let shaped =
-    walk (fun t -> Kernels.Gauss_seidel.run_sched_shaped t sched shape)
-  in
-  Alcotest.(check (pair string string)) "gs run_sched, run_sched_shaped"
-    gs_golden (interp, shaped)
+  Alcotest.(check string) "gs run_sched" gs_golden
+    (walk (fun t -> Kernels.Gauss_seidel.run_sched t sched))
 
 (* Property: GS tiling constraints hold on random graphs. *)
 let prop_gs_constraints =

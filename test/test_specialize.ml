@@ -1,11 +1,12 @@
 (* Tests for staged executor specialization: the Shape run-length
    detector, the Tier A shaped executors (bitwise identical to the
    interpreted walk, serial and pooled), the Tier B compiled executors
-   (bitwise identical, one copy of each loop body in a source that
-   grows with the schedule's runs, graceful fallback without a
-   toolchain or a writable cache directory, one cached module when two
-   processes compile the same key), and the validated-once memos that
-   let plan-cache hits skip the O(rows) re-validation scans. *)
+   (bitwise identical; a source that holds the kernel's body file once
+   and grows with the schedule's runs; graceful fallback without a
+   toolchain or a writable cache directory; one cached module when two
+   processes compile the same key; a damaged cached module recompiled,
+   never loaded), and the validated-once memos that let plan-cache hits
+   skip the O(rows) re-validation scans. *)
 
 module Shape = Reorder.Shape
 module Schedule = Reorder.Schedule
@@ -174,35 +175,6 @@ let prop_shaped_bitwise =
                (k_shaped.Kernels.Kernel.snapshot ()))
         kernels_under_test)
 
-(* Gauss-Seidel: shaped schedule walk bitwise = interpreted walk. *)
-let gs_problem ~scale =
-  let d = Datagen.Generators.foil ~scale () in
-  let graph = Datagen.Dataset.to_graph d in
-  let n = Irgraph.Csr.num_nodes graph in
-  let f = Array.init n (fun i -> 1.0 +. float_of_int (i mod 17)) in
-  (graph, f)
-
-let bits_equal a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a b
-
-let test_gs_shaped_bitwise () =
-  let graph, f = gs_problem ~scale:256 in
-  let n = Irgraph.Csr.num_nodes graph in
-  let t1 = Kernels.Gauss_seidel.create ~graph ~f in
-  let t2 = Kernels.Gauss_seidel.create ~graph ~f in
-  let sched = Schedule.of_tile_fns [| tf 4 (Array.init n (fun i -> i mod 4)) |] in
-  let shape = Shape.analyze sched in
-  for _ = 1 to 3 do
-    Kernels.Gauss_seidel.run_sched t1 sched;
-    Kernels.Gauss_seidel.run_sched_shaped t2 sched shape
-  done;
-  Alcotest.(check bool)
-    "gs shaped bitwise" true
-    (bits_equal t1.Kernels.Gauss_seidel.u t2.Kernels.Gauss_seidel.u)
-
 (* Tier A under the pool: the shaped walk of the level-major renumbered
    schedule is bitwise identical to the parallel executor on it. *)
 let check_shaped_matches_par ~domains plan kernel =
@@ -289,29 +261,6 @@ let test_codegen_bitwise () =
       kernels_under_test
   end
 
-let test_codegen_gs_bitwise () =
-  if not (have_toolchain ()) then ()
-  else begin
-    let graph, f = gs_problem ~scale:192 in
-    let n = Irgraph.Csr.num_nodes graph in
-    let t_interp = Kernels.Gauss_seidel.create ~graph ~f in
-    let t_spec = Kernels.Gauss_seidel.create ~graph ~f in
-    let sched =
-      Schedule.of_tile_fns [| tf 3 (Array.init n (fun i -> i * 3 / n)) |]
-    in
-    let r = Specialize.make_gs ~tier_b:true t_spec sched in
-    Alcotest.(check string)
-      "gs reaches codegen tier" "codegen"
-      (Specialize.tier_name r.Specialize.tier);
-    r.Specialize.run ~steps:3;
-    for _ = 1 to 3 do
-      Kernels.Gauss_seidel.run_sched t_interp sched
-    done;
-    Alcotest.(check bool)
-      "gs codegen bitwise u" true
-      (bits_equal t_interp.Kernels.Gauss_seidel.u t_spec.Kernels.Gauss_seidel.u)
-  end
-
 let count haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i acc =
@@ -322,13 +271,23 @@ let count haystack needle =
 
 let contains haystack needle = count haystack needle > 0
 
-(* One line from each chain class's loop body, per kernel. *)
+(* Each kernel's body file, and one statement of each chain class's
+   body as that file writes it. *)
 let body_markers =
   [
     ( "moldyn",
-      [ "Array.unsafe_set x i"; "let gg = (0x1p+0) /. r2 in"; "Array.unsafe_set vx k" ] );
-    ("nbf", [ "Array.unsafe_set x i"; "let ir6 = ir2 *. ir2 *. ir2 in" ]);
-    ("irreg", [ "let d = Array.unsafe_get w v"; "Array.unsafe_set x k" ]);
+      ( Kernels.Body_files.moldyn,
+        [
+          "x.!(i) <- x.!(i) +. (dt *. (vx.!(i) +. fx.!(i)));";
+          "fx.!(l) <- fx.!(l) +. (g *. dx);";
+          "vx.!(k) <- vx.!(k) +. (dt *. fx.!(k));";
+        ] ) );
+    ( "nbf",
+      ( Kernels.Body_files.nbf,
+        [ "x.!(i) <- x.!(i) +. (dt *. fx.!(i));"; "fx.!(l) <- fx.!(l) +. (g *. dx);" ] ) );
+    ( "irreg",
+      ( Kernels.Body_files.irreg,
+        [ "y.!(l) <- y.!(l) +. d;"; "x.!(k) <- x.!(k) +. (relax *. y.!(k))" ] ) );
   ]
 
 (* Source size bound: the schedule costs at most this many bytes per
@@ -347,9 +306,9 @@ let dealt_sched (k : Kernels.Kernel.t) =
        k.Kernels.Kernel.loop_sizes)
 
 (* The emitted source is printable without a toolchain, carries the
-   registration footer the host looks up, holds each chain class's
-   body exactly once, and grows with the schedule's runs, not with
-   body size times runs. *)
+   registration footer the host looks up, holds the kernel's body file
+   verbatim and each chain class's body exactly once, and grows with
+   the schedule's runs, not with body size times runs. *)
 let test_codegen_source_dump () =
   let d = Datagen.Generators.foil ~scale:128 () in
   List.iter
@@ -365,12 +324,19 @@ let test_codegen_source_dump () =
         Alcotest.(check bool)
           (name ^ " registers") true
           (contains src "Callback.register");
+        let body_file, markers = List.assoc name body_markers in
+        Alcotest.(check bool)
+          (name ^ " holds its body file verbatim") true
+          (contains src body_file);
         List.iter
           (fun marker ->
             Alcotest.(check int)
+              (Printf.sprintf "%s body line %S in the body file" name marker)
+              1 (count body_file marker);
+            Alcotest.(check int)
               (Printf.sprintf "%s body line %S emitted once" name marker)
               1 (count src marker))
-          (List.assoc name body_markers);
+          markers;
         let sm = Shape.summary (Shape.analyze sched) in
         let bound =
           (bytes_per_run * (sm.Shape.runs + sm.Shape.rows)) + fixed_bytes
@@ -479,6 +445,87 @@ let test_concurrent_writers () =
       (Array.to_list files)
   end
 
+(* A cached module cut short, or with one byte flipped, must fail its
+   seal and be recompiled, never handed to Dynlink: Dynlink maps the
+   file, so a truncated one kills the process that touches it
+   (SIGBUS). Each child ([Self_exec]) finds one copy in a cache
+   directory of its own; it exits 0 iff it reached the codegen tier
+   (verified bitwise) by the route [expect] names: a fresh compile, or
+   a [.cmxs] hit with no compile. *)
+let loader_env = "RTRT_TEST_SPEC_LOADER"
+
+let loader expect =
+  let k, sched = writer_input () in
+  let r = Specialize.make ~tier_b:true k sched in
+  let hit = r.Specialize.cmxs_cache_hit && r.Specialize.compile_seconds = 0. in
+  if r.Specialize.tier = Specialize.Codegen && hit = (expect = "hit") then 0
+  else 1
+
+let status_text = function
+  | Unix.WEXITED n -> Printf.sprintf "exited %d" n
+  | Unix.WSIGNALED _ -> "killed by a signal"
+  | Unix.WSTOPPED _ -> "stopped by a signal"
+
+let test_damaged_cmxs () =
+  if not (have_toolchain ()) then ()
+  else begin
+    let k, sched = writer_input () in
+    let key = (Specialize.make ~tier_b:false ~verify:false k sched).Specialize.key in
+    let name = Printf.sprintf "spec_irreg_%s.cmxs" key in
+    (* Run one child over a fresh cache directory holding [contents]
+       (none: empty) as the module; returns its exit status and the
+       module the directory holds afterwards. *)
+    let child ~expect contents =
+      let root = Filename.temp_dir "rtrt-spec-damage" "" in
+      let spec = Filename.concat root "spec" in
+      let path = Filename.concat spec name in
+      Unix.mkdir spec 0o755;
+      Option.iter
+        (fun c -> Out_channel.with_open_bin path (fun oc -> output_string oc c))
+        contents;
+      let status =
+        match
+          Self_exec.run_children 1
+            [ (loader_env, expect); ("RTRT_PLAN_CACHE_DIR", root) ]
+        with
+        | [ st ] -> st
+        | _ -> assert false
+      in
+      let left = In_channel.with_open_bin path In_channel.input_all in
+      Array.iter (fun f -> Sys.remove (Filename.concat spec f)) (Sys.readdir spec);
+      Sys.rmdir spec;
+      Sys.rmdir root;
+      (status, left)
+    in
+    let status, good = child ~expect:"compile" None in
+    Alcotest.(check string) "first child compiled" "exited 0" (status_text status);
+    let n = String.length good in
+    let flipped = Bytes.of_string good in
+    Bytes.set flipped (n / 2)
+      (Char.chr (Char.code (Bytes.get flipped (n / 2)) lxor 0x5a));
+    let damaged =
+      List.filter_map
+        (fun len ->
+          if len < n then
+            Some (Printf.sprintf "truncated to %d bytes" len, String.sub good 0 len)
+          else None)
+        [ 100; 4096; 8192; 20_000; n / 2; n - 1 ]
+      @ [ ("one byte flipped", Bytes.to_string flipped) ]
+    in
+    List.iter
+      (fun (what, contents) ->
+        let status, rebuilt = child ~expect:"compile" (Some contents) in
+        Alcotest.(check string)
+          (what ^ ": rejected, recompiled, verified") "exited 0"
+          (status_text status);
+        Alcotest.(check bool)
+          (what ^ ": replaced in the cache") true (rebuilt <> contents))
+      damaged;
+    let status, _ = child ~expect:"hit" (Some good) in
+    Alcotest.(check string)
+      "intact copy loads with no compile" "exited 0" (status_text status)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Validated-once memos (satellite: skip O(rows) re-validation on
    plan-cache hits) *)
@@ -523,6 +570,7 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
   if Sys.getenv_opt writer_env = Some "1" then exit (writer ());
+  Option.iter (fun expect -> exit (loader expect)) (Sys.getenv_opt loader_env);
   Alcotest.run "specialize"
     [
       ( "shape",
@@ -536,16 +584,13 @@ let () =
             test_shape_pin_invalidated;
         ] );
       ( "tier-a",
-        Alcotest.test_case "gs shaped bitwise" `Quick test_gs_shaped_bitwise
-        :: Alcotest.test_case "shaped = pooled executors" `Quick
-             test_shaped_matches_par
+        Alcotest.test_case "shaped = pooled executors" `Quick
+          test_shaped_matches_par
         :: qsuite [ prop_shaped_bitwise ] );
       ( "tier-b",
         [
           Alcotest.test_case "codegen bitwise (pair kernels)" `Quick
             test_codegen_bitwise;
-          Alcotest.test_case "codegen bitwise (gauss-seidel)" `Quick
-            test_codegen_gs_bitwise;
           Alcotest.test_case "source dump" `Quick test_codegen_source_dump;
           Alcotest.test_case "no-toolchain fallback" `Quick
             test_no_toolchain_fallback;
@@ -553,6 +598,8 @@ let () =
             test_unwritable_cache_fallback;
           Alcotest.test_case "concurrent writers, one key" `Quick
             test_concurrent_writers;
+          Alcotest.test_case "damaged .cmxs recompiled, never loaded" `Quick
+            test_damaged_cmxs;
         ] );
       ( "memos",
         [
