@@ -465,9 +465,8 @@ let run_trace_report file scale steps =
 
 let run_churn ?cache_dir domains scale steps =
   ignore cache_dir;
-  let report =
-    Harness.Churnbench.measure ~rounds:(max 2 steps) ~scale ~domains ()
-  in
+  ignore domains;
+  let report = Harness.Churnbench.measure ~rounds:(max 2 steps) ~scale () in
   Fmt.pr
     "Repair vs cold re-inspection under graph churn (degree-preserving \
      rewires):@.";

@@ -92,10 +92,9 @@ let record_fn walk base perm =
   walk.fns <- (name, perm) :: walk.fns;
   name
 
-(* Serial twin of [Rtrt_par.Inspect.materialize]: the composed view as
-   a concrete access, bit-identical to
+(* The composed view as a concrete access, bit-identical to
    [Access.reorder_iters delta (Access.map_data sigma base)]. *)
-let materialize_serial (base : Access.t) ~sigma ~delta_inv =
+let materialize (base : Access.t) ~sigma ~delta_inv =
   let n_iter = Access.n_iter base and n_data = Access.n_data base in
   let bptr = base.Access.ptr and bdat = base.Access.dat in
   let ptr = Array.make (n_iter + 1) 0 in
@@ -115,19 +114,13 @@ let materialize_serial (base : Access.t) ~sigma ~delta_inv =
 (* The access under all reorderings so far. Remap_each keeps it
    eagerly materialized; Remap_once materializes the view on demand
    and caches it until the next composition invalidates it. *)
-let current ?pool walk =
+let current walk =
   match walk.work_access with
   | Some a -> a
   | None ->
     Rtrt_obs.Metrics.incr c_view_materializations;
     let a =
-      match pool with
-      | Some pool ->
-        Rtrt_par.Inspect.materialize ~pool walk.base ~sigma:walk.sigma_acc
-          ~delta_inv:walk.delta_inv
-      | None ->
-        materialize_serial walk.base ~sigma:walk.sigma_acc
-          ~delta_inv:walk.delta_inv
+      materialize walk.base ~sigma:walk.sigma_acc ~delta_inv:walk.delta_inv
     in
     walk.work_access <- Some a;
     a
@@ -176,8 +169,7 @@ let iter_perm walk strategy delta_new =
       Some (Access.reorder_iters delta_new (Option.get walk.work_access));
     walk.kern <- walk.kern.Kernels.Kernel.apply_iter_perm delta_new
 
-let seed_tiles_of ?pool walk (seed : Transform.seed_partition) ~seed_loop ~work
-    =
+let seed_tiles_of walk (seed : Transform.seed_partition) ~seed_loop ~work =
   let kern = walk.kern in
   let n_seed = kern.Kernels.Kernel.loop_sizes.(seed_loop) in
   match seed with
@@ -188,12 +180,7 @@ let seed_tiles_of ?pool walk (seed : Transform.seed_partition) ~seed_loop ~work
     (* Partition the data-affinity graph and key each seed-loop
        iteration by the partition of its first touch (for identity
        loops that *is* its datum). *)
-    let g =
-      match pool with
-      | Some pool -> Rtrt_par.Inspect.to_graph ~pool work
-      | None -> Access.to_graph work
-    in
-    let p = Irgraph.Partition.gpart g ~part_size in
+    let p = Irgraph.Partition.gpart (Access.to_graph work) ~part_size in
     let assign = Irgraph.Partition.assignment p in
     let tile_of =
       if seed_loop = kern.Kernels.Kernel.seed_loop then
@@ -202,35 +189,26 @@ let seed_tiles_of ?pool walk (seed : Transform.seed_partition) ~seed_loop ~work
     in
     { Sparse_tile.n_tiles = Irgraph.Partition.n_parts p; tile_of }
 
-let sparse_tile ?pool walk strategy ~share_symmetric_deps growth seed =
+let sparse_tile walk strategy ~share_symmetric_deps growth seed =
   let kern = walk.kern in
   if walk.schedule <> None then invalid "Inspector: already sparse tiled";
   (* The chain build is the one Remap_once stage that needs a concrete
      access (it is a kernel closure); the lazy cache makes it a single
      materialization. *)
-  let work = current ?pool walk in
+  let work = current walk in
   let chain = kern.Kernels.Kernel.chain_of_access work in
   let tiles =
     match (growth : Transform.tile_growth) with
     | Transform.Full -> (
       let seed_loop = kern.Kernels.Kernel.seed_loop in
-      let seed_tiles = seed_tiles_of ?pool walk seed ~seed_loop ~work in
-      match (pool, strategy) with
-      | Some pool, _ ->
-        (* Pooled growth walks only the predecessor dependence set
-           (scatter-min reconstructs the successor direction on the
-           fly), so neither a transpose nor the shared symmetric twin
-           is needed, whatever [share_symmetric_deps] says. *)
-        Sparse_tile.full
-          ~grow_backward:(Rtrt_par.Inspect.grow_backward ~pool)
-          ~grow_forward:(Rtrt_par.Inspect.grow_forward ~pool)
-          ~chain ~seed:seed_loop ~seed_tiles ()
-      | None, Remap_once when share_symmetric_deps ->
+      let seed_tiles = seed_tiles_of walk seed ~seed_loop ~work in
+      match strategy with
+      | Remap_once when share_symmetric_deps ->
         (* Traverse one dependence set: scatter-min over the
            predecessors instead of gathering over the successors. *)
         Sparse_tile.full ~grow_backward:Sparse_tile.grow_backward_scatter
           ~chain ~seed:seed_loop ~seed_tiles ()
-      | None, _ ->
+      | _ ->
         let shared_succ =
           if share_symmetric_deps then
             List.map
@@ -240,15 +218,10 @@ let sparse_tile ?pool walk strategy ~share_symmetric_deps growth seed =
         in
         Sparse_tile.full ~shared_succ ~chain ~seed:seed_loop ~seed_tiles ())
     | Transform.Cache_block ->
-      let seed_tiles = seed_tiles_of ?pool walk seed ~seed_loop:0 ~work in
+      let seed_tiles = seed_tiles_of walk seed ~seed_loop:0 ~work in
       Sparse_tile.cache_block ~chain ~seed_tiles
   in
-  let violations =
-    match pool with
-    | Some pool -> Rtrt_par.Inspect.check_legality ~pool ~chain ~tiles
-    | None -> Sparse_tile.check_legality ~chain ~tiles
-  in
-  (match violations with
+  (match Sparse_tile.check_legality ~chain ~tiles with
   | [] -> ()
   | (l, a, b) :: _ ->
     invalid "Inspector: illegal tile function (loop pair %d, %d -> %d)" l a b);
@@ -336,15 +309,8 @@ let replay (entry : Rtrt_plancache.Cache.entry) (kernel : Kernels.Kernel.t) =
           entry.schedule);
   }
 
-let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
+let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     plan (kernel : Kernels.Kernel.t) =
-  (* Pool-backed substitutions are bit-identical to the serial
-     algorithms, so inspector output never depends on the domain
-     count. *)
-  let pool = match pool with
-    | Some p when Rtrt_par.Pool.size p > 1 -> Some p
-    | _ -> None
-  in
   (match Plan.validate plan with
   | Ok () -> ()
   | Error msg -> invalid "Inspector: %s" msg);
@@ -403,10 +369,6 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       counters = [];
     }
   in
-  (* The Remap_once view of the original access under the composed
-     reorderings: current iteration [cur] touches [sigma_acc.(d)] for
-     each [d] in base row [delta_inv.(cur)]. *)
-  let view = (walk.sigma_acc, walk.delta_inv) in
   let apply (t : Transform.t) =
     Rtrt_obs.Span.with_span ~name:"inspector.transform"
       ~attrs:[ ("kind", Rtrt_obs.Json.String (Transform.name t)) ]
@@ -416,36 +378,16 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       let sigma_new =
         match alg with
         | Transform.Cpack -> (
-          match (strategy, pool) with
-          | Remap_once, Some pool ->
-            Rtrt_par.Inspect.cpack ~pool ~view walk.base
-          | Remap_once, None ->
+          match strategy with
+          | Remap_once ->
             Cpack.run_view walk.base ~sigma:walk.sigma_acc
               ~delta_inv:walk.delta_inv
-          | Remap_each, Some pool ->
-            Rtrt_par.Inspect.cpack ~pool (current walk)
-          | Remap_each, None -> Cpack.run (current walk))
-        | Transform.Gpart { part_size } -> (
-          match (strategy, pool) with
-          | Remap_once, Some pool ->
-            let graph = Rtrt_par.Inspect.to_graph ~pool ~view walk.base in
-            Rtrt_par.Inspect.gpart ~pool ~graph walk.base ~part_size
-          | Remap_each, Some pool ->
-            let work = current walk in
-            let graph = Rtrt_par.Inspect.to_graph ~pool work in
-            Rtrt_par.Inspect.gpart ~pool ~graph work ~part_size
-          | _, None -> Gpart_reorder.run (current walk) ~part_size)
-        | Transform.Multilevel { part_size } -> (
-          match (strategy, pool) with
-          | Remap_once, Some pool ->
-            let graph = Rtrt_par.Inspect.to_graph ~pool ~view walk.base in
-            Rtrt_par.Inspect.multilevel ~pool ~graph walk.base ~part_size
-          | Remap_each, Some pool ->
-            let work = current walk in
-            let graph = Rtrt_par.Inspect.to_graph ~pool work in
-            Rtrt_par.Inspect.multilevel ~pool ~graph work ~part_size
-          | _, None -> Multilevel_reorder.run (current walk) ~part_size)
-        | Transform.Rcm -> Rcm_reorder.run (current ?pool walk)
+          | Remap_each -> Cpack.run (current walk))
+        | Transform.Gpart { part_size } ->
+          Gpart_reorder.run (current walk) ~part_size
+        | Transform.Multilevel { part_size } ->
+          Multilevel_reorder.run (current walk) ~part_size
+        | Transform.Rcm -> Rcm_reorder.run (current walk)
         | Transform.Tile_pack -> (
           match walk.schedule with
           | None -> invalid "Inspector: tilePack without schedule"
@@ -455,18 +397,12 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
                seed loop (whose schedule rows data perms never touch,
                so the deferred Remap_once schedule is already correct
                here). *)
-            match (strategy, pool) with
-            | Remap_once, Some pool ->
-              let order = Schedule.loop_order sched seed_loop in
-              Rtrt_par.Inspect.cpack ~pool ~order ~view walk.base
-            | Remap_once, None ->
+            match strategy with
+            | Remap_once ->
               let order = Schedule.loop_order sched seed_loop in
               Cpack.run_view ~order walk.base ~sigma:walk.sigma_acc
                 ~delta_inv:walk.delta_inv
-            | Remap_each, Some pool ->
-              let order = Schedule.loop_order sched seed_loop in
-              Rtrt_par.Inspect.cpack ~pool ~order (current walk)
-            | Remap_each, None ->
+            | Remap_each ->
               Tile_pack.run ~schedule:sched
                 ~accesses:[ (seed_loop, current walk) ]
                 ~n_data:(Access.n_data (current walk))))
@@ -486,18 +422,14 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       let delta_new =
         match alg with
         | Transform.Lexgroup -> (
-          match (strategy, pool) with
-          | Remap_once, Some pool ->
-            Rtrt_par.Inspect.lexgroup ~pool ~view walk.base
-          | Remap_once, None ->
+          match strategy with
+          | Remap_once ->
             Lexgroup.run_view walk.base ~sigma:walk.sigma_acc
               ~delta_inv:walk.delta_inv
-          | Remap_each, Some pool ->
-            Rtrt_par.Inspect.lexgroup ~pool (current walk)
-          | Remap_each, None -> Lexgroup.run (current walk))
-        | Transform.Lexsort -> Lexsort.run (current ?pool walk)
+          | Remap_each -> Lexgroup.run (current walk))
+        | Transform.Lexsort -> Lexsort.run (current walk)
         | Transform.Bucket_tile { bucket_size } ->
-          (Bucket_tile.run (current ?pool walk) ~bucket_size).Bucket_tile.delta
+          (Bucket_tile.run (current walk) ~bucket_size).Bucket_tile.delta
       in
       let base =
         match alg with
@@ -509,7 +441,7 @@ let run ?cache ?pool ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       Rtrt_obs.Span.set_attr span "fn" (Rtrt_obs.Json.String fn);
       iter_perm walk strategy delta_new
     | Transform.Sparse_tile { growth; seed } ->
-      sparse_tile ?pool walk strategy ~share_symmetric_deps growth seed
+      sparse_tile walk strategy ~share_symmetric_deps growth seed
   in
   List.iter apply (Plan.transforms plan);
   let sigma_total = Perm.unsafe_of_forward (Array.sub sigma_acc 0 n_nodes) in

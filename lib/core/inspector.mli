@@ -53,19 +53,15 @@ val fingerprint :
     cold tail, a warm replay) ends in a {!remap}, which builds fresh
     ones.
     [share_symmetric_deps] enables the Section 6 symmetric-dependence
-    elision during sparse-tile growth (default true): serial
-    [Remap_once] growth then scatters over the predecessor dependence
-    set alone, and [Remap_each] gathers over the kernel's shared
+    elision during sparse-tile growth (default true): [Remap_once]
+    growth then scatters over the predecessor dependence set alone,
+    and [Remap_each] gathers over the kernel's shared
     symmetric twin; with [false] both build the successor set (a
     transpose) and gather over it. Default strategy is [Remap_once].
-    When [pool] is given (and has more than one domain), the inspector
-    hot paths — CPACK, lexGroup, Gpart, multilevel, graph
-    construction, tile growth (which then walks only the predecessor
-    dependence set, reconstructing the successor direction by
-    scatter-min, whatever [share_symmetric_deps] says), legality
-    checking, tilePack, and the view materialization — run on the
-    pool; their output is bit-identical to the serial algorithms, so
-    results never depend on the domain count.
+
+    [pool] is unused: inspection is serial. It stays only because the
+    end-to-end benchmark's md-steady probe passes one, and goes with
+    that benchmark's next change.
 
     When [cache] is given, the inspection is keyed by {!fingerprint}:
     a hit skips every per-transformation inspector and {!remap}s the

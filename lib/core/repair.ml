@@ -288,13 +288,8 @@ let result_of state ~kernel ~sched ~remaps ~seconds =
 
 (* ---- regrow: the bit-identity reference --------------------------- *)
 
-let regrow ?pool state (kernel : Kernels.Kernel.t) =
+let regrow state (kernel : Kernels.Kernel.t) =
   check_kernel state kernel;
-  let pool =
-    match pool with
-    | Some p when Rtrt_par.Pool.size p > 1 -> Some p
-    | _ -> None
-  in
   let f = state.f in
   let t0 = Rtrt_obs.Clock.now_s () in
   let k, remaps = Inspector.remap kernel ~delta:f.delta ~sigma:f.sigma in
@@ -305,15 +300,8 @@ let regrow ?pool state (kernel : Kernels.Kernel.t) =
       let chain = k.Kernels.Kernel.chain_of_access k.Kernels.Kernel.access in
       let seed_tiles = { Sparse_tile.n_tiles = f.n_tiles; tile_of } in
       let tiles =
-        match pool with
-        | Some pool ->
-          Sparse_tile.full
-            ~grow_backward:(Rtrt_par.Inspect.grow_backward ~pool)
-            ~grow_forward:(Rtrt_par.Inspect.grow_forward ~pool)
-            ~chain ~seed:f.seed_loop ~seed_tiles ()
-        | None ->
-          Sparse_tile.full ~grow_backward:Sparse_tile.grow_backward_scatter
-            ~chain ~seed:f.seed_loop ~seed_tiles ()
+        Sparse_tile.full ~grow_backward:Sparse_tile.grow_backward_scatter
+          ~chain ~seed:f.seed_loop ~seed_tiles ()
       in
       Some (Schedule.of_tile_fns tiles)
   in
@@ -348,7 +336,7 @@ let add_one a v x =
     true
   end
 
-let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
+let repair ?cache ?(policy = `Auto) ?(verify = false) state
     (kernel : Kernels.Kernel.t) ~(damage : Datagen.Churn.damage) =
   check_kernel state kernel;
   Rtrt_obs.Metrics.incr c_rounds;
@@ -395,7 +383,7 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
     let cold_ref = state.cold_seconds in
     let t0 = Rtrt_obs.Clock.now_s () in
     let result =
-      Inspector.run ?cache ?pool ~strategy:f.strategy
+      Inspector.run ?cache ~strategy:f.strategy
         ~share_symmetric_deps:f.share_symmetric_deps f.plan kernel
     in
     let seconds = Rtrt_obs.Clock.now_s () -. t0 in
@@ -523,7 +511,7 @@ let repair ?cache ?pool ?(policy = `Auto) ?(verify = false) state
     let verified =
       if not verify then None
       else begin
-        let reference = regrow ?pool state kernel in
+        let reference = regrow state kernel in
         let sched_ok =
           match (sched', reference.Inspector.schedule) with
           | None, None -> true

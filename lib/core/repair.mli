@@ -133,13 +133,9 @@ type info = {
     incremental path (still subject to plan support), [`Cold] forces
     full re-inspection. [verify] (default [false]) re-checks the
     bit-identity contract against {!regrow} before returning. [cache]
-    feeds only the cold fallback's {!Compose.Inspector.run}; [pool]
-    parallelizes the fallback inspection and the [verify] growth
-    exactly as {!Compose.Inspector.run} would (output never depends on
-    the domain count). *)
+    feeds only the cold fallback's {!Compose.Inspector.run}. *)
 val repair :
   ?cache:Rtrt_plancache.Cache.t ->
-  ?pool:Rtrt_par.Pool.t ->
   ?policy:[ `Auto | `Repair | `Cold ] ->
   ?verify:bool ->
   state ->
@@ -153,7 +149,6 @@ val repair :
     the frozen parts of the state (never mutates it), so it can be
     called after {!repair} on the same round for an independent
     check. *)
-val regrow :
-  ?pool:Rtrt_par.Pool.t -> state -> Kernels.Kernel.t -> Inspector.result
+val regrow : state -> Kernels.Kernel.t -> Inspector.result
 
 val pp_info : info Fmt.t

@@ -11,11 +11,6 @@ type t = {
 
 let num_nodes g = g.n
 
-(* Trusted constructor (no validation, no copy) for builders that
-   produce valid CSR by construction — e.g. the pooled twin of
-   [of_accesses]. *)
-let unsafe_make ~n ~row_ptr ~col = { n; row_ptr; col }
-
 (* Multigraph count: arcs / 2. A duplicate edge (which [of_edges]
    deliberately keeps — meshes may carry multi-edges) contributes once
    per copy; use [num_distinct_edges] for the simple-graph count. *)

@@ -12,10 +12,6 @@ type t = private {
 
 val num_nodes : t -> int
 
-(** Trusted raw constructor (no validation, no copy); for builders
-    whose arrays are valid CSR by construction. *)
-val unsafe_make : n:int -> row_ptr:int array -> col:int array -> t
-
 (** Number of undirected edges counted with multiplicity (arcs / 2):
     a duplicate edge, which {!of_edges} deliberately keeps, counts
     once per copy. See {!num_distinct_edges} for the simple-graph

@@ -20,29 +20,6 @@ type wgraph = {
   nwgt : int array;  (* node weights *)
 }
 
-(* Parallel executor handed down by callers that own a domain pool
-   (irgraph sits below rtrt_par in the library stack, so the pool
-   itself cannot appear here): [run f] must run [f lane] for every
-   lane in [0, lanes) and return after all lanes finish. Substituted
-   phases are bit-identical to the serial code for any lane count. *)
-type par = { lanes : int; run : (int -> unit) -> unit }
-
-(* Inline contiguous chunking (rtrt_par's Chunk is above this layer). *)
-let chunk_even ~n ~lanes lane =
-  let base = n / lanes and extra = n mod lanes in
-  let len = base + if lane < extra then 1 else 0 in
-  let start = (lane * base) + min lane extra in
-  (start, len)
-
-(* Below this size the barrier overhead of a parallel phase outweighs
-   the scan it saves. *)
-let par_threshold = 1024
-
-let usable_par par n =
-  match par with
-  | Some p when p.lanes > 1 && n >= par_threshold -> Some p
-  | _ -> None
-
 let of_csr (g : Csr.t) =
   {
     n = Csr.num_nodes g;
@@ -58,41 +35,10 @@ let total_weight g = Array.fold_left ( + ) 0 g.nwgt
 (* Coarsening: heavy-edge matching                                     *)
 
 (* Match each unmatched node with its heaviest-edge unmatched neighbor.
-   Returns the coarse graph and the node -> coarse-node map.
-
-   The greedy matching itself is order-dependent (node v's partner is
-   the heaviest neighbor still unmatched when v is reached), so it
-   stays a serial pass. With [par], the heavy part of that pass — the
-   adjacency scan — is hoisted into a parallel precomputation of each
-   node's heaviest neighbor over ALL neighbors (first strict maximum,
-   the same tie-break as the serial scan). When that hint is still
-   unmatched at v's turn it IS the serial answer: restricted to the
-   unmatched subset the maximum weight is unchanged and no
-   earlier-positioned maximum can exist (it would have been the hint).
-   Only nodes whose hint was taken fall back to rescanning. *)
-let coarsen ?par g =
+   Returns the coarse graph and the node -> coarse-node map. *)
+let coarsen g =
   let match_of = Array.make g.n (-1) in
-  let hint =
-    match usable_par par g.n with
-    | None -> None
-    | Some p ->
-      let best = Array.make g.n (-1) in
-      p.run (fun lane ->
-          let s, len = chunk_even ~n:g.n ~lanes:p.lanes lane in
-          for v = s to s + len - 1 do
-            let b = ref (-1) and bw = ref 0 in
-            for idx = g.row_ptr.(v) to g.row_ptr.(v + 1) - 1 do
-              let w = g.col.(idx) in
-              if w <> v && g.ewgt.(idx) > !bw then begin
-                b := w;
-                bw := g.ewgt.(idx)
-              end
-            done;
-            best.(v) <- !b
-          done);
-      Some best
-  in
-  let rescan v =
+  let heaviest_unmatched v =
     let best = ref (-1) in
     let best_w = ref 0 in
     for idx = g.row_ptr.(v) to g.row_ptr.(v + 1) - 1 do
@@ -106,12 +52,7 @@ let coarsen ?par g =
   in
   for v = 0 to g.n - 1 do
     if match_of.(v) < 0 then begin
-      let best =
-        match hint with
-        | Some hint when hint.(v) >= 0 && match_of.(hint.(v)) < 0 -> hint.(v)
-        | Some hint when hint.(v) < 0 -> -1 (* no eligible neighbor at all *)
-        | _ -> rescan v
-      in
+      let best = heaviest_unmatched v in
       if best >= 0 then begin
         match_of.(v) <- best;
         match_of.(best) <- v
@@ -161,11 +102,9 @@ let coarsen ?par g =
       end
     done
   done;
+  (* Each coarse row sorts and merges inside its own [cand_ptr] span. *)
   let row_len = Array.make nc 0 in
-  (* Each coarse row sorts and merges inside its own [cand_ptr] span,
-     so rows are independent: with [par] the rows are chunked across
-     lanes and the result is identical to the serial loop. *)
-  let merge_row c =
+  for c = 0 to nc - 1 do
     let lo = cand_ptr.(c) and hi = cand_ptr.(c + 1) in
     if hi > lo then begin
       Scratch.sort2_range dst wgt ~lo ~hi;
@@ -180,18 +119,7 @@ let coarsen ?par g =
       done;
       row_len.(c) <- !out - lo + 1
     end
-  in
-  (match usable_par par nc with
-  | Some p ->
-    p.run (fun lane ->
-        let s, len = chunk_even ~n:nc ~lanes:p.lanes lane in
-        for c = s to s + len - 1 do
-          merge_row c
-        done)
-  | None ->
-    for c = 0 to nc - 1 do
-      merge_row c
-    done);
+  done;
   let row_ptr = Array.make (nc + 1) 0 in
   for c = 0 to nc - 1 do
     row_ptr.(c + 1) <- row_ptr.(c) + row_len.(c)
@@ -275,14 +203,14 @@ let refine g side ~left_share =
 (* ------------------------------------------------------------------ *)
 (* Multilevel bisection                                                *)
 
-let rec bisect ?par g ~left_share ~coarsen_to =
+let rec bisect g ~left_share ~coarsen_to =
   if g.n <= coarsen_to then begin
     let side = initial_bisection g ~left_share in
     refine g side ~left_share;
     side
   end
   else begin
-    let coarse, coarse_of = coarsen ?par g in
+    let coarse, coarse_of = coarsen g in
     if coarse.n >= g.n then begin
       (* Matching made no progress (e.g. edgeless graph). *)
       let side = initial_bisection g ~left_share in
@@ -290,7 +218,7 @@ let rec bisect ?par g ~left_share ~coarsen_to =
       side
     end
     else begin
-      let coarse_side = bisect ?par coarse ~left_share ~coarsen_to in
+      let coarse_side = bisect coarse ~left_share ~coarsen_to in
       let side = Array.init g.n (fun v -> coarse_side.(coarse_of.(v))) in
       refine g side ~left_share;
       side
@@ -341,25 +269,25 @@ let subgraph g side s =
   ({ n; row_ptr; col; ewgt; nwgt }, globals)
 
 (* Recursive bisection into [k] parts with proportional splits. *)
-let rec kway ?par g ~k ~coarsen_to ~assign ~globals ~first_part =
+let rec kway g ~k ~coarsen_to ~assign ~globals ~first_part =
   if k <= 1 then
     Array.iter (fun gv -> assign.(gv) <- first_part) globals
   else begin
     let k_left = (k + 1) / 2 in
     let left_share = float_of_int k_left /. float_of_int k in
-    let side = bisect ?par g ~left_share ~coarsen_to in
+    let side = bisect g ~left_share ~coarsen_to in
     let g0, l0 = subgraph g side 0 in
     let g1, l1 = subgraph g side 1 in
     let globals0 = Array.map (fun lv -> globals.(lv)) l0 in
     let globals1 = Array.map (fun lv -> globals.(lv)) l1 in
-    kway ?par g0 ~k:k_left ~coarsen_to ~assign ~globals:globals0 ~first_part;
-    kway ?par g1 ~k:(k - k_left) ~coarsen_to ~assign ~globals:globals1
+    kway g0 ~k:k_left ~coarsen_to ~assign ~globals:globals0 ~first_part;
+    kway g1 ~k:(k - k_left) ~coarsen_to ~assign ~globals:globals1
       ~first_part:(first_part + k_left)
   end
 
 (* [partition g ~n_parts] multilevel-partitions [g] into [n_parts]
    (approximately balanced) parts. *)
-let partition ?par (g : Csr.t) ~n_parts =
+let partition (g : Csr.t) ~n_parts =
   if n_parts <= 0 then invalid_arg "Multilevel.partition: n_parts";
   let n = Csr.num_nodes g in
   if n = 0 then Partition.make ~n_parts:0 ~assign:[||]
@@ -367,13 +295,13 @@ let partition ?par (g : Csr.t) ~n_parts =
     let wg = of_csr g in
     let assign = Array.make n 0 in
     let globals = Array.init n (fun v -> v) in
-    kway ?par wg ~k:(min n_parts n) ~coarsen_to:64 ~assign ~globals
+    kway wg ~k:(min n_parts n) ~coarsen_to:64 ~assign ~globals
       ~first_part:0;
     Partition.make ~n_parts:(min n_parts n) ~assign
   end
 
 (* Convenience: parts sized for [part_size] nodes. *)
-let partition_by_size ?par g ~part_size =
+let partition_by_size g ~part_size =
   if part_size <= 0 then invalid_arg "Multilevel.partition_by_size";
   let n = Csr.num_nodes g in
-  partition ?par g ~n_parts:(max 1 ((n + part_size - 1) / part_size))
+  partition g ~n_parts:(max 1 ((n + part_size - 1) / part_size))

@@ -3,17 +3,8 @@
     boundary Kernighan-Lin refinement at every level. The heavyweight
     alternative GPART was designed to undercut; used in the ablations. *)
 
-(** A parallel executor handed down by callers owning a domain pool
-    (this library sits below [rtrt_par], so the pool type cannot
-    appear here): [run f] must execute [f lane] for every lane in
-    [0, lanes) and return after all lanes finish. With [par], the
-    coarsening's heavy-edge candidate scan and per-coarse-row
-    sort-and-merge run chunked across lanes; results are bit-identical
-    to the serial code for any lane count. *)
-type par = { lanes : int; run : (int -> unit) -> unit }
-
 (** Partition into [n_parts] approximately balanced parts. *)
-val partition : ?par:par -> Csr.t -> n_parts:int -> Partition.t
+val partition : Csr.t -> n_parts:int -> Partition.t
 
 (** Partition into parts of roughly [part_size] nodes. *)
-val partition_by_size : ?par:par -> Csr.t -> part_size:int -> Partition.t
+val partition_by_size : Csr.t -> part_size:int -> Partition.t

@@ -206,7 +206,7 @@ let plan_full_growth plan =
    locality prediction into the engine's tier model as the serial
    step time. The candidate's score is the cheaper tier. *)
 let score ?cache ?pool ?(trace_steps = 2) ?(batch = 8) ~machine plan kernel =
-  let result = Experiment.inspect ?cache ?pool plan kernel in
+  let result = Experiment.inspect ?cache plan kernel in
   let cycles, _misses, _accesses, miss_ratio =
     Experiment.trace_steps result ~machine ~warmup:1 ~steps:trace_steps
   in
@@ -427,8 +427,8 @@ let best_named ~machine ~scores kernel =
       (fun (bn, bs) (n, s) -> if s < bs then (n, s) else (bn, bs))
       first rest
 
-let wall_of_plan ?cache ?pool ~wall_steps plan kernel =
-  let result = Experiment.inspect ?cache ?pool plan kernel in
+let wall_of_plan ?cache ~wall_steps plan kernel =
+  let result = Experiment.inspect ?cache plan kernel in
   (* Best-of-3: the table divides two short wall-clock windows. *)
   let best = ref infinity in
   for _ = 1 to 3 do
@@ -466,8 +466,8 @@ let measure ~(config : Figures.config) () =
                       best_named ~machine ~scores:t.at_scores kernel
                     in
                     let wall p =
-                      wall_of_plan ?cache ?pool
-                        ~wall_steps:config.Figures.wall_steps p kernel
+                      wall_of_plan ?cache ~wall_steps:config.Figures.wall_steps
+                        p kernel
                     in
                     let winner_wall = wall t.at_winner in
                     let named_plan =

@@ -32,7 +32,6 @@ type row = {
 
 type report = {
   rep_scale : int;
-  rep_domains : int;
   rep_rounds : int;
   rows : row list;
 }
@@ -106,9 +105,8 @@ let step_seconds (r : I.result) =
 
 (* ------------------------------------------------------------------ *)
 
-let run_cell ?pool ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan
-    d0 =
-  let cold0 = I.run ?pool plan (of_dataset d0) in
+let run_cell ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan d0 =
+  let cold0 = I.run plan (of_dataset d0) in
   let state = R.prepare plan cold0 in
   (* Untimed warm-up round on a throwaway state: first-touch, code-path
      and GC-growth costs land outside the measured rounds, and the
@@ -118,8 +116,8 @@ let run_cell ?pool ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan
      Datagen.Churn.rewire ~rng:(Datagen.Rng.create 0xA11) ~fraction d0
    in
    let wk = of_dataset wd in
-   ignore (R.repair ?pool ws wk ~damage:wdamage);
-   ignore (I.run ?pool plan wk));
+   ignore (R.repair ws wk ~damage:wdamage);
+   ignore (I.run plan wk));
   (* Each level chains its own churn trajectory from the pristine
      dataset, deterministically per level. *)
   let rng =
@@ -134,12 +132,12 @@ let run_cell ?pool ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan
     let churned, damage = Datagen.Churn.rewire ~rng ~fraction !d in
     d := churned;
     let kernel' = of_dataset churned in
-    let repaired, info = R.repair ?pool state kernel' ~damage in
-    bit := !bit && results_equal repaired (R.regrow ?pool state kernel');
+    let repaired, info = R.repair state kernel' ~damage in
+    bit := !bit && results_equal repaired (R.regrow state kernel');
     fell := !fell || info.R.fell_back;
     (* The honest competitor: a true cold re-inspection that re-derives
        fresh reorderings for the churned kernel. *)
-    let cold = I.run ?pool plan kernel' in
+    let cold = I.run plan kernel' in
     repair_ss := info.R.seconds :: !repair_ss;
     cold_ss := cold.I.inspector_seconds :: !cold_ss;
     rstep_ss := step_seconds repaired :: !rstep_ss;
@@ -173,7 +171,7 @@ let run_cell ?pool ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan
 
 let levels = [ 0.01; 0.02; 0.05; 0.10 ]
 
-let measure ?(rounds = 5) ~scale ~domains () =
+let measure ?(rounds = 5) ~scale () =
   let cells =
     [
       ("moldyn", "mol1", fun d -> Kernels.Moldyn.of_dataset d);
@@ -187,7 +185,7 @@ let measure ?(rounds = 5) ~scale ~domains () =
         (Compose.Plan.gpart_lexgroup ~part_size:64);
     ]
   in
-  let go pool =
+  let rows =
     List.concat_map
       (fun (bench, dataset_name, of_dataset) ->
         let d0 = Option.get (Datagen.Generators.by_name ~scale dataset_name) in
@@ -195,15 +193,11 @@ let measure ?(rounds = 5) ~scale ~domains () =
           (fun plan ->
             List.map
               (fun fraction ->
-                run_cell ?pool ~rounds ~fraction ~bench ~dataset_name
-                  ~of_dataset ~plan d0)
+                run_cell ~rounds ~fraction ~bench ~dataset_name ~of_dataset
+                  ~plan d0)
               levels)
           plans)
       cells
-  in
-  let rows =
-    if domains > 1 then Rtrt_par.Pool.with_pool ~domains (fun p -> go (Some p))
-    else go None
   in
   (if rows <> [] then
      let worst =
@@ -217,7 +211,7 @@ let measure ?(rounds = 5) ~scale ~domains () =
   Rtrt_obs.Metrics.set
     (Rtrt_obs.Metrics.gauge "churnbench.bit_identical")
     (if List.for_all (fun r -> r.cb_bit_identical) rows then 1.0 else 0.0);
-  { rep_scale = scale; rep_domains = domains; rep_rounds = rounds; rows }
+  { rep_scale = scale; rep_rounds = rounds; rows }
 
 (* ------------------------------------------------------------------ *)
 
@@ -226,7 +220,6 @@ let json_of_report r =
     Obj
       [
         ("scale", Int r.rep_scale);
-        ("domains", Int r.rep_domains);
         ("rounds", Int r.rep_rounds);
         ( "rows",
           List
@@ -257,8 +250,8 @@ let json_of_report r =
       ])
 
 let pp_report ppf r =
-  Fmt.pf ppf "scale %d, domains %d, %d chained churn rounds per cell@."
-    r.rep_scale r.rep_domains r.rep_rounds;
+  Fmt.pf ppf "scale %d, %d chained churn rounds per cell@." r.rep_scale
+    r.rep_rounds;
   List.iter
     (fun row ->
       Fmt.pf ppf

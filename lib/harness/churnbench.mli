@@ -50,18 +50,16 @@ val steps_to_amortize :
 
 type report = {
   rep_scale : int;
-  rep_domains : int;
   rep_rounds : int;
   rows : row list;
 }
 
 (** Run the churn suite: moldyn/mol1 and cg/foil under CL+FST and
     GL+FST, churned at 1/2/5/10% for [rounds] (default 5) chained
-    rounds per cell. Deterministic datasets and churn (figure RNG);
-    pooled growth and inspection when [domains > 1]. Sets the
-    [churnbench.min_repair_speedup] and [churnbench.bit_identical]
-    gauges. *)
-val measure : ?rounds:int -> scale:int -> domains:int -> unit -> report
+    rounds per cell. Deterministic datasets and churn (figure RNG).
+    Sets the [churnbench.min_repair_speedup] and
+    [churnbench.bit_identical] gauges. *)
+val measure : ?rounds:int -> scale:int -> unit -> report
 
 val json_of_report : report -> Rtrt_obs.Json.t
 val pp_report : report Fmt.t

@@ -61,13 +61,12 @@ type measurement = {
 let time f = Rtrt_obs.Clock.time f
 
 (* Run the inspector and verify the result. *)
-let inspect ?cache ?pool ?strategy ?share_symmetric_deps plan kernel =
+let inspect ?cache ?strategy ?share_symmetric_deps plan kernel =
   Rtrt_obs.Span.with_ ~name:"experiment.inspect"
     ~attrs:[ ("plan", Rtrt_obs.Json.String (Compose.Plan.name plan)) ]
   @@ fun () ->
   let result =
-    Compose.Inspector.run ?cache ?pool ?strategy ?share_symmetric_deps plan
-      kernel
+    Compose.Inspector.run ?cache ?strategy ?share_symmetric_deps plan kernel
   in
   (match Compose.Legality.check result with
   | Ok () -> ()
@@ -308,7 +307,7 @@ let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
   let pc_before = Option.map Rtrt_plancache.Cache.stats cache in
   let result, ph_inspect =
     Rtrt_obs.Profile.record ~name:"inspect" (fun () ->
-        inspect ?cache ?pool ?strategy ?share_symmetric_deps plan
+        inspect ?cache ?strategy ?share_symmetric_deps plan
           (kernel : Kernels.Kernel.t))
   in
   let plancache =
@@ -354,16 +353,12 @@ let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
       (Some p, [ ph ])
     | _ -> (None, [])
   in
-  (* Shed the per-domain scratch pools this measurement grew (the
-     inspector's composition accumulators and workspaces would
-     otherwise stay pinned at the largest inspection's size for the
-     rest of the process), keeping a small warm set per domain. The
-     high-water mark survives in the [scratch.peak_bytes] gauge. *)
-  (match pool with
-  | Some pool when Rtrt_par.Pool.size pool > 1 ->
-    Rtrt_par.Pool.parallel pool (fun _ ->
-        Irgraph.Scratch.trim ~max_bytes:scratch_keep_bytes ())
-  | _ -> Irgraph.Scratch.trim ~max_bytes:scratch_keep_bytes ());
+  (* Shed the scratch pool this measurement grew (the inspector's
+     composition accumulators and workspaces would otherwise stay
+     pinned at the largest inspection's size for the rest of the
+     process), keeping a small warm set. The high-water mark survives
+     in the [scratch.peak_bytes] gauge. *)
+  Irgraph.Scratch.trim ~max_bytes:scratch_keep_bytes ();
   {
     plan_name = Compose.Plan.name plan;
     inspector_seconds = result.Compose.Inspector.inspector_seconds;

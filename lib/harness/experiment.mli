@@ -64,7 +64,6 @@ type measurement = {
     {!Compose.Inspector.run}. *)
 val inspect :
   ?cache:Rtrt_plancache.Cache.t ->
-  ?pool:Rtrt_par.Pool.t ->
   ?strategy:Compose.Inspector.strategy ->
   ?share_symmetric_deps:bool ->
   Compose.Plan.t ->
@@ -97,10 +96,11 @@ val wall_clock_steps : Compose.Inspector.result -> steps:int -> float
     with Full growth, the tiled executor additionally runs on the
     pool and the serial-vs-parallel comparison lands in [par]. When
     [cache] is given, the inspection goes through the plan cache and
-    [plancache] reports the hit/miss traffic. At the end of a
-    measurement every participating domain's scratch pool is trimmed
-    to [scratch_keep_bytes] bytes (default 1 MiB), so transient
-    inspector working sets do not linger between plans. *)
+    [plancache] reports the hit/miss traffic. The inspection itself
+    is serial. At the end of a measurement the calling domain's
+    scratch pool is trimmed to [scratch_keep_bytes] bytes (default
+    1 MiB), so transient inspector working sets do not linger between
+    plans. *)
 val measure :
   ?cache:Rtrt_plancache.Cache.t ->
   ?pool:Rtrt_par.Pool.t ->

@@ -1,21 +1,17 @@
 (* Cold-inspection cost of composed plans (Figure 16's axis): for
    each composition, the Remap_each inspector as the baseline against
-   the one-pass Remap_once composition, serial and on a domain pool.
-   Every timed run's output is checked bit-identical to the baseline
-   (sigma/delta, reordering functions, and the tile schedule when the
-   plan sparse-tiles), so the table can never report a speedup of a
-   different answer. Results land in BENCH_INSPECTOR.json and the
-   [inspctime.*] gauges. *)
+   the one-pass Remap_once composition. Every timed run's output is
+   checked bit-identical to the baseline (sigma/delta, reordering
+   functions, and the tile schedule when the plan sparse-tiles), so
+   the table can never report a speedup of a different answer.
+   Results land in BENCH_INSPECTOR.json and the [inspctime.*]
+   gauges. *)
 
 let g_remap_once_speedup =
   Rtrt_obs.Metrics.gauge "inspctime.remap_once_speedup"
 
-let g_pool_speedup =
-  Rtrt_obs.Metrics.gauge "inspctime.remap_once_pool_speedup"
-
 type timing = {
-  t_config : string;  (** "remap-each", "remap-once", or "remap-once+pN" *)
-  t_domains : int;  (** 0 when no pool was used *)
+  t_config : string;  (** "remap-each" or "remap-once" *)
   t_seconds : float;  (** best cold [inspector_seconds] of the repeats *)
   t_speedup : float;  (** remap-each best / this best *)
   t_identical : bool;  (** output bit-identical to the remap-each run *)
@@ -30,7 +26,6 @@ type row = {
 type report = {
   rep_scale : int;
   rep_repeats : int;
-  rep_domains : int list;
   rows : row list;
   rep_profile : Rtrt_obs.Profile.phase list;  (* one phase per plan row *)
 }
@@ -68,53 +63,35 @@ let results_equal (a : Compose.Inspector.result)
        (fun (na, pa) (nb, pb) -> na = nb && Reorder.Perm.equal pa pb)
        a.reordering_fns b.reordering_fns
 
-(* Best of 5 cold inspections per variant, pools of 1, 2 and 4
-   domains. *)
+(* Best of 5 cold inspections per variant. *)
 let repeats = 5
-let domains = [ 1; 2; 4 ]
 
 let measure_plan plan kernel =
-  let inspect ?pool ~strategy () =
-    Compose.Inspector.run ?pool ~strategy plan kernel
-  in
+  let inspect ~strategy () = Compose.Inspector.run ~strategy plan kernel in
   let serial_seconds, baseline =
     best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_each)
   in
-  let timing ~config ~pool_domains seconds result =
+  let timing ~config seconds result =
     {
       t_config = config;
-      t_domains = pool_domains;
       t_seconds = seconds;
       t_speedup = serial_seconds /. max 1e-12 seconds;
       t_identical = results_equal baseline result;
     }
   in
   let each =
-    timing ~config:"remap-each" ~pool_domains:0 serial_seconds baseline
+    timing ~config:"remap-each" serial_seconds baseline
   in
   let once =
     let seconds, result =
       best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_once)
     in
-    timing ~config:"remap-once" ~pool_domains:0 seconds result
-  in
-  let pooled =
-    List.map
-      (fun d ->
-        Rtrt_par.Pool.with_pool ~domains:d @@ fun pool ->
-        let seconds, result =
-          best_of ~repeats
-            (inspect ~pool ~strategy:Compose.Inspector.Remap_once)
-        in
-        timing
-          ~config:(Printf.sprintf "remap-once+p%d" d)
-          ~pool_domains:d seconds result)
-      domains
+    timing ~config:"remap-once" seconds result
   in
   {
     row_plan = Compose.Plan.name plan;
     row_serial_seconds = serial_seconds;
-    row_timings = (each :: once :: pooled);
+    row_timings = [ each; once ];
   }
 
 (* GC (two back-to-back data reorderings) plus the two full-sparse-
@@ -146,20 +123,11 @@ let measure ~scale () =
       (fun t ->
         if t.t_config = "remap-once" then
           Rtrt_obs.Metrics.set g_remap_once_speedup t.t_speedup)
-      first.row_timings;
-    let max_pool =
-      List.fold_left
-        (fun acc t -> if t.t_domains > 0 then Some t else acc)
-        None first.row_timings
-    in
-    Option.iter
-      (fun t -> Rtrt_obs.Metrics.set g_pool_speedup t.t_speedup)
-      max_pool
+      first.row_timings
   | [] -> ());
   {
     rep_scale = scale;
     rep_repeats = repeats;
-    rep_domains = domains;
     rows;
     rep_profile = List.map snd rows_profiled;
   }
@@ -175,7 +143,6 @@ let json_of_report r =
       [
         ("scale", Int r.rep_scale);
         ("repeats", Int r.rep_repeats);
-        ("domains", List (List.map (fun d -> Int d) r.rep_domains));
         ("identical", Bool (identical r));
         ( "plans",
           List
@@ -192,7 +159,6 @@ let json_of_report r =
                               Obj
                                 [
                                   ("config", String t.t_config);
-                                  ("domains", Int t.t_domains);
                                   ("seconds", Float t.t_seconds);
                                   ("speedup", Float t.t_speedup);
                                   ("identical", Bool t.t_identical);

@@ -120,8 +120,8 @@ let all =
     {
       name = "inspector";
       doc =
-        "cold-inspection cost, remap-each vs remap-once, serial and pooled, \
-         with bit-identity checks";
+        "cold-inspection cost, remap-each vs remap-once, with bit-identity \
+         checks";
       scale = 24;
       min_domains = 1;
       wall_steps = 3;
@@ -169,9 +169,7 @@ let all =
       wall_steps = 3;
       table =
         report
-          (fun c ->
-            Churnbench.measure ~scale:c.Figures.scale
-              ~domains:c.Figures.domains ())
+          (fun c -> Churnbench.measure ~scale:c.Figures.scale ())
           Churnbench.pp_report Churnbench.json_of_report;
     };
     {

@@ -1,9 +1,7 @@
 (** Multicore execution for the run-time reordering framework: a
-    spawn-once domain {!Pool}, static {!Chunk}ing, the bit-exact
-    parallel tiled-executor engine {!Exec}, and parallel inspector
-    paths {!Inspect}. *)
+    spawn-once domain {!Pool}, static {!Chunk}ing, and the bit-exact
+    parallel tiled-executor engine {!Exec}. Inspection is serial. *)
 
 module Pool = Pool
 module Chunk = Chunk
 module Exec = Exec
-module Inspect = Inspect

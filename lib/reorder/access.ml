@@ -17,7 +17,7 @@ let n_data a = a.n_data
 let n_touches a = Array.length a.dat
 
 (* Trusted constructor for inspector hot paths that build valid CSR
-   arrays by construction (e.g. the pooled view materializer); skips
+   arrays by construction (the inspector's view materializer); skips
    the O(touches) validation of [make]. The arrays are not copied. *)
 let unsafe_make ~n_iter ~n_data ~ptr ~dat = { n_iter; n_data; ptr; dat }
 

@@ -15,13 +15,6 @@ let c_touches_scanned = Rtrt_obs.Metrics.counter "cpack.touches_scanned"
    relative order in the trailing catch-all loop). *)
 let c_first_touch = Rtrt_obs.Metrics.counter "cpack.first_touch_placements"
 
-(* Bump the run counters exactly as [run] does; for substituted
-   (pooled) CPACK implementations. *)
-let count_run (access : Access.t) ~placed =
-  Rtrt_obs.Metrics.incr c_runs;
-  Rtrt_obs.Metrics.add c_touches_scanned (Access.n_touches access);
-  Rtrt_obs.Metrics.add c_first_touch placed
-
 let run (access : Access.t) =
   let n_data = Access.n_data access in
   let already_ordered = Array.make n_data false in

@@ -17,8 +17,3 @@ val run_in_order : Access.t -> order:int array -> Perm.t
 val run_view :
   ?order:int array -> Access.t -> sigma:int array -> delta_inv:int array ->
   Perm.t
-
-(** Bump the run observability counters exactly as {!run} does; for
-    substituted (pooled) CPACK implementations. [placed] is the number
-    of first-touch placements. *)
-val count_run : Access.t -> placed:int -> unit

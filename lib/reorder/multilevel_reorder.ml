@@ -38,12 +38,9 @@ let order_by_partition ~graph ~n_data partition =
     members;
   Perm.of_inverse inv
 
-let run ?par ?graph (access : Access.t) ~part_size =
-  let g = match graph with Some g -> g | None -> Access.to_graph access in
-  let partition = Irgraph.Multilevel.partition_by_size ?par g ~part_size in
-  order_by_partition ~graph:g ~n_data:(Access.n_data access) partition
-
 let run_with_partition (access : Access.t) ~part_size =
   let g = Access.to_graph access in
   let partition = Irgraph.Multilevel.partition_by_size g ~part_size in
   (order_by_partition ~graph:g ~n_data:(Access.n_data access) partition, partition)
+
+let run access ~part_size = fst (run_with_partition access ~part_size)

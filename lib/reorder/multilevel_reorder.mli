@@ -2,15 +2,8 @@
     reordering: better cuts than {!Gpart_reorder}, higher inspector
     cost. *)
 
-(** [par] chunks the coarsening hot paths across pool lanes
-    (bit-identical results); [graph] supplies a precomputed affinity
-    graph (e.g. a pooled {!Access.to_graph} equivalent). *)
-val run :
-  ?par:Irgraph.Multilevel.par ->
-  ?graph:Irgraph.Csr.t ->
-  Access.t ->
-  part_size:int ->
-  Perm.t
+(** [run access ~part_size] returns the data reordering sigma_ml. *)
+val run : Access.t -> part_size:int -> Perm.t
 val run_with_partition : Access.t -> part_size:int -> Perm.t * Irgraph.Partition.t
 
 (** Number data consecutively by an existing partition, BFS-ordered

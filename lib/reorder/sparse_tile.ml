@@ -161,7 +161,7 @@ let make_chain ~loop_sizes ~conn =
    (the paper's symmetric-dependence overhead reduction, Section 6:
    when two dependence sets satisfy the same constraints the inspector
    traverses only one). *)
-let full ?(shared_succ = []) ?grow_backward:gb ?grow_forward:gf ~chain ~seed
+let full ?(shared_succ = []) ?grow_backward:gb ~chain ~seed
     ~(seed_tiles : tile_fn) () =
   let l_count = n_loops chain in
   if seed < 0 || seed >= l_count then invalid "Sparse_tile.full: seed";
@@ -172,9 +172,9 @@ let full ?(shared_succ = []) ?grow_backward:gb ?grow_forward:gf ~chain ~seed
     tiles.(l) <-
       (match gb with
       | Some grow ->
-        (* Substituted growers (scatter-min, possibly pooled) walk the
-           predecessor set [conn.(l)] directly, so neither the shared
-           symmetric twin nor a transpose is needed. *)
+        (* A substituted grower (scatter-min) walks the predecessor
+           set [conn.(l)] directly, so neither the shared symmetric
+           twin nor a transpose is needed. *)
         grow ~conn:chain.conn.(l) ~next:tiles.(l + 1)
       | None ->
         let succ_conn =
@@ -185,8 +185,7 @@ let full ?(shared_succ = []) ?grow_backward:gb ?grow_forward:gf ~chain ~seed
         grow_backward ~conn:succ_conn ~next:tiles.(l + 1))
   done;
   for l = seed + 1 to l_count - 1 do
-    let grow = match gf with Some g -> g | None -> grow_forward in
-    tiles.(l) <- grow ~conn:chain.conn.(l - 1) ~prev:tiles.(l - 1)
+    tiles.(l) <- grow_forward ~conn:chain.conn.(l - 1) ~prev:tiles.(l - 1)
   done;
   tiles
 

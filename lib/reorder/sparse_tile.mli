@@ -45,10 +45,6 @@ val grow_backward_scatter : conn:Access.t -> next:tile_fn -> tile_fn
     takes the max predecessor tile. *)
 val grow_forward : conn:Access.t -> prev:tile_fn -> tile_fn
 
-(** Bump the growth-pass observability counters exactly as the serial
-    growers do; for substituted (pooled) growth implementations. *)
-val count_growth : conn:Access.t -> int -> unit
-
 (** Cache-blocking growth: keep the tile only when all predecessors
     agree (and none is the leftover), otherwise fall into the shared
     [leftover] tile (executed last). *)
@@ -69,15 +65,14 @@ val make_chain : loop_sizes:int array -> conn:Access.t array -> chain
     tile function per loop, side-by-side growth (min backward, max
     forward). [shared_succ] supplies precomputed successor connectivity
     for backward loops (the Section 6 symmetric-dependence elision).
-    [grow_backward]/[grow_forward] substitute the growth passes (e.g.
-    {!grow_backward_scatter} or a pooled implementation); a substituted
-    backward grower receives the *predecessor* connectivity
-    [conn.(l)] directly and [shared_succ] is then unused. Substituted
-    growers must be bit-identical to the defaults. *)
+    [grow_backward] substitutes the backward growth pass (e.g.
+    {!grow_backward_scatter}): it receives the *predecessor*
+    connectivity [conn.(l)] directly, [shared_succ] is then unused,
+    and it must be bit-identical to {!grow_backward} over the
+    transpose. *)
 val full :
   ?shared_succ:(int * Access.t) list ->
   ?grow_backward:(conn:Access.t -> next:tile_fn -> tile_fn) ->
-  ?grow_forward:(conn:Access.t -> prev:tile_fn -> tile_fn) ->
   chain:chain ->
   seed:int ->
   seed_tiles:tile_fn ->

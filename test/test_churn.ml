@@ -2,10 +2,10 @@
    after rewiring k% of interactions, [Compose.Repair.repair] must be
    bit-identical — schedule, reordering functions, and executor
    results — to regrowing the frozen plan from scratch over the
-   churned access, on every kernel, serial and pooled, across chained
-   churn rounds. The churn itself must preserve the degree multiset
-   and be deterministic under the figure RNG, and repaired plans must
-   never replay a stale specialization. *)
+   churned access, on every kernel, across chained churn rounds. The
+   churn itself must preserve the degree multiset and be deterministic
+   under the figure RNG, and repaired plans must never replay a stale
+   specialization. *)
 
 open Compose
 
@@ -147,9 +147,9 @@ let prop_churn_deterministic =
 (* The contract: repair(churn(d, k)) == frozen regrowth, bit for bit,
    on every kernel, at k in {1, 5, 10}%, across two chained rounds. *)
 
-let repair_matches_regrow ?pool ~fraction ~rounds plan of_dataset d seed =
+let repair_matches_regrow ~fraction ~rounds plan of_dataset d seed =
   let kernel = of_dataset d in
-  let cold = Inspector.run ?pool plan kernel in
+  let cold = Inspector.run plan kernel in
   let state = Repair.prepare plan cold in
   (match Repair.supported state with
   | Ok () -> ()
@@ -161,9 +161,9 @@ let repair_matches_regrow ?pool ~fraction ~rounds plan of_dataset d seed =
     let churned, damage = Datagen.Churn.rewire ~rng ~fraction d in
     let kernel' = of_dataset churned in
     let repaired, info =
-      Repair.repair ?pool ~policy:`Repair ~verify:true state kernel' ~damage
+      Repair.repair ~policy:`Repair ~verify:true state kernel' ~damage
     in
-    let reference = Repair.regrow ?pool state kernel' in
+    let reference = Repair.regrow state kernel' in
     (not info.Repair.fell_back)
     && info.Repair.verified = Some true
     && results_equal repaired reference
@@ -184,18 +184,6 @@ let prop_repair_bit_identical =
               repair_matches_regrow ~fraction ~rounds:2 plan of_dataset d seed)
             [ 0.01; 0.05; 0.10 ])
         kernels_under_test)
-
-let prop_repair_pooled =
-  QCheck.Test.make ~name:"pooled repair/regrow = serial" ~count:8 arb_case
-    (fun ((n, pairs, seed), plan) ->
-      QCheck.assume (Result.is_ok (Plan.validate plan));
-      let d = dataset_of (n, pairs) in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              repair_matches_regrow ~pool ~fraction:0.05 ~rounds:1 plan
-                Kernels.Moldyn.of_dataset d seed))
-        [ 1; 2; 4 ])
 
 (* Plans without sparse tiling repair by pure frozen replay. *)
 let prop_repair_pure_replay =
@@ -244,7 +232,7 @@ let test_auto_fallback () =
    and any consistent damage set must repair. Here one endpoint moves,
    so one node loses an interaction and a node that had none gains it:
    its adjacency row has no room. A degree-preserving round then
-   repairs on top. Serial and pooled, each against [regrow]. *)
+   repairs on top, against [regrow]. *)
 let test_degree_changing_damage () =
   let d = mol1 () in
   let n = d.Datagen.Dataset.n_nodes in
@@ -262,30 +250,19 @@ let test_degree_changing_damage () =
       swaps = 0;
     }
   in
-  let check ?pool label kernel' damage state =
+  let check label kernel' damage state =
     let repaired, info =
-      Repair.repair ?pool ~policy:`Repair ~verify:true state kernel' ~damage
+      Repair.repair ~policy:`Repair ~verify:true state kernel' ~damage
     in
     Alcotest.(check bool) (label ^ ": incremental") false info.Repair.fell_back;
     Alcotest.(check bool) (label ^ ": = regrowth") true
-      (results_equal repaired (Repair.regrow ?pool state kernel'))
+      (results_equal repaired (Repair.regrow state kernel'))
   in
-  let run ?pool label =
-    let cold = Inspector.run ?pool fst_plan (Kernels.Moldyn.of_dataset d) in
-    let state = Repair.prepare fst_plan cold in
-    check ?pool (label ^ ", endpoint moved") (Kernels.Moldyn.of_dataset moved)
-      damage state;
-    let churned, damage2 = churn ~seed:9 moved in
-    check ?pool (label ^ ", then rewired")
-      (Kernels.Moldyn.of_dataset churned)
-      damage2 state
-  in
-  run "serial";
-  List.iter
-    (fun domains ->
-      Rtrt_par.Pool.with_pool ~domains (fun pool ->
-          run ~pool (Fmt.str "%d domains" domains)))
-    [ 2; 4 ]
+  let cold = Inspector.run fst_plan (Kernels.Moldyn.of_dataset d) in
+  let state = Repair.prepare fst_plan cold in
+  check "endpoint moved" (Kernels.Moldyn.of_dataset moved) damage state;
+  let churned, damage2 = churn ~seed:9 moved in
+  check "then rewired" (Kernels.Moldyn.of_dataset churned) damage2 state
 
 (* Cache-block growth is not incrementally repairable: the state says
    so and every repair is a (correct) cold fallback. *)
@@ -387,7 +364,6 @@ let () =
         qsuite
           [
             prop_repair_bit_identical;
-            prop_repair_pooled;
             prop_repair_pure_replay;
           ] );
       ( "fallback",

@@ -3,8 +3,7 @@
    remapped copy — must be a pure cost optimization: random
    composition chains on every kernel produce bit-identical results
    (sigma/delta, per-layer reordering functions, tile schedule, and
-   remapped kernel arrays) under Remap_each and Remap_once, serial and
-   on a pool. *)
+   remapped kernel arrays) under Remap_each and Remap_once. *)
 
 (* ------------------------------------------------------------------ *)
 (* Random datasets (same shape as test_par's generator) *)
@@ -122,11 +121,10 @@ let results_equal (a : Compose.Inspector.result) (b : Compose.Inspector.result)
        (a.kernel.Kernels.Kernel.snapshot ())
        (b.kernel.Kernels.Kernel.snapshot ())
 
-let run ?pool ~strategy plan kernel =
-  Compose.Inspector.run ?pool ~strategy plan kernel
+let run ~strategy plan kernel = Compose.Inspector.run ~strategy plan kernel
 
 (* ------------------------------------------------------------------ *)
-(* Remap_once = Remap_each, serial and pooled *)
+(* Remap_once = Remap_each *)
 
 let prop_bit_identical =
   QCheck.Test.make ~name:"remap-once = remap-each (all kernels)" ~count:40
@@ -141,43 +139,15 @@ let prop_bit_identical =
             (run ~strategy:Compose.Inspector.Remap_once plan kernel))
         kernels_under_test)
 
-let prop_pool_bit_identical =
-  QCheck.Test.make ~name:"pooled = serial remap-each" ~count:15
-    arb_case (fun (spec, plan) ->
-      QCheck.assume (Result.is_ok (Compose.Plan.validate plan));
-      let d = dataset_of spec in
-      let kernels =
-        List.map (fun (_, of_dataset) -> of_dataset d) kernels_under_test
-      in
-      let serial =
-        List.map (run ~strategy:Compose.Inspector.Remap_each plan) kernels
-      in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              List.for_all2
-                (fun kernel expected ->
-                  List.for_all
-                    (fun strategy ->
-                      results_equal expected (run ~pool ~strategy plan kernel))
-                    Compose.Inspector.[ Remap_once; Remap_each ])
-                kernels serial))
-        [ 1; 2; 4 ])
-
 (* The GC composition (two data reorderings back to back) end to end
-   at a real scale, serial and pooled. *)
+   at a real scale. *)
 let test_gc_fused () =
   let d = Option.get (Datagen.Generators.by_name ~scale:512 "mol1") in
   let kernel = Kernels.Moldyn.of_dataset d in
   let plan = Compose.Plan.gpart_cpack ~part_size:16 in
   let each = run ~strategy:Compose.Inspector.Remap_each plan kernel in
   let once = run ~strategy:Compose.Inspector.Remap_once plan kernel in
-  Alcotest.(check bool) "serial remap-once" true (results_equal each once);
-  Rtrt_par.Pool.with_pool ~domains:4 (fun pool ->
-      Alcotest.(check bool)
-        "pooled remap-once" true
-        (results_equal each
-           (run ~pool ~strategy:Compose.Inspector.Remap_once plan kernel)))
+  Alcotest.(check bool) "serial remap-once" true (results_equal each once)
 
 (* ------------------------------------------------------------------ *)
 
@@ -186,7 +156,7 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "fused"
     [
-      ("equivalence", qsuite [ prop_bit_identical; prop_pool_bit_identical ]);
+      ("equivalence", qsuite [ prop_bit_identical ]);
       ( "compositions",
         [ Alcotest.test_case "GC fused end to end" `Quick test_gc_fused ] );
     ]

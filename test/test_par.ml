@@ -1,8 +1,7 @@
 (* Tests for the rtrt_par multicore execution engine: pool/chunk
    mechanics, bitwise serial/parallel equivalence of every parallel
    executor (tiled kernels with the reduction-combining path,
-   Gauss-Seidel tile-DAG and wavefront), parallel-inspector
-   equivalence with the serial reorderings, and Atomic metrics under
+   Gauss-Seidel tile-DAG and wavefront), and Atomic metrics under
    concurrent increments. Domain counts 1/2/4 run even on few-core
    hosts (oversubscription only affects timing, never results). *)
 
@@ -582,246 +581,6 @@ let test_gs_foil_tiled_par () =
   Alcotest.(check bool) "bitwise" true (u_bits t_ser = u_bits t_par)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel inspector hot paths *)
-
-let access_of spec =
-  let d = dataset_of spec in
-  Reorder.Access.of_pairs ~n_data:d.Datagen.Dataset.n_nodes
-    d.Datagen.Dataset.left d.Datagen.Dataset.right
-
-let prop_par_lexgroup =
-  QCheck.Test.make ~name:"Inspect.lexgroup = Lexgroup.run" ~count:30
-    arb_dataset (fun spec ->
-      let a = access_of spec in
-      let serial = Reorder.Lexgroup.run a in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              Reorder.Perm.equal serial (Rtrt_par.Inspect.lexgroup ~pool a)))
-        domain_counts)
-
-let prop_par_gpart =
-  QCheck.Test.make ~name:"Inspect.gpart = Gpart_reorder.run" ~count:30
-    arb_dataset (fun spec ->
-      let a = access_of spec in
-      let serial = Reorder.Gpart_reorder.run a ~part_size:6 in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              Reorder.Perm.equal serial
-                (Rtrt_par.Inspect.gpart ~pool a ~part_size:6)))
-        domain_counts)
-
-let is_permutation p =
-  let n = Reorder.Perm.size p in
-  let seen = Array.make n false in
-  (try
-     for i = 0 to n - 1 do
-       let j = Reorder.Perm.forward p i in
-       if j < 0 || j >= n || seen.(j) then raise Exit;
-       seen.(j) <- true
-     done;
-     true
-   with Exit -> false)
-
-let prop_par_gpart_cpack =
-  QCheck.Test.make
-    ~name:"Inspect.gpart_cpack valid and domain-count invariant" ~count:30
-    arb_dataset (fun spec ->
-      let a = access_of spec in
-      let at domains =
-        Rtrt_par.Pool.with_pool ~domains (fun pool ->
-            Rtrt_par.Inspect.gpart_cpack ~pool a ~part_size:6)
-      in
-      let base = at 1 in
-      is_permutation base
-      && List.for_all
-           (fun domains -> Reorder.Perm.equal base (at domains))
-           domain_counts)
-
-(* Deterministic permutation from a generated seed (Fisher-Yates over
-   a private state) — fused views need a random sigma/delta pair. *)
-let perm_of_seed n seed =
-  let st = Random.State.make [| seed; n |] in
-  let a = Array.init n (fun i -> i) in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  a
-
-let arb_viewed_dataset =
-  QCheck.make
-    ~print:(fun ((n, e), seed) ->
-      Printf.sprintf "n=%d m=%d seed=%d" n (Array.length e) seed)
-    QCheck.Gen.(
-      let* n = int_range 8 60 in
-      let* m = int_range 4 150 in
-      let* pairs =
-        array_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
-      in
-      let pairs =
-        Array.map
-          (fun (a, b) -> if a = b then (a, (b + 1) mod n) else (a, b))
-          pairs
-      in
-      let* seed = int_range 0 1_000_000 in
-      return ((n, pairs), seed))
-
-let view_of spec seed =
-  let a = access_of spec in
-  let sigma = perm_of_seed (Reorder.Access.n_data a) seed in
-  let delta_inv = perm_of_seed (Reorder.Access.n_iter a) (seed + 1) in
-  (a, sigma, delta_inv)
-
-let prop_par_cpack =
-  QCheck.Test.make ~name:"Inspect.cpack = Cpack.run / run_in_order / run_view"
-    ~count:30 arb_viewed_dataset (fun (spec, seed) ->
-      let a, sigma, delta_inv = view_of spec seed in
-      let order = perm_of_seed (Reorder.Access.n_iter a) (seed + 2) in
-      let plain = Reorder.Cpack.run a in
-      let in_order = Reorder.Cpack.run_in_order a ~order in
-      let viewed = Reorder.Cpack.run_view a ~sigma ~delta_inv in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              Reorder.Perm.equal plain (Rtrt_par.Inspect.cpack ~pool a)
-              && Reorder.Perm.equal in_order
-                   (Rtrt_par.Inspect.cpack ~pool ~order a)
-              && Reorder.Perm.equal viewed
-                   (Rtrt_par.Inspect.cpack ~pool ~view:(sigma, delta_inv) a)))
-        domain_counts)
-
-let prop_par_materialize =
-  QCheck.Test.make
-    ~name:"Inspect.materialize = reorder_iters . map_data" ~count:30
-    arb_viewed_dataset (fun (spec, seed) ->
-      let a, sigma, delta_inv = view_of spec seed in
-      let serial =
-        Reorder.Access.reorder_iters
-          (Reorder.Perm.of_inverse delta_inv)
-          (Reorder.Access.map_data (Reorder.Perm.of_forward sigma) a)
-      in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              serial = Rtrt_par.Inspect.materialize ~pool a ~sigma ~delta_inv))
-        domain_counts)
-
-let prop_par_to_graph =
-  QCheck.Test.make ~name:"Inspect.to_graph = Access.to_graph" ~count:30
-    arb_viewed_dataset (fun (spec, seed) ->
-      let a, sigma, delta_inv = view_of spec seed in
-      let plain = Reorder.Access.to_graph a in
-      let viewed =
-        Reorder.Access.to_graph
-          (Reorder.Access.reorder_iters
-             (Reorder.Perm.of_inverse delta_inv)
-             (Reorder.Access.map_data (Reorder.Perm.of_forward sigma) a))
-      in
-      let eq (x : Irgraph.Csr.t) (y : Irgraph.Csr.t) =
-        x.Irgraph.Csr.row_ptr = y.Irgraph.Csr.row_ptr
-        && x.Irgraph.Csr.col = y.Irgraph.Csr.col
-      in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              eq plain (Rtrt_par.Inspect.to_graph ~pool a)
-              && eq viewed
-                   (Rtrt_par.Inspect.to_graph ~pool ~view:(sigma, delta_inv) a)))
-        domain_counts)
-
-let tile_fn_of_seed ~n ~n_tiles seed =
-  let st = Random.State.make [| seed; n; n_tiles |] in
-  {
-    Reorder.Sparse_tile.n_tiles;
-    tile_of = Array.init n (fun _ -> Random.State.int st n_tiles);
-  }
-
-let prop_par_growth =
-  QCheck.Test.make
-    ~name:"Inspect.grow_backward/forward = serial growth" ~count:30
-    arb_viewed_dataset (fun (spec, seed) ->
-      let conn = access_of spec in
-      let nb = Reorder.Access.n_iter conn in
-      let n = Reorder.Access.n_data conn in
-      let n_tiles = 1 + (seed mod 7) in
-      let next = tile_fn_of_seed ~n:nb ~n_tiles seed in
-      let prev = tile_fn_of_seed ~n ~n_tiles (seed + 1) in
-      let back = Reorder.Sparse_tile.grow_backward_scatter ~conn ~next in
-      let fwd = Reorder.Sparse_tile.grow_forward ~conn ~prev in
-      let eq (x : Reorder.Sparse_tile.tile_fn) (y : Reorder.Sparse_tile.tile_fn)
-          =
-        x.Reorder.Sparse_tile.n_tiles = y.Reorder.Sparse_tile.n_tiles
-        && x.Reorder.Sparse_tile.tile_of = y.Reorder.Sparse_tile.tile_of
-      in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              eq back (Rtrt_par.Inspect.grow_backward ~pool ~conn ~next)
-              && eq fwd (Rtrt_par.Inspect.grow_forward ~pool ~conn ~prev)))
-        domain_counts)
-
-let prop_par_legality =
-  QCheck.Test.make
-    ~name:"Inspect.check_legality = Sparse_tile.check_legality" ~count:30
-    arb_viewed_dataset (fun (spec, seed) ->
-      let conn = access_of spec in
-      let nb = Reorder.Access.n_iter conn in
-      let n = Reorder.Access.n_data conn in
-      let chain =
-        Reorder.Sparse_tile.make_chain ~loop_sizes:[| n; nb |] ~conn:[| conn |]
-      in
-      let n_tiles = 1 + (seed mod 5) in
-      let tiles =
-        [|
-          tile_fn_of_seed ~n ~n_tiles seed;
-          tile_fn_of_seed ~n:nb ~n_tiles (seed + 1);
-        |]
-      in
-      let serial = Reorder.Sparse_tile.check_legality ~chain ~tiles in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              serial = Rtrt_par.Inspect.check_legality ~pool ~chain ~tiles))
-        domain_counts)
-
-let prop_par_multilevel =
-  QCheck.Test.make ~name:"Inspect.multilevel = Multilevel_reorder.run"
-    ~count:15 arb_dataset (fun spec ->
-      let a = access_of spec in
-      let serial = Reorder.Multilevel_reorder.run a ~part_size:6 in
-      List.for_all
-        (fun domains ->
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              Reorder.Perm.equal serial
-                (Rtrt_par.Inspect.multilevel ~pool a ~part_size:6)))
-        domain_counts)
-
-(* A pooled inspector run produces the same schedule/kernel as the
-   serial inspector, end to end. *)
-let test_inspector_pool_invariant () =
-  let d = Option.get (Datagen.Generators.by_name ~scale:512 "foil") in
-  let kernel = Kernels.Irreg.of_dataset d in
-  let plan =
-    Compose.Plan.with_fst ~seed_part_size:16
-      (Compose.Plan.gpart_lexgroup ~part_size:16)
-  in
-  let serial = Harness.Experiment.inspect plan kernel in
-  Rtrt_par.Pool.with_pool ~domains:4 (fun pool ->
-      let pooled = Harness.Experiment.inspect ~pool plan kernel in
-      let snap (r : Compose.Inspector.result) =
-        let k = r.Compose.Inspector.kernel in
-        k.Kernels.Kernel.run ~steps:1;
-        k.Kernels.Kernel.snapshot ()
-      in
-      Alcotest.(check bool)
-        "pooled inspector = serial inspector" true
-        (Kernels.Kernel.snapshots_equal_bits (snap serial) (snap pooled)))
-
-(* ------------------------------------------------------------------ *)
 (* Metrics are atomic under concurrent increments *)
 
 (* Per-lane accounting: with tracing on, every round is accounted and
@@ -1009,21 +768,6 @@ let () =
       ( "gauss-seidel",
         Alcotest.test_case "foil tiled par" `Slow test_gs_foil_tiled_par
         :: qsuite [ prop_gs_tiled_par_bitwise; prop_gs_wavefront_bitwise ] );
-      ( "inspector",
-        Alcotest.test_case "pooled inspector invariant" `Slow
-          test_inspector_pool_invariant
-        :: qsuite
-             [
-               prop_par_lexgroup;
-               prop_par_gpart;
-               prop_par_gpart_cpack;
-               prop_par_cpack;
-               prop_par_materialize;
-               prop_par_to_graph;
-               prop_par_growth;
-               prop_par_legality;
-               prop_par_multilevel;
-             ] );
       ( "obs",
         [
           Alcotest.test_case "atomic metrics" `Quick test_metrics_atomic;

@@ -489,6 +489,41 @@ let prop_fst_always_legal =
       let tiles = Sparse_tile.full ~chain ~seed:1 ~seed_tiles:seed () in
       Sparse_tile.check_legality ~chain ~tiles = [])
 
+(* The scatter grower that serial Remap_once and Repair.regrow
+   substitute into [Sparse_tile.full] must equal the gather grower over
+   the transposed connectivity: rows may be empty (iterations without
+   predecessors; data nobody touches) and may touch a datum twice. *)
+let arb_growth =
+  let gen =
+    QCheck.Gen.(
+      let* n_data = int_range 1 30 in
+      let* n_iter = int_range 1 40 in
+      let* rows =
+        array_repeat n_iter
+          (list_size (int_range 0 5) (int_range 0 (n_data - 1)))
+      in
+      let* n_tiles = int_range 1 8 in
+      let* next = array_repeat n_iter (int_range 0 (n_tiles - 1)) in
+      return (n_data, rows, n_tiles, next))
+  in
+  QCheck.make
+    ~print:(fun (n, rows, t, _) ->
+      Printf.sprintf "n_data=%d n_iter=%d n_tiles=%d" n (Array.length rows) t)
+    gen
+
+let prop_scatter_growth_matches_transpose =
+  QCheck.Test.make
+    ~name:"grow_backward_scatter = grow_backward over transpose" ~count:1000
+    arb_growth (fun (n_data, rows, n_tiles, tile_of) ->
+      let conn = Access.of_lists ~n_data rows in
+      let next = { Sparse_tile.n_tiles; tile_of } in
+      let scatter = Sparse_tile.grow_backward_scatter ~conn ~next in
+      let gather =
+        Sparse_tile.grow_backward ~conn:(Access.transpose conn) ~next
+      in
+      scatter.Sparse_tile.n_tiles = gather.Sparse_tile.n_tiles
+      && scatter.Sparse_tile.tile_of = gather.Sparse_tile.tile_of)
+
 let prop_cache_block_always_legal =
   QCheck.Test.make ~name:"cache blocking is always legal" ~count:100
     arb_access (fun (n_data, left, right) ->
@@ -959,6 +994,7 @@ let () =
             prop_lexgroup_sorts_first_touch;
             prop_transpose_involution;
             prop_fst_always_legal;
+            prop_scatter_growth_matches_transpose;
             prop_cache_block_always_legal;
             prop_schedule_covers;
             prop_schedule_flat_matches_nested;
