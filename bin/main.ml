@@ -224,8 +224,7 @@ let run_ablations ?cache_dir domains scale steps =
   ignore domains;
   let config = config_of ?cache_dir ~scale ~steps () in
   Fmt.pr "Ablations (see DESIGN.md section 5):@.";
-  List.iter
-    (Fmt.pr "%a" Harness.Ablations.pp_rows)
+  Fmt.pr "%a" Harness.Table.pp
     (Harness.Ablations.all ~machine:Cachesim.Machine.pentium4 ~config ())
 
 let run_symbolic () =
@@ -339,7 +338,8 @@ let run_guide bench ds budget scale steps =
     Harness.Figures.suite_for ~machine kernel
   in
   Fmt.pr
-    "Guidance (Section 7): ranking compositions for %s/%s over %d outer      iterations on %a@.@."
+    "Guidance (Section 7): ranking compositions for %s/%s over %d outer \
+     iterations on %a@.@."
     bench ds budget Cachesim.Machine.pp machine;
   let ranking =
     Harness.Guidance.select ~trace_steps:steps ~machine ~steps_budget:budget
@@ -466,11 +466,11 @@ let run_trace_report file scale steps =
 let run_churn ?cache_dir domains scale steps =
   ignore cache_dir;
   ignore domains;
-  let report = Harness.Churnbench.measure ~rounds:(max 2 steps) ~scale () in
+  let table = Harness.Churnbench.measure ~rounds:(max 2 steps) ~scale () in
   Fmt.pr
     "Repair vs cold re-inspection under graph churn (degree-preserving \
      rewires):@.";
-  Fmt.pr "%a" Harness.Churnbench.pp_report report
+  Fmt.pr "%a" Harness.Table.pp table
 
 let run_bench_diff old_path new_path tolerance ratios_only all =
   match
@@ -832,10 +832,10 @@ let bench_diff_cmd =
       & flag
       & info [ "ratios-only" ]
           ~doc:
-            "Gate only on dimensionless or modeled metrics (speedups, \
-             normalized ratios, identity booleans) — absolute timings still \
-             print but cannot fail the diff. For CI, where baseline and \
-             candidate ran on different machines.")
+            "Gate only on metrics whose declared unit is dimensionless \
+             ($(b,ratio) or $(b,bool): speedups, normalized ratios, identity \
+             flags) — absolute timings still print but cannot fail the diff. \
+             For CI, where baseline and candidate ran on different machines.")
   in
   let all =
     Arg.(
@@ -847,8 +847,9 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two BENCH_*.json files metric-by-metric; exit 1 on \
-          regression")
+         "Compare two BENCH_*.json tables metric-by-metric, in the direction \
+          each metric declares; exit 1 on a regression, a gated metric \
+          missing or not finite, exit 2 on a file that is not a table")
     Term.(
       const run_bench_diff $ old_path $ new_path $ tolerance $ ratios_only
       $ all)

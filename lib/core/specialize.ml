@@ -122,12 +122,6 @@ let find_compiler () =
     Atomic.set compiler_memo (Some (wanted, found));
     found
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Compiled modules live next to the plan cache when one is configured
    (same locality story: the fingerprint names both), else under the
    system temp dir. *)
@@ -265,7 +259,7 @@ let compile_and_load ~kernel ~key source : (exec * float * bool) option =
   | None -> (
     try
       let dir = cache_dir () in
-      mkdir_p dir;
+      Rtrt_plancache.Disk_write.mkdir_p dir;
       let name = Printf.sprintf "spec_%s_%s" kernel key in
       let cmxs = Filename.concat dir (name ^ ".cmxs") in
       let loaded =

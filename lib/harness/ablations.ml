@@ -10,20 +10,32 @@
       (Sections 2.3/4).
 
    All report modeled misses per time step on a given machine, except
-   A5 (inspector seconds) and A6 (parallelism statistics). *)
+   A5 (inspector seconds), A6 (parallelism statistics) and A7 (modeled
+   cycles). Each ablation is one section of rows, one row per
+   variant. *)
 
-type row = {
-  label : string;
-  value : float;
-  unit_ : string;
-}
+module T = Table
 
-let pp_rows ppf (title, rows) =
-  Fmt.pf ppf "@[<v2>%s:@," title;
-  List.iter
-    (fun r -> Fmt.pf ppf "%-36s %12.4g %s@," r.label r.value r.unit_)
-    rows;
-  Fmt.pf ppf "@]@."
+let rows section variants =
+  List.map
+    (fun (variant, metrics) ->
+      T.row [ ("section", section); ("variant", variant) ] metrics)
+    variants
+
+let misses_metric v = T.lower "misses_per_step" "misses/step" v
+let inspector_metric v = T.lower "inspector_seconds" "s" v
+
+(* One plan's modeled misses per step and inspector seconds. *)
+let measured ~machine ~config kernel (label, plan) =
+  let m =
+    Experiment.measure ~trace_steps_n:config.Figures.trace_steps
+      ~wall_steps:1 ~machine ~plan kernel
+  in
+  ( label,
+    [
+      misses_metric m.Experiment.misses_per_step;
+      inspector_metric m.Experiment.inspector_seconds;
+    ] )
 
 let misses ?layout_of ~machine ~config ~plan kernel =
   (Experiment.measure ?layout_of
@@ -54,27 +66,7 @@ let data_reorderings ~machine ~config (dataset : Datagen.Dataset.t) =
             lex;
           ] );
     ]
-  in
-  let rows =
-    List.concat_map
-      (fun (label, plan) ->
-        let m =
-          Experiment.measure ~trace_steps_n:config.Figures.trace_steps
-            ~wall_steps:1 ~machine ~plan kernel
-        in
-        [
-          {
-            label;
-            value = m.Experiment.misses_per_step;
-            unit_ = "misses/step";
-          };
-          {
-            label = "  (inspector)";
-            value = m.Experiment.inspector_seconds;
-            unit_ = "s";
-          };
-        ])
-      plan_rows
+    |> List.map (measured ~machine ~config kernel)
   in
   (* Morton ordering from coordinates, then lexGroup via the plan
      machinery on the pre-permuted kernel. *)
@@ -88,14 +80,11 @@ let data_reorderings ~machine ~config (dataset : Datagen.Dataset.t) =
         Compose.Plan.make ~name:"SFC+L" [ lex ]
       in
       [
-        {
-          label = "morton sfc + lexGroup";
-          value = misses ~machine ~config ~plan kernel';
-          unit_ = "misses/step";
-        };
+        ( "morton sfc + lexGroup",
+          [ misses_metric (misses ~machine ~config ~plan kernel') ] );
       ]
   in
-  ("A1: data reordering algorithm (irreg)", rows @ sfc_row)
+  rows "A1: data reordering algorithm (irreg)" (plan_rows @ sfc_row)
 
 (* A2: block vs Gpart seed for full sparse tiling after CL. *)
 let seed_partitioning ~machine ~config (dataset : Datagen.Dataset.t) =
@@ -110,7 +99,7 @@ let seed_partitioning ~machine ~config (dataset : Datagen.Dataset.t) =
           Compose.Transform.Data_reorder Compose.Transform.Tile_pack;
         ])
   in
-  let rows =
+  let variants =
     [
       ( "block seed",
         fst_with (Compose.Transform.Seed_block { part_size = seed_size }) );
@@ -120,11 +109,11 @@ let seed_partitioning ~machine ~config (dataset : Datagen.Dataset.t) =
              { part_size = Figures.gpart_size_for ~target_bytes kernel }) );
     ]
   in
-  ( "A2: FST seed partitioning (irreg, after CL)",
-    List.map
-      (fun (label, plan) ->
-        { label; value = misses ~machine ~config ~plan kernel; unit_ = "misses/step" })
-      rows )
+  rows "A2: FST seed partitioning (irreg, after CL)"
+    (List.map
+       (fun (label, plan) ->
+         (label, [ misses_metric (misses ~machine ~config ~plan kernel) ]))
+       variants)
 
 (* A3: seeding the chain on the interaction loop (the paper's choice
    after CL/GL) vs on loop 0. Implemented directly over the sparse
@@ -156,34 +145,34 @@ let seed_loop ~machine ~config (dataset : Datagen.Dataset.t) =
     float_of_int (Cachesim.Hierarchy.l1_misses hierarchy)
     /. float_of_int config.Figures.trace_steps
   in
-  ( "A3: FST seed loop (moldyn, after CL)",
+  rows "A3: FST seed loop (moldyn, after CL)"
     [
-      {
-        label = "seed on j (interaction loop)";
-        value = tiled_misses kernel.Kernels.Kernel.seed_loop seed_size;
-        unit_ = "misses/step";
-      };
-      {
-        label = "seed on i (loop 0)";
-        value = tiled_misses 0 (Figures.gpart_size_for ~target_bytes kernel / 4);
-        unit_ = "misses/step";
-      };
-    ] )
+      ( "seed on j (interaction loop)",
+        [
+          misses_metric
+            (tiled_misses kernel.Kernels.Kernel.seed_loop seed_size);
+        ] );
+      ( "seed on i (loop 0)",
+        [
+          misses_metric
+            (tiled_misses 0 (Figures.gpart_size_for ~target_bytes kernel / 4));
+        ] );
+    ]
 
 (* A4: inter-array regrouping on/off. *)
 let regrouping ~machine ~config (dataset : Datagen.Dataset.t) =
   let kernel = Kernels.Moldyn.of_dataset dataset in
   let row label layout_of plan =
-    { label; value = misses ~layout_of ~machine ~config ~plan kernel; unit_ = "misses/step" }
+    (label, [ misses_metric (misses ~layout_of ~machine ~config ~plan kernel) ])
   in
-  ( "A4: inter-array regrouping (moldyn)",
+  rows "A4: inter-array regrouping (moldyn)"
     [
       row "base, regrouped" Kernels.Kernel.layout Compose.Plan.base;
       row "base, separate arrays" Kernels.Kernel.layout_separate Compose.Plan.base;
       row "CL, regrouped" Kernels.Kernel.layout Compose.Plan.cpack_lexgroup;
       row "CL, separate arrays" Kernels.Kernel.layout_separate
         Compose.Plan.cpack_lexgroup;
-    ] )
+    ]
 
 (* A5: symmetric-dependence elision (Section 6), inspector seconds.
    Measured on a bare FST plan so the elided dependence traversal is
@@ -205,11 +194,11 @@ let symmetric_sharing ~config (dataset : Datagen.Dataset.t) =
     done;
     !r
   in
-  ( "A5: symmetric-dependence elision (moldyn FST inspector)",
+  rows "A5: symmetric-dependence elision (moldyn FST inspector)"
     [
-      { label = "traverse both dependence sets"; value = best false; unit_ = "s" };
-      { label = "traverse one (shared)"; value = best true; unit_ = "s" };
-    ] )
+      ("traverse both dependence sets", [ inspector_metric (best false) ]);
+      ("traverse one (shared)", [ inspector_metric (best true) ]);
+    ]
 
 (* A6: tile-level parallelism of the sparse-tiled schedule. *)
 let tile_parallelism ~machine ~config (dataset : Datagen.Dataset.t) =
@@ -234,31 +223,21 @@ let tile_parallelism ~machine ~config (dataset : Datagen.Dataset.t) =
     Reorder.Tile_par.shared_data_conflicts par ~access:k.Kernels.Kernel.access
       ~tile_of_iter:tiles.(k.Kernels.Kernel.seed_loop).Reorder.Sparse_tile.tile_of
   in
-  ( "A6: tile-level parallelism (irreg, CL+FST)",
+  rows "A6: tile-level parallelism (irreg, CL+FST)"
     [
-      { label = "tiles"; value = float_of_int par.Reorder.Tile_par.n_tiles; unit_ = "" };
-      { label = "levels"; value = float_of_int par.Reorder.Tile_par.n_levels; unit_ = "" };
-      {
-        label = "average parallelism";
-        value = Reorder.Tile_par.average_parallelism par;
-        unit_ = "tiles/level";
-      };
-      {
-        label = "speedup on 4 processors";
-        value = Reorder.Tile_par.speedup par ~processors:4;
-        unit_ = "x";
-      };
-      {
-        label = "speedup on 16 processors";
-        value = Reorder.Tile_par.speedup par ~processors:16;
-        unit_ = "x";
-      };
-      {
-        label = "reduction-conflict tile pairs";
-        value = float_of_int conflicts;
-        unit_ = "";
-      };
-    ] )
+      ( Compose.Plan.name plan,
+        [
+          T.count "tiles" par.Reorder.Tile_par.n_tiles;
+          T.count "levels" par.Reorder.Tile_par.n_levels;
+          T.higher "average_parallelism" "tiles/level"
+            (Reorder.Tile_par.average_parallelism par);
+          T.higher "speedup_4_processors" "ratio"
+            (Reorder.Tile_par.speedup par ~processors:4);
+          T.higher "speedup_16_processors" "ratio"
+            (Reorder.Tile_par.speedup par ~processors:16);
+          T.count "reduction_conflict_tile_pairs" conflicts;
+        ] );
+    ]
 
 (* A7: sparse tiling across the outer time-stepping loop (Section 2.3
    "across an outer loop", via Compose.Timetile): trades extra L1
@@ -289,12 +268,13 @@ let time_tiling ~machine ~config (dataset : Datagen.Dataset.t) =
     cycles (fun ~access ->
         Compose.Timetile.run_traced k tt ~total_steps:steps ~layout ~access)
   in
-  ( "A7: time-step sparse tiling (moldyn, after GL; modeled cycles)",
+  let cycles_metric v = T.lower "modeled_cycles" "cycles" v in
+  rows "A7: time-step sparse tiling (moldyn, after GL)"
     [
-      { label = "GL, untiled steps"; value = plain; unit_ = "cycles" };
-      { label = "GL + 2-step slabs"; value = tiled 2; unit_ = "cycles" };
-      { label = "GL + 4-step slabs"; value = tiled 4; unit_ = "cycles" };
-    ] )
+      ("GL, untiled steps", [ cycles_metric plain ]);
+      ("GL + 2-step slabs", [ cycles_metric (tiled 2) ]);
+      ("GL + 4-step slabs", [ cycles_metric (tiled 4) ]);
+    ]
 
 (* A8: the two sparse tiling growth strategies (Section 2.3): full
    sparse tiling (side-by-side growth) vs cache blocking (shrinking
@@ -304,9 +284,9 @@ let tiling_growth ~machine ~config (dataset : Datagen.Dataset.t) =
   let target_bytes = machine.Cachesim.Machine.l1_size in
   let seed = Figures.seed_size_for ~target_bytes kernel in
   let row label plan =
-    { label; value = misses ~machine ~config ~plan kernel; unit_ = "misses/step" }
+    (label, [ misses_metric (misses ~machine ~config ~plan kernel) ])
   in
-  ( "A8: sparse-tile growth strategy (moldyn, after CL)",
+  rows "A8: sparse-tile growth strategy (moldyn, after CL)"
     [
       row "full sparse tiling"
         (Compose.Plan.with_fst ~seed_part_size:seed Compose.Plan.cpack_lexgroup);
@@ -314,7 +294,7 @@ let tiling_growth ~machine ~config (dataset : Datagen.Dataset.t) =
         (Compose.Plan.with_cache_block
            ~seed_part_size:(Figures.gpart_size_for ~target_bytes kernel / 4)
            Compose.Plan.cpack_lexgroup);
-    ] )
+    ]
 
 (* A9: dependence-free iteration-reordering algorithms after CPACK
    (Section 2.2: the paper picked lexGroup for its
@@ -326,44 +306,35 @@ let iter_reorderings ~machine ~config (dataset : Datagen.Dataset.t) =
       [ Compose.Transform.Data_reorder Compose.Transform.Cpack;
         Compose.Transform.Iter_reorder alg ]
   in
-  let rows =
-    List.concat_map
-      (fun (label, plan) ->
-        let m =
-          Experiment.measure ~trace_steps_n:config.Figures.trace_steps
-            ~wall_steps:1 ~machine ~plan kernel
-        in
-        [
-          { label; value = m.Experiment.misses_per_step; unit_ = "misses/step" };
-          {
-            label = "  (inspector)";
-            value = m.Experiment.inspector_seconds;
-            unit_ = "s";
-          };
-        ])
-      [
-        ("cpack only", Compose.Plan.cpack);
-        ("+ lexGroup", plan_with "C+lg" Compose.Transform.Lexgroup);
-        ("+ lexSort", plan_with "C+ls" Compose.Transform.Lexsort);
-        ( "+ bucket tiling",
-          plan_with "C+bt"
-            (Compose.Transform.Bucket_tile
-               { bucket_size = machine.Cachesim.Machine.l1_size / 16 / 2 }) );
-      ]
-  in
-  ("A9: iteration-reordering algorithm (irreg, after CPACK)", rows)
+  rows "A9: iteration-reordering algorithm (irreg, after CPACK)"
+    (List.map
+       (measured ~machine ~config kernel)
+       [
+         ("cpack only", Compose.Plan.cpack);
+         ("+ lexGroup", plan_with "C+lg" Compose.Transform.Lexgroup);
+         ("+ lexSort", plan_with "C+ls" Compose.Transform.Lexsort);
+         ( "+ bucket tiling",
+           plan_with "C+bt"
+             (Compose.Transform.Bucket_tile
+                { bucket_size = machine.Cachesim.Machine.l1_size / 16 / 2 }) );
+       ])
 
 let all ~machine ~config () =
   let foil = Option.get (Datagen.Generators.by_name ~scale:config.Figures.scale "foil") in
   let mol1 = Option.get (Datagen.Generators.by_name ~scale:config.Figures.scale "mol1") in
-  [
-    data_reorderings ~machine ~config foil;
-    seed_partitioning ~machine ~config foil;
-    seed_loop ~machine ~config mol1;
-    regrouping ~machine ~config mol1;
-    symmetric_sharing ~config mol1;
-    tile_parallelism ~machine ~config foil;
-    time_tiling ~machine ~config mol1;
-    tiling_growth ~machine ~config mol1;
-    iter_reorderings ~machine ~config foil;
-  ]
+  {
+    T.name = "ablations";
+    rows =
+      List.concat
+        [
+          data_reorderings ~machine ~config foil;
+          seed_partitioning ~machine ~config foil;
+          seed_loop ~machine ~config mol1;
+          regrouping ~machine ~config mol1;
+          symmetric_sharing ~config mol1;
+          tile_parallelism ~machine ~config foil;
+          time_tiling ~machine ~config mol1;
+          tiling_growth ~machine ~config mol1;
+          iter_reorderings ~machine ~config foil;
+        ];
+  }

@@ -380,33 +380,6 @@ let tune ?cache ?pool ?tuned ?trace_steps ?batch ?candidates ~machine kernel =
 (* ------------------------------------------------------------------ *)
 (* The BENCH_AUTOTUNE table                                            *)
 
-type row = {
-  ab_bench : string;
-  ab_dataset : string;
-  ab_machine : string;
-  ab_candidates : (string * float) list;
-  ab_winner : string;
-  ab_winner_score_ns : float;
-  ab_best_named : string;
-  ab_best_named_score_ns : float;
-  (* winner score / best named score; <= 1.0 by construction since the
-     named suite is a subset of the candidate space *)
-  ab_winner_over_named_normalized : float;
-  ab_winner_wall_seconds_per_step : float;
-  ab_best_named_wall_seconds_per_step : float;
-  (* named wall / winner wall; > 1.0 means the tuned plan also wins
-     the measured comparison *)
-  ab_winner_wall_speedup_over_named : float;
-  ab_cached : bool;
-}
-
-type report = {
-  rep_scale : int;
-  rep_domains : int;
-  rep_rows : row list;
-  rep_profile : Rtrt_obs.Profile.phase list;
-}
-
 (* Best plan among the hand-named standard suite, read out of the
    score table (the suite is a subset of the candidate space, and
    shared transform lists keep the suite's plan names through the
@@ -439,14 +412,17 @@ let wall_of_plan ?cache ~wall_steps plan kernel =
 
 let machines = [ Cachesim.Machine.power3; Cachesim.Machine.pentium4 ]
 
+(* One row per (bench, dataset, machine) cell, then one row per
+   candidate score of each cell. *)
 let measure ~(config : Figures.config) () =
+  let module T = Table in
   let cache = config.Figures.plan_cache in
   let tuned =
     Rtrt_plancache.Tuned.create
       ?dir:(Option.bind cache Rtrt_plancache.Cache.dir)
       ()
   in
-  let rows, profile =
+  let cells, profile =
     Rtrt_obs.Profile.record ~name:"autotune" (fun () ->
         Figures.with_config_pool ~config @@ fun pool ->
         List.concat_map
@@ -476,81 +452,63 @@ let measure ~(config : Figures.config) () =
                         (Figures.suite_for ~machine kernel)
                     in
                     let named_wall = wall named_plan in
-                    {
-                      ab_bench = bench;
-                      ab_dataset = ds_name;
-                      ab_machine = machine.Cachesim.Machine.name;
-                      ab_candidates = t.at_scores;
-                      ab_winner = Compose.Plan.name t.at_winner;
-                      ab_winner_score_ns = t.at_winner_score_ns;
-                      ab_best_named = named_name;
-                      ab_best_named_score_ns = named_score;
-                      ab_winner_over_named_normalized =
-                        (if named_score > 0.0 then
-                           t.at_winner_score_ns /. named_score
-                         else 1.0);
-                      ab_winner_wall_seconds_per_step = winner_wall;
-                      ab_best_named_wall_seconds_per_step = named_wall;
-                      ab_winner_wall_speedup_over_named =
-                        (if winner_wall > 0.0 then named_wall /. winner_wall
-                         else 1.0);
-                      ab_cached = t.at_cached;
-                    })
+                    let labels =
+                      [
+                        ("bench", bench);
+                        ("dataset", ds_name);
+                        ("machine", machine.Cachesim.Machine.name);
+                      ]
+                    in
+                    ( T.row
+                      ~notes:
+                        [
+                          ("winner", Compose.Plan.name t.at_winner);
+                          ("best_named", named_name);
+                        ]
+                      labels
+                      [
+                        T.lower "winner_score_ns_per_step" "ns"
+                          t.at_winner_score_ns;
+                        T.lower "best_named_score_ns_per_step" "ns" named_score;
+                        (* <= 1 by construction: the named suite is a
+                           subset of the candidate space *)
+                        T.lower "winner_over_named_normalized" "ratio"
+                          (if named_score > 0.0 then
+                             t.at_winner_score_ns /. named_score
+                           else 1.0);
+                        T.lower "winner_wall_seconds_per_step" "s" winner_wall;
+                        T.lower "best_named_wall_seconds_per_step" "s"
+                          named_wall;
+                        (* > 1 means the tuned plan also wins the
+                           measured comparison *)
+                        T.higher "winner_wall_speedup_over_named" "ratio"
+                          (if winner_wall > 0.0 then named_wall /. winner_wall
+                           else 1.0);
+                        T.flag T.Info "served_from_tuned_cache" t.at_cached;
+                      ],
+                      List.map
+                        (fun (name, score) ->
+                          T.row
+                            (labels @ [ ("candidate", name) ])
+                            [ T.lower "score_ns_per_step" "ns" score ])
+                        t.at_scores ))
                   machines)
               datasets)
           Figures.pairings)
   in
+  let cell_rows, candidate_rows = List.split cells in
   {
-    rep_scale = config.Figures.scale;
-    rep_domains = config.Figures.domains;
-    rep_rows = rows;
-    rep_profile = [ profile ];
+    T.name = "autotune";
+    rows =
+      T.row []
+        [
+          T.info "scale" "divisor" (float_of_int config.Figures.scale);
+          T.info "domains" "domains" (float_of_int config.Figures.domains);
+        ]
+      :: cell_rows
+      @ List.concat candidate_rows
+      @ T.profile_rows [ profile ];
   }
-
-let json_of_report r =
-  J.Obj
-    [
-      ("scale", J.Int r.rep_scale);
-      ("domains", J.Int r.rep_domains);
-      ( "rows",
-        J.List
-          (List.map
-             (fun row ->
-               J.Obj
-                 [
-                   ("bench", J.String row.ab_bench);
-                   ("dataset", J.String row.ab_dataset);
-                   (* labeled "name" so bench-diff's flattener keys the
-                      row as bench/dataset/machine *)
-                   ("name", J.String row.ab_machine);
-                   ( "candidates",
-                     J.List
-                       (List.map
-                          (fun (name, score) ->
-                            J.Obj
-                              [
-                                ("name", J.String name);
-                                ("score_ns_per_step", J.Float score);
-                              ])
-                          row.ab_candidates) );
-                   ("winner", J.String row.ab_winner);
-                   ("winner_score_ns_per_step", J.Float row.ab_winner_score_ns);
-                   ("best_named", J.String row.ab_best_named);
-                   ( "best_named_score_ns_per_step",
-                     J.Float row.ab_best_named_score_ns );
-                   ( "winner_over_named_normalized",
-                     J.Float row.ab_winner_over_named_normalized );
-                   ( "winner_wall_seconds_per_step",
-                     J.Float row.ab_winner_wall_seconds_per_step );
-                   ( "best_named_wall_seconds_per_step",
-                     J.Float row.ab_best_named_wall_seconds_per_step );
-                   ( "winner_wall_speedup_over_named",
-                     J.Float row.ab_winner_wall_speedup_over_named );
-                   ("served_from_tuned_cache", J.Bool row.ab_cached);
-                 ])
-             r.rep_rows) );
-      ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
-    ]
 
 let pp_scored ppf c =
   Fmt.pf ppf "%-12s %10.1f ns/step [%s]%a"
@@ -568,25 +526,3 @@ let pp_result ppf t =
     (if t.at_cached then " [tuned cache]" else "")
     (List.length t.at_scores) t.at_key_hex;
   List.iter (fun c -> Fmt.pf ppf "  %a@." pp_scored c) t.at_details
-
-let pp_report ppf r =
-  Fmt.pf ppf "scale %d, domains %d@." r.rep_scale r.rep_domains;
-  List.iter
-    (fun row ->
-      Fmt.pf ppf
-        "  %-8s %-6s %-9s winner %-12s %9.1f ns/step  named %-12s %9.1f  \
-         (model ratio %.3f, wall speedup %.2fx)%s@."
-        row.ab_bench row.ab_dataset row.ab_machine row.ab_winner
-        row.ab_winner_score_ns row.ab_best_named row.ab_best_named_score_ns
-        row.ab_winner_over_named_normalized
-        row.ab_winner_wall_speedup_over_named
-        (if row.ab_cached then " [cached]" else ""))
-    r.rep_rows;
-  let beaten =
-    List.length
-      (List.filter
-         (fun row -> row.ab_winner_over_named_normalized <= 1.0)
-         r.rep_rows)
-  in
-  Fmt.pf ppf "winner matches or beats the best hand-named plan on %d/%d cells@."
-    beaten (List.length r.rep_rows)

@@ -82,38 +82,12 @@ val tune :
   Kernels.Kernel.t ->
   t
 
-(** One bench/dataset/machine cell of BENCH_AUTOTUNE. *)
-type row = {
-  ab_bench : string;
-  ab_dataset : string;
-  ab_machine : string;
-  ab_candidates : (string * float) list;
-  ab_winner : string;
-  ab_winner_score_ns : float;
-  ab_best_named : string;
-  ab_best_named_score_ns : float;
-  ab_winner_over_named_normalized : float;
-      (** winner score / best named score; <= 1.0 by construction *)
-  ab_winner_wall_seconds_per_step : float;
-  ab_best_named_wall_seconds_per_step : float;
-  ab_winner_wall_speedup_over_named : float;
-      (** named wall / winner wall (measured, best-of-3) *)
-  ab_cached : bool;
-}
-
-type report = {
-  rep_scale : int;
-  rep_domains : int;
-  rep_rows : row list;
-  rep_profile : Rtrt_obs.Profile.phase list;
-}
-
 (** Tune every (bench, dataset, machine) cell of the paper's pairings
     on power3 and pentium4, and measure the winner's and the best
-    hand-named plan's wall clocks. *)
-val measure : config:Figures.config -> unit -> report
+    hand-named plan's wall clocks (best of 3). One row per cell, with
+    the winner and the best named plan as notes, followed by one row
+    per candidate score. *)
+val measure : config:Figures.config -> unit -> Table.t
 
-val json_of_report : report -> Rtrt_obs.Json.t
 val pp_scored : scored Fmt.t
 val pp_result : t Fmt.t
-val pp_report : report Fmt.t

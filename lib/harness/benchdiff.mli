@@ -1,15 +1,11 @@
-(** Bench-regression differ: compare two [BENCH_*.json] files
-    metric-by-metric with a configurable relative tolerance. Backs
+(** Bench-regression differ: compare two bench tables ({!Table})
+    metric by metric with a configurable relative tolerance. Backs
     [rtrt bench-diff] and the CI regression gate.
 
-    Both files are flattened to (path, number) rows; list elements are
-    labeled by their identifying string fields
-    ([bench]/[dataset]/[plan]/[config]/[name]; the [k]th repeat of a
-    label gets [#k]) so rows line up across reorderings. Paths
-    classify by key-name heuristics into lower-is-better,
-    higher-is-better, or informational. *)
-
-type direction = Lower_better | Higher_better | Info
+    A metric is matched across the two tables by its row's labels and
+    its name. Whether it gates, and in which direction, is what its
+    table declares ({!Table.better}); the baseline's declaration wins
+    when both tables carry the metric. *)
 
 type verdict =
   | Improved
@@ -18,37 +14,30 @@ type verdict =
   | Neutral    (** informational metric: never gates *)
   | Missing    (** present in old, absent in new; gates unless [Info] *)
   | Added      (** absent in old, present in new *)
+  | Invalid
+      (** a gated metric whose old or new value is NaN or infinite
+          ([null] on disk): always gates *)
 
 type row = {
   r_path : string;
+      (** the row's label values joined by ["/"], then [.]metric name *)
   r_old : float option;
   r_new : float option;
   r_delta_pct : float option;  (** (new - old) / |old| * 100 *)
-  r_dir : direction;
+  r_dir : Table.better;  (** after [ratios_only] *)
   r_verdict : verdict;
 }
 
-(** Direction heuristic for a flattened metric path (exposed for
-    tests). *)
-val direction_of : string -> direction
+(** [compare ~tolerance ~ratios_only old new]: the old table's metrics
+    in its order, then the metrics only the new table has.
+    [tolerance] is relative (default 0.1 = 10%); with [ratios_only]
+    (default false) only {!Table.dimensionless} metrics gate, the rest
+    become informational. *)
+val compare :
+  ?tolerance:float -> ?ratios_only:bool -> Table.t -> Table.t -> row list
 
-(** Whether a path is dimensionless/modeled — stable across machines,
-    so CI can gate on it ([ratios_only]). *)
-val ratio_like : string -> bool
-
-(** [compare_json ~tolerance ~ratios_only old new] — rows sorted by
-    path. [tolerance] is relative (default 0.1 = 10%); with
-    [ratios_only] (default false) only {!ratio_like} paths gate, the
-    rest become informational. *)
-val compare_json :
-  ?tolerance:float ->
-  ?ratios_only:bool ->
-  Rtrt_obs.Json.t ->
-  Rtrt_obs.Json.t ->
-  row list
-
-(** Parse both files (raising [Failure] on unreadable/invalid JSON)
-    and compare. *)
+(** Load both tables with {!Table.load} (raising [Failure] on an
+    unreadable file or one that is not a table) and compare. *)
 val compare_files :
   ?tolerance:float ->
   ?ratios_only:bool ->
@@ -57,9 +46,12 @@ val compare_files :
   unit ->
   row list
 
-(** Rows that fail the gate: every [Regressed] row, and every
-    [Missing] row whose direction is not [Info] (after [ratios_only]).
-    [Added] rows and missing [Info] rows never gate. *)
+(** Whether a row fails the gate: [Regressed] and [Invalid] rows, and
+    [Missing] rows whose direction is not [Info] (after
+    [ratios_only]). [Added] rows and missing [Info] rows never gate. *)
+val gates : row -> bool
+
+(** The rows that fail the gate. *)
 val regressions : row list -> row list
 
 val has_regression : row list -> bool

@@ -11,31 +11,6 @@
 module I = Compose.Inspector
 module R = Compose.Repair
 
-type row = {
-  cb_bench : string;
-  cb_dataset : string;
-  cb_plan : string;
-  cb_churn_pct : float;
-  cb_rounds : int;
-  cb_damaged_edges : int;
-  cb_damaged_nodes : int;
-  cb_tiles_moved : int;
-  cb_fell_back : bool;
-  cb_bit_identical : bool;
-  cb_repair_seconds : float;
-  cb_cold_inspect_seconds : float;
-  cb_repair_speedup : float;
-  cb_repaired_step_seconds : float;
-  cb_cold_step_seconds : float;
-  cb_steps_to_amortize : float;
-}
-
-type report = {
-  rep_scale : int;
-  rep_rounds : int;
-  rows : row list;
-}
-
 (* Timings are best-of-rounds: each chained round rewires the same
    fraction, so rounds are exchangeable timing samples, and the min is
    far more stable than the median against GC pauses and cgroup
@@ -147,27 +122,30 @@ let run_cell ~rounds ~fraction ~bench ~dataset_name ~of_dataset ~plan d0 =
     moved := info.R.tiles_moved :: !moved
   done;
   let repair_s = min_f !repair_ss and cold_s = min_f !cold_ss in
-  let rstep = min_f !rstep_ss and cstep = min_f !cstep_ss in
-  {
-    cb_bench = bench;
-    cb_dataset = dataset_name;
-    cb_plan = Compose.Plan.name plan;
-    cb_churn_pct = fraction *. 100.0;
-    cb_rounds = rounds;
-    cb_damaged_edges = median_i !dedges;
-    cb_damaged_nodes = median_i !dnodes;
-    cb_tiles_moved = median_i !moved;
-    cb_fell_back = !fell;
-    cb_bit_identical = !bit;
-    cb_repair_seconds = repair_s;
-    cb_cold_inspect_seconds = cold_s;
-    cb_repair_speedup = (if repair_s > 0.0 then cold_s /. repair_s else 0.0);
-    cb_repaired_step_seconds = rstep;
-    cb_cold_step_seconds = cstep;
-    cb_steps_to_amortize =
-      steps_to_amortize ~repair_s ~cold_s ~repaired_steps:!rstep_ss
-        ~cold_steps:!cstep_ss;
-  }
+  Table.row
+    [
+      ("bench", bench);
+      ("dataset", dataset_name);
+      ("plan", Compose.Plan.name plan);
+      ("churn_pct", Fmt.str "%g" (fraction *. 100.0));
+    ]
+    [
+      Table.count "rounds" rounds;
+      Table.count "damaged_edges" (median_i !dedges);
+      Table.count "damaged_nodes" (median_i !dnodes);
+      Table.count "tiles_moved" (median_i !moved);
+      Table.flag Table.Info "fell_back" !fell;
+      Table.flag Table.Higher "bit_identical" !bit;
+      Table.lower "repair_seconds" "s" repair_s;
+      Table.lower "cold_inspect_seconds" "s" cold_s;
+      Table.higher "repair_speedup" "ratio"
+        (if repair_s > 0.0 then cold_s /. repair_s else 0.0);
+      Table.lower "repaired_step_seconds" "s" (min_f !rstep_ss);
+      Table.lower "cold_step_seconds" "s" (min_f !cstep_ss);
+      Table.info "steps_to_amortize" "steps"
+        (steps_to_amortize ~repair_s ~cold_s ~repaired_steps:!rstep_ss
+           ~cold_steps:!cstep_ss);
+    ]
 
 let levels = [ 0.01; 0.02; 0.05; 0.10 ]
 
@@ -199,74 +177,28 @@ let measure ?(rounds = 5) ~scale () =
           plans)
       cells
   in
-  (if rows <> [] then
-     let worst =
-       List.fold_left
-         (fun acc r -> Float.min acc r.cb_repair_speedup)
-         infinity rows
-     in
-     Rtrt_obs.Metrics.set
-       (Rtrt_obs.Metrics.gauge "churnbench.min_repair_speedup")
-       worst);
+  let values name =
+    List.filter_map
+      (fun r ->
+        Option.map
+          (fun (m : Table.metric) -> m.value)
+          (Table.find_metric r name))
+      rows
+  in
+  if rows <> [] then
+    Rtrt_obs.Metrics.set
+      (Rtrt_obs.Metrics.gauge "churnbench.min_repair_speedup")
+      (List.fold_left Float.min infinity (values "repair_speedup"));
   Rtrt_obs.Metrics.set
     (Rtrt_obs.Metrics.gauge "churnbench.bit_identical")
-    (if List.for_all (fun r -> r.cb_bit_identical) rows then 1.0 else 0.0);
-  { rep_scale = scale; rep_rounds = rounds; rows }
-
-(* ------------------------------------------------------------------ *)
-
-let json_of_report r =
-  Rtrt_obs.Json.(
-    Obj
-      [
-        ("scale", Int r.rep_scale);
-        ("rounds", Int r.rep_rounds);
-        ( "rows",
-          List
-            (List.map
-               (fun row ->
-                 Obj
-                   [
-                     ("bench", String row.cb_bench);
-                     ("dataset", String row.cb_dataset);
-                     ("plan", String row.cb_plan);
-                     ("churn_pct", Float row.cb_churn_pct);
-                     ("rounds", Int row.cb_rounds);
-                     ("damaged_edges", Int row.cb_damaged_edges);
-                     ("damaged_nodes", Int row.cb_damaged_nodes);
-                     ("tiles_moved", Int row.cb_tiles_moved);
-                     ("fell_back", Bool row.cb_fell_back);
-                     ("bit_identical", Bool row.cb_bit_identical);
-                     ("repair_seconds", Float row.cb_repair_seconds);
-                     ( "cold_inspect_seconds",
-                       Float row.cb_cold_inspect_seconds );
-                     ("repair_speedup", Float row.cb_repair_speedup);
-                     ( "repaired_step_seconds",
-                       Float row.cb_repaired_step_seconds );
-                     ("cold_step_seconds", Float row.cb_cold_step_seconds);
-                     ("steps_to_amortize", Float row.cb_steps_to_amortize);
-                   ])
-               r.rows) );
-      ])
-
-let pp_report ppf r =
-  Fmt.pf ppf "scale %d, %d chained churn rounds per cell@." r.rep_scale
-    r.rep_rounds;
-  List.iter
-    (fun row ->
-      Fmt.pf ppf
-        "  %-8s %-6s %-24s %5.1f%%: repair %8.2fms vs cold %8.2fms \
-         (%6.1fx)%s, %d moved, amortize %s  %s@."
-        row.cb_bench row.cb_dataset row.cb_plan row.cb_churn_pct
-        (row.cb_repair_seconds *. 1e3)
-        (row.cb_cold_inspect_seconds *. 1e3)
-        row.cb_repair_speedup
-        (if row.cb_fell_back then " [fell back]" else "")
-        row.cb_tiles_moved
-        (if row.cb_steps_to_amortize < 0.0 then "never"
-         else if row.cb_steps_to_amortize = 0.0 then
-           "n/a (no measurable executor difference)"
-         else Fmt.str "%.0f steps" row.cb_steps_to_amortize)
-        (if row.cb_bit_identical then "bit-identical" else "OUTPUT DIFFERS"))
-    r.rows;
-  if r.rows = [] then Fmt.pf ppf "  (no cells)@."
+    (if List.for_all (( = ) 1.0) (values "bit_identical") then 1.0 else 0.0);
+  {
+    Table.name = "churn";
+    rows =
+      Table.row []
+        [
+          Table.info "scale" "divisor" (float_of_int scale);
+          Table.count "rounds" rounds;
+        ]
+      :: rows;
+  }

@@ -7,34 +7,6 @@
     against frozen regrowth. Shared by [rtrt churn] and
     [rtrt bench --only churn]; the JSON feeds BENCH_CHURN.json. *)
 
-type row = {
-  cb_bench : string;
-  cb_dataset : string;
-  cb_plan : string;
-  cb_churn_pct : float;  (** churn level, percent of interactions *)
-  cb_rounds : int;
-      (** chained churn rounds: timings are best-of-rounds (each round
-          rewires the same fraction, and the min resists GC/throttling
-          spikes), damage counts are medians *)
-  cb_damaged_edges : int;  (** median damaged interactions per round *)
-  cb_damaged_nodes : int;
-  cb_tiles_moved : int;  (** median schedule memberships changed *)
-  cb_fell_back : bool;  (** any round took the cold fallback *)
-  cb_bit_identical : bool;
-      (** every round's repair was bit-identical (schedule and
-          executor output) to frozen regrowth *)
-  cb_repair_seconds : float;  (** best-of-rounds repair wall seconds *)
-  cb_cold_inspect_seconds : float;
-      (** best-of-rounds true cold [Compose.Inspector.run] wall
-          seconds *)
-  cb_repair_speedup : float;  (** cold / repair *)
-  cb_repaired_step_seconds : float;
-      (** steady-state executor seconds per step on the repaired plan *)
-  cb_cold_step_seconds : float;  (** same on the cold re-inspected plan *)
-  cb_steps_to_amortize : float;
-      (** see {!steps_to_amortize} *)
-}
-
 (** Executor steps after which the cold path's better plan has paid
     back its dearer inspector, from the per-round step seconds of the
     repaired and the cold plan. [0] when the two min-max ranges
@@ -48,18 +20,15 @@ val steps_to_amortize :
   cold_steps:float list ->
   float
 
-type report = {
-  rep_scale : int;
-  rep_rounds : int;
-  rows : row list;
-}
-
 (** Run the churn suite: moldyn/mol1 and cg/foil under CL+FST and
     GL+FST, churned at 1/2/5/10% for [rounds] (default 5) chained
-    rounds per cell. Deterministic datasets and churn (figure RNG).
-    Sets the [churnbench.min_repair_speedup] and
-    [churnbench.bit_identical] gauges. *)
-val measure : ?rounds:int -> scale:int -> unit -> report
-
-val json_of_report : report -> Rtrt_obs.Json.t
-val pp_report : report Fmt.t
+    rounds per cell, one row per (bench, dataset, plan, churn_pct).
+    Timings are best-of-rounds (each round rewires the same fraction,
+    and the min resists GC and throttling spikes); damage counts are
+    per-round medians; [bit_identical] holds when every round's repair
+    was bit-identical (schedule and executor output) to frozen
+    regrowth, and [fell_back] when any round took the cold fallback.
+    Deterministic datasets and churn (figure RNG). Sets the
+    [churnbench.min_repair_speedup] and [churnbench.bit_identical]
+    gauges. *)
+val measure : ?rounds:int -> scale:int -> unit -> Table.t

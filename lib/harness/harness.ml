@@ -3,6 +3,7 @@
     figures. *)
 
 module Experiment = Experiment
+module Table = Table
 module Figures = Figures
 module Ablations = Ablations
 module Guidance = Guidance

@@ -19,64 +19,13 @@
    Results land in BENCH_HOTPATH.json (the CI perf trajectory) and in
    the [hotpath.*] gauges. *)
 
+module T = Table
+
 let g_flat_gbps = Rtrt_obs.Metrics.gauge "hotpath.walk.flat_gbps"
 let g_walk_speedup = Rtrt_obs.Metrics.gauge "hotpath.walk.speedup"
 let g_exec_ratio = Rtrt_obs.Metrics.gauge "hotpath.exec.tiled_over_plain"
 let g_spec_shaped = Rtrt_obs.Metrics.gauge "hotpath.spec.shaped_speedup"
 let g_spec_codegen = Rtrt_obs.Metrics.gauge "hotpath.spec.codegen_speedup"
-
-type walk_result = {
-  walk_items : int;  (** schedule items per pass *)
-  walk_passes : int;
-  nested_seconds : float;
-  flat_seconds : float;
-  nested_gbps : float;
-  flat_gbps : float;
-  walk_speedup : float;  (** nested_seconds / flat_seconds *)
-}
-
-type exec_result = {
-  exec_steps : int;
-  plain_seconds_per_step : float;
-  tiled_seconds_per_step : float;
-  tiled_over_plain : float;
-}
-
-type spec_row = {
-  spec_kernel : string;
-  spec_plan : string;
-  spec_tier : string;  (** best tier reached: interp / shaped / codegen *)
-  spec_items : int;  (** schedule iterations per step *)
-  spec_steps : int;  (** steps per timed round *)
-  spec_runs : int;  (** contiguous runs in the schedule *)
-  spec_identity_rows : int;
-  spec_avg_run_len : float;
-  spec_interp_gbps : float;
-  spec_shaped_gbps : float;
-  spec_shaped_speedup : float;  (** interp_seconds / shaped_seconds *)
-  spec_codegen_gbps : float option;  (** [None] when Tier B unavailable *)
-  spec_codegen_speedup : float option;
-  spec_compile_seconds : float;
-  spec_cmxs_cache_hit : bool;
-  spec_bitwise : bool;  (** final states of all tiers bitwise equal *)
-}
-
-type phase = {
-  phase_name : string;
-  phase_count : int;
-  phase_total_s : float;
-  phase_self_s : float;
-}
-
-type report = {
-  rep_scale : int;
-  rep_plan : string;
-  walk : walk_result;
-  exec : exec_result;
-  spec : spec_row list;
-  phases : phase list;
-  rep_profile : Rtrt_obs.Profile.phase list;
-}
 
 let time f = snd (Rtrt_obs.Clock.time f)
 
@@ -167,20 +116,20 @@ let bench_walk ?(min_seconds = 0.2) sched =
   let gbps sec =
     float_of_int (8 * items * passes) /. max 1e-12 sec /. 1e9
   in
-  let r =
-    {
-      walk_items = items;
-      walk_passes = passes;
-      nested_seconds;
-      flat_seconds;
-      nested_gbps = gbps nested_seconds;
-      flat_gbps = gbps flat_seconds;
-      walk_speedup = nested_seconds /. max 1e-12 flat_seconds;
-    }
-  in
-  Rtrt_obs.Metrics.set g_flat_gbps r.flat_gbps;
-  Rtrt_obs.Metrics.set g_walk_speedup r.walk_speedup;
-  r
+  let speedup = nested_seconds /. max 1e-12 flat_seconds in
+  Rtrt_obs.Metrics.set g_flat_gbps (gbps flat_seconds);
+  Rtrt_obs.Metrics.set g_walk_speedup speedup;
+  T.row
+    [ ("section", "schedule_walk") ]
+    [
+      T.count "items" items;
+      T.count "passes" passes;
+      T.lower "nested_seconds" "s" nested_seconds;
+      T.lower "flat_seconds" "s" flat_seconds;
+      T.higher "nested_gbps" "GB/s" (gbps nested_seconds);
+      T.higher "flat_gbps" "GB/s" (gbps flat_seconds);
+      T.higher "speedup" "ratio" speedup;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Executor steady state                                               *)
@@ -203,16 +152,16 @@ let bench_exec ?(steps = 3) (kernel : Kernels.Kernel.t)
       time (fun () -> tiled.Kernels.Kernel.run_tiled sched ~steps)
       /. float_of_int steps
     in
-    let r =
-      {
-        exec_steps = steps;
-        plain_seconds_per_step = plain_s;
-        tiled_seconds_per_step = tiled_s;
-        tiled_over_plain = tiled_s /. max 1e-12 plain_s;
-      }
-    in
-    Rtrt_obs.Metrics.set g_exec_ratio r.tiled_over_plain;
-    r
+    let tiled_over_plain = tiled_s /. max 1e-12 plain_s in
+    Rtrt_obs.Metrics.set g_exec_ratio tiled_over_plain;
+    T.row
+      [ ("section", "executor") ]
+      [
+        T.count "steps" steps;
+        T.lower "plain_seconds_per_step" "s" plain_s;
+        T.lower "tiled_seconds_per_step" "s" tiled_s;
+        T.lower "tiled_over_plain" "ratio" tiled_over_plain;
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Specialized executors                                               *)
@@ -289,24 +238,38 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
     in
     Rtrt_obs.Metrics.set g_spec_shaped shaped_speedup;
     Option.iter (Rtrt_obs.Metrics.set g_spec_codegen) codegen_speedup;
-    {
-      spec_kernel = k.Kernels.Kernel.name;
-      spec_plan = plan_name;
-      spec_tier = Compose.Specialize.tier_name cg.Compose.Specialize.tier;
-      spec_items = items;
-      spec_steps = steps;
-      spec_runs = sm.Reorder.Shape.runs;
-      spec_identity_rows = sm.Reorder.Shape.identity_rows;
-      spec_avg_run_len = sm.Reorder.Shape.avg_run_len;
-      spec_interp_gbps = gbps interp_seconds;
-      spec_shaped_gbps = gbps shaped_seconds;
-      spec_shaped_speedup = shaped_speedup;
-      spec_codegen_gbps = Option.map gbps codegen_seconds;
-      spec_codegen_speedup = codegen_speedup;
-      spec_compile_seconds = cg.Compose.Specialize.compile_seconds;
-      spec_cmxs_cache_hit = cg.Compose.Specialize.cmxs_cache_hit;
-      spec_bitwise = bitwise;
-    }
+    T.row
+      ~notes:
+        [ ("tier", Compose.Specialize.tier_name cg.Compose.Specialize.tier) ]
+      [
+        ("section", "specialize");
+        ("bench", k.Kernels.Kernel.name);
+        ("plan", plan_name);
+      ]
+      ([
+         T.count "items" items;
+         T.count "steps" steps;
+         T.count "runs" sm.Reorder.Shape.runs;
+         T.count "identity_rows" sm.Reorder.Shape.identity_rows;
+         T.info "avg_run_len" "items" sm.Reorder.Shape.avg_run_len;
+         T.higher "interp_gbps" "GB/s" (gbps interp_seconds);
+         T.higher "shaped_gbps" "GB/s" (gbps shaped_seconds);
+         T.higher "shaped_speedup" "ratio" shaped_speedup;
+       ]
+      @ (match (codegen_seconds, codegen_speedup) with
+        | Some s, Some sp ->
+          [
+            T.higher "codegen_gbps" "GB/s" (gbps s);
+            T.higher "codegen_speedup" "ratio" sp;
+          ]
+        | _ -> [])
+      @ [
+          T.lower "compile_seconds" "s" cg.Compose.Specialize.compile_seconds;
+          (* a fact about the cache directory, not a better or worse
+             executor *)
+          T.flag T.Info "cmxs_cache_hit" cg.Compose.Specialize.cmxs_cache_hit;
+          T.flag T.Higher "bitwise" bitwise;
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Inspector phase breakdown                                           *)
@@ -318,12 +281,15 @@ let inspector_phases plan kernel =
       ignore (Experiment.inspect plan kernel));
   List.map
     (fun (a : Rtrt_obs.Report.agg) ->
-      {
-        phase_name = a.Rtrt_obs.Report.agg_name;
-        phase_count = a.count;
-        phase_total_s = a.total_s;
-        phase_self_s = a.self_s;
-      })
+      T.row
+        [
+          ("section", "inspector_phases"); ("span", a.Rtrt_obs.Report.agg_name);
+        ]
+        [
+          T.count "count" a.count;
+          T.lower "total_seconds" "s" a.total_s;
+          T.lower "self_seconds" "s" a.self_s;
+        ])
     (Rtrt_obs.Report.summarize (events ()))
 
 (* ------------------------------------------------------------------ *)
@@ -385,115 +351,15 @@ let measure ~scale () =
         inspector_phases plan kernel)
   in
   {
-    rep_scale = scale;
-    rep_plan = Compose.Plan.name plan;
-    walk;
-    exec;
-    spec;
-    phases;
-    rep_profile = [ ph_walk; ph_exec; ph_spec; ph_insp ];
-  }
-
-let json_of_report r =
-  Rtrt_obs.Json.(
-    Obj
+    T.name = "hotpath";
+    rows =
       [
-        ("scale", Int r.rep_scale);
-        ("plan", String r.rep_plan);
-        ( "schedule_walk",
-          Obj
-            [
-              ("items", Int r.walk.walk_items);
-              ("passes", Int r.walk.walk_passes);
-              ("nested_seconds", Float r.walk.nested_seconds);
-              ("flat_seconds", Float r.walk.flat_seconds);
-              ("nested_gbps", Float r.walk.nested_gbps);
-              ("flat_gbps", Float r.walk.flat_gbps);
-              ("speedup", Float r.walk.walk_speedup);
-            ] );
-        ( "executor",
-          Obj
-            [
-              ("steps", Int r.exec.exec_steps);
-              ("plain_seconds_per_step", Float r.exec.plain_seconds_per_step);
-              ("tiled_seconds_per_step", Float r.exec.tiled_seconds_per_step);
-              ("tiled_over_plain", Float r.exec.tiled_over_plain);
-            ] );
-        ( "specialize",
-          List
-            (List.map
-               (fun s ->
-                 Obj
-                   ([
-                      ("bench", String s.spec_kernel);
-                      ("plan", String s.spec_plan);
-                      ("tier", String s.spec_tier);
-                      ("items", Int s.spec_items);
-                      ("steps", Int s.spec_steps);
-                      ("runs", Int s.spec_runs);
-                      ("identity_rows", Int s.spec_identity_rows);
-                      ("avg_run_len", Float s.spec_avg_run_len);
-                      ("interp_gbps", Float s.spec_interp_gbps);
-                      ("shaped_gbps", Float s.spec_shaped_gbps);
-                      ("shaped_speedup", Float s.spec_shaped_speedup);
-                    ]
-                   @ (match (s.spec_codegen_gbps, s.spec_codegen_speedup) with
-                     | Some g, Some sp ->
-                       [
-                         ("codegen_gbps", Float g);
-                         ("codegen_speedup", Float sp);
-                       ]
-                     | _ -> [])
-                   @ [
-                       ("compile_seconds", Float s.spec_compile_seconds);
-                       ("cmxs_cache_hit", Bool s.spec_cmxs_cache_hit);
-                       ("bitwise", Bool s.spec_bitwise);
-                     ]))
-               r.spec) );
-        ( "inspector_phases",
-          List
-            (List.map
-               (fun p ->
-                 Obj
-                   [
-                     ("name", String p.phase_name);
-                     ("count", Int p.phase_count);
-                     ("total_seconds", Float p.phase_total_s);
-                     ("self_seconds", Float p.phase_self_s);
-                   ])
-               r.phases) );
-        ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
-      ])
-
-let pp_report ppf r =
-  Fmt.pf ppf
-    "plan %s, scale %d@.  schedule walk: %d items, %d passes: nested %.3f \
-     GB/s, flat %.3f GB/s (%.2fx)@.  executor: plain %.6fs/step, tiled \
-     %.6fs/step (tiled/plain %.3fx)@."
-    r.rep_plan r.rep_scale r.walk.walk_items r.walk.walk_passes
-    r.walk.nested_gbps r.walk.flat_gbps r.walk.walk_speedup
-    r.exec.plain_seconds_per_step r.exec.tiled_seconds_per_step
-    r.exec.tiled_over_plain;
-  Fmt.pf ppf "  specialized executors:@.";
-  List.iter
-    (fun s ->
-      Fmt.pf ppf
-        "    %-8s %-18s tier %-7s interp %.3f GB/s, shaped %.3f GB/s \
-         (%.2fx)%s, runs %d avg %.1f%s@."
-        s.spec_kernel s.spec_plan s.spec_tier s.spec_interp_gbps
-        s.spec_shaped_gbps s.spec_shaped_speedup
-        (match (s.spec_codegen_gbps, s.spec_codegen_speedup) with
-        | Some g, Some sp -> Fmt.str ", codegen %.3f GB/s (%.2fx)" g sp
-        | _ -> "")
-        s.spec_runs s.spec_avg_run_len
-        (if s.spec_compile_seconds > 0.0 then
-           Fmt.str ", compile %.2fs" s.spec_compile_seconds
-         else if s.spec_cmxs_cache_hit then ", cmxs cached"
-         else ""))
-    r.spec;
-  Fmt.pf ppf "  inspector phases:@.";
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "    %-32s %3dx total %.4fs self %.4fs@." p.phase_name
-        p.phase_count p.phase_total_s p.phase_self_s)
-    r.phases
+        T.row
+          ~notes:[ ("plan", Compose.Plan.name plan) ]
+          [] [ T.info "scale" "divisor" (float_of_int scale) ];
+        walk;
+        exec;
+      ]
+      @ spec @ phases
+      @ T.profile_rows [ ph_walk; ph_exec; ph_spec; ph_insp ];
+  }

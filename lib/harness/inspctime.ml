@@ -10,26 +10,6 @@
 let g_remap_once_speedup =
   Rtrt_obs.Metrics.gauge "inspctime.remap_once_speedup"
 
-type timing = {
-  t_config : string;  (** "remap-each" or "remap-once" *)
-  t_seconds : float;  (** best cold [inspector_seconds] of the repeats *)
-  t_speedup : float;  (** remap-each best / this best *)
-  t_identical : bool;  (** output bit-identical to the remap-each run *)
-}
-
-type row = {
-  row_plan : string;
-  row_serial_seconds : float;  (** remap-each best *)
-  row_timings : timing list;  (** remap-each first, then remap-once *)
-}
-
-type report = {
-  rep_scale : int;
-  rep_repeats : int;
-  rows : row list;
-  rep_profile : Rtrt_obs.Profile.phase list;  (* one phase per plan row *)
-}
-
 (* Best-of-N cold inspections; each run pays the full inspector (no
    cache is passed), and the minimum is the least-perturbed round. The
    result returned is the best round's, for the identity check. *)
@@ -66,33 +46,28 @@ let results_equal (a : Compose.Inspector.result)
 (* Best of 5 cold inspections per variant. *)
 let repeats = 5
 
+(* One row per strategy: remap-each, the baseline, then remap-once. *)
 let measure_plan plan kernel =
   let inspect ~strategy () = Compose.Inspector.run ~strategy plan kernel in
   let serial_seconds, baseline =
     best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_each)
   in
-  let timing ~config seconds result =
-    {
-      t_config = config;
-      t_seconds = seconds;
-      t_speedup = serial_seconds /. max 1e-12 seconds;
-      t_identical = results_equal baseline result;
-    }
+  let timing config seconds result =
+    Table.row
+      [ ("plan", Compose.Plan.name plan); ("config", config) ]
+      [
+        Table.lower "seconds" "s" seconds;
+        Table.higher "speedup" "ratio" (serial_seconds /. max 1e-12 seconds);
+        Table.flag Table.Higher "identical" (results_equal baseline result);
+      ]
   in
-  let each =
-    timing ~config:"remap-each" serial_seconds baseline
+  let once_seconds, once =
+    best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_once)
   in
-  let once =
-    let seconds, result =
-      best_of ~repeats (inspect ~strategy:Compose.Inspector.Remap_once)
-    in
-    timing ~config:"remap-once" seconds result
-  in
-  {
-    row_plan = Compose.Plan.name plan;
-    row_serial_seconds = serial_seconds;
-    row_timings = [ each; once ];
-  }
+  [
+    timing "remap-each" serial_seconds baseline;
+    timing "remap-once" once_seconds once;
+  ]
 
 (* GC (two back-to-back data reorderings) plus the two full-sparse-
    tiling compositions — the plans whose inspectors dominate Figure 16's
@@ -108,79 +83,30 @@ let plans ~part_size ~seed_part_size =
 let measure ~scale () =
   let dataset = Option.get (Datagen.Generators.by_name ~scale "mol1") in
   let kernel = (Option.get (Kernels.by_name "moldyn")) dataset in
-  let rows_profiled =
-    List.map
-      (fun plan ->
-        Rtrt_obs.Profile.record
-          ~name:("plan:" ^ Compose.Plan.name plan)
-          (fun () -> measure_plan plan kernel))
-      (plans ~part_size:64 ~seed_part_size:64)
+  let rows, profile =
+    List.split
+      (List.map
+         (fun plan ->
+           Rtrt_obs.Profile.record
+             ~name:("plan:" ^ Compose.Plan.name plan)
+             (fun () -> measure_plan plan kernel))
+         (plans ~part_size:64 ~seed_part_size:64))
   in
-  let rows = List.map fst rows_profiled in
   (match rows with
-  | first :: _ ->
-    List.iter
-      (fun t ->
-        if t.t_config = "remap-once" then
-          Rtrt_obs.Metrics.set g_remap_once_speedup t.t_speedup)
-      first.row_timings
-  | [] -> ());
+  | [ _; once ] :: _ ->
+    Option.iter
+      (fun (m : Table.metric) ->
+        Rtrt_obs.Metrics.set g_remap_once_speedup m.value)
+      (Table.find_metric once "speedup")
+  | _ -> ());
   {
-    rep_scale = scale;
-    rep_repeats = repeats;
-    rows;
-    rep_profile = List.map snd rows_profiled;
+    Table.name = "inspector";
+    rows =
+      Table.row []
+        [
+          Table.info "scale" "divisor" (float_of_int scale);
+          Table.count "repeats" repeats;
+        ]
+      :: List.concat rows
+      @ Table.profile_rows profile;
   }
-
-let identical r =
-  List.for_all
-    (fun row -> List.for_all (fun t -> t.t_identical) row.row_timings)
-    r.rows
-
-let json_of_report r =
-  Rtrt_obs.Json.(
-    Obj
-      [
-        ("scale", Int r.rep_scale);
-        ("repeats", Int r.rep_repeats);
-        ("identical", Bool (identical r));
-        ( "plans",
-          List
-            (List.map
-               (fun row ->
-                 Obj
-                   [
-                     ("plan", String row.row_plan);
-                     ("serial_seconds", Float row.row_serial_seconds);
-                     ( "timings",
-                       List
-                         (List.map
-                            (fun t ->
-                              Obj
-                                [
-                                  ("config", String t.t_config);
-                                  ("seconds", Float t.t_seconds);
-                                  ("speedup", Float t.t_speedup);
-                                  ("identical", Bool t.t_identical);
-                                ])
-                            row.row_timings) );
-                   ])
-               r.rows) );
-        ("profile", Rtrt_obs.Profile.json_of_phases r.rep_profile);
-      ])
-
-let pp_report ppf r =
-  Fmt.pf ppf "inspector cold-cost table, scale %d, best of %d@." r.rep_scale
-    r.rep_repeats;
-  List.iter
-    (fun row ->
-      Fmt.pf ppf "  %s:@." row.row_plan;
-      List.iter
-        (fun t ->
-          Fmt.pf ppf "    %-13s %.6fs  %.2fx%s@." t.t_config t.t_seconds
-            t.t_speedup
-            (if t.t_identical then "" else "  MISMATCH"))
-        row.row_timings)
-    r.rows;
-  if not (identical r) then
-    Fmt.pf ppf "WARNING: a remap-once variant diverged from remap-each@."

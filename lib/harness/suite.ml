@@ -9,13 +9,8 @@ type t = {
   scale : int;
   min_domains : int;
   wall_steps : int;
-  table : Figures.config -> Format.formatter -> Rtrt_obs.Json.t;
+  table : Figures.config -> Table.t;
 }
-
-let report measure pp json config ppf =
-  let r = measure config in
-  pp ppf r;
-  json r
 
 (* The Figures 6/7 suite on moldyn/mol1 measured twice through one
    cache: the first pass pays the inspections (misses), the second
@@ -23,9 +18,10 @@ let report measure pp json config ppf =
    iterations next to each plan. When RTRT_PLAN_CACHE_DIR is set the
    disk tier carries entries across processes, so a rerun's first pass
    can already hit. *)
-let plancache_table config ppf =
+let plancache_table config =
   let module C = Rtrt_plancache.Cache in
   let module E = Experiment in
+  let module T = Table in
   let cache = C.create ?dir:(C.dir_from_env ()) () in
   let config = { config with Figures.plan_cache = Some cache } in
   let machine = Cachesim.Machine.pentium4 in
@@ -34,12 +30,6 @@ let plancache_table config ppf =
   in
   let cold = Figures.run_suite ~machine ~config kernel in
   let warm = Figures.run_suite ~machine ~config kernel in
-  (match C.dir cache with
-  | Some d ->
-    Fmt.pf ppf "moldyn/mol1, scale %d, disk tier at %s@." config.Figures.scale
-      d
-  | None ->
-    Fmt.pf ppf "moldyn/mol1, scale %d, memory tier only@." config.Figures.scale);
   let rows =
     match warm with
     | [] -> []
@@ -49,51 +39,51 @@ let plancache_table config ppf =
           let hit =
             match w.E.plancache with Some pc -> pc.E.pc_hit | None -> false
           in
-          let breakeven = E.amortization_cached ~base w in
-          Fmt.pf ppf "  %-24s insp first %.4fs  second %.4fs (%s)%t@."
-            c.E.plan_name c.E.inspector_seconds w.E.inspector_seconds
-            (if hit then "cache hit" else "MISS")
-            (fun ppf ->
-              match breakeven with
-              | Some (uncached, cached) ->
-                Fmt.pf ppf "  break-even %.1f -> %.1f steps" uncached cached
-              | None -> ());
-          let steps pick =
-            match breakeven with
-            | Some b -> Rtrt_obs.Json.Float (pick b)
-            | None -> Rtrt_obs.Json.Null
-          in
-          Rtrt_obs.Json.(
-            Obj
+          T.row
+            [ ("plan", c.E.plan_name) ]
+            ([
+               T.lower "first_inspector_seconds" "s" c.E.inspector_seconds;
+               T.lower "second_inspector_seconds" "s" w.E.inspector_seconds;
+               T.flag T.Higher "second_was_hit" hit;
+             ]
+            @
+            match E.amortization_cached ~base w with
+            | Some (uncached, cached) ->
               [
-                ("plan", String c.E.plan_name);
-                ("first_inspector_seconds", Float c.E.inspector_seconds);
-                ("second_inspector_seconds", Float w.E.inspector_seconds);
-                ("second_was_hit", Bool hit);
-                ("breakeven_uncached_steps", steps fst);
-                ("breakeven_cached_steps", steps snd);
-              ]))
+                T.lower "breakeven_uncached_steps" "steps" uncached;
+                T.lower "breakeven_cached_steps" "steps" cached;
+              ]
+            | None -> []))
         cold warm
   in
+  (* Hit and miss counts depend on what an earlier process left in the
+     disk tier, so only errors have a better direction. *)
   let st = C.stats cache in
-  Fmt.pf ppf "  cache: %a@." C.pp_stats st;
-  Rtrt_obs.Json.(
-    Obj
-      [
-        ("scale", Int config.Figures.scale);
-        ("rows", List rows);
-        ( "cache",
-          Obj
+  {
+    T.name = "plancache";
+    rows =
+      T.row
+        ~notes:
+          (("dataset", "moldyn/mol1")
+          :: Option.fold ~none:[] ~some:(fun d -> [ ("disk_tier", d) ])
+               (C.dir cache))
+        []
+        [ T.info "scale" "divisor" (float_of_int config.Figures.scale) ]
+      :: rows
+      @ [
+          T.row
+            [ ("section", "cache") ]
             [
-              ("hits", Int st.C.hits);
-              ("misses", Int st.C.misses);
-              ("stores", Int st.C.stores);
-              ("evictions", Int st.C.evictions);
-              ("disk_hits", Int st.C.disk_hits);
-              ("disk_errors", Int st.C.disk_errors);
-              ("bytes", Int st.C.bytes);
-            ] );
-      ])
+              T.count "hits" st.C.hits;
+              T.count "misses" st.C.misses;
+              T.count "stores" st.C.stores;
+              T.count "evictions" st.C.evictions;
+              T.count "disk_hits" st.C.disk_hits;
+              T.lower "disk_errors" "count" (float_of_int st.C.disk_errors);
+              T.info "bytes" "B" (float_of_int st.C.bytes);
+            ];
+        ];
+  }
 
 (* Scale 24 keeps the hot-path and inspector tables under a minute on
    a CI runner; the others run at 64. The parallel-speedup ratio
@@ -112,10 +102,7 @@ let all =
       scale = 24;
       min_domains = 1;
       wall_steps = 3;
-      table =
-        report
-          (fun c -> Hotpath.measure ~scale:c.Figures.scale ())
-          Hotpath.pp_report Hotpath.json_of_report;
+      table = (fun c -> Hotpath.measure ~scale:c.Figures.scale ());
     };
     {
       name = "inspector";
@@ -125,10 +112,7 @@ let all =
       scale = 24;
       min_domains = 1;
       wall_steps = 3;
-      table =
-        report
-          (fun c -> Inspctime.measure ~scale:c.Figures.scale ())
-          Inspctime.pp_report Inspctime.json_of_report;
+      table = (fun c -> Inspctime.measure ~scale:c.Figures.scale ());
     };
     {
       name = "par";
@@ -139,10 +123,8 @@ let all =
       min_domains = 2;
       wall_steps = 32;
       table =
-        report
-          (fun config ->
-            Parbench.measure ~machine:Cachesim.Machine.pentium4 ~config ())
-          Parbench.pp_report Parbench.json_of_report;
+        (fun config ->
+          Parbench.measure ~machine:Cachesim.Machine.pentium4 ~config ());
     };
     {
       name = "autotune";
@@ -153,10 +135,7 @@ let all =
       scale = 64;
       min_domains = 2;
       wall_steps = 8;
-      table =
-        report
-          (fun config -> Autotune.measure ~config ())
-          Autotune.pp_report Autotune.json_of_report;
+      table = (fun config -> Autotune.measure ~config ());
     };
     {
       name = "churn";
@@ -167,10 +146,7 @@ let all =
       scale = 64;
       min_domains = 1;
       wall_steps = 3;
-      table =
-        report
-          (fun c -> Churnbench.measure ~scale:c.Figures.scale ())
-          Churnbench.pp_report Churnbench.json_of_report;
+      table = (fun c -> Churnbench.measure ~scale:c.Figures.scale ());
     };
     {
       name = "plancache";
@@ -198,8 +174,7 @@ let config ?scale ~domains s =
 
 let run ?scale ~domains ?out s =
   let out = Option.value out ~default:(default_out s) in
-  let json = s.table (config ?scale ~domains s) Fmt.stdout in
-  Out_channel.with_open_text out (fun oc ->
-      output_string oc (Rtrt_obs.Json.to_string json);
-      output_char oc '\n');
+  let t = s.table (config ?scale ~domains s) in
+  Fmt.pr "%a" Table.pp t;
+  Table.write out t;
   Fmt.pr "wrote %s@." out

@@ -10,8 +10,7 @@ type t = {
   min_domains : int;
       (** domain-count floor: 2 where the table measures a pool *)
   wall_steps : int;  (** executor steps per wall-clock window *)
-  table : Figures.config -> Format.formatter -> Rtrt_obs.Json.t;
-      (** measure, print the human-readable table, return the JSON *)
+  table : Figures.config -> Table.t;  (** measure the table *)
 }
 
 (** hotpath, inspector, par, autotune, churn, plancache. *)
@@ -22,5 +21,6 @@ val default_out : t -> string
 
 (** Run the suite under its settings, with [scale] replacing its
     default scale and [domains] raised to its floor; print the table on
-    stdout and write its JSON to [out] (default {!default_out}). *)
+    stdout ({!Table.pp}) and write it to [out] (default
+    {!default_out}). *)
 val run : ?scale:int -> domains:int -> ?out:string -> t -> unit

@@ -77,16 +77,8 @@ let default_mem_budget = 64 * 1024 * 1024
 
 let dir_from_env () = Rtrt_obs.Config.env_dir ~name:"RTRT_PLAN_CACHE_DIR" ()
 
-let rec mkdir_p path =
-  if path <> "" && path <> "/" && path <> "." && not (Sys.file_exists path)
-  then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?(mem_budget_bytes = default_mem_budget) ?dir () =
-  (match dir with Some d -> mkdir_p d | None -> ());
+  Option.iter Disk_write.mkdir_p dir;
   {
     mem_budget = mem_budget_bytes;
     dir;

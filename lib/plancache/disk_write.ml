@@ -1,11 +1,14 @@
-(* Atomic file writes for the on-disk tiers of [Cache] and [Tuned]:
-   write a temp file next to the target, then rename it over the
-   target, so a reader sees the old file or the new one, never a
-   partial one. Every write gets its own temp name (pid, domain and a
-   process-wide counter, as [Specialize] names its build directories).
-   The pid alone is not enough: two writers in one process would share
-   a temp file, and one could rename it away while the other still
-   writes it. *)
+(* Atomic file writes for the on-disk tiers of [Cache] and [Tuned],
+   and the directory creation they share with [Specialize]'s .cmxs
+   cache.
+
+   A write goes to a temp file next to the target, then is renamed
+   over the target, so a reader sees the old file or the new one,
+   never a partial one. Every write gets its own temp name (pid,
+   domain and a process-wide counter, as [Specialize] names its build
+   directories). The pid alone is not enough: two writers in one
+   process would share a temp file, and one could rename it away while
+   the other still writes it. *)
 
 let counter = Atomic.make 0
 
@@ -23,3 +26,11 @@ let atomically path write =
   | exception Sys_error msg ->
     (try Sys.remove tmp with Sys_error _ -> ());
     Error msg
+
+let rec mkdir_p path =
+  if path <> "" && path <> "/" && path <> "." && not (Sys.file_exists path)
+  then begin
+    mkdir_p (Filename.dirname path);
+    try Unix.mkdir path 0o755
+    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end

@@ -52,16 +52,8 @@ let c_store = Rtrt_obs.Metrics.counter "autotune.cache.store"
 let c_disk_hit = Rtrt_obs.Metrics.counter "autotune.cache.disk_hit"
 let c_disk_error = Rtrt_obs.Metrics.counter "autotune.cache.disk_error"
 
-let rec mkdir_p path =
-  if path <> "" && path <> "/" && path <> "." && not (Sys.file_exists path)
-  then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?dir () =
-  (match dir with Some d -> mkdir_p d | None -> ());
+  Option.iter Disk_write.mkdir_p dir;
   {
     dir;
     tbl = Hashtbl.create 16;

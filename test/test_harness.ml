@@ -2,6 +2,9 @@
    amortization), parameter sizing, and smoke tests of the figure and
    ablation drivers at tiny scale. *)
 
+module T = Harness.Table
+module B = Harness.Benchdiff
+
 let mk ?(plan = "p") ?(insp = 1.0) ?(exec = 1.0) ?(cycles = 100.0) () =
   {
     Harness.Experiment.plan_name = plan;
@@ -148,19 +151,23 @@ let test_ablations_smoke () =
     ]
   in
   List.iter
-    (fun (title, rows) ->
-      Alcotest.(check bool) (title ^ " nonempty") true (List.length rows >= 2))
+    (fun rows ->
+      let title = List.assoc "section" (List.hd rows).T.labels in
+      Alcotest.(check bool) (title ^ " nonempty") true
+        (List.length (List.concat_map (fun r -> r.T.metrics) rows) >= 2))
     checks
 
 let test_ablation_regrouping_direction () =
   (* Regrouping must reduce misses for moldyn (9 co-accessed arrays). *)
   let machine = Cachesim.Machine.pentium4 in
   let mol = Option.get (Datagen.Generators.by_name ~scale:128 "mol1") in
-  let _, rows = Harness.Ablations.regrouping ~machine ~config:tiny mol in
-  match rows with
+  let misses r =
+    (Option.get (T.find_metric r "misses_per_step")).T.value
+  in
+  match Harness.Ablations.regrouping ~machine ~config:tiny mol with
   | [ grouped; separate; _; _ ] ->
     Alcotest.(check bool) "grouped fewer misses" true
-      (grouped.Harness.Ablations.value < separate.Harness.Ablations.value)
+      (misses grouped < misses separate)
   | _ -> Alcotest.fail "unexpected rows"
 
 let test_guidance_ranks () =
@@ -200,244 +207,271 @@ let test_guidance_empty () =
            ~steps_budget:1 ~plans:[] kernel))
 
 (* ------------------------------------------------------------------ *)
-(* Bench-diff: flattening, direction heuristics, verdicts             *)
+(* Bench tables and bench-diff: schema, declared directions, verdicts *)
 
-let bench_json ~speedup ~seconds ~misses =
-  Rtrt_obs.Json.(
-    Obj
+let bench_table ?(bitwise = true) ~speedup ~seconds ~misses () =
+  {
+    T.name = "test";
+    rows =
       [
-        ("schema", String "rtrt.bench/1");
-        ("scale", Int 1024);
-        ( "rows",
-          List
-            [
-              Obj
-                [
-                  ("bench", String "moldyn");
-                  ("plan", String "cpack_lexgroup");
-                  ("measured_speedup", Float speedup);
-                  ("serial_seconds_per_step", Float seconds);
-                  ("misses_per_step", Float misses);
-                  ("bitwise_equal", Bool true);
-                ];
-            ] );
-      ])
+        T.row [] [ T.info "scale" "divisor" 1024.0 ];
+        T.row
+          [ ("bench", "moldyn"); ("plan", "cpack_lexgroup") ]
+          [
+            T.higher "measured_speedup" "ratio" speedup;
+            T.lower "serial_seconds_per_step" "s" seconds;
+            T.lower "misses_per_step" "misses/step" misses;
+            T.flag T.Higher "bitwise_equal" bitwise;
+          ];
+      ];
+  }
 
 let find_row rows path =
-  match
-    List.find_opt (fun r -> r.Harness.Benchdiff.r_path = path) rows
-  with
+  match List.find_opt (fun r -> r.B.r_path = path) rows with
   | Some r -> r
   | None ->
     Alcotest.fail
       (Fmt.str "no row for %s (have: %s)" path
-         (String.concat ", "
-            (List.map (fun r -> r.Harness.Benchdiff.r_path) rows)))
+         (String.concat ", " (List.map (fun r -> r.B.r_path) rows)))
 
-let row_path = "rows[moldyn/cpack_lexgroup]"
+let row_path = "moldyn/cpack_lexgroup"
 let verdict = Alcotest.testable (fun ppf v ->
     Fmt.string ppf
       (match v with
-      | Harness.Benchdiff.Improved -> "improved"
+      | B.Improved -> "improved"
       | Regressed -> "regressed"
       | Equal -> "equal"
       | Neutral -> "neutral"
       | Missing -> "missing"
-      | Added -> "added"))
+      | Added -> "added"
+      | Invalid -> "invalid"))
     ( = )
 
 let test_benchdiff_equal () =
-  let j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
-  let rows = Harness.Benchdiff.compare_json j j in
+  let t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
+  let rows = B.compare t t in
   Alcotest.(check bool) "identical inputs never regress" false
-    (Harness.Benchdiff.has_regression rows);
-  Alcotest.check verdict "speedup equal" Harness.Benchdiff.Equal
+    (B.has_regression rows);
+  Alcotest.check verdict "speedup equal" B.Equal
     (find_row rows (row_path ^ ".measured_speedup")).r_verdict;
-  (* Informational keys are neutral, never gates. *)
-  Alcotest.check verdict "scale is info" Harness.Benchdiff.Neutral
+  (* Informational metrics are neutral, never gates. *)
+  Alcotest.check verdict "scale is info" B.Neutral
     (find_row rows "scale").r_verdict
 
 let test_benchdiff_regressed () =
-  let old_j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
+  let old_t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
   (* Speedup halves (higher-better down) and seconds double
      (lower-better up): both regress. *)
-  let new_j = bench_json ~speedup:1.5 ~seconds:1.0 ~misses:100.0 in
-  let rows = Harness.Benchdiff.compare_json old_j new_j in
-  Alcotest.(check bool) "regression detected" true
-    (Harness.Benchdiff.has_regression rows);
-  Alcotest.check verdict "speedup regressed" Harness.Benchdiff.Regressed
+  let new_t = bench_table ~speedup:1.5 ~seconds:1.0 ~misses:100.0 () in
+  let rows = B.compare old_t new_t in
+  Alcotest.(check bool) "regression detected" true (B.has_regression rows);
+  Alcotest.check verdict "speedup regressed" B.Regressed
     (find_row rows (row_path ^ ".measured_speedup")).r_verdict;
-  Alcotest.check verdict "seconds regressed" Harness.Benchdiff.Regressed
+  Alcotest.check verdict "seconds regressed" B.Regressed
     (find_row rows (row_path ^ ".serial_seconds_per_step")).r_verdict;
-  Alcotest.check verdict "misses unchanged" Harness.Benchdiff.Equal
+  Alcotest.check verdict "misses unchanged" B.Equal
     (find_row rows (row_path ^ ".misses_per_step")).r_verdict;
-  Alcotest.(check int) "two regressions" 2
-    (List.length (Harness.Benchdiff.regressions rows))
+  Alcotest.(check int) "two regressions" 2 (List.length (B.regressions rows))
 
 let test_benchdiff_improved () =
-  let old_j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
-  let new_j = bench_json ~speedup:4.0 ~seconds:0.25 ~misses:50.0 in
-  let rows = Harness.Benchdiff.compare_json old_j new_j in
-  Alcotest.(check bool) "improvements never gate" false
-    (Harness.Benchdiff.has_regression rows);
-  Alcotest.check verdict "speedup improved" Harness.Benchdiff.Improved
+  let old_t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
+  let new_t = bench_table ~speedup:4.0 ~seconds:0.25 ~misses:50.0 () in
+  let rows = B.compare old_t new_t in
+  Alcotest.(check bool) "improvements never gate" false (B.has_regression rows);
+  Alcotest.check verdict "speedup improved" B.Improved
     (find_row rows (row_path ^ ".measured_speedup")).r_verdict;
-  Alcotest.check verdict "seconds improved" Harness.Benchdiff.Improved
+  Alcotest.check verdict "seconds improved" B.Improved
     (find_row rows (row_path ^ ".serial_seconds_per_step")).r_verdict
 
 let test_benchdiff_tolerance () =
-  let old_j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
+  let old_t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
   (* 5% worse: inside the default 10% tolerance, outside 1%. *)
-  let new_j = bench_json ~speedup:2.85 ~seconds:0.5 ~misses:100.0 in
-  let lenient = Harness.Benchdiff.compare_json old_j new_j in
-  Alcotest.check verdict "within default tolerance" Harness.Benchdiff.Equal
-    (find_row lenient (row_path ^ ".measured_speedup")).r_verdict;
-  let strict = Harness.Benchdiff.compare_json ~tolerance:0.01 old_j new_j in
-  Alcotest.check verdict "outside strict tolerance"
-    Harness.Benchdiff.Regressed
-    (find_row strict (row_path ^ ".measured_speedup")).r_verdict
+  let new_t = bench_table ~speedup:2.85 ~seconds:0.5 ~misses:100.0 () in
+  Alcotest.check verdict "within default tolerance" B.Equal
+    (find_row (B.compare old_t new_t) (row_path ^ ".measured_speedup"))
+      .r_verdict;
+  Alcotest.check verdict "outside strict tolerance" B.Regressed
+    (find_row
+       (B.compare ~tolerance:0.01 old_t new_t)
+       (row_path ^ ".measured_speedup"))
+      .r_verdict
 
 let test_benchdiff_boolean_flip () =
   (* bitwise_equal true -> false is a full-magnitude drop in a
      higher-better metric: regression at any tolerance. *)
-  let old_j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
-  let new_j =
-    match bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 with
-    | Rtrt_obs.Json.Obj kvs ->
-      Rtrt_obs.Json.Obj
-        (List.map
-           (function
-             | "rows", Rtrt_obs.Json.List [ Rtrt_obs.Json.Obj row ] ->
-               ( "rows",
-                 Rtrt_obs.Json.List
-                   [
-                     Rtrt_obs.Json.Obj
-                       (List.map
-                          (function
-                            | "bitwise_equal", _ ->
-                              ("bitwise_equal", Rtrt_obs.Json.Bool false)
-                            | kv -> kv)
-                          row);
-                   ] )
-             | kv -> kv)
-           kvs)
-    | _ -> assert false
+  let old_t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
+  let new_t =
+    bench_table ~bitwise:false ~speedup:3.0 ~seconds:0.5 ~misses:100.0 ()
   in
-  let rows = Harness.Benchdiff.compare_json old_j new_j in
-  Alcotest.check verdict "bitwise flip regresses" Harness.Benchdiff.Regressed
-    (find_row rows (row_path ^ ".bitwise_equal")).r_verdict
+  Alcotest.check verdict "bitwise flip regresses" B.Regressed
+    (find_row (B.compare old_t new_t) (row_path ^ ".bitwise_equal"))
+      .r_verdict
 
 let test_benchdiff_missing_added () =
-  let old_j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
-  let new_j = Rtrt_obs.Json.(Obj [ ("schema", String "rtrt.bench/1"); ("extra", Int 7) ]) in
-  let rows = Harness.Benchdiff.compare_json old_j new_j in
-  Alcotest.check verdict "dropped metric is Missing" Harness.Benchdiff.Missing
+  let old_t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
+  let new_t =
+    { old_t with T.rows = [ T.row [] [ T.count "extra" 7 ] ] }
+  in
+  let rows = B.compare old_t new_t in
+  Alcotest.check verdict "dropped metric is Missing" B.Missing
     (find_row rows (row_path ^ ".measured_speedup")).r_verdict;
-  Alcotest.check verdict "new metric is Added" Harness.Benchdiff.Added
+  Alcotest.check verdict "new metric is Added" B.Added
     (find_row rows "extra").r_verdict;
   (* A missing gated row fails the gate, so an emptied table cannot
      pass; Added rows and missing informational rows never gate. *)
   Alcotest.(check bool) "dropped gated metric regresses" true
-    (Harness.Benchdiff.has_regression rows);
+    (B.has_regression rows);
   List.iter
     (fun ratios_only ->
-      Alcotest.(check bool) "{} regresses" true
-        (Harness.Benchdiff.has_regression
-           (Harness.Benchdiff.compare_json ~ratios_only old_j
-              (Rtrt_obs.Json.Obj []))))
+      Alcotest.(check bool) "emptied table regresses" true
+        (B.has_regression
+           (B.compare ~ratios_only old_t { old_t with T.rows = [] })))
     [ false; true ];
-  let with_keys f =
-    match old_j with
-    | Rtrt_obs.Json.Obj kvs -> Rtrt_obs.Json.Obj (f kvs)
-    | _ -> assert false
-  in
+  let with_rows f = { old_t with T.rows = f old_t.T.rows } in
   Alcotest.(check bool) "added metric does not gate" false
-    (Harness.Benchdiff.has_regression
-       (Harness.Benchdiff.compare_json old_j
-          (with_keys (fun kvs -> kvs @ [ ("extra", Rtrt_obs.Json.Int 7) ]))));
+    (B.has_regression
+       (B.compare old_t
+          (with_rows (fun rows ->
+               rows @ [ T.row [ ("x", "y") ] [ T.count "extra" 7 ] ]))));
   Alcotest.(check bool) "missing info metric does not gate" false
-    (Harness.Benchdiff.has_regression
-       (Harness.Benchdiff.compare_json old_j
-          (with_keys (List.filter (fun (k, _) -> k <> "scale")))));
-  (* Rows sharing a label stay distinct, so dropping one still gates. *)
-  let twice =
-    with_keys
-      (List.map (function
-        | "rows", Rtrt_obs.Json.List [ row ] ->
-          ("rows", Rtrt_obs.Json.List [ row; row ])
-        | kv -> kv))
-  in
-  let rows = Harness.Benchdiff.compare_json twice old_j in
-  Alcotest.check verdict "second same-label row is Missing"
-    Harness.Benchdiff.Missing
-    (find_row rows "rows[moldyn/cpack_lexgroup#1].measured_speedup").r_verdict;
-  Alcotest.(check bool) "dropped same-label row regresses" true
-    (Harness.Benchdiff.has_regression rows)
+    (B.has_regression (B.compare old_t (with_rows List.tl)))
 
 let test_benchdiff_ratios_only () =
-  let old_j = bench_json ~speedup:3.0 ~seconds:0.5 ~misses:100.0 in
+  let old_t = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
   (* Seconds blow up (machine-dependent) but the speedup holds:
      ratios_only must not gate on the timing. *)
-  let new_j = bench_json ~speedup:3.0 ~seconds:5.0 ~misses:100.0 in
-  let gated = Harness.Benchdiff.compare_json old_j new_j in
+  let new_t = bench_table ~speedup:3.0 ~seconds:5.0 ~misses:100.0 () in
   Alcotest.(check bool) "absolute timing gates by default" true
-    (Harness.Benchdiff.has_regression gated);
-  let ratios = Harness.Benchdiff.compare_json ~ratios_only:true old_j new_j in
+    (B.has_regression (B.compare old_t new_t));
+  let ratios = B.compare ~ratios_only:true old_t new_t in
   Alcotest.(check bool) "ratios_only ignores absolute timing" false
-    (Harness.Benchdiff.has_regression ratios);
-  Alcotest.check verdict "timing demoted to info" Harness.Benchdiff.Neutral
-    (find_row ratios (row_path ^ ".serial_seconds_per_step")).r_verdict
+    (B.has_regression ratios);
+  Alcotest.check verdict "timing demoted to info" B.Neutral
+    (find_row ratios (row_path ^ ".serial_seconds_per_step")).r_verdict;
+  (* Booleans are dimensionless: an identity flag still gates. *)
+  let flipped =
+    bench_table ~bitwise:false ~speedup:3.0 ~seconds:0.5 ~misses:100.0 ()
+  in
+  Alcotest.check verdict "flag gates under ratios_only" B.Regressed
+    (find_row (B.compare ~ratios_only:true old_t flipped)
+       (row_path ^ ".bitwise_equal"))
+      .r_verdict
 
-let test_benchdiff_directions () =
+(* The direction is the one the table declares, whatever the metric
+   is called: a "speedup" declared lower-is-better regresses when it
+   rises, and a "hit" declared informational never gates. *)
+let test_benchdiff_declared_direction () =
+  let table speedup hit =
+    {
+      T.name = "test";
+      rows =
+        [
+          T.row [ ("k", "v") ]
+            [
+              T.lower "speedup" "ratio" speedup; T.flag T.Info "cache_hit" hit;
+            ];
+        ];
+    }
+  in
+  let rows = B.compare (table 1.0 true) (table 2.0 false) in
+  Alcotest.check verdict "declared lower" B.Regressed
+    (find_row rows "v.speedup").r_verdict;
+  Alcotest.check verdict "declared info" B.Neutral
+    (find_row rows "v.cache_hit").r_verdict
+
+let parse_table s = Result.bind (Rtrt_obs.Json.of_string s) T.of_json
+
+(* A NaN compares false both ways, so without its own rule a NaN gated
+   value would read as equal. *)
+let test_benchdiff_nonfinite () =
+  let table seconds speedup =
+    {
+      T.name = "test";
+      rows =
+        [
+          T.row [ ("k", "v") ]
+            [
+              T.lower "seconds" "s" seconds; T.higher "speedup" "ratio" speedup;
+            ];
+        ];
+    }
+  in
+  let good = table 1.0 2.0 in
   List.iter
-    (fun (path, expected) ->
-      let got = Harness.Benchdiff.direction_of path in
-      let name = function
-        | Harness.Benchdiff.Lower_better -> "lower"
-        | Higher_better -> "higher"
-        | Info -> "info"
-      in
-      Alcotest.(check string) path (name expected) (name got))
-    [
-      ("rows[x].measured_speedup", Harness.Benchdiff.Higher_better);
-      ("rows[x].bitwise_equal", Harness.Benchdiff.Higher_better);
-      ("rows[x].serial_seconds_per_step", Harness.Benchdiff.Lower_better);
-      ("hist.p99_ns", Harness.Benchdiff.Lower_better);
-      ("rows[x].misses_per_step", Harness.Benchdiff.Lower_better);
-      ("scale", Harness.Benchdiff.Info);
-      ("domains", Harness.Benchdiff.Info);
-      ("profile[inspect].minor_collections", Harness.Benchdiff.Info);
-      ("schema", Harness.Benchdiff.Info);
-    ];
-  List.iter
-    (fun (path, expected) ->
-      Alcotest.(check bool) ("ratio_like " ^ path) expected
-        (Harness.Benchdiff.ratio_like path))
-    [
-      ("rows[x].measured_speedup", true);
-      ("rows[x].bitwise_equal", true);
-      ("rows[x].miss_ratio", true);
-      ("rows[x].serial_seconds_per_step", false);
-      ("scale", false);
-    ]
+    (fun (what, bad) ->
+      List.iter
+        (fun (name, old_t, new_t) ->
+          Alcotest.(check bool) (what ^ " " ^ name ^ " gates") true
+            (B.has_regression (B.compare old_t new_t)))
+        [
+          ("new lower", good, table bad 2.0);
+          ("new higher", good, table 1.0 bad);
+          ("old lower", table bad 2.0, good);
+          ("old higher", table 1.0 bad, good);
+        ])
+    [ ("nan", Float.nan); ("+inf", Float.infinity) ];
+  (* On disk a non-finite value is null, which reads back as NaN and
+     gates the same way. *)
+  let written = T.to_string (table Float.nan Float.nan) in
+  Alcotest.(check bool) "null written for NaN" true
+    (try
+       ignore
+         (Str.search_forward
+            (Str.regexp_string {|"seconds":{"value":null|})
+            written 0);
+       true
+     with Not_found -> false);
+  let rows =
+    match parse_table written with
+    | Ok on_disk -> B.compare good on_disk
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.check verdict "null lower" B.Invalid
+    (find_row rows "v.seconds").r_verdict;
+  Alcotest.check verdict "null higher" B.Invalid
+    (find_row rows "v.speedup").r_verdict;
+  Alcotest.(check bool) "info metric never gates" false
+    (B.has_regression
+       (B.compare
+          { T.name = "t"; rows = [ T.row [] [ T.info "x" "s" 1.0 ] ] }
+          { T.name = "t"; rows = [ T.row [] [ T.info "x" "s" Float.nan ] ] }))
+
+(* The writer's output reads back as the same table; anything else is
+   not a table. *)
+let test_table_json () =
+  let base = bench_table ~speedup:3.0 ~seconds:0.5 ~misses:100.0 () in
+  let t =
+    {
+      base with
+      T.rows =
+        base.T.rows
+        @ [
+            T.row ~notes:[ ("tier", "serial") ] [ ("bench", "cg") ]
+              [ T.lower "seconds" "s" 0.1234567890123 ];
+          ];
+    }
+  in
+  (match parse_table (T.to_string t) with
+  | Ok t' -> Alcotest.(check bool) "round trip" true (t = t')
+  | Error msg -> Alcotest.fail msg);
+  let rejected what s =
+    Alcotest.(check bool) (what ^ " rejected") true
+      (Result.is_error (parse_table s))
+  in
+  rejected "{}" "{}";
+  rejected "old shape" {|{"scale":64,"rows":[{"bench":"moldyn","speedup":2}]}|};
+  rejected "two rows with the same labels"
+    (T.to_string { t with T.rows = t.T.rows @ [ List.nth t.T.rows 1 ] });
+  rejected "unknown direction"
+    ({|{"schema":"rtrt.table/1","table":"x","rows":[{"labels":{},|}
+    ^ {|"metrics":{"m":{"value":1,"unit":"s","better":"up"}}}]}|})
 
 (* ------------------------------------------------------------------ *)
 (* The bench driver: each suite at scale 512 under its own settings
-   (hotpath is left to CI: it takes seconds even at this scale). *)
-
-let identity_keys = [ "identical"; "bitwise_equal"; "bit_identical"; "bitwise" ]
-
-let rec identity_flags (j : Rtrt_obs.Json.t) acc =
-  match j with
-  | Obj kvs ->
-    List.fold_left
-      (fun acc (k, v) ->
-        match v with
-        | Rtrt_obs.Json.Bool b when List.mem k identity_keys -> (k, b) :: acc
-        | v -> identity_flags v acc)
-      acc kvs
-  | List xs -> List.fold_left (fun acc x -> identity_flags x acc) acc xs
-  | _ -> acc
+   (hotpath is left to CI: it takes seconds even at this scale). A
+   suite with a committed baseline must still write every metric the
+   baseline gates; the values are not compared, since the scale
+   differs. *)
 
 let test_suite name () =
   let suite =
@@ -447,26 +481,29 @@ let test_suite name () =
   Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
   (* One domain asked for: par and autotune still measure a pool. *)
   Harness.Suite.run ~scale:512 ~domains:1 ~out suite;
-  let json =
-    match
-      Rtrt_obs.Json.of_string (In_channel.with_open_text out In_channel.input_all)
-    with
-    | Ok j -> j
-    | Error msg -> Alcotest.fail msg
-  in
+  let table = T.load out in
   Alcotest.(check bool) "passes its own gate" false
-    (Harness.Benchdiff.has_regression
-       (Harness.Benchdiff.compare_files ~old_path:out ~new_path:out ()));
+    (B.has_regression (B.compare_files ~old_path:out ~new_path:out ()));
   List.iter
-    (fun (k, b) -> Alcotest.(check bool) (k ^ " reads true") true b)
-    (identity_flags json []);
+    (fun (r : T.row) ->
+      List.iter
+        (fun (m : T.metric) ->
+          if m.unit_ = "bool" && m.better <> T.Info then
+            Alcotest.(check bool) (m.name ^ " reads true") true (m.value = 1.0))
+        r.metrics)
+    table.T.rows;
   Alcotest.(check bool) "rows written" true
-    (List.exists
-       (fun k ->
-         match Rtrt_obs.Json.member k json with
-         | Some (Rtrt_obs.Json.List (_ :: _)) -> true
-         | _ -> false)
-       [ "rows"; "plans" ])
+    (List.exists (fun (r : T.row) -> r.labels <> []) table.T.rows);
+  let baseline =
+    Filename.concat "../bench/baselines" (Harness.Suite.default_out suite)
+  in
+  if name <> "plancache" then
+    Alcotest.(check (list string)) "no gated baseline metric missing" []
+      (List.filter_map
+         (fun r ->
+           if r.B.r_verdict = B.Missing && B.gates r then Some r.B.r_path
+           else None)
+         (B.compare_files ~old_path:baseline ~new_path:out ()))
 
 (* The churn break-even is decided on step-time ranges, not on the two
    best times, so timer noise cannot flip it between "never" and a
@@ -537,8 +574,11 @@ let () =
             test_benchdiff_missing_added;
           Alcotest.test_case "ratios-only gating" `Quick
             test_benchdiff_ratios_only;
-          Alcotest.test_case "direction heuristics" `Quick
-            test_benchdiff_directions;
+          Alcotest.test_case "declared direction, not key names" `Quick
+            test_benchdiff_declared_direction;
+          Alcotest.test_case "non-finite gated values fail" `Quick
+            test_benchdiff_nonfinite;
+          Alcotest.test_case "table JSON round trip" `Quick test_table_json;
         ] );
       ( "bench suites",
         List.map

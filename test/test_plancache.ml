@@ -445,6 +445,31 @@ let test_disk_roundtrip () =
   Alcotest.(check int) "no disk error" 0 s.Cache.disk_errors;
   check_results_identical "disk tier" cold warm
 
+(* Both on-disk stores create their directory with its missing
+   parents, and raise when it cannot be made: here a path under a
+   regular file. *)
+let test_disk_create_dirs () =
+  let root = fresh_dir () in
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  ignore (Cache.create ~dir:nested ());
+  Alcotest.(check bool) "cache dir and its parents made" true
+    (Sys.is_directory nested);
+  let tuned = Filename.concat (Filename.concat root "t") "u" in
+  ignore (Rtrt_plancache.Tuned.create ~dir:tuned ());
+  Alcotest.(check bool) "tuned dir and its parents made" true
+    (Sys.is_directory tuned);
+  let file = Filename.temp_file "rtrt_plancache" "" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  List.iter
+    (fun (what, create) ->
+      match create (Filename.concat file "sub") with
+      | () -> Alcotest.fail (what ^ ": made a directory under a file")
+      | exception Unix.Unix_error _ -> ())
+    [
+      ("Cache", fun dir -> ignore (Cache.create ~dir ()));
+      ("Tuned", fun dir -> ignore (Rtrt_plancache.Tuned.create ~dir ()));
+    ]
+
 let test_disk_corruption_degrades_to_miss () =
   let kernel = test_kernel () in
   let dir = fresh_dir () in
@@ -904,6 +929,8 @@ let () =
       ( "disk tier",
         [
           Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
+          Alcotest.test_case "directories made, or create raises" `Quick
+            test_disk_create_dirs;
           Alcotest.test_case "corruption -> miss" `Quick
             test_disk_corruption_degrades_to_miss;
           Alcotest.test_case "non-bijective perm -> miss" `Quick
