@@ -19,7 +19,7 @@
                               (--only hotpath|inspector|par|autotune|
                                churn|plancache)
      rtrt bench-diff          regression gate between two BENCH_*.json files
-     rtrt json                one figure's rows as JSON (jq-ready)
+     rtrt json                one figure's table as rtrt.table/1 JSON
      rtrt trace-report        span-tree summary of a JSONL trace
      rtrt all                 the figure suite end to end
 
@@ -107,40 +107,11 @@ let plan_cache_arg =
     & opt (some string) None
     & info [ "plan-cache" ] ~docv:"DIR" ~env ~doc)
 
-let run_datasets ?cache_dir domains scale steps =
+(* One figure of Harness.Figures.all, printed as a table. *)
+let run_figure (f : Harness.Figures.figure) ?cache_dir domains scale steps =
   let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  let rows = Harness.Figures.dataset_table ~config () in
-  Fmt.pr "Section 2.4 dataset table (generated at scale %d):@." scale;
-  Fmt.pr "%a@." Harness.Figures.pp_dataset_table rows
-
-let run_exec ?cache_dir ~machine ~label domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  Fmt.pr "%s: normalized executor time without overhead on %a@." label
-    Cachesim.Machine.pp machine;
-  let rows = Harness.Figures.executor_time ~machine ~config () in
-  Fmt.pr "%a@." Harness.Figures.pp_exec_rows rows
-
-let run_amort ?cache_dir ~machine ~label domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  Fmt.pr "%s: inspector amortization on %a@." label Cachesim.Machine.pp machine;
-  let rows = Harness.Figures.amortization ~machine ~config () in
-  Fmt.pr "%a@." Harness.Figures.pp_amort_rows rows
-
-let run_remap ?cache_dir domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  Fmt.pr "Figure 16: inspector overhead reduction from remapping once@.";
-  let rows =
-    Harness.Figures.remap_overhead ~machine:Cachesim.Machine.pentium4 ~config ()
-  in
-  Fmt.pr "%a@." Harness.Figures.pp_remap_rows rows
-
-let run_sweep ?cache_dir domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  let machine = Cachesim.Machine.pentium4 in
-  Fmt.pr "Figure 17: executor time vs cache-size target on %a@."
-    Cachesim.Machine.pp machine;
-  let rows = Harness.Figures.cache_target_sweep ~machine ~config () in
-  Fmt.pr "%a@." Harness.Figures.pp_sweep_rows rows
+  Fmt.pr "%s@.%a@." f.Harness.Figures.doc Harness.Table.pp
+    (f.Harness.Figures.table config)
 
 let machine_of name =
   match Cachesim.Machine.by_name name with
@@ -171,39 +142,43 @@ let run_raw ?cache_dir bench ds machine_name plan domains scale steps =
   let dataset, kernel = kernel_of ~scale bench ds in
   Fmt.pr "%a; kernel %s (%d B/node)@." Datagen.Dataset.pp dataset bench
     (Kernels.Kernel.bytes_per_node kernel);
-  match plan with
-  | None ->
-    let ms = Harness.Figures.run_suite ~machine ~config kernel in
-    List.iter (fun m -> Fmt.pr "%a@." Harness.Experiment.pp_measurement m) ms
-  | Some which ->
-    Harness.Figures.with_config_pool ~config @@ fun pool ->
-    let cache = config.Harness.Figures.plan_cache in
-    let plan =
-      if which = "auto" then begin
-        let tuned = tuned_of config in
-        let result =
-          Harness.Autotune.tune ?cache ?pool ~tuned
-            ~trace_steps:config.Harness.Figures.trace_steps ~machine kernel
-        in
-        Fmt.pr "%a@." Harness.Autotune.pp_result result;
-        result.Harness.Autotune.at_winner
-      end
-      else
-        let named =
-          List.filter
-            (fun p -> Compose.Plan.name p = which)
-            (Harness.Autotune.candidates_for ~machine kernel)
-        in
-        match named with
-        | p :: _ -> p
-        | [] -> Fmt.invalid_arg "unknown plan %s (try rtrt autotune)" which
-    in
-    let m =
-      Harness.Experiment.measure ?cache ?pool
-        ~trace_steps_n:config.Harness.Figures.trace_steps
-        ~wall_steps:config.Harness.Figures.wall_steps ~machine ~plan kernel
-    in
-    Fmt.pr "%a@." Harness.Experiment.pp_measurement m
+  let measurements =
+    match plan with
+    | None -> Harness.Figures.run_suite ~machine ~config kernel
+    | Some which ->
+      Harness.Figures.with_config_pool ~config @@ fun pool ->
+      let cache = config.Harness.Figures.plan_cache in
+      let plan =
+        if which = "auto" then begin
+          let tuned = tuned_of config in
+          let result =
+            Harness.Autotune.tune ?cache ?pool ~tuned
+              ~trace_steps:config.Harness.Figures.trace_steps ~machine kernel
+          in
+          Fmt.pr "%a@." Harness.Autotune.pp_result result;
+          result.Harness.Autotune.at_winner
+        end
+        else
+          let named =
+            List.filter
+              (fun p -> Compose.Plan.name p = which)
+              (Harness.Autotune.candidates_for ~machine kernel)
+          in
+          match named with
+          | p :: _ -> p
+          | [] -> Fmt.invalid_arg "unknown plan %s (try rtrt autotune)" which
+      in
+      [
+        Harness.Experiment.measure ?cache ?pool
+          ~trace_steps_n:config.Harness.Figures.trace_steps
+          ~wall_steps:config.Harness.Figures.wall_steps ~machine ~plan kernel;
+      ]
+  in
+  Fmt.pr "%a" Harness.Table.pp
+    {
+      Harness.Table.name = "raw";
+      rows = List.map Harness.Experiment.row measurements;
+    }
 
 let run_autotune ?cache_dir bench ds machine_name domains scale steps =
   let config = config_of ?cache_dir ~domains ~scale ~steps () in
@@ -324,95 +299,19 @@ let run_gs ?cache_dir domains scale steps =
 
 let run_guide bench ds budget scale steps =
   let machine = Cachesim.Machine.pentium4 in
-  let dataset =
-    match Datagen.Generators.by_name ~scale ds with
-    | Some d -> d
-    | None -> Fmt.invalid_arg "unknown dataset %s" ds
-  in
-  let kernel =
-    match Kernels.by_name bench with
-    | Some f -> f dataset
-    | None -> Fmt.invalid_arg "unknown kernel %s" bench
-  in
-  let plans =
-    Harness.Figures.suite_for ~machine kernel
-  in
+  let _, kernel = kernel_of ~scale bench ds in
   Fmt.pr
-    "Guidance (Section 7): ranking compositions for %s/%s over %d outer \
+    "Section 7 guidance: ranking compositions for %s/%s over %d outer \
      iterations on %a@.@."
     bench ds budget Cachesim.Machine.pp machine;
-  let ranking =
-    Harness.Guidance.select ~trace_steps:steps ~machine ~steps_budget:budget
-      ~plans kernel
-  in
-  Fmt.pr "%a" Harness.Guidance.pp_ranking ranking
+  Fmt.pr "%a" Harness.Table.pp
+    (Harness.Autotune.rank ~trace_steps:steps ~machine ~iterations:budget
+       ~plans:(Harness.Figures.suite_for ~machine kernel)
+       kernel)
 
-let run_export ?cache_dir dir domains scale steps =
+let run_json (f : Harness.Figures.figure) ?cache_dir domains scale steps =
   let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let write name contents =
-    let path = Filename.concat dir name in
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    Fmt.pr "wrote %s@." path
-  in
-  List.iter
-    (fun machine ->
-      let tag = machine.Cachesim.Machine.name in
-      write
-        (Fmt.str "executor_time_%s.csv" tag)
-        (Harness.Figures.csv_exec_rows
-           (Harness.Figures.executor_time ~machine ~config ()));
-      write
-        (Fmt.str "amortization_%s.csv" tag)
-        (Harness.Figures.csv_amort_rows
-           (Harness.Figures.amortization ~machine ~config ())))
-    [ Cachesim.Machine.power3; Cachesim.Machine.pentium4 ];
-  write "cache_target_sweep_pentium4.csv"
-    (Harness.Figures.csv_sweep_rows
-       (Harness.Figures.cache_target_sweep ~machine:Cachesim.Machine.pentium4
-          ~config ()))
-
-let run_json ?cache_dir figure domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
-  let module F = Harness.Figures in
-  let rows =
-    match figure with
-    | "datasets" -> F.json_dataset_rows (F.dataset_table ~config ())
-    | "figure6" ->
-      F.json_exec_rows
-        (F.executor_time ~machine:Cachesim.Machine.power3 ~config ())
-    | "figure7" ->
-      F.json_exec_rows
-        (F.executor_time ~machine:Cachesim.Machine.pentium4 ~config ())
-    | "figure8" ->
-      F.json_amort_rows
-        (F.amortization ~machine:Cachesim.Machine.power3 ~config ())
-    | "figure9" ->
-      F.json_amort_rows
-        (F.amortization ~machine:Cachesim.Machine.pentium4 ~config ())
-    | "figure16" ->
-      F.json_remap_rows
-        (F.remap_overhead ~machine:Cachesim.Machine.pentium4 ~config ())
-    | "figure17" ->
-      F.json_sweep_rows
-        (F.cache_target_sweep ~machine:Cachesim.Machine.pentium4 ~config ())
-    | f ->
-      Fmt.invalid_arg
-        "unknown figure %s (expected datasets | figure6 | figure7 | figure8 \
-         | figure9 | figure16 | figure17)"
-        f
-  in
-  print_endline
-    (Rtrt_obs.Json.to_string
-       (Rtrt_obs.Json.Obj
-          [
-            ("figure", Rtrt_obs.Json.String figure);
-            ("scale", Rtrt_obs.Json.Int scale);
-            ("trace_steps", Rtrt_obs.Json.Int steps);
-            ("rows", rows);
-          ]))
+  print_string (Harness.Table.to_string (f.Harness.Figures.table config))
 
 let print_trace_report events =
   Fmt.pr "Span summary (self = total minus child spans):@.%a"
@@ -547,18 +446,10 @@ let run_codegen bench ds plan_name scale =
         print_string src))
 
 let run_all ?cache_dir domains scale steps =
-  run_datasets ?cache_dir domains scale steps;
   run_symbolic ();
-  run_exec ?cache_dir ~machine:Cachesim.Machine.power3 ~label:"Figure 6"
-    domains scale steps;
-  run_exec ?cache_dir ~machine:Cachesim.Machine.pentium4 ~label:"Figure 7"
-    domains scale steps;
-  run_amort ?cache_dir ~machine:Cachesim.Machine.power3 ~label:"Figure 8"
-    domains scale steps;
-  run_amort ?cache_dir ~machine:Cachesim.Machine.pentium4 ~label:"Figure 9"
-    domains scale steps;
-  run_remap ?cache_dir domains scale steps;
-  run_sweep ?cache_dir domains scale steps
+  List.iter
+    (fun f -> run_figure f ?cache_dir domains scale steps)
+    Harness.Figures.all
 
 let cmd_of ~name ~doc f =
   Cmd.v (Cmd.info name ~doc)
@@ -570,29 +461,12 @@ let cmd_of ~name ~doc f =
       $ trace_arg $ specialize_arg $ plan_cache_arg $ domains_arg $ scale_arg
       $ steps_arg)
 
-let datasets_cmd = cmd_of ~name:"datasets" ~doc:"Section 2.4 table" run_datasets
-
-let figure6_cmd =
-  cmd_of ~name:"figure6" ~doc:"Normalized executor time, Power3 model"
-    (run_exec ~machine:Cachesim.Machine.power3 ~label:"Figure 6")
-
-let figure7_cmd =
-  cmd_of ~name:"figure7" ~doc:"Normalized executor time, Pentium 4 model"
-    (run_exec ~machine:Cachesim.Machine.pentium4 ~label:"Figure 7")
-
-let figure8_cmd =
-  cmd_of ~name:"figure8" ~doc:"Inspector amortization, Power3 model"
-    (run_amort ~machine:Cachesim.Machine.power3 ~label:"Figure 8")
-
-let figure9_cmd =
-  cmd_of ~name:"figure9" ~doc:"Inspector amortization, Pentium 4 model"
-    (run_amort ~machine:Cachesim.Machine.pentium4 ~label:"Figure 9")
-
-let figure16_cmd =
-  cmd_of ~name:"figure16" ~doc:"Remap-once overhead reduction" run_remap
-
-let figure17_cmd =
-  cmd_of ~name:"figure17" ~doc:"Cache-size-target sweep" run_sweep
+let figure_cmds =
+  List.map
+    (fun (f : Harness.Figures.figure) ->
+      cmd_of ~name:f.Harness.Figures.name ~doc:f.Harness.Figures.doc
+        (run_figure f))
+    Harness.Figures.all
 
 let raw_cmd =
   let bench =
@@ -660,19 +534,6 @@ let churn_cmd =
 
 let gs_cmd = cmd_of ~name:"gs" ~doc:"Gauss-Seidel sparse tiling (E-GS)" run_gs
 
-let export_cmd =
-  let dir =
-    Arg.(value & opt string "results" & info [ "out" ] ~docv:"DIR"
-           ~doc:"Directory for the CSV files.")
-  in
-  Cmd.v
-    (Cmd.info "export" ~doc:"Write plot-ready CSVs for Figures 6-9 and 17")
-    Term.(
-      const (fun trace cache_dir dir domains scale steps ->
-          setup_trace trace;
-          run_export ?cache_dir dir domains scale steps)
-      $ trace_arg $ plan_cache_arg $ dir $ domains_arg $ scale_arg $ steps_arg)
-
 let guide_cmd =
   let bench =
     Arg.(value & opt string "moldyn" & info [ "bench" ] ~docv:"KERNEL")
@@ -727,24 +588,31 @@ let symbolic_cmd =
 let json_cmd =
   let figure =
     let names =
-      [ "datasets"; "figure6"; "figure7"; "figure8"; "figure9"; "figure16";
-        "figure17" ]
+      List.map (fun f -> f.Harness.Figures.name) Harness.Figures.all
     in
+    (* [enum] compares its values with [compare], which decides two
+       figures on their distinct names before it reaches a closure. *)
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
+      & pos 0
+          (some
+             (enum
+                (List.map
+                   (fun f -> (f.Harness.Figures.name, f))
+                   Harness.Figures.all)))
+          None
       & info [] ~docv:"FIGURE"
-          ~doc:
-            "One of: datasets, figure6, figure7, figure8, figure9, figure16, \
-             figure17.")
+          ~doc:("One of: " ^ String.concat ", " names ^ "."))
   in
   Cmd.v
     (Cmd.info "json"
-       ~doc:"Emit one figure's rows as JSON on stdout (pipe into jq)")
+       ~doc:
+         "Print one figure's table as rtrt.table/1 JSON on stdout (one row per \
+          line; rtrt bench-diff compares two of them)")
     Term.(
       const (fun trace cache_dir figure domains scale steps ->
           setup_trace trace;
-          run_json ?cache_dir figure domains scale steps)
+          run_json figure ?cache_dir domains scale steps)
       $ trace_arg $ plan_cache_arg $ figure $ domains_arg $ scale_arg
       $ steps_arg)
 
@@ -882,10 +750,9 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            datasets_cmd; figure6_cmd; figure7_cmd; figure8_cmd; figure9_cmd;
-            figure16_cmd; figure17_cmd; symbolic_cmd; raw_cmd; autotune_cmd;
-            ablations_cmd; churn_cmd; codegen_cmd; gs_cmd; guide_cmd;
-            export_cmd;
-            bench_cmd; bench_diff_cmd; json_cmd; trace_report_cmd; all_cmd;
-          ]))
+          (figure_cmds
+          @ [
+              symbolic_cmd; raw_cmd; autotune_cmd; ablations_cmd; churn_cmd;
+              codegen_cmd; gs_cmd; guide_cmd; bench_cmd; bench_diff_cmd;
+              json_cmd; trace_report_cmd; all_cmd;
+            ])))

@@ -21,9 +21,11 @@ let () =
     (fun machine ->
       Fmt.pr "--- %a ---@." Cachesim.Machine.pp machine;
       let measurements = Harness.Figures.run_suite ~machine ~config kernel in
-      List.iter
-        (fun m -> Fmt.pr "%a@." Harness.Experiment.pp_measurement m)
-        measurements;
+      Fmt.pr "%a" Harness.Table.pp
+        {
+          Harness.Table.name = machine.Cachesim.Machine.name;
+          rows = List.map Harness.Experiment.row measurements;
+        };
       (match Harness.Experiment.normalize measurements with
       | [] -> ()
       | normalized ->

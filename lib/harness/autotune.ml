@@ -378,6 +378,39 @@ let tune ?cache ?pool ?tuned ?trace_steps ?batch ?candidates ~machine kernel =
     }
 
 (* ------------------------------------------------------------------ *)
+(* Ranking for a known run length (the paper's Section 7 guidance)     *)
+
+(* Predicted seconds of an [iterations]-step run under each plan: the
+   measured inspector seconds plus [iterations] times the modeled step.
+   Small budgets favor cheap compositions, large ones the aggressive
+   ones: the amortization trade-off of Figures 8/9 as a decision. *)
+let rank ?trace_steps ~machine ~iterations ~plans kernel =
+  if plans = [] then invalid_arg "Autotune.rank: no candidate plans";
+  let ranked =
+    List.map
+      (fun plan ->
+        let sc, result = score ?trace_steps ~machine plan kernel in
+        let inspector = result.Compose.Inspector.inspector_seconds in
+        let total =
+          inspector +. (float_of_int iterations *. sc.sc_score_ns *. 1e-9)
+        in
+        ( total,
+          Table.row
+            [ ("plan", Compose.Plan.name plan) ]
+            [
+              Table.lower "total_seconds" "s" total;
+              Table.lower "inspector_seconds" "s" inspector;
+              Table.lower "modeled_ns_per_step" "ns" sc.sc_score_ns;
+            ] ))
+      plans
+  in
+  let by_total (a, _) (b, _) = Float.compare a b in
+  {
+    Table.name = "guide";
+    rows = List.map snd (List.stable_sort by_total ranked);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* The BENCH_AUTOTUNE table                                            *)
 
 (* Best plan among the hand-named standard suite, read out of the

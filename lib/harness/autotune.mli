@@ -54,6 +54,20 @@ val score :
   Kernels.Kernel.t ->
   scored * Compose.Inspector.result
 
+(** The paper's Section 7 guidance: rank [plans] for a run of
+    [iterations] outer steps by predicted total seconds, the measured
+    inspector seconds plus [iterations] times {!score}'s modeled ns per
+    step. One row per plan ([total_seconds], [inspector_seconds],
+    [modeled_ns_per_step]), cheapest total first; raises
+    [Invalid_argument] on an empty list. *)
+val rank :
+  ?trace_steps:int ->
+  machine:Cachesim.Machine.t ->
+  iterations:int ->
+  plans:Compose.Plan.t list ->
+  Kernels.Kernel.t ->
+  Table.t
+
 (** A tuning outcome. [at_details] is empty when the winner was served
     from the tuned store ([at_cached]). *)
 type t = {

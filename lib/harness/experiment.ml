@@ -61,13 +61,11 @@ type measurement = {
 let time f = Rtrt_obs.Clock.time f
 
 (* Run the inspector and verify the result. *)
-let inspect ?cache ?strategy ?share_symmetric_deps plan kernel =
+let inspect ?cache ?strategy plan kernel =
   Rtrt_obs.Span.with_ ~name:"experiment.inspect"
     ~attrs:[ ("plan", Rtrt_obs.Json.String (Compose.Plan.name plan)) ]
   @@ fun () ->
-  let result =
-    Compose.Inspector.run ?cache ?strategy ?share_symmetric_deps plan kernel
-  in
+  let result = Compose.Inspector.run ?cache ?strategy plan kernel in
   (match Compose.Legality.check result with
   | Ok () -> ()
   | Error msg ->
@@ -294,9 +292,8 @@ let measure_par ~pool (result : Compose.Inspector.result) sched ~wall_steps =
       float_of_int (bw1 - bw0) /. float_of_int domains /. timed_steps_f;
   }
 
-let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
-    ?(warmup = 1) ?(trace_steps_n = 2) ?(wall_steps = 5)
-    ?(scratch_keep_bytes = 1 lsl 20) ~machine ~plan kernel =
+let measure ?cache ?pool ?layout_of ?(trace_steps_n = 2) ?(wall_steps = 5)
+    ~machine ~plan kernel =
   Rtrt_obs.Span.with_ ~name:"experiment.measure"
     ~attrs:
       [
@@ -307,8 +304,7 @@ let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
   let pc_before = Option.map Rtrt_plancache.Cache.stats cache in
   let result, ph_inspect =
     Rtrt_obs.Profile.record ~name:"inspect" (fun () ->
-        inspect ?cache ?strategy ?share_symmetric_deps plan
-          (kernel : Kernels.Kernel.t))
+        inspect ?cache plan (kernel : Kernels.Kernel.t))
   in
   let plancache =
     match (cache, pc_before) with
@@ -316,10 +312,7 @@ let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
       let after = Rtrt_plancache.Cache.stats cache in
       (* A replay reports its own (tiny) wall time; the stored entry
          remembers what the cold inspection cost. *)
-      let key =
-        Compose.Inspector.fingerprint ?strategy ?share_symmetric_deps plan
-          kernel
-      in
+      let key = Compose.Inspector.fingerprint plan kernel in
       let cold =
         match Rtrt_plancache.Cache.peek cache ~key with
         | Some e -> e.Rtrt_plancache.Cache.cold_inspector_seconds
@@ -336,7 +329,7 @@ let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
   in
   let (cycles, misses, accesses, ratio), ph_model =
     Rtrt_obs.Profile.record ~name:"cache_model" (fun () ->
-        trace_steps ?layout_of result ~machine ~warmup ~steps:trace_steps_n)
+        trace_steps ?layout_of result ~machine ~warmup:1 ~steps:trace_steps_n)
   in
   let exec_seconds, ph_wall =
     Rtrt_obs.Profile.record ~name:"wall_clock" (fun () ->
@@ -356,9 +349,9 @@ let measure ?cache ?pool ?strategy ?share_symmetric_deps ?layout_of
   (* Shed the scratch pool this measurement grew (the inspector's
      composition accumulators and workspaces would otherwise stay
      pinned at the largest inspection's size for the rest of the
-     process), keeping a small warm set. The high-water mark survives
+     process), keeping a 1 MiB warm set. The high-water mark survives
      in the [scratch.peak_bytes] gauge. *)
-  Irgraph.Scratch.trim ~max_bytes:scratch_keep_bytes ();
+  Irgraph.Scratch.trim ~max_bytes:(1 lsl 20) ();
   {
     plan_name = Compose.Plan.name plan;
     inspector_seconds = result.Compose.Inspector.inspector_seconds;
@@ -429,30 +422,55 @@ let amortization_cached ~base m =
         ( pc.pc_cold_inspector_seconds /. savings,
           m.inspector_seconds /. savings )
 
-let pp_plancache_report ppf pc =
-  Fmt.pf ppf "%s (cold insp %.3fs; %d hits / %d misses)"
-    (if pc.pc_hit then "hit" else "miss")
-    pc.pc_cold_inspector_seconds pc.pc_hits pc.pc_misses
+(* ------------------------------------------------------------------ *)
+(* Table cells                                                         *)
 
-let pp_par_measurement ppf p =
-  Fmt.pf ppf
-    "%d domains [%s, batch %d]: %.2fx speedup (modeled %.2fx, makespan %d)  \
-     %.2e -> %.2e s/step  bitwise %s  (barrier %.0fns, disp wait %.0fns/step)"
-    p.domains p.par_tier p.par_batch p.measured_speedup p.modeled_speedup
-    p.modeled_makespan p.serial_seconds_per_step p.par_seconds_per_step
-    (if p.bitwise_equal then "equal" else "DIFFERS")
-    p.barrier_cost_ns p.dispatch_wait_ns_per_step
+module T = Table
 
-let pp_measurement ppf m =
-  Fmt.pf ppf
-    "%-12s cycles/step %.3e  misses/step %.3e  miss%% %5.2f  insp %.3fs  \
-     exec/step %.2e s  tiles %d"
-    m.plan_name m.modeled_cycles_per_step m.misses_per_step
-    (100.0 *. m.miss_ratio) m.inspector_seconds m.executor_seconds_per_step
-    m.n_tiles;
-  (match m.plancache with
-  | None -> ()
-  | Some pc -> Fmt.pf ppf "@,  plan cache: %a" pp_plancache_report pc);
-  match m.par with
-  | None -> ()
-  | Some p -> Fmt.pf ppf "@,  par: %a" pp_par_measurement p
+(* The parallel run as table cells, declared once for the Figures 6/7
+   rows, BENCH_PAR and [rtrt raw]: the tier the auto-fallback chose is
+   a note, the rest are metrics. *)
+let par_cells p =
+  ( [ ("tier", p.par_tier) ],
+    [
+      T.info "domains" "domains" (float_of_int p.domains);
+      T.lower "serial_seconds_per_step" "s" p.serial_seconds_per_step;
+      T.lower "par_seconds_per_step" "s" p.par_seconds_per_step;
+      T.higher "measured_speedup" "ratio" p.measured_speedup;
+      T.higher "modeled_speedup" "ratio" p.modeled_speedup;
+      T.info "modeled_makespan" "tiles" (float_of_int p.modeled_makespan);
+      T.flag T.Higher "bitwise_equal" p.bitwise_equal;
+      T.count "batch" p.par_batch;
+      T.lower "modeled_par_seconds_per_step" "s" p.modeled_par_seconds_per_step;
+      T.lower "barrier_cost_ns" "ns" p.barrier_cost_ns;
+      T.lower "dispatch_wait_ns_per_step" "ns" p.dispatch_wait_ns_per_step;
+      T.lower "barrier_wait_ns_per_step" "ns" p.barrier_wait_ns_per_step;
+    ] )
+
+let row m =
+  let cache_notes, cache_metrics =
+    match m.plancache with
+    | None -> ([], [])
+    | Some pc ->
+      ( [ ("plan_cache", if pc.pc_hit then "hit" else "miss") ],
+        [
+          T.lower "cold_inspector_seconds" "s" pc.pc_cold_inspector_seconds;
+          T.count "cache_hits" pc.pc_hits;
+          T.count "cache_misses" pc.pc_misses;
+        ] )
+  in
+  let par_notes, par_metrics =
+    match m.par with None -> ([], []) | Some p -> par_cells p
+  in
+  T.row
+    ~notes:(cache_notes @ par_notes)
+    [ ("plan", m.plan_name) ]
+    ([
+       T.lower "modeled_cycles_per_step" "cycles" m.modeled_cycles_per_step;
+       T.lower "misses_per_step" "misses" m.misses_per_step;
+       T.lower "miss_ratio" "ratio" m.miss_ratio;
+       T.lower "inspector_seconds" "s" m.inspector_seconds;
+       T.lower "executor_seconds_per_step" "s" m.executor_seconds_per_step;
+       T.count "n_tiles" m.n_tiles;
+     ]
+    @ cache_metrics @ par_metrics)

@@ -65,7 +65,6 @@ type measurement = {
 val inspect :
   ?cache:Rtrt_plancache.Cache.t ->
   ?strategy:Compose.Inspector.strategy ->
-  ?share_symmetric_deps:bool ->
   Compose.Plan.t ->
   Kernels.Kernel.t ->
   Compose.Inspector.result
@@ -90,27 +89,24 @@ val trace_steps :
     outside the timed region. *)
 val wall_clock_steps : Compose.Inspector.result -> steps:int -> float
 
-(** Measure one plan: [warmup] steps warm the modeled cache,
-    [trace_steps_n] steps are counted, [wall_steps] steps are timed.
-    When [pool] has more than one domain and the plan sparse-tiles
-    with Full growth, the tiled executor additionally runs on the
-    pool and the serial-vs-parallel comparison lands in [par]. When
-    [cache] is given, the inspection goes through the plan cache and
-    [plancache] reports the hit/miss traffic. The inspection itself
-    is serial. At the end of a measurement the calling domain's
-    scratch pool is trimmed to [scratch_keep_bytes] bytes (default
-    1 MiB), so transient inspector working sets do not linger between
+(** Measure one plan, inspected with the default (remap-once,
+    shared symmetric dependences) inspector: one step warms the
+    modeled cache, [trace_steps_n] steps are counted, [wall_steps]
+    steps are timed. When [pool] has more than one domain and the
+    plan sparse-tiles with Full growth, the tiled executor
+    additionally runs on the pool and the serial-vs-parallel
+    comparison lands in [par]. When [cache] is given, the inspection
+    goes through the plan cache and [plancache] reports the hit/miss
+    traffic. The inspection itself is serial. At the end of a
+    measurement the calling domain's scratch pool is trimmed to 1 MiB,
+    so transient inspector working sets do not linger between
     plans. *)
 val measure :
   ?cache:Rtrt_plancache.Cache.t ->
   ?pool:Rtrt_par.Pool.t ->
-  ?strategy:Compose.Inspector.strategy ->
-  ?share_symmetric_deps:bool ->
   ?layout_of:(Kernels.Kernel.t -> Cachesim.Layout.t) ->
-  ?warmup:int ->
   ?trace_steps_n:int ->
   ?wall_steps:int ->
-  ?scratch_keep_bytes:int ->
   machine:Cachesim.Machine.t ->
   plan:Compose.Plan.t ->
   Kernels.Kernel.t ->
@@ -136,6 +132,12 @@ val amortization_modeled : base:measurement -> measurement -> float option
 val amortization_cached :
   base:measurement -> measurement -> (float * float) option
 
-val pp_plancache_report : plancache_report Fmt.t
-val pp_par_measurement : par_measurement Fmt.t
-val pp_measurement : measurement Fmt.t
+(** The parallel run as table cells: the chosen tier as a note and
+    the other twelve fields as metrics. The one declaration of these
+    columns, shared by the Figures 6/7 rows, BENCH_PAR and {!row}. *)
+val par_cells : par_measurement -> (string * string) list * Table.metric list
+
+(** One measurement as a row labelled [plan]: modeled cycles, misses
+    and miss ratio per step, inspector and executor seconds, tiles,
+    then the plan-cache traffic and {!par_cells} when present. *)
+val row : measurement -> Table.row

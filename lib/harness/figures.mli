@@ -1,5 +1,7 @@
-(** Drivers regenerating every measured table/figure of the paper; the
-    CLI, the bench suites and the tests all consume these. *)
+(** Drivers regenerating every measured table/figure of the paper, each
+    as a {!Table.t}; the CLI, the bench suites and the tests all
+    consume these. Every figure table opens with a summary row without
+    labels (scale, trace_steps, wall_steps, domains). *)
 
 type config = {
   scale : int;       (** dataset node-count divisor; 1 = paper size *)
@@ -36,7 +38,7 @@ val gpart_size_for : target_bytes:int -> Kernels.Kernel.t -> int
     EXPERIMENTS.md for the calibration. *)
 val seed_size_for : target_bytes:int -> Kernels.Kernel.t -> int
 
-(** The eight standard compositions, sized for a machine's L1. *)
+(** The ten standard compositions, sized for a machine's L1. *)
 val suite_for : machine:Cachesim.Machine.t -> Kernels.Kernel.t -> Compose.Plan.t list
 
 (** Measure the full suite on one kernel. [pool] reuses an existing
@@ -51,99 +53,58 @@ val run_suite :
   Kernels.Kernel.t ->
   Experiment.measurement list
 
-(** Section 2.4 dataset table. *)
-type dataset_row = {
-  ds_name : string;
-  gen_nodes : int;
-  gen_edges : int;
-  paper_nodes : int;
-  paper_edges : int;
-  footprint_mb : (string * float) list;
-      (** per-benchmark working set at paper size (Figure 8's MB
-          labels) *)
-}
+(** {!run_suite} on every pairing, all on one pool: (bench, dataset,
+    measurements) in {!pairings} order. *)
+val measure_pairings :
+  machine:Cachesim.Machine.t ->
+  config:config ->
+  unit ->
+  (string * string * Experiment.measurement list) list
 
-val dataset_table : config:config -> unit -> dataset_row list
-val pp_dataset_table : dataset_row list Fmt.t
+(** Section 2.4 dataset table: one row per dataset with the generated
+    [nodes]/[edges], the paper's [paper_nodes]/[paper_edges] and each
+    benchmark's working set at paper size
+    ([paper_footprint_mb_irreg], [_nbf], [_moldyn]; Figure 8's MB
+    labels). *)
+val dataset_table : config:config -> unit -> Table.t
 
-(** Figures 6/7: normalized executor time without overhead. *)
-type exec_row = {
-  bench : string;
-  dataset : string;
-  per_plan : (string * float * float) list;
-      (** plan, normalized modeled cycles, normalized wall clock *)
-  per_plan_par : (string * Experiment.par_measurement) list;
-      (** plans that additionally ran on a domain pool *)
-  per_plan_profile : (string * Rtrt_obs.Profile.phase list) list;
-      (** per-plan GC + phase-timing profiles, same order as [per_plan] *)
-}
-
+(** Figures 6/7: [normalized_cycles] and [normalized_wall] (against
+    base) per (bench, dataset, plan), followed on plans that ran on a
+    domain pool by {!Experiment.par_cells}; then each plan's phase
+    profile rows. *)
 val executor_time :
-  machine:Cachesim.Machine.t -> config:config -> unit -> exec_row list
+  machine:Cachesim.Machine.t -> config:config -> unit -> Table.t
 
-val pp_exec_rows : exec_row list Fmt.t
-
-(** Figures 8/9: outer-loop iterations to amortize the inspector. *)
-type amort_row = {
-  a_bench : string;
-  a_dataset : string;
-  a_per_plan : (string * float option * float option) list;
-      (** plan, modeled-based, wall-clock-based *)
-}
-
+(** Figures 8/9: outer-loop iterations to amortize the inspector,
+    [amortize_modeled] and [amortize_wall], per (bench, dataset, plan)
+    but base. A plan that never pays off reads NaN ([null] on disk);
+    both metrics are informational. *)
 val amortization :
-  machine:Cachesim.Machine.t -> config:config -> unit -> amort_row list
+  machine:Cachesim.Machine.t -> config:config -> unit -> Table.t
 
-val pp_amort_rows : amort_row list Fmt.t
-
-(** Figure 16: inspector-overhead reduction from remapping once. *)
-type remap_row = {
-  r_bench : string;
-  r_dataset : string;
-  r_plan : string;
-  seconds_each : float;
-  seconds_once : float;
-  reduction_pct : float;
-}
-
+(** Figure 16: [seconds_remap_each], [seconds_remap_once] (best of
+    [repeats], default 3) and [reduction_pct] per (bench, dataset,
+    plan). *)
 val remap_overhead :
   ?repeats:int ->
   machine:Cachesim.Machine.t ->
   config:config ->
   unit ->
-  remap_row list
+  Table.t
 
-val pp_remap_rows : remap_row list Fmt.t
+(** Figure 17: normalized modeled cycles of Gpart+lexGroup ([gl]) and
+    CL+FST ([cl_fst]) per (bench, dataset, [target_kb]). *)
+val cache_target_sweep :
+  machine:Cachesim.Machine.t -> config:config -> unit -> Table.t
 
-(** Figure 17: executor time vs cache-size target. *)
-type sweep_row = {
-  s_bench : string;
-  s_dataset : string;
-  s_target_kb : int;
-  s_gl : float;
-  s_fst : float;
+(** A figure: its subcommand and [rtrt json] name, a one-line
+    description, and its table (named after the figure). *)
+type figure = {
+  name : string;
+  doc : string;
+  table : config -> Table.t;
 }
 
-val cache_target_sweep :
-  ?targets_kb:int list ->
-  machine:Cachesim.Machine.t ->
-  config:config ->
-  unit ->
-  sweep_row list
-
-val pp_sweep_rows : sweep_row list Fmt.t
-
-(** Plot-ready CSV renderings of the figure tables. *)
-
-val csv_exec_rows : exec_row list -> string
-val csv_amort_rows : amort_row list -> string
-val csv_sweep_rows : sweep_row list -> string
-
-(** Machine-readable renderings of the figure tables ([rtrt json]);
-    amortization cells that never pay off render as JSON null. *)
-
-val json_dataset_rows : dataset_row list -> Rtrt_obs.Json.t
-val json_exec_rows : exec_row list -> Rtrt_obs.Json.t
-val json_amort_rows : amort_row list -> Rtrt_obs.Json.t
-val json_remap_rows : remap_row list -> Rtrt_obs.Json.t
-val json_sweep_rows : sweep_row list -> Rtrt_obs.Json.t
+(** datasets, figure6, figure7, figure8, figure9, figure16, figure17:
+    the figure subcommands, [rtrt json FIGURE] and [rtrt all]. *)
+val all : figure list

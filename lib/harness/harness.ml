@@ -6,7 +6,6 @@ module Experiment = Experiment
 module Table = Table
 module Figures = Figures
 module Ablations = Ablations
-module Guidance = Guidance
 module Hotpath = Hotpath
 module Inspctime = Inspctime
 module Parbench = Parbench

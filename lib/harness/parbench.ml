@@ -6,48 +6,31 @@
 module T = Table
 
 let measure ~machine ~(config : Figures.config) () =
-  let exec_rows, profile =
+  let cells, profile =
     Rtrt_obs.Profile.record ~name:"executor_time" (fun () ->
-        Figures.executor_time ~machine ~config ())
+        Figures.measure_pairings ~machine ~config ())
   in
-  let pars =
+  let rows =
     List.concat_map
-      (fun (r : Figures.exec_row) ->
-        List.map
-          (fun (plan, p) -> (r.Figures.bench, r.Figures.dataset, plan, p))
-          r.Figures.per_plan_par)
-      exec_rows
-  in
-  (* Every row must have run on the same pool width as configured —
-     the figure driver threads one pool through the whole table, so a
-     row with a different lane count means a pool was silently
-     recreated (the per-row spawn cost this table exists to avoid). *)
-  let lane_count_stable =
-    List.for_all
-      (fun (_, _, _, p) -> p.Experiment.domains = config.Figures.domains)
-      pars
-  in
-  if not lane_count_stable then
-    invalid_arg "Parbench.measure: lane count varied across rows";
-  let row (bench, dataset, plan, (p : Experiment.par_measurement)) =
-    T.row
-      ~notes:[ ("tier", p.par_tier) ]
-      [ ("bench", bench); ("dataset", dataset); ("plan", plan) ]
-      [
-        T.info "domains" "domains" (float_of_int p.domains);
-        T.lower "serial_seconds_per_step" "s" p.serial_seconds_per_step;
-        T.lower "par_seconds_per_step" "s" p.par_seconds_per_step;
-        T.higher "measured_speedup" "ratio" p.measured_speedup;
-        T.higher "modeled_speedup" "ratio" p.modeled_speedup;
-        T.info "modeled_makespan" "tiles" (float_of_int p.modeled_makespan);
-        T.flag T.Higher "bitwise_equal" p.bitwise_equal;
-        T.count "batch" p.par_batch;
-        T.lower "modeled_par_seconds_per_step" "s"
-          p.modeled_par_seconds_per_step;
-        T.lower "barrier_cost_ns" "ns" p.barrier_cost_ns;
-        T.lower "dispatch_wait_ns_per_step" "ns" p.dispatch_wait_ns_per_step;
-        T.lower "barrier_wait_ns_per_step" "ns" p.barrier_wait_ns_per_step;
-      ]
+      (fun (bench, dataset, ms) ->
+        List.filter_map
+          (fun (m : Experiment.measurement) ->
+            Option.map
+              (fun (p : Experiment.par_measurement) ->
+                (* The figure driver threads one pool through the whole
+                   table, so a row with a different lane count means a
+                   pool was silently recreated (the per-row spawn cost
+                   this table exists to avoid). *)
+                if p.Experiment.domains <> config.Figures.domains then
+                  invalid_arg "Parbench.measure: lane count varied across rows";
+                let notes, metrics = Experiment.par_cells p in
+                T.row ~notes
+                  [ ("bench", bench); ("dataset", dataset);
+                    ("plan", m.Experiment.plan_name) ]
+                  metrics)
+              m.Experiment.par)
+          ms)
+      cells
   in
   {
     T.name = "par";
@@ -56,8 +39,7 @@ let measure ~machine ~(config : Figures.config) () =
         [
           T.info "domains" "domains" (float_of_int config.Figures.domains);
           T.info "scale" "divisor" (float_of_int config.Figures.scale);
-          T.flag T.Info "lane_count_stable" lane_count_stable;
         ]
-      :: List.map row pars
+      :: rows
       @ T.profile_rows [ profile ];
   }

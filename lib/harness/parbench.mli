@@ -5,9 +5,9 @@
 
 (** Run the Figures 6/7 suite with [config] (domains/scale taken from
     it) and keep the plans that ran on the pool: one row per (bench,
-    dataset, plan) with the executor tier the auto-fallback chose as a
-    note. All rows share one domain pool (and its one-shot barrier
-    calibration); raises [Invalid_argument] if any row's lane count
-    deviates from [config.domains]. *)
+    dataset, plan) holding {!Experiment.par_cells} (the executor tier
+    the auto-fallback chose is a note). All rows share one domain pool
+    (and its one-shot barrier calibration); raises [Invalid_argument]
+    if any row's lane count deviates from [config.domains]. *)
 val measure :
   machine:Cachesim.Machine.t -> config:Figures.config -> unit -> Table.t

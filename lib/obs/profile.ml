@@ -1,7 +1,7 @@
 (* Per-phase execution profiles: monotonic wall time plus
    Gc.quick_stat deltas around a closure. [record] is always on — one
-   quick_stat read per side is nanoseconds — so figure JSON carries a
-   profile block whether or not tracing is enabled. *)
+   quick_stat read per side is nanoseconds — so figure and bench tables
+   carry profile rows whether or not tracing is enabled. *)
 
 type phase = {
   ph_name : string;
@@ -33,30 +33,6 @@ let record ~name f =
       ph_compactions = q1.Gc.compactions - q0.Gc.compactions;
       ph_heap_words = q1.Gc.heap_words;
     } )
-
-let json_of_phase p =
-  Json.Obj
-    [
-      ("name", Json.String p.ph_name);
-      ("seconds", Json.Float p.ph_seconds);
-      ("minor_words", Json.Float p.ph_minor_words);
-      ("promoted_words", Json.Float p.ph_promoted_words);
-      ("major_words", Json.Float p.ph_major_words);
-      ("minor_collections", Json.Int p.ph_minor_collections);
-      ("major_collections", Json.Int p.ph_major_collections);
-      ("compactions", Json.Int p.ph_compactions);
-      ("heap_words", Json.Int p.ph_heap_words);
-    ]
-
-(* Self-describing: consumers can dispatch on the schema tag without
-   knowing which harness produced the file. *)
-let json_of_phases phases =
-  Json.Obj
-    [
-      ("schema", Json.String "rtrt.profile/1");
-      ("clock", Json.String "monotonic");
-      ("phases", Json.List (List.map json_of_phase phases));
-    ]
 
 let pp_phase ppf p =
   Fmt.pf ppf "%-18s %8.3f ms  minor %10.0fw  major %9.0fw  gc %d/%d"

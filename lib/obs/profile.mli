@@ -1,8 +1,8 @@
 (** Per-phase execution profiles: monotonic timings plus
     [Gc.quick_stat] deltas (minor/major words, collections) captured
     around a closure. Capture is always on — two [quick_stat] reads
-    cost nanoseconds — so figure JSON carries profile blocks even with
-    tracing disabled. *)
+    cost nanoseconds — so figure and bench tables carry profile rows
+    even with tracing disabled. *)
 
 type phase = {
   ph_name : string;
@@ -19,11 +19,5 @@ type phase = {
 (** [record ~name f] runs [f ()] and returns its result with the
     phase profile. *)
 val record : name:string -> (unit -> 'a) -> 'a * phase
-
-val json_of_phase : phase -> Json.t
-
-(** Self-describing profile block:
-    [{"schema":"rtrt.profile/1","clock":"monotonic","phases":[...]}] *)
-val json_of_phases : phase list -> Json.t
 
 val pp_phase : Format.formatter -> phase -> unit

@@ -71,14 +71,27 @@ let tiny =
   { Harness.Figures.scale = 512; trace_steps = 1; wall_steps = 1; domains = 1;
     plan_cache = None }
 
+(* A figure table's rows after its unlabelled summary row, outside the
+   profile section. *)
+let figure_rows (t : T.t) =
+  List.filter
+    (fun (r : T.row) ->
+      r.labels <> [] && not (List.mem_assoc "section" r.labels))
+    t.rows
+
+let value r name =
+  match T.find_metric r name with
+  | Some m -> m.T.value
+  | None -> Alcotest.fail ("row without " ^ name)
+
 let test_dataset_table () =
-  let rows = Harness.Figures.dataset_table ~config:tiny () in
+  let rows = figure_rows (Harness.Figures.dataset_table ~config:tiny ()) in
   Alcotest.(check int) "four rows" 4 (List.length rows);
   List.iter
     (fun r ->
-      Alcotest.(check bool) "nodes positive" true (r.Harness.Figures.gen_nodes > 0);
+      Alcotest.(check bool) "nodes positive" true (value r "nodes" > 0.0);
       Alcotest.(check bool) "paper nodes recorded" true
-        (r.Harness.Figures.paper_nodes > 0))
+        (value r "paper_nodes" > 0.0))
     rows
 
 let test_measure_sanity () =
@@ -111,31 +124,58 @@ let test_measure_improves () =
 
 let test_executor_rows_smoke () =
   let rows =
-    Harness.Figures.executor_time ~machine:Cachesim.Machine.pentium4
-      ~config:tiny ()
+    figure_rows
+      (Harness.Figures.executor_time ~machine:Cachesim.Machine.pentium4
+         ~config:tiny ())
   in
-  Alcotest.(check int) "six rows" 6 (List.length rows);
+  let label k (r : T.row) = List.assoc k r.labels in
+  let bases = List.filter (fun r -> label "plan" r = "base") rows in
+  Alcotest.(check int) "six (bench, dataset) pairs" 6 (List.length bases);
   List.iter
-    (fun r ->
+    (fun base ->
+      let same_pair r =
+        label "bench" r = label "bench" base
+        && label "dataset" r = label "dataset" base
+      in
       Alcotest.(check int) "ten plans" 10
-        (List.length r.Harness.Figures.per_plan);
-      match r.Harness.Figures.per_plan with
-      | ("base", 1.0, 1.0) :: _ -> ()
-      | _ -> Alcotest.fail "base must normalize to 1.0")
-    rows
+        (List.length (List.filter same_pair rows));
+      Alcotest.(check bool) "base must normalize to 1.0" true
+        (value base "normalized_cycles" = 1.0
+        && value base "normalized_wall" = 1.0))
+    bases;
+  Alcotest.(check int) "sixty rows" 60 (List.length rows)
 
-let test_remap_rows_smoke () =
+let test_remap_smoke () =
   let rows =
     Harness.Figures.remap_overhead ~repeats:1
       ~machine:Cachesim.Machine.pentium4 ~config:tiny ()
   in
+  let rows = figure_rows rows in
   Alcotest.(check int) "twelve rows" 12 (List.length rows);
   List.iter
     (fun r ->
       Alcotest.(check bool) "positive times" true
-        (r.Harness.Figures.seconds_each > 0.0
-        && r.Harness.Figures.seconds_once > 0.0))
+        (value r "seconds_remap_each" > 0.0
+        && value r "seconds_remap_once" > 0.0))
     rows
+
+(* Every figure of the list at scale 512 reads back through the
+   rtrt.table/1 text as the same table (NaN, null on disk, compares
+   equal to itself under [compare]), with no two rows sharing labels. *)
+let test_figures_round_trip () =
+  List.iter
+    (fun (f : Harness.Figures.figure) ->
+      let t = f.table tiny in
+      Alcotest.(check string) "named after the figure" f.name t.T.name;
+      Alcotest.(check bool) (f.name ^ " has rows") true (figure_rows t <> []);
+      let labels = List.map (fun (r : T.row) -> r.labels) t.rows in
+      Alcotest.(check int) (f.name ^ " labels unique") (List.length labels)
+        (List.length (List.sort_uniq compare labels));
+      match Result.bind (Rtrt_obs.Json.of_string (T.to_string t)) T.of_json with
+      | Ok t' ->
+        Alcotest.(check bool) (f.name ^ " round trip") true (compare t t' = 0)
+      | Error msg -> Alcotest.fail (f.name ^ ": " ^ msg))
+    Harness.Figures.all
 
 let test_ablations_smoke () =
   let machine = Cachesim.Machine.pentium4 in
@@ -176,35 +216,31 @@ let test_guidance_ranks () =
   let machine = Cachesim.Machine.pentium4 in
   let plans = [ Compose.Plan.base; Compose.Plan.cpack_lexgroup ] in
   let ranking =
-    Harness.Guidance.select ~trace_steps:1 ~machine ~steps_budget:1_000_000
-      ~plans kernel
+    (Harness.Autotune.rank ~trace_steps:1 ~machine ~iterations:1_000_000
+       ~plans kernel)
+      .T.rows
   in
   Alcotest.(check int) "both ranked" 2 (List.length ranking);
-  (* Totals ascend by construction. *)
-  (match ranking with
+  match ranking with
   | [ a; b ] ->
+    (* Totals ascend by construction. *)
     Alcotest.(check bool) "sorted" true
-      (a.Harness.Guidance.total_cycles <= b.Harness.Guidance.total_cycles);
+      (value a "total_seconds" <= value b "total_seconds");
     (* Over a million steps the reordered executor must win. *)
     Alcotest.(check string) "CL wins long runs" "CL"
-      (Compose.Plan.name a.Harness.Guidance.plan)
-  | _ -> Alcotest.fail "two choices expected");
-  (* The winner of a long run has the cheaper per-step executor. *)
-  let best =
-    Harness.Guidance.best ~trace_steps:1 ~machine ~steps_budget:1_000_000
-      ~plans kernel
-  in
-  Alcotest.(check bool) "positive costs" true
-    (best.Harness.Guidance.executor_cycles_per_step > 0.0)
+      (List.assoc "plan" a.labels);
+    Alcotest.(check bool) "positive costs" true
+      (value a "modeled_ns_per_step" > 0.0)
+  | _ -> Alcotest.fail "two rows expected"
 
 let test_guidance_empty () =
   let d = Datagen.Generators.foil ~scale:512 () in
   let kernel = Kernels.Irreg.of_dataset d in
   Alcotest.check_raises "no plans"
-    (Invalid_argument "Guidance.best: no candidate plans") (fun () ->
+    (Invalid_argument "Autotune.rank: no candidate plans") (fun () ->
       ignore
-        (Harness.Guidance.best ~machine:Cachesim.Machine.pentium4
-           ~steps_budget:1 ~plans:[] kernel))
+        (Harness.Autotune.rank ~machine:Cachesim.Machine.pentium4
+           ~iterations:1 ~plans:[] kernel))
 
 (* ------------------------------------------------------------------ *)
 (* Bench tables and bench-diff: schema, declared directions, verdicts *)
@@ -469,9 +505,9 @@ let test_table_json () =
 (* ------------------------------------------------------------------ *)
 (* The bench driver: each suite at scale 512 under its own settings
    (hotpath is left to CI: it takes seconds even at this scale). A
-   suite with a committed baseline must still write every metric the
-   baseline gates; the values are not compared, since the scale
-   differs. *)
+   suite with a committed baseline must write exactly the baseline's
+   rows and metrics, none missing and none added; the values are not
+   compared, since the scale differs. *)
 
 let test_suite name () =
   let suite =
@@ -498,11 +534,12 @@ let test_suite name () =
     Filename.concat "../bench/baselines" (Harness.Suite.default_out suite)
   in
   if name <> "plancache" then
-    Alcotest.(check (list string)) "no gated baseline metric missing" []
+    Alcotest.(check (list string)) "no baseline metric missing or added" []
       (List.filter_map
          (fun r ->
-           if r.B.r_verdict = B.Missing && B.gates r then Some r.B.r_path
-           else None)
+           match r.B.r_verdict with
+           | B.Missing | B.Added -> Some r.B.r_path
+           | _ -> None)
          (B.compare_files ~old_path:baseline ~new_path:out ()))
 
 (* The churn break-even is decided on step-time ranges, not on the two
@@ -541,7 +578,9 @@ let () =
           Alcotest.test_case "sizing" `Quick test_sizing;
           Alcotest.test_case "dataset table" `Quick test_dataset_table;
           Alcotest.test_case "executor rows" `Slow test_executor_rows_smoke;
-          Alcotest.test_case "remap rows" `Slow test_remap_rows_smoke;
+          Alcotest.test_case "remap rows" `Slow test_remap_smoke;
+          Alcotest.test_case "every figure round-trips" `Slow
+            test_figures_round_trip;
         ] );
       ( "guidance",
         [

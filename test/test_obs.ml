@@ -436,62 +436,6 @@ let test_jsonl_sink_roundtrip () =
   | None -> Alcotest.fail "counter metric missing"
 
 (* ------------------------------------------------------------------ *)
-(* Figure JSON export                                                  *)
-
-let tiny =
-  { Harness.Figures.scale = 512; trace_steps = 1; wall_steps = 1; domains = 1;
-    plan_cache = None }
-
-let test_figure_json_parses () =
-  (* The same payloads `rtrt json datasets` / `rtrt json figure6`
-     print, parsed back through our own parser. *)
-  let check_roundtrip label j =
-    let s = Rtrt_obs.Json.to_string j in
-    match Rtrt_obs.Json.of_string s with
-    | Ok v -> v
-    | Error msg -> Alcotest.fail (Fmt.str "%s: %s" label msg)
-  in
-  let datasets =
-    Harness.Figures.json_dataset_rows
-      (Harness.Figures.dataset_table ~config:tiny ())
-  in
-  (match
-     Rtrt_obs.Json.to_list_opt (check_roundtrip "datasets" datasets)
-   with
-  | Some rows -> Alcotest.(check int) "four dataset rows" 4 (List.length rows)
-  | None -> Alcotest.fail "datasets: expected a JSON list");
-  let exec =
-    Harness.Figures.json_exec_rows
-      (Harness.Figures.executor_time ~machine:Cachesim.Machine.pentium4
-         ~config:tiny ())
-  in
-  match Rtrt_obs.Json.to_list_opt (check_roundtrip "figure7" exec) with
-  | Some rows ->
-    Alcotest.(check int) "six exec rows" 6 (List.length rows);
-    List.iter
-      (fun row ->
-        match
-          Option.bind (Rtrt_obs.Json.member "plans" row) Rtrt_obs.Json.to_list_opt
-        with
-        | Some plans ->
-          Alcotest.(check int) "ten plans" 10 (List.length plans);
-          List.iter
-            (fun p ->
-              match
-                Option.bind
-                  (Rtrt_obs.Json.member "normalized_cycles" p)
-                  Rtrt_obs.Json.to_float_opt
-              with
-              | Some v ->
-                Alcotest.(check bool) "finite normalized cycles" true
-                  (Float.is_finite v && v > 0.0)
-              | None -> Alcotest.fail "plan without normalized_cycles")
-            plans
-        | None -> Alcotest.fail "row without plans")
-      rows
-  | None -> Alcotest.fail "figure7: expected a JSON list"
-
-(* ------------------------------------------------------------------ *)
 (* Inspector span coverage and self-time consistency                   *)
 
 let test_inspector_span_coverage () =
@@ -625,8 +569,6 @@ let () =
             test_json_bad_escapes;
           Alcotest.test_case "jsonl sink round-trip" `Quick
             test_jsonl_sink_roundtrip;
-          Alcotest.test_case "figure export parses" `Quick
-            test_figure_json_parses;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_json_unicode_escapes ] );
       ( "integration",
