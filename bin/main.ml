@@ -208,10 +208,11 @@ let run_symbolic () =
     Compose.Plan.with_fst ~seed_part_size:64 Compose.Plan.cpack_lexgroup_twice
   in
   Fmt.pr "plan: %a@.@." Compose.Plan.pp plan;
+  (* A program depends only on the kernel's declaration, so any
+     dataset gives the same one. *)
+  let _, moldyn = kernel_of ~scale:512 "moldyn" "mol1" in
   let st =
-    Compose.Symbolic.apply
-      (Compose.Symbolic.create Compose.Symbolic.moldyn_program)
-      plan
+    Compose.Symbolic.(apply (create (program_of moldyn)) plan)
   in
   Fmt.pr "%a@." Compose.Symbolic.pp_report st
 
@@ -390,18 +391,14 @@ let run_bench_diff old_path new_path tolerance ratios_only all =
     exit 2
 
 let run_codegen bench ds plan_name scale =
-  let program =
-    match Compose.Symbolic.program_by_name bench with
-    | Some p -> p
-    | None -> Fmt.invalid_arg "unknown program %s" bench
-  in
+  let _, kernel = kernel_of ~scale bench ds in
+  let program = Compose.Symbolic.program_of kernel in
   let plan =
     match plan_name with
     | None ->
       Compose.Plan.with_fst ~seed_part_size:64
         Compose.Plan.cpack_lexgroup_twice
     | Some which -> (
-      let _, kernel = kernel_of ~scale bench ds in
       match
         List.filter
           (fun p -> Compose.Plan.name p = which)
@@ -423,7 +420,6 @@ let run_codegen bench ds plan_name scale =
   match plan_name with
   | None -> ()
   | Some _ -> (
-    let _, kernel = kernel_of ~scale bench ds in
     let result = Harness.Experiment.inspect plan kernel in
     match result.Compose.Inspector.schedule with
     | None ->

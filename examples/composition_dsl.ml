@@ -71,16 +71,18 @@ let () =
   Fmt.pr "d24 u d34  = %a@." Rel.pp d24;
   Fmt.pr "updated    = %a@." Rel.pp d24';
 
-  (* The whole Section 5 pipeline, automated: the Symbolic module folds
-     a plan over the program description and logs each step. *)
+  (* The whole Section 5 pipeline, automated: the Symbolic module
+     derives moldyn's program from its Walker declaration (any dataset
+     gives the same one), folds a plan over it and logs each step. *)
   heading "Sections 5.3-5.4 via Compose.Symbolic";
   let plan =
     Compose.Plan.with_fst ~seed_part_size:64 Compose.Plan.cpack_lexgroup_twice
   in
+  let moldyn =
+    Kernels.Moldyn.of_dataset (Datagen.Generators.mol1 ~scale:512 ())
+  in
   let st =
-    Compose.Symbolic.apply
-      (Compose.Symbolic.create Compose.Symbolic.moldyn_program)
-      plan
+    Compose.Symbolic.(apply (create (program_of moldyn)) plan)
   in
   Fmt.pr "%a@." Compose.Symbolic.pp_report st;
 

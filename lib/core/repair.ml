@@ -37,8 +37,6 @@ let g_modeled = Rtrt_obs.Metrics.gauge "repair.last_modeled_seconds"
    fallback re-seeds the whole state). *)
 type frozen = {
   plan : Plan.t;
-  strategy : Inspector.strategy;
-  share_symmetric_deps : bool;
   sigma : Perm.t;
   delta : Perm.t;
   sigma_fwd : int array; (* forward array of [sigma], copied once *)
@@ -221,14 +219,11 @@ let reset state (result : Inspector.result) =
      after the first incremental round. *)
   state.replay_est <- unit_cost *. float_of_int (2 * n_touches)
 
-let prepare ?(strategy = Inspector.Remap_once) ?(share_symmetric_deps = true)
-    plan (result : Inspector.result) =
+let prepare plan (result : Inspector.result) =
   let k = result.Inspector.kernel in
   let f =
     {
       plan;
-      strategy;
-      share_symmetric_deps;
       sigma = result.Inspector.sigma_total;
       delta = result.Inspector.delta_total;
       sigma_fwd = Perm.to_forward_array result.Inspector.sigma_total;
@@ -282,8 +277,6 @@ let result_of state ~kernel ~sched ~remaps ~seconds =
     inspector_seconds = seconds;
     n_data_remaps = remaps;
     reordering_fns = f.fns;
-    shape_summary =
-      Option.map (fun s -> Shape.summary (Shape.analyze s)) sched;
   }
 
 (* ---- regrow: the bit-identity reference --------------------------- *)
@@ -382,10 +375,7 @@ let repair ?cache ?(policy = `Auto) ?(verify = false) state
     Rtrt_obs.Metrics.incr c_fallbacks;
     let cold_ref = state.cold_seconds in
     let t0 = Rtrt_obs.Clock.now_s () in
-    let result =
-      Inspector.run ?cache ~strategy:f.strategy
-        ~share_symmetric_deps:f.share_symmetric_deps f.plan kernel
-    in
+    let result = Inspector.run ?cache f.plan kernel in
     let seconds = Rtrt_obs.Clock.now_s () -. t0 in
     Rtrt_obs.Metrics.set g_seconds seconds;
     (* Re-seed: the fresh reorderings become the frozen ones and later

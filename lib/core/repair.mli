@@ -16,11 +16,10 @@
     Adjacency maintenance, regrowth and the splice's row merges cost
     O(damage): the node -> interactions adjacency is a set of flat
     arrays (the transpose of the final access) edited in place. The
-    splice blits the untouched rows in one pass. Two parts stay
+    splice blits the untouched rows in one pass. One part stays
     O(dataset) whatever the damage: the replay of the frozen
-    reorderings ({!Inspector.remap}, one kernel rebuild) and the
-    {!Reorder.Shape} summary of the result. At a few percent churn
-    those dominate a repair. A damage set that raises a node's degree
+    reorderings ({!Inspector.remap}, one kernel rebuild). At a few
+    percent churn it dominates a repair. A damage set that raises a node's degree
     (which {!Datagen.Churn.rewire} never produces) also rebuilds the
     adjacency from the churned access.
 
@@ -70,8 +69,7 @@
     cached: a lookup would have to hash the whole churned access, which
     costs more than the incremental work a hit could skip. Only a cold
     fallback reads and fills the cache, as {!Compose.Inspector.run}
-    does. The result carries a freshly recomputed
-    {!Reorder.Shape} summary, and the spliced schedule is a new value
+    does. The spliced schedule is a new value
     (fresh [items]/[row_ptr]), so Tier A shape indexes pinned to the
     old schedule ([Shape.for_schedule]) and Tier B [.cmxs] caches
     (keyed by schedule content) can never serve stale specializations.
@@ -87,14 +85,10 @@ type state
     composed reorderings, the frozen seed tiling and per-loop tile
     functions (from the schedule), and the dependence adjacency of the
     inspected access in final coordinates. [plan] and [result] must be
-    the very pair passed to / returned by {!Compose.Inspector.run}
-    (same [strategy] / [share_symmetric_deps] as given here). *)
-val prepare :
-  ?strategy:Inspector.strategy ->
-  ?share_symmetric_deps:bool ->
-  Plan.t ->
-  Inspector.result ->
-  state
+    the very pair passed to / returned by {!Compose.Inspector.run}; a
+    cold fallback re-inspects with [run]'s default strategy and
+    symmetric-dependence sharing. *)
+val prepare : Plan.t -> Inspector.result -> state
 
 (** [Ok ()] when the incremental path applies; [Error reason] when
     every [repair] call will fall back to full re-inspection (plans

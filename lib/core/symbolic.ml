@@ -6,6 +6,8 @@
    [iv] the index value, [q] the statement within the loop body), and
    accesses one shared node data space either directly ([iv] itself)
    or through index arrays modeled as uninterpreted function symbols.
+   [program_of] derives a kernel's program from its Walker declaration,
+   so no program is written by hand.
 
    [apply] folds a plan over the program, maintaining
      - M   : the current data mapping  M_{Ik -> data_k},
@@ -266,7 +268,6 @@ let apply_transform st (transform : Transform.t) =
     in
     { st with steps = step :: st.steps }
   | Transform.Sparse_tile _ ->
-    if st.tiled then invalid "Symbolic: already sparse tiled";
     let theta, counters = fresh_fn st "theta" in
     let env = Ufs_env.add ~arity:2 theta st.env in
     let st = { st with env; counters } in
@@ -286,7 +287,16 @@ let apply_transform st (transform : Transform.t) =
     in
     { st with steps = step :: st.steps }
 
-let apply st plan = List.fold_left apply_transform st (Plan.transforms plan)
+(* Plan.validate's composition rules over every transformation the
+   state has applied and the plan's, then, per step, the program's
+   reduction rule. *)
+let apply st plan =
+  let applied = List.rev_map (fun s -> s.transform) st.steps in
+  let all = Plan.make ~name:(Plan.name plan) (applied @ Plan.transforms plan) in
+  (match Plan.validate all with
+  | Ok () -> ()
+  | Error msg -> invalid "Symbolic: %s" msg);
+  List.fold_left apply_transform st (Plan.transforms plan)
 
 let steps st = List.rev st.steps
 let data_map st = st.data_map
@@ -297,119 +307,60 @@ let env st = st.env
 let is_tiled st = st.tiled
 
 (* ------------------------------------------------------------------ *)
-(* Program descriptions for the three benchmarks                       *)
+(* A kernel's program, derived from its Walker declaration             *)
 
-(* Simplified moldyn of Figure 1: i (S1), j (S2/S3), k (S4). *)
-let moldyn_program =
+let endpoints = [ "left"; "right" ]
+
+(* The interaction loop [seed_loop] is [j] and reaches the data
+   through each endpoint; every other loop is a node loop reaching its
+   own element, [i] before the interaction loop and [k] after it.
+   Statements are numbered one per node loop and one per endpoint (so
+   moldyn's are S1, S2/S3, S4), and one dependence set joins each pair
+   of adjacent loops, named after the statement pairs it relates. *)
+let program_of (k : Kernels.Kernel.t) =
+  let seed = k.Kernels.Kernel.seed_loop in
+  let n_ends = List.length endpoints in
+  let loop c reduction_only =
+    let index, size, accesses =
+      if c = seed then
+        ("j", "n_inter", List.map (fun f -> Indexed f) endpoints)
+      else ((if c < seed then "i" else "k"), "n_nodes", [ Direct ])
+    in
+    { index; position = c + 1; size; accesses; reduction_only }
+  in
+  let loops = Array.mapi loop k.Kernels.Kernel.reduction_only in
+  let stmts c =
+    let first = c + 1 + if c > seed then n_ends - 1 else 0 in
+    List.init (List.length loops.(c).accesses) (( + ) first)
+  in
+  let dep c =
+    let a = loops.(c) and b = loops.(c + 1) in
+    let name =
+      String.concat "+"
+        (List.concat_map
+           (fun sa -> List.map (Fmt.str "d%d%d" sa) (stmts (c + 1)))
+           (stmts c))
+    in
+    let disjunct f =
+      if c + 1 = seed then
+        Fmt.str
+          "{[s,%d,%s,1] -> [sp,%d,j,q] : %s = %s(j) && s <= sp && 1 <= q && \
+           q <= %d}"
+          a.position a.index b.position a.index f n_ends
+      else if c = seed then
+        Fmt.str
+          "{[s,%d,j,q] -> [sp,%d,%s(j),1] : s <= sp && 1 <= q && q <= %d}"
+          a.position b.position f n_ends
+      else invalid "Symbolic: %s chains two node loops" k.Kernels.Kernel.name
+    in
+    (name, rel (String.concat " union " (List.map disjunct endpoints)))
+  in
   {
-    name = "moldyn";
-    loops =
-      [
-        {
-          index = "i";
-          position = 1;
-          size = "n_nodes";
-          accesses = [ Direct ];
-          reduction_only = true;
-        };
-        {
-          index = "j";
-          position = 2;
-          size = "n_inter";
-          accesses = [ Indexed "left"; Indexed "right" ];
-          reduction_only = true;
-        };
-        {
-          index = "k";
-          position = 3;
-          size = "n_nodes";
-          accesses = [ Direct ];
-          reduction_only = true;
-        };
-      ];
+    name = k.Kernels.Kernel.name;
+    loops = Array.to_list loops;
     data_space = "x";
-    deps =
-      [
-        ( "d12+d13",
-          rel
-            "{[s,1,i,1] -> [sp,2,j,q] : i = left(j) && s <= sp && 1 <= q && q \
-             <= 2} union {[s,1,i,1] -> [sp,2,j,q] : i = right(j) && s <= sp \
-             && 1 <= q && q <= 2}" );
-        ( "d24+d34",
-          rel
-            "{[s,2,j,q] -> [sp,3,left(j),1] : s <= sp && 1 <= q && q <= 2} \
-             union {[s,2,j,q] -> [sp,3,right(j),1] : s <= sp && 1 <= q && q \
-             <= 2}" );
-      ];
+    deps = List.init (Array.length loops - 1) dep;
   }
-
-let nbf_program =
-  {
-    name = "nbf";
-    loops =
-      [
-        {
-          index = "i";
-          position = 1;
-          size = "n_nodes";
-          accesses = [ Direct ];
-          reduction_only = true;
-        };
-        {
-          index = "j";
-          position = 2;
-          size = "n_inter";
-          accesses = [ Indexed "left"; Indexed "right" ];
-          reduction_only = true;
-        };
-      ];
-    data_space = "x";
-    deps =
-      [
-        ( "d12",
-          rel
-            "{[s,1,i,1] -> [sp,2,j,q] : i = left(j) && s <= sp && 1 <= q && q \
-             <= 2} union {[s,1,i,1] -> [sp,2,j,q] : i = right(j) && s <= sp \
-             && 1 <= q && q <= 2}" );
-      ];
-  }
-
-let irreg_program =
-  {
-    name = "irreg";
-    loops =
-      [
-        {
-          index = "j";
-          position = 1;
-          size = "n_inter";
-          accesses = [ Indexed "left"; Indexed "right" ];
-          reduction_only = true;
-        };
-        {
-          index = "k";
-          position = 2;
-          size = "n_nodes";
-          accesses = [ Direct ];
-          reduction_only = true;
-        };
-      ];
-    data_space = "x";
-    deps =
-      [
-        ( "d12",
-          rel
-            "{[s,1,j,q] -> [sp,2,left(j),1] : s <= sp && 1 <= q && q <= 2} \
-             union {[s,1,j,q] -> [sp,2,right(j),1] : s <= sp && 1 <= q && q \
-             <= 2}" );
-      ];
-  }
-
-let program_by_name = function
-  | "moldyn" -> Some moldyn_program
-  | "nbf" -> Some nbf_program
-  | "irreg" -> Some irreg_program
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

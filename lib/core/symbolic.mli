@@ -45,8 +45,10 @@ val indexed_loop : program -> loop_desc
 
 val create : program -> state
 
-(** Fold a plan; raises [Invalid_argument] on illegal applications
-    (e.g. lexGroup on a non-reduction loop, two sparse tilings). *)
+(** Fold a plan. Raises [Invalid_argument] on the plans
+    {!Plan.validate} rejects, counting the transformations the state
+    has already applied, and then on an iteration reordering of a
+    loop that is not [reduction_only]. *)
 val apply : state -> Plan.t -> state
 
 val steps : state -> step list
@@ -57,12 +59,17 @@ val dependences : state -> (string * Presburger.Rel.t) list
 val env : state -> Presburger.Ufs_env.t
 val is_tiled : state -> bool
 
-(** The simplified moldyn program of Figure 1 / Section 3. *)
-val moldyn_program : program
-
-val nbf_program : program
-val irreg_program : program
-val program_by_name : string -> program option
+(** The kernel's program, derived from its Walker declaration: the
+    interaction loop ([seed_loop]) is [j], reaching the data through
+    [left] and [right]; every other loop is a node loop reaching its
+    own element, [i] before [j] and [k] after it; the statements are
+    numbered one per node loop and one per endpoint, and one named
+    dependence set joins each pair of adjacent loops. Each loop's
+    [reduction_only] is the kernel's. Moldyn's program is the
+    simplified moldyn of Figure 1 / Section 3. The program depends on
+    the declaration only, not on the kernel's data. Raises
+    [Invalid_argument] on a chain with two adjacent node loops. *)
+val program_of : Kernels.Kernel.t -> program
 
 val pp_step : step Fmt.t
 

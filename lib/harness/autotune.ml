@@ -193,14 +193,6 @@ type scored = {
   sc_miss_ratio : float;
 }
 
-let plan_full_growth plan =
-  List.exists
-    (function
-      | Compose.Transform.Sparse_tile { growth = Compose.Transform.Full; _ } ->
-        true
-      | _ -> false)
-    (Compose.Plan.transforms plan)
-
 (* Score one candidate: inspect, run the cache model, and — when the
    plan Full-growth-tiles and a multi-lane pool is live — feed the
    locality prediction into the engine's tier model as the serial
@@ -214,7 +206,7 @@ let score ?cache ?pool ?(trace_steps = 2) ?(batch = 8) ~machine plan kernel =
   let makespan =
     match (pool, result.Compose.Inspector.schedule) with
     | Some pool, Some sched
-      when Rtrt_par.Pool.size pool > 1 && plan_full_growth plan ->
+      when Rtrt_par.Pool.size pool > 1 && Compose.Plan.has_full_growth plan ->
       let k = result.Compose.Inspector.kernel in
       let tiles =
         Compose.Legality.tile_fns_of_schedule sched

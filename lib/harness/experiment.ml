@@ -123,18 +123,6 @@ let wall_clock_steps (result : Compose.Inspector.result) ~steps =
     let (), seconds = time (fun () -> spec.Compose.Specialize.run ~steps) in
     seconds /. float_of_int steps
 
-(* Only Full growth guarantees that same-level tiles at non-adjacent
-   chain positions never share data (conn-path transitivity), which the
-   phase-major parallel executor's bitwise claim rests on; Cache_block
-   tilings are excluded from parallel measurement. *)
-let plan_full_growth plan =
-  List.exists
-    (function
-      | Compose.Transform.Sparse_tile { growth = Compose.Transform.Full; _ } ->
-        true
-      | _ -> false)
-    (Compose.Plan.transforms plan)
-
 (* Derive the tile DAG post-hoc from the schedule, build the parallel
    executor, and time it against the engine's own serial tier running
    the SAME (level-major renumbered) schedule on an identical kernel
@@ -338,7 +326,7 @@ let measure ?cache ?pool ?layout_of ?(trace_steps_n = 2) ?(wall_steps = 5)
   let par, ph_par =
     match (pool, result.Compose.Inspector.schedule) with
     | Some pool, Some sched
-      when Rtrt_par.Pool.size pool > 1 && plan_full_growth plan ->
+      when Rtrt_par.Pool.size pool > 1 && Compose.Plan.has_full_growth plan ->
       let p, ph =
         Rtrt_obs.Profile.record ~name:"par" (fun () ->
             measure_par ~pool result sched ~wall_steps)

@@ -24,10 +24,6 @@ type config = {
       (* inspections go through the plan cache when set *)
 }
 
-let default_config =
-  { scale = 16; trace_steps = 2; wall_steps = 5; domains = 1;
-    plan_cache = None }
-
 (* The paper's benchmark/dataset pairings (Figures 6-9). *)
 let pairings =
   [ ("irreg", [ "foil"; "auto" ]); ("nbf", [ "foil"; "auto" ]);

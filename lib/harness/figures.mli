@@ -14,8 +14,6 @@ type config = {
       (** inspections go through the plan cache when set *)
 }
 
-val default_config : config
-
 (** The paper's benchmark/dataset pairings (Figures 6-9). *)
 val pairings : (string * string list) list
 

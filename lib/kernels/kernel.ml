@@ -49,6 +49,11 @@ type t = {
      access so composed inspectors can work on pending reorderings. *)
   loop_sizes : int array;
   seed_loop : int;
+  (* Per chain loop: all its loop-carried dependences are reductions
+     (Section 4, footnote 3), the legality of a dependence-free
+     iteration reordering. Compose.Symbolic derives the kernel's
+     program from this, [loop_sizes] and [seed_loop]. *)
+  reduction_only : bool array;
   chain_of_access : Reorder.Access.t -> Reorder.Sparse_tile.chain;
   (* Cross-time-step connectivity: for each iteration of the chain's
      FIRST loop at step s+1, the iterations of the LAST loop at step s

@@ -38,6 +38,14 @@ type t = {
       (** the interaction loop's access to the node space (current) *)
   loop_sizes : int array;
   seed_loop : int; (** the interaction loop's position in the chain *)
+  reduction_only : bool array;
+      (** per chain loop: its loop-carried dependences are all
+          reductions, so dependence-free iteration reorderings may
+          reorder it (Section 4, footnote 3). True for a node loop
+          that touches only its own element and for the interaction
+          loop when it is the class the parallel engine combines.
+          [Compose.Symbolic] derives the kernel's program from it,
+          [loop_sizes] and [seed_loop]. *)
   chain_of_access : Reorder.Access.t -> Reorder.Sparse_tile.chain;
   wrap_conn_of_access : Reorder.Access.t -> Reorder.Access.t;
       (** cross-time-step connectivity: for each first-loop iteration at

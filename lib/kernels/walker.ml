@@ -285,6 +285,17 @@ let rec make decl st =
     access;
     loop_sizes;
     seed_loop = decl.seed_loop;
+    (* A node class that touches only its own element carries no
+       dependence between its iterations; the interaction class is a
+       reduction when it is the one whose stash/apply the parallel
+       engine combines (held to the serial walk bitwise by test_par). *)
+    reduction_only =
+      Array.mapi
+        (fun c cls ->
+          match decl.loops.(c) with
+          | Nodes -> List.for_all (fun (_, ix) -> ix = Iter) cls.touches
+          | Inters -> c = decl.reduction)
+        decl.classes;
     chain_of_access =
       (fun acc ->
         Reorder.Sparse_tile.make_chain ~loop_sizes ~conn:(decl.conn acc));

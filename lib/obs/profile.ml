@@ -33,8 +33,3 @@ let record ~name f =
       ph_compactions = q1.Gc.compactions - q0.Gc.compactions;
       ph_heap_words = q1.Gc.heap_words;
     } )
-
-let pp_phase ppf p =
-  Fmt.pf ppf "%-18s %8.3f ms  minor %10.0fw  major %9.0fw  gc %d/%d"
-    p.ph_name (p.ph_seconds *. 1e3) p.ph_minor_words p.ph_major_words
-    p.ph_minor_collections p.ph_major_collections

@@ -19,5 +19,3 @@ type phase = {
 (** [record ~name f] runs [f ()] and returns its result with the
     phase profile. *)
 val record : name:string -> (unit -> 'a) -> 'a * phase
-
-val pp_phase : Format.formatter -> phase -> unit

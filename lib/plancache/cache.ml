@@ -7,7 +7,7 @@
    - an in-memory LRU keyed by the fingerprint hex, bounded by a byte
      budget (permutations dominate: ~8 bytes per element);
    - an optional on-disk store: one binary [<key>.plan] file per key
-     under [dir] (format v3, below), written atomically via rename.
+     under [dir] (format v4, below), written atomically via rename.
 
    Loads are checked (length, magic, version, checksum, key, header
    sizes) and then validated — array sizes against the kernel the
@@ -23,12 +23,6 @@ type entry = {
   sigma_total : Perm.t;
   delta_total : Perm.t;
   schedule : Schedule.t option;
-  shape_summary : Shape.summary option;
-      (* the schedule's plan-time shape analysis (run counts, identity
-         rows, ...), cached so a warm hit can pick its executor tier
-         without re-walking the items array. Only the summary is
-         stored: the run-length *index* is always rebuilt from the
-         validated schedule, never trusted from disk. *)
   reordering_fns : (string * Perm.t) list;
   n_data_remaps : int;
   cold_inspector_seconds : float;
@@ -171,19 +165,18 @@ let insert_mem t hex entry =
   evict_until_within t
 
 (* ------------------------------------------------------------------ *)
-(* Binary entries (format v3) — on-disk tier                           *)
+(* Binary entries (format v4) — on-disk tier                           *)
 
 (* One [<key>.plan] file per key. Every int is a little-endian int32 in
    [0, 2^31), every float the int64 of its bits:
 
    - header: magic ["RTRTPLAN"], version, the key's 16 hex digits, then
-     [n_data], [n_iter], [n_tiles], [n_loops], [n_items],
-     [has_summary], [n_fns], [fn_name_bytes] and [fn_ints];
+     [n_data], [n_iter], [n_tiles], [n_loops], [n_items], [n_fns],
+     [fn_name_bytes] and [fn_ints];
    - sigma ([n_data] ints), then delta ([n_iter]);
    - with a schedule ([n_tiles > 0]): [row_ptr] ([n_tiles * n_loops +
      1] ints) and [items] ([n_items]), the flat CSR that [Schedule.t]
      stores natively;
-   - with [has_summary = 1]: the shape summary, 8 ints and a float;
    - per reordering function: its name's length and bytes, then its
      size and forward array;
    - [n_data_remaps] and [cold_inspector_seconds];
@@ -193,22 +186,22 @@ let insert_mem t hex entry =
    length, magic, version, checksum, key or size before it decodes any
    array. Versions 1 and 2 were JSON [<key>.json] files: they are never
    opened, and a JSON body under a [.plan] name fails the magic check,
-   so either is a miss that the re-inspection overwrites. The layout
-   is a storage format: change it only with a [format_version] bump
-   (test_plancache pins it with a known answer). *)
-let format_version = 3
+   so either is a miss that the re-inspection overwrites. A version-3
+   file (it also held a shape summary) fails the version check: a miss
+   overwritten like any other bad entry. The layout is a storage
+   format: change it only with a [format_version] bump (test_plancache
+   pins it with a known answer). *)
+let format_version = 4
 let magic = "RTRTPLAN"
 let key_bytes = 16
-let header_bytes = 8 + 4 + key_bytes + (9 * 4)
-let summary_bytes = (8 * 4) + 8
+let header_bytes = 8 + 4 + key_bytes + (8 * 4)
 let trailer_bytes = 4 + 8 + 8 (* n_data_remaps, seconds, checksum *)
 
-let file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~has_summary ~n_fns
+let file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~n_fns
     ~fn_name_bytes ~fn_ints =
   header_bytes
   + (4 * (n_data + n_iter))
   + (if n_tiles > 0 then 4 * ((n_tiles * n_loops) + 1 + n_items) else 0)
-  + (if has_summary then summary_bytes else 0)
   + (8 * n_fns) + fn_name_bytes + (4 * fn_ints) + trailer_bytes
 
 (* A cursor over everything before the checksum. Both directions go
@@ -259,7 +252,6 @@ let encode ~hex e =
     | Some _ -> raise (Unrepresentable "a schedule without tiles")
   in
   let n_items = Array.length items in
-  let has_summary = Option.is_some e.shape_summary in
   let n_fns = List.length e.reordering_fns in
   let fn_name_bytes =
     List.fold_left (fun n (name, _) -> n + String.length name) 0
@@ -269,7 +261,7 @@ let encode ~hex e =
     List.fold_left (fun n (_, p) -> n + Perm.size p) 0 e.reordering_fns
   in
   let len =
-    file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~has_summary ~n_fns
+    file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~n_fns
       ~fn_name_bytes ~fn_ints
   in
   let c = { buf = Bytes.create len; pos = 0; limit = len - 8 } in
@@ -283,7 +275,6 @@ let encode ~hex e =
       n_tiles;
       n_loops;
       n_items;
-      Bool.to_int has_summary;
       n_fns;
       fn_name_bytes;
       fn_ints;
@@ -292,21 +283,6 @@ let encode ~hex e =
   put_perm c e.delta_total;
   put_ints c (Array.length row_ptr) (Array.get row_ptr);
   put_ints c (Array.length items) (Array.get items);
-  Option.iter
-    (fun (sm : Shape.summary) ->
-      List.iter (put_int c)
-        [
-          sm.Shape.rows;
-          sm.Shape.total_items;
-          sm.Shape.runs;
-          sm.Shape.identity_rows;
-          sm.Shape.max_run;
-          Bool.to_int sm.Shape.single_loop;
-          Bool.to_int (sm.Shape.uniform_tile_items <> None);
-          Option.value sm.Shape.uniform_tile_items ~default:0;
-        ];
-      put_float c sm.Shape.avg_run_len)
-    e.shape_summary;
   List.iter
     (fun (name, p) ->
       put_int c (String.length name);
@@ -323,12 +299,6 @@ let get_int c =
   let v = Int32.to_int (Bytes.get_int32_le c.buf (advance c 4)) in
   if v < 0 then corrupt "negative count";
   v
-
-let get_bool c =
-  match get_int c with
-  | 0 -> false
-  | 1 -> true
-  | _ -> corrupt "flag is neither 0 nor 1"
 
 let get_float c = Int64.float_of_bits (Bytes.get_int64_le c.buf (advance c 8))
 let get_string c n = Bytes.sub_string c.buf (advance c n) n
@@ -381,27 +351,6 @@ let schedule_of_csr ~n_tiles ~n_loops ~row_ptr ~items =
     corrupt "schedule items not in canonical order";
   s
 
-let get_summary c =
-  let rows = get_int c in
-  let total_items = get_int c in
-  let runs = get_int c in
-  let identity_rows = get_int c in
-  let max_run = get_int c in
-  let single_loop = get_bool c in
-  let uniform = get_bool c in
-  let uniform_items = get_int c in
-  let avg_run_len = get_float c in
-  {
-    Shape.rows;
-    total_items;
-    runs;
-    identity_rows;
-    max_run;
-    single_loop;
-    uniform_tile_items = (if uniform then Some uniform_items else None);
-    avg_run_len;
-  }
-
 (* Raises [Corrupt] (or [Invalid_argument] from a constructor) on
    anything but a well-formed entry for [hex] of the caller's sizes. *)
 let decode buf ~hex ~n_data ~n_iter =
@@ -419,7 +368,6 @@ let decode buf ~hex ~n_data ~n_iter =
   let n_tiles = get_int c in
   let n_loops = get_int c in
   let n_items = get_int c in
-  let has_summary = get_bool c in
   let n_fns = get_int c in
   let fn_name_bytes = get_int c in
   let fn_ints = get_int c in
@@ -427,8 +375,8 @@ let decode buf ~hex ~n_data ~n_iter =
   if f_n_iter <> n_iter then corrupt "delta size mismatch";
   if (n_tiles = 0) <> (n_loops = 0) || (n_tiles = 0 && n_items <> 0)
      || n_tiles * n_loops > len
-     || file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~has_summary
-          ~n_fns ~fn_name_bytes ~fn_ints
+     || file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~n_fns
+          ~fn_name_bytes ~fn_ints
         <> len
   then corrupt "file size disagrees with its header";
   let sigma_total = get_perm c n_data in
@@ -439,20 +387,6 @@ let decode buf ~hex ~n_data ~n_iter =
       let row_ptr = get_ints c ((n_tiles * n_loops) + 1) in
       let items = get_ints c n_items in
       Some (schedule_of_csr ~n_tiles ~n_loops ~row_ptr ~items)
-  in
-  let shape_summary =
-    if not has_summary then None
-    else
-      let sm = get_summary c in
-      (* Sanity against the (validated) schedule: a summary that cannot
-         belong to it is dropped, not trusted — callers then
-         re-analyze. *)
-      match schedule with
-      | Some s
-        when sm.Shape.rows = Schedule.n_tiles s * Schedule.n_loops s
-             && sm.Shape.total_items = Schedule.total_iterations s ->
-        Some sm
-      | _ -> None
   in
   let reordering_fns =
     List.init n_fns (fun _ ->
@@ -467,7 +401,6 @@ let decode buf ~hex ~n_data ~n_iter =
     sigma_total;
     delta_total;
     schedule;
-    shape_summary;
     reordering_fns;
     n_data_remaps;
     cold_inspector_seconds;

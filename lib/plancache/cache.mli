@@ -4,7 +4,7 @@
     inspection outcome (kernel access pattern, plan transformations,
     strategy, symmetric-dependence sharing). Two tiers: an in-memory
     LRU bounded by a byte budget, and an optional on-disk store (one
-    binary [<key>.plan] file per key, format v3: a fixed header,
+    binary [<key>.plan] file per key, format v4: a fixed header,
     little-endian int32 arrays and a trailing FNV-1a checksum) so the
     amortization survives process restarts.
 
@@ -12,7 +12,9 @@
     checksum, key, header sizes) and then validated — array sizes
     against the kernel at hand, permutation bijectivity, schedule
     coverage — so a corrupt or stale file degrades to a miss, never a
-    crash. Files of older formats (JSON, [<key>.json]) are ignored. All
+    crash. Files of older formats (JSON, [<key>.json]) are ignored; a
+    v3 [<key>.plan] file fails the version check, a counted miss that
+    the next store overwrites. All
     operations are mutex-guarded and safe to call from worker domains.
 
     Traffic is published to {!Rtrt_obs.Metrics} under
@@ -30,12 +32,6 @@ type entry = {
   sigma_total : Perm.t;  (** composed data reordering *)
   delta_total : Perm.t;  (** composed iteration reordering *)
   schedule : Schedule.t option;  (** sparse-tiled executor schedule *)
-  shape_summary : Shape.summary option;
-      (** plan-time {!Reorder.Shape} analysis of [schedule], cached so
-          warm hits pick an executor tier without re-walking the items
-          array. Only the summary is stored; the run-length index is
-          always rebuilt from the validated schedule. A loaded summary
-          that cannot belong to its schedule is dropped to [None]. *)
   reordering_fns : (string * Perm.t) list;
       (** per-transformation reordering functions, in application order *)
   n_data_remaps : int;

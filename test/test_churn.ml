@@ -342,14 +342,7 @@ let test_no_stale_specialization () =
   let new_spec = Specialize.make repaired.Inspector.kernel new_sched in
   Alcotest.(check bool)
     "specialization key re-fingerprints" true
-    (old_spec.Specialize.key <> new_spec.Specialize.key);
-  Alcotest.(check bool)
-    "repaired result carries a fresh shape summary" true
-    (match repaired.Inspector.shape_summary with
-    | Some s ->
-      Reorder.Shape.summary_equal s
-        (Reorder.Shape.summary (Reorder.Shape.analyze new_sched))
-    | None -> false)
+    (old_spec.Specialize.key <> new_spec.Specialize.key)
 
 (* ------------------------------------------------------------------ *)
 

@@ -50,13 +50,235 @@ let test_n_data_reorders () =
   Alcotest.(check bool) "no FST" false (Plan.has_sparse_tiling Plan.cpack)
 
 (* ------------------------------------------------------------------ *)
+(* Symbolic: the derived programs *)
+
+let test_kernel name =
+  let scale = 512 in
+  let d =
+    match name with
+    | "moldyn" -> Datagen.Generators.mol1 ~scale ()
+    | _ -> Datagen.Generators.foil ~scale ()
+  in
+  (Option.get (Kernels.by_name name)) d
+
+(* A kernel's program, derived from its Walker declaration. *)
+let program name = Symbolic.program_of (test_kernel name)
+
+(* The programs as they were written by hand, loop by loop and
+   relation by relation, before they were derived: the fixtures the
+   derivation must reproduce. *)
+let rel_of = Presburger.Parser.relation
+
+let hand_moldyn =
+  {
+    Symbolic.name = "moldyn";
+    loops =
+      [
+        {
+          Symbolic.index = "i";
+          position = 1;
+          size = "n_nodes";
+          accesses = [ Symbolic.Direct ];
+          reduction_only = true;
+        };
+        {
+          index = "j";
+          position = 2;
+          size = "n_inter";
+          accesses = [ Indexed "left"; Indexed "right" ];
+          reduction_only = true;
+        };
+        {
+          index = "k";
+          position = 3;
+          size = "n_nodes";
+          accesses = [ Direct ];
+          reduction_only = true;
+        };
+      ];
+    data_space = "x";
+    deps =
+      [
+        ( "d12+d13",
+          rel_of
+            "{[s,1,i,1] -> [sp,2,j,q] : i = left(j) && s <= sp && 1 <= q && q \
+             <= 2} union {[s,1,i,1] -> [sp,2,j,q] : i = right(j) && s <= sp \
+             && 1 <= q && q <= 2}" );
+        ( "d24+d34",
+          rel_of
+            "{[s,2,j,q] -> [sp,3,left(j),1] : s <= sp && 1 <= q && q <= 2} \
+             union {[s,2,j,q] -> [sp,3,right(j),1] : s <= sp && 1 <= q && q \
+             <= 2}" );
+      ];
+  }
+
+let hand_nbf =
+  {
+    Symbolic.name = "nbf";
+    loops =
+      [
+        {
+          Symbolic.index = "i";
+          position = 1;
+          size = "n_nodes";
+          accesses = [ Symbolic.Direct ];
+          reduction_only = true;
+        };
+        {
+          index = "j";
+          position = 2;
+          size = "n_inter";
+          accesses = [ Indexed "left"; Indexed "right" ];
+          reduction_only = true;
+        };
+      ];
+    data_space = "x";
+    deps =
+      [
+        ( "d12",
+          rel_of
+            "{[s,1,i,1] -> [sp,2,j,q] : i = left(j) && s <= sp && 1 <= q && q \
+             <= 2} union {[s,1,i,1] -> [sp,2,j,q] : i = right(j) && s <= sp \
+             && 1 <= q && q <= 2}" );
+      ];
+  }
+
+let hand_irreg =
+  {
+    Symbolic.name = "irreg";
+    loops =
+      [
+        {
+          Symbolic.index = "j";
+          position = 1;
+          size = "n_inter";
+          accesses = [ Symbolic.Indexed "left"; Indexed "right" ];
+          reduction_only = true;
+        };
+        {
+          index = "k";
+          position = 2;
+          size = "n_nodes";
+          accesses = [ Direct ];
+          reduction_only = true;
+        };
+      ];
+    data_space = "x";
+    deps =
+      [
+        ( "d12",
+          rel_of
+            "{[s,1,j,q] -> [sp,2,left(j),1] : s <= sp && 1 <= q && q <= 2} \
+             union {[s,1,j,q] -> [sp,2,right(j),1] : s <= sp && 1 <= q && q \
+             <= 2}" );
+      ];
+  }
+
+(* The derived program equals [hand] loop by loop and relation by
+   relation; its dependence sets are named [dep_names]. *)
+let check_program ~dep_names (hand : Symbolic.program)
+    (derived : Symbolic.program) =
+  let what = hand.Symbolic.name in
+  Alcotest.(check string) (what ^ " name") hand.Symbolic.name
+    derived.Symbolic.name;
+  Alcotest.(check string) (what ^ " data space") hand.Symbolic.data_space
+    derived.Symbolic.data_space;
+  Alcotest.(check int) (what ^ " loops")
+    (List.length hand.Symbolic.loops)
+    (List.length derived.Symbolic.loops);
+  List.iter2
+    (fun (h : Symbolic.loop_desc) (d : Symbolic.loop_desc) ->
+      Alcotest.(check bool)
+        (Fmt.str "%s loop %s" what h.Symbolic.index)
+        true (h = d))
+    hand.Symbolic.loops derived.Symbolic.loops;
+  Alcotest.(check (list string)) (what ^ " dependence names") dep_names
+    (List.map fst derived.Symbolic.deps);
+  List.iter2
+    (fun (name, h) (_, d) -> Alcotest.check rel (what ^ " " ^ name) h d)
+    hand.Symbolic.deps derived.Symbolic.deps
+
+let test_symbolic_derived_programs () =
+  check_program ~dep_names:[ "d12+d13"; "d24+d34" ] hand_moldyn
+    (program "moldyn");
+  check_program ~dep_names:[ "d12+d13" ] hand_nbf (program "nbf");
+  check_program ~dep_names:[ "d13+d23" ] hand_irreg (program "irreg");
+  (* cg declares moldyn's chain: node, interaction, node loop. *)
+  check_program ~dep_names:[ "d12+d13"; "d24+d34" ]
+    { hand_moldyn with Symbolic.name = "cg" }
+    (program "cg")
+
+(* Symbolic.apply rejects exactly the plans Plan.validate rejects,
+   with its message, whether the offending transformation comes in
+   the same plan or in a later one; here over every plan of up to
+   three steps from {cpack, lexGroup, FST, tilePack}. *)
+let test_symbolic_apply_validates () =
+  let moldyn = program "moldyn" in
+  let steps =
+    [
+      Transform.Data_reorder Transform.Cpack;
+      Transform.Iter_reorder Transform.Lexgroup;
+      fst_t;
+      Transform.Data_reorder Transform.Tile_pack;
+    ]
+  in
+  (* Every sequence of at most [n] steps, some more than once. *)
+  let rec plans n =
+    if n = 0 then [ [] ]
+    else
+      []
+      :: List.concat_map
+           (fun t -> List.map (List.cons t) (plans (n - 1)))
+           steps
+  in
+  let verdict f =
+    match f () with _ -> Ok () | exception Invalid_argument m -> Error m
+  in
+  List.iter
+    (fun ts ->
+      let p = Plan.make ~name:"p" ts in
+      let expected =
+        Result.map_error (fun m -> "Symbolic: " ^ m) (Plan.validate p)
+      in
+      Alcotest.(check (result unit string))
+        (Fmt.str "%a" Plan.pp p)
+        expected
+        (verdict (fun () -> Symbolic.apply (Symbolic.create moldyn) p));
+      (* The same transformations split over two applications. *)
+      match ts with
+      | t :: rest ->
+        Alcotest.(check (result unit string))
+          (Fmt.str "%a, split" Plan.pp p)
+          expected
+          (verdict (fun () ->
+               let st =
+                 Symbolic.apply (Symbolic.create moldyn)
+                   (Plan.make ~name:"first" [ t ])
+               in
+               Symbolic.apply st (Plan.make ~name:"rest" rest)))
+      | [] -> ())
+    (List.sort_uniq compare (plans 3));
+  List.iter
+    (fun (name, ts) ->
+      Alcotest.(check bool) (name ^ " rejected") true
+        (Result.is_error
+           (verdict (fun () ->
+                Symbolic.apply (Symbolic.create moldyn) (Plan.make ~name ts)))))
+    [
+      ( "lexGroup after FST",
+        [ fst_t; Transform.Iter_reorder Transform.Lexgroup ] );
+      ("tilePack without FST", [ Transform.Data_reorder Transform.Tile_pack ]);
+      ("two FSTs", [ fst_t; fst_t ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Symbolic: the Section 5 formulas *)
 
 let test_symbolic_cpack_data_mapping () =
   (* After CPACK, the j-loop part of M is sigma_cp(left(j)) etc., and
      identity-mapped loops collapse to the identity (Section 5.1). *)
   let st =
-    Symbolic.apply (Symbolic.create Symbolic.moldyn_program) Plan.cpack
+    Symbolic.apply (Symbolic.create (program "moldyn")) Plan.cpack
   in
   let expected =
     Presburger.Parser.relation
@@ -69,7 +291,7 @@ let test_symbolic_cpack_data_mapping () =
 let test_symbolic_cl_data_mapping () =
   (* Section 5.2: M_{I1->x1} j part = sigma_cp(left(delta_lg_inv(j))). *)
   let st =
-    Symbolic.apply (Symbolic.create Symbolic.moldyn_program) Plan.cpack_lexgroup
+    Symbolic.apply (Symbolic.create (program "moldyn")) Plan.cpack_lexgroup
   in
   let expected =
     Presburger.Parser.relation
@@ -84,7 +306,7 @@ let test_symbolic_clcl_composed_r () =
   (* Section 5.3: R_{x0->x2} = sigma_cp2 . sigma_cp. *)
   let st =
     Symbolic.apply
-      (Symbolic.create Symbolic.moldyn_program)
+      (Symbolic.create (program "moldyn"))
       Plan.cpack_lexgroup_twice
   in
   Alcotest.check rel "composed R"
@@ -95,7 +317,7 @@ let test_symbolic_clcl_composed_t_jloop () =
   (* T_{I0->I2} on the j loop: j2 = delta_lg2(delta_lg(j)). *)
   let st =
     Symbolic.apply
-      (Symbolic.create Symbolic.moldyn_program)
+      (Symbolic.create (program "moldyn"))
       Plan.cpack_lexgroup_twice
   in
   let t = Symbolic.t_total st in
@@ -108,7 +330,7 @@ let test_symbolic_clcl_composed_t_jloop () =
 
 let test_symbolic_fst_adds_tile_dim () =
   let plan = Plan.with_fst ~tile_pack:false ~seed_part_size:8 Plan.cpack_lexgroup in
-  let st = Symbolic.apply (Symbolic.create Symbolic.moldyn_program) plan in
+  let st = Symbolic.apply (Symbolic.create (program "moldyn")) plan in
   Alcotest.(check bool) "tiled" true (Symbolic.is_tiled st);
   Alcotest.(check int) "5-dim space" 5
     (Presburger.Rel.out_arity (Symbolic.t_total st))
@@ -116,7 +338,7 @@ let test_symbolic_fst_adds_tile_dim () =
 let test_symbolic_tilepack_composed_r () =
   (* Full Section 5 composition: R = sigma_tp . sigma_cp2 . sigma_cp. *)
   let plan = Plan.with_fst ~seed_part_size:8 Plan.cpack_lexgroup_twice in
-  let st = Symbolic.apply (Symbolic.create Symbolic.moldyn_program) plan in
+  let st = Symbolic.apply (Symbolic.create (program "moldyn")) plan in
   Alcotest.check rel "R with tilePack"
     (Presburger.Parser.relation
        "{[m] -> [sigma_tp(sigma_cp2(sigma_cp(m)))]}")
@@ -124,21 +346,22 @@ let test_symbolic_tilepack_composed_r () =
 
 let test_symbolic_fresh_names () =
   let plan = Plan.cpack_lexgroup_twice in
-  let st = Symbolic.apply (Symbolic.create Symbolic.moldyn_program) plan in
+  let st = Symbolic.apply (Symbolic.create (program "moldyn")) plan in
   let names = List.map (fun s -> s.Symbolic.fn_name) (Symbolic.steps st) in
   Alcotest.(check (list string)) "numbered instances"
     [ "sigma_cp"; "delta_lg"; "sigma_cp2"; "delta_lg2" ]
     names
 
 let test_symbolic_rejects_nonreduction () =
+  let moldyn = program "moldyn" in
   let program =
     {
-      Symbolic.moldyn_program with
+      moldyn with
       Symbolic.loops =
         List.map
           (fun (l : Symbolic.loop_desc) ->
             { l with Symbolic.reduction_only = false })
-          Symbolic.moldyn_program.Symbolic.loops;
+          moldyn.Symbolic.loops;
     }
   in
   match Symbolic.apply (Symbolic.create program) Plan.cpack_lexgroup with
@@ -151,7 +374,7 @@ let test_symbolic_dependence_update () =
   (* After CL, the target side of d24+d34 must read
      sigma_cp(left(delta_lg_inv(...))). *)
   let st =
-    Symbolic.apply (Symbolic.create Symbolic.moldyn_program) Plan.cpack_lexgroup
+    Symbolic.apply (Symbolic.create (program "moldyn")) Plan.cpack_lexgroup
   in
   let d = List.assoc "d24+d34" (Symbolic.dependences st) in
   let printed = Presburger.Rel.to_string d in
@@ -161,19 +384,10 @@ let test_symbolic_dependence_update () =
   in
   Alcotest.(check bool) "target reordered" true
     (contains "sigma_cp(left(delta_lg_inv(");
-  Alcotest.(check bool) "all programs defined" true
+  Alcotest.(check bool) "every kernel has a program" true
     (List.for_all
-       (fun n -> Symbolic.program_by_name n <> None)
-       [ "moldyn"; "nbf"; "irreg" ])
-
-let test_kernel name =
-  let scale = 512 in
-  let d =
-    match name with
-    | "moldyn" -> Datagen.Generators.mol1 ~scale ()
-    | _ -> Datagen.Generators.foil ~scale ()
-  in
-  (Option.get (Kernels.by_name name)) d
+       (fun n -> (program n).Symbolic.loops <> [])
+       Kernels.all_names)
 
 (* ------------------------------------------------------------------ *)
 (* Run-time dependence classification *)
@@ -239,11 +453,11 @@ let test_codegen_second_cpack () =
   (* The specialized second CPACK inspector must traverse the updated
      data mapping — Figure 12's sigma_cp[left[delta_lg_inv[j]]]. *)
   let st =
-    Symbolic.apply (Symbolic.create Symbolic.moldyn_program) Plan.cpack_lexgroup
+    Symbolic.apply (Symbolic.create (program "moldyn")) Plan.cpack_lexgroup
   in
   let code =
     Codegen.cpack_inspector ~instance:"sigma_cp2"
-      ~program:Symbolic.moldyn_program (Symbolic.data_map st)
+      ~program:(program "moldyn") (Symbolic.data_map st)
   in
   Alcotest.(check bool) "figure 12 subscript chain" true
     (contains code "sigma_cp[left[delta_lg_inv[j]]]");
@@ -252,24 +466,24 @@ let test_codegen_second_cpack () =
 
 let test_codegen_tiled_executor () =
   let plan = Plan.with_fst ~seed_part_size:8 Plan.cpack_lexgroup in
-  let st = Symbolic.apply (Symbolic.create Symbolic.moldyn_program) plan in
-  let code = Codegen.executor st ~program:Symbolic.moldyn_program in
+  let st = Symbolic.apply (Symbolic.create (program "moldyn")) plan in
+  let code = Codegen.executor st ~program:(program "moldyn") in
   Alcotest.(check bool) "tiles outermost" true (contains code "do t = 1 to num_tiles");
   Alcotest.(check bool) "sched loops" true (contains code "in sched(t, 2)");
   Alcotest.(check bool) "adjusted index array" true (contains code "left'[")
 
 let test_codegen_plain_executor () =
   let st =
-    Symbolic.apply (Symbolic.create Symbolic.irreg_program) Plan.cpack_lexgroup
+    Symbolic.apply (Symbolic.create (program "irreg")) Plan.cpack_lexgroup
   in
-  let code = Codegen.executor st ~program:Symbolic.irreg_program in
+  let code = Codegen.executor st ~program:(program "irreg") in
   Alcotest.(check bool) "no tiles" false (contains code "num_tiles");
   Alcotest.(check bool) "plain bounds" true (contains code "= 1 to n_inter")
 
 let test_codegen_full_report () =
   let plan = Plan.with_fst ~seed_part_size:8 Plan.cpack_lexgroup_twice in
-  let st = Symbolic.apply (Symbolic.create Symbolic.moldyn_program) plan in
-  let code = Codegen.full_report st ~program:Symbolic.moldyn_program in
+  let st = Symbolic.apply (Symbolic.create (program "moldyn")) plan in
+  let code = Codegen.full_report st ~program:(program "moldyn") in
   Alcotest.(check bool) "composed remap" true
     (contains code "sigma_tp(sigma_cp2(sigma_cp(m)))");
   Alcotest.(check bool) "tilepack traverses full chain" true
@@ -485,7 +699,7 @@ let test_symbolic_agrees_with_inspector () =
   List.iter
     (fun plan ->
       let r = Inspector.run plan kernel in
-      let st = Symbolic.apply (Symbolic.create Symbolic.moldyn_program) plan in
+      let st = Symbolic.apply (Symbolic.create (program "moldyn")) plan in
       let lookup f =
         match List.assoc_opt f r.Inspector.reordering_fns with
         | Some p -> Some p
@@ -658,6 +872,10 @@ let () =
             test_symbolic_rejects_nonreduction;
           Alcotest.test_case "dependence update" `Quick
             test_symbolic_dependence_update;
+          Alcotest.test_case "derived = hand-written programs" `Quick
+            test_symbolic_derived_programs;
+          Alcotest.test_case "apply rejects what validate rejects" `Quick
+            test_symbolic_apply_validates;
         ] );
       ( "depcheck",
         [

@@ -102,14 +102,16 @@ let test_parallel_flow () =
 
 (* The codegen flow produces the Figure 12 chain. *)
 let test_codegen_flow () =
+  let program =
+    Compose.Symbolic.program_of
+      (Kernels.Moldyn.of_dataset (Datagen.Generators.mol1 ~scale:512 ()))
+  in
   let st =
     Compose.Symbolic.apply
-      (Compose.Symbolic.create Compose.Symbolic.moldyn_program)
+      (Compose.Symbolic.create program)
       Compose.Plan.cpack_lexgroup
   in
-  let code =
-    Compose.Codegen.full_report st ~program:Compose.Symbolic.moldyn_program
-  in
+  let code = Compose.Codegen.full_report st ~program in
   let contains sub =
     let re = Str.regexp_string sub in
     try

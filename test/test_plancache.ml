@@ -1,7 +1,7 @@
 (* Tests for the plan-cache subsystem: fingerprint stability,
    sensitivity and known answers, memory-tier hit/miss accounting,
    bit-identical warm replay (the headline guarantee), the on-disk tier
-   (its v3 byte layout, corruption recovery and fuzzing, writers in two
+   (its v4 byte layout, corruption recovery and fuzzing, writers in two
    domains and two processes), LRU eviction, metrics visibility, and
    the Experiment.measure integration. *)
 
@@ -47,7 +47,6 @@ let dummy_entry n =
     Cache.sigma_total = Reorder.Perm.id n;
     delta_total = Reorder.Perm.id n;
     schedule = None;
-    shape_summary = None;
     reordering_fns = [];
     n_data_remaps = 0;
     cold_inspector_seconds = 0.5;
@@ -415,6 +414,13 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path contents =
   Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
+(* The file with its checksum recomputed over the bytes before it. *)
+let reseal contents =
+  let n = String.length contents - 8 in
+  let b = Bytes.of_string contents in
+  Bytes.set_int64_le b n (fnv1a_64 (String.sub contents 0 n));
+  Bytes.to_string b
+
 (* When the directory comes from RTRT_PLAN_CACHE_DIR and already holds
    the entry, a previous process wrote it (the CI warm leg): the first
    run must then load it from disk, not re-inspect and re-store. *)
@@ -492,7 +498,7 @@ let test_disk_corruption_degrades_to_miss () =
   check_results_identical "after rewrite" reference warm
 
 let test_disk_rejects_non_bijective_perm () =
-  (* A well-formed v3 entry, checksum and all, whose sigma is not a
+  (* A well-formed v4 entry, checksum and all, whose sigma is not a
      permutation must degrade to a miss, never produce a bogus
      reordering: the reader's [Perm.of_forward] rejects it. *)
   let dir = fresh_dir () in
@@ -508,17 +514,18 @@ let test_disk_rejects_non_bijective_perm () =
   Alcotest.(check int) "disk error counted" 1
     (Cache.stats cache).Cache.disk_errors
 
-let has_v3_header contents =
+let has_v4_header contents =
   String.length contents >= 12
   && String.sub contents 0 8 = "RTRTPLAN"
-  && String.get_int32_le contents 8 = 3l
+  && String.get_int32_le contents 8 = 4l
 
 let test_disk_rejects_stale_format_version () =
   (* Entries of older formats are misses. A version-2 [<key>.json]
      file is never opened, so it is a plain miss; a JSON body (here a
      version-1 one, with the nested "tiles" schedule of before the
-     flat-CSR migration) under the [.plan] name is a counted one. The
-     next store rewrites the entry as version 3. *)
+     flat-CSR migration) under the [.plan] name is a counted one, and
+     so is a version-3 header. The next store rewrites the entry as
+     version 4. *)
   let dir = made_dir () in
   let key = key_of_string "stale-v1" in
   let hex = F.to_hex key in
@@ -544,10 +551,21 @@ let test_disk_rejects_stale_format_version () =
   Alcotest.(check int) "disk error counted" 1
     (Cache.stats cache).Cache.disk_errors;
   Cache.store cache ~key (dummy_entry 2);
-  Alcotest.(check bool) "rewritten with the v3 magic and version" true
-    (has_v3_header (read_file path));
+  Alcotest.(check bool) "rewritten with the v4 magic and version" true
+    (has_v4_header (read_file path));
   Alcotest.(check bool) "the rewrite hits" true
-    (find (Cache.create ~dir ()) <> None)
+    (find (Cache.create ~dir ()) <> None);
+  let v3 = Bytes.of_string (read_file path) in
+  Bytes.set_int32_le v3 8 3l;
+  write_file path (reseal (Bytes.to_string v3));
+  let cache = Cache.create ~dir () in
+  Alcotest.(check bool) "v3 header under .plan is a miss" true
+    (find cache = None);
+  Alcotest.(check int) "v3 disk error counted" 1
+    (Cache.stats cache).Cache.disk_errors;
+  Cache.store cache ~key (dummy_entry 2);
+  Alcotest.(check bool) "v3 rewritten as v4" true
+    (has_v4_header (read_file path))
 
 (* Entries equal field by field, floats by their bits. *)
 let entries_equal (a : Cache.entry) (b : Cache.entry) =
@@ -557,14 +575,6 @@ let entries_equal (a : Cache.entry) (b : Cache.entry) =
   && (match (a.Cache.schedule, b.Cache.schedule) with
      | None, None -> true
      | Some x, Some y -> Reorder.Schedule.equal x y
-     | _ -> false)
-  && (match (a.Cache.shape_summary, b.Cache.shape_summary) with
-     | None, None -> true
-     | Some x, Some y ->
-       Reorder.Shape.summary_equal x y
-       && Int64.equal
-            (Int64.bits_of_float x.Reorder.Shape.avg_run_len)
-            (Int64.bits_of_float y.Reorder.Shape.avg_run_len)
      | _ -> false)
   && List.equal
        (fun (n1, p1) (n2, p2) -> String.equal n1 n2 && P.equal p1 p2)
@@ -576,10 +586,10 @@ let entries_equal (a : Cache.entry) (b : Cache.entry) =
 
 (* The layout known answer: the fingerprint of the file bytes of one
    fixed entry with every member present (a two-loop schedule, a
-   summary, a reordering function, non-zero remaps and seconds). The
-   entry layout is a storage format, so this constant was recorded
-   once, with the v3 codec, and is never re-recorded to make a test
-   pass: a change to the layout bumps the format version instead. *)
+   reordering function, non-zero remaps and seconds). The entry layout
+   is a storage format, so this constant was recorded once, with the
+   v4 codec, and is never re-recorded to make a test pass: a change to
+   the layout bumps the format version instead. *)
 let layout_entry =
   let module R = Reorder in
   let sigma = R.Perm.of_forward [| 2; 0; 1 |] in
@@ -593,18 +603,6 @@ let layout_entry =
              { R.Sparse_tile.n_tiles = 2; tile_of = [| 0; 1; 0; 1 |] };
              { R.Sparse_tile.n_tiles = 2; tile_of = [| 1; 0; 0; 1 |] };
            |]);
-    shape_summary =
-      Some
-        {
-          R.Shape.rows = 4;
-          total_items = 8;
-          runs = 7;
-          identity_rows = 1;
-          max_run = 2;
-          single_loop = false;
-          uniform_tile_items = Some 4;
-          avg_run_len = 8. /. 7.;
-        };
     reordering_fns = [ ("cpack", sigma) ];
     n_data_remaps = 2;
     cold_inspector_seconds = 0.125;
@@ -617,7 +615,7 @@ let test_disk_layout_known_answer () =
   let bytes = read_file (entry_file dir key) in
   let b = F.create () in
   F.add_string b bytes;
-  Alcotest.(check string) "file bytes" "5e25af18ffeae08c"
+  Alcotest.(check string) "file bytes" "64e3d6d263769cef"
     (F.to_hex (F.value b));
   Alcotest.(check bool) "reads back equal" true
     (match
@@ -701,7 +699,7 @@ let arb_mutation =
    original bytes, which a fresh cache then hits. *)
 let prop_mutated_entry_is_a_miss =
   let dir = made_dir () in
-  QCheck.Test.make ~name:"mutated v3 entry -> counted miss, then rewrite"
+  QCheck.Test.make ~name:"mutated entry -> counted miss, then rewrite"
     ~count:150 arb_mutation (fun m ->
       let _, key, entry, contents = Lazy.force fuzz_subject in
       let path = entry_file dir key in
@@ -719,12 +717,6 @@ let prop_mutated_entry_is_a_miss =
 
 (* Flips under a recomputed checksum reach the decoder itself: it may
    reject or accept what it reads, but it never raises. *)
-let reseal contents =
-  let n = String.length contents - 8 in
-  let b = Bytes.of_string contents in
-  Bytes.set_int64_le b n (fnv1a_64 (String.sub contents 0 n));
-  Bytes.to_string b
-
 let prop_resealed_flip_never_raises =
   let dir = made_dir () in
   let arb_flip =
@@ -732,7 +724,7 @@ let prop_resealed_flip_never_raises =
         let _, _, _, contents = Lazy.force fuzz_subject in
         gen_flip ~span:(String.length contents - 8) st)
   in
-  QCheck.Test.make ~name:"resealed v3 flip -> miss or hit, never a raise"
+  QCheck.Test.make ~name:"resealed flip -> miss or hit, never a raise"
     ~count:150 arb_flip (fun m ->
       let _, key, _, contents = Lazy.force fuzz_subject in
       write_file (entry_file dir key) (reseal (mutate contents m));
