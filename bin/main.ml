@@ -195,9 +195,8 @@ let run_autotune ?cache_dir bench ds machine_name domains scale steps =
   in
   Fmt.pr "%a@." Harness.Autotune.pp_result result
 
-let run_ablations ?cache_dir domains scale steps =
-  ignore domains;
-  let config = config_of ?cache_dir ~scale ~steps () in
+let run_ablations scale steps =
+  let config = config_of ~scale ~steps () in
   Fmt.pr "Ablations (see DESIGN.md section 5):@.";
   Fmt.pr "%a" Harness.Table.pp
     (Harness.Ablations.all ~machine:Cachesim.Machine.pentium4 ~config ())
@@ -216,9 +215,7 @@ let run_symbolic () =
   in
   Fmt.pr "%a@." Compose.Symbolic.pp_report st
 
-let run_gs ?cache_dir domains scale steps =
-  ignore cache_dir;
-  ignore steps;
+let run_gs domains scale =
   Rtrt_obs.Span.with_ ~name:"gs.run"
     ~attrs:[ ("scale", Rtrt_obs.Json.Int scale) ]
   @@ fun () ->
@@ -306,7 +303,7 @@ let run_guide bench ds budget scale steps =
      iterations on %a@.@."
     bench ds budget Cachesim.Machine.pp machine;
   Fmt.pr "%a" Harness.Table.pp
-    (Harness.Autotune.rank ~trace_steps:steps ~machine ~iterations:budget
+    (Harness.Autotune.guide ~trace_steps:steps ~machine ~iterations:budget
        ~plans:(Harness.Figures.suite_for ~machine kernel)
        kernel)
 
@@ -363,9 +360,7 @@ let run_trace_report file scale steps =
       scale;
     print_trace_report (events ())
 
-let run_churn ?cache_dir domains scale steps =
-  ignore cache_dir;
-  ignore domains;
+let run_churn scale steps =
   let table = Harness.Churnbench.measure ~rounds:(max 2 steps) ~scale () in
   Fmt.pr
     "Repair vs cold re-inspection under graph churn (degree-preserving \
@@ -517,18 +512,37 @@ let autotune_cmd =
       $ scale_arg $ steps_arg)
 
 let ablations_cmd =
-  cmd_of ~name:"ablations" ~doc:"Design-choice ablations" run_ablations
+  Cmd.v
+    (Cmd.info "ablations" ~doc:"Design-choice ablations")
+    Term.(
+      const (fun trace specialize scale steps ->
+          setup_trace trace;
+          setup_specialize specialize;
+          run_ablations scale steps)
+      $ trace_arg $ specialize_arg $ scale_arg $ steps_arg)
 
 let churn_cmd =
-  cmd_of ~name:"churn"
-    ~doc:
-      "Repair composed plans under graph churn instead of re-inspecting: \
-       rewire 1/2/5/10% of interactions (degree-preserving), repair the \
-       frozen plan incrementally, and compare against a true cold \
-       re-inspection (--steps sets the chained churn rounds per cell)."
-    run_churn
+  Cmd.v
+    (Cmd.info "churn"
+       ~doc:
+         "Repair composed plans under graph churn instead of re-inspecting: \
+          rewire 1/2/5/10% of interactions (degree-preserving), repair the \
+          frozen plan incrementally, and compare against a true cold \
+          re-inspection (--steps sets the chained churn rounds per cell).")
+    Term.(
+      const (fun trace scale steps ->
+          setup_trace trace;
+          run_churn scale steps)
+      $ trace_arg $ scale_arg $ steps_arg)
 
-let gs_cmd = cmd_of ~name:"gs" ~doc:"Gauss-Seidel sparse tiling (E-GS)" run_gs
+let gs_cmd =
+  Cmd.v
+    (Cmd.info "gs" ~doc:"Gauss-Seidel sparse tiling (E-GS)")
+    Term.(
+      const (fun trace domains scale ->
+          setup_trace trace;
+          run_gs domains scale)
+      $ trace_arg $ domains_arg $ scale_arg)
 
 let guide_cmd =
   let bench =

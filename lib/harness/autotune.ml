@@ -19,132 +19,12 @@
 
    Winners are memoized in [Rtrt_plancache.Tuned] keyed by the
    access-pattern fingerprint plus machine, so repeat traffic skips
-   the search; tuned entries carry the serialized winning plan and the
+   the search. The key hashes every candidate's transform list, so a
+   tuned entry names its winner (no serialized plan) and carries the
    full score table. Search traffic is published as [autotune.*]
    metrics. *)
 
 module J = Rtrt_obs.Json
-
-(* ------------------------------------------------------------------ *)
-(* Plan (de)serialization — the opaque string stored in Tuned entries  *)
-
-let json_of_transform (t : Compose.Transform.t) =
-  let open Compose.Transform in
-  match t with
-  | Data_reorder Cpack -> J.Obj [ ("t", J.String "cpack") ]
-  | Data_reorder (Gpart { part_size }) ->
-    J.Obj [ ("t", J.String "gpart"); ("part_size", J.Int part_size) ]
-  | Data_reorder (Multilevel { part_size }) ->
-    J.Obj [ ("t", J.String "multilevel"); ("part_size", J.Int part_size) ]
-  | Data_reorder Rcm -> J.Obj [ ("t", J.String "rcm") ]
-  | Data_reorder Tile_pack -> J.Obj [ ("t", J.String "tilepack") ]
-  | Iter_reorder Lexgroup -> J.Obj [ ("t", J.String "lexgroup") ]
-  | Iter_reorder Lexsort -> J.Obj [ ("t", J.String "lexsort") ]
-  | Iter_reorder (Bucket_tile { bucket_size }) ->
-    J.Obj [ ("t", J.String "buckettile"); ("bucket_size", J.Int bucket_size) ]
-  | Sparse_tile { growth; seed } ->
-    let seed_kind, part_size =
-      match seed with
-      | Seed_block { part_size } -> ("block", part_size)
-      | Seed_gpart { part_size } -> ("gpart", part_size)
-    in
-    J.Obj
-      [
-        ("t", J.String "sparse_tile");
-        ( "growth",
-          J.String
-            (match growth with Full -> "full" | Cache_block -> "cache_block")
-        );
-        ("seed", J.String seed_kind);
-        ("part_size", J.Int part_size);
-      ]
-
-let json_of_plan plan =
-  J.Obj
-    [
-      ("name", J.String (Compose.Plan.name plan));
-      ( "transforms",
-        J.List (List.map json_of_transform (Compose.Plan.transforms plan)) );
-    ]
-
-let plan_to_string plan = J.to_string (json_of_plan plan)
-
-let ( let* ) = Result.bind
-
-let int_field name j =
-  match J.member name j with
-  | Some v -> (
-    match J.to_int_opt v with
-    | Some n -> Ok n
-    | None -> Error ("field " ^ name ^ " is not an integer"))
-  | None -> Error ("missing field " ^ name)
-
-let string_field name j =
-  match J.member name j with
-  | Some v -> (
-    match J.to_string_opt v with
-    | Some s -> Ok s
-    | None -> Error ("field " ^ name ^ " is not a string"))
-  | None -> Error ("missing field " ^ name)
-
-let transform_of_json j =
-  let open Compose.Transform in
-  let* t = string_field "t" j in
-  match t with
-  | "cpack" -> Ok (Data_reorder Cpack)
-  | "gpart" ->
-    let* part_size = int_field "part_size" j in
-    Ok (Data_reorder (Gpart { part_size }))
-  | "multilevel" ->
-    let* part_size = int_field "part_size" j in
-    Ok (Data_reorder (Multilevel { part_size }))
-  | "rcm" -> Ok (Data_reorder Rcm)
-  | "tilepack" -> Ok (Data_reorder Tile_pack)
-  | "lexgroup" -> Ok (Iter_reorder Lexgroup)
-  | "lexsort" -> Ok (Iter_reorder Lexsort)
-  | "buckettile" ->
-    let* bucket_size = int_field "bucket_size" j in
-    Ok (Iter_reorder (Bucket_tile { bucket_size }))
-  | "sparse_tile" ->
-    let* growth =
-      let* g = string_field "growth" j in
-      match g with
-      | "full" -> Ok Full
-      | "cache_block" -> Ok Cache_block
-      | _ -> Error ("unknown growth " ^ g)
-    in
-    let* part_size = int_field "part_size" j in
-    let* seed =
-      let* s = string_field "seed" j in
-      match s with
-      | "block" -> Ok (Seed_block { part_size })
-      | "gpart" -> Ok (Seed_gpart { part_size })
-      | _ -> Error ("unknown seed " ^ s)
-    in
-    Ok (Sparse_tile { growth; seed })
-  | _ -> Error ("unknown transform " ^ t)
-
-let plan_of_json j =
-  let* name = string_field "name" j in
-  let* transforms =
-    match J.member "transforms" j with
-    | Some (J.List ts) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | t :: rest ->
-          let* tr = transform_of_json t in
-          go (tr :: acc) rest
-      in
-      go [] ts
-    | _ -> Error "bad transforms field"
-  in
-  let plan = Compose.Plan.make ~name transforms in
-  let* () = Compose.Plan.validate plan in
-  Ok plan
-
-let plan_of_string s =
-  let* j = J.of_string s in
-  plan_of_json j
 
 (* ------------------------------------------------------------------ *)
 (* Candidate space and fingerprint                                     *)
@@ -190,16 +70,19 @@ type scored = {
   sc_makespan_ns : float option;  (* decide's modeled parallel ns/step *)
   sc_tier : string;  (* tier the makespan model picked ("serial" w/o pool) *)
   sc_score_ns : float;  (* effective modeled ns/step: min of the tiers *)
-  sc_miss_ratio : float;
 }
+
+(* Time steps per pool dispatch the makespan model amortizes one
+   wake-up over. *)
+let batch = 8
 
 (* Score one candidate: inspect, run the cache model, and — when the
    plan Full-growth-tiles and a multi-lane pool is live — feed the
    locality prediction into the engine's tier model as the serial
    step time. The candidate's score is the cheaper tier. *)
-let score ?cache ?pool ?(trace_steps = 2) ?(batch = 8) ~machine plan kernel =
+let score ?cache ?pool ?(trace_steps = 2) ~machine plan kernel =
   let result = Experiment.inspect ?cache plan kernel in
-  let cycles, _misses, _accesses, miss_ratio =
+  let cycles, _misses, _accesses, _miss_ratio =
     Experiment.trace_steps result ~machine ~warmup:1 ~steps:trace_steps
   in
   let locality_ns = Cachesim.Machine.ns_of_cycles machine cycles in
@@ -234,7 +117,6 @@ let score ?cache ?pool ?(trace_steps = 2) ?(batch = 8) ~machine plan kernel =
         sc_tier = Rtrt_par.Exec.tier_name d.Rtrt_par.Exec.d_tier;
         sc_score_ns =
           Float.min locality_ns d.Rtrt_par.Exec.d_modeled_par_ns_per_step;
-        sc_miss_ratio = miss_ratio;
       }
     | None ->
       {
@@ -243,7 +125,6 @@ let score ?cache ?pool ?(trace_steps = 2) ?(batch = 8) ~machine plan kernel =
         sc_makespan_ns = None;
         sc_tier = "serial";
         sc_score_ns = locality_ns;
-        sc_miss_ratio = miss_ratio;
       }
   in
   (scored, result)
@@ -266,7 +147,7 @@ let c_search = Rtrt_obs.Metrics.counter "autotune.search"
 let c_served_cached = Rtrt_obs.Metrics.counter "autotune.served_cached"
 let h_search = Rtrt_obs.Hist.hist "autotune.search"
 
-let search ?cache ?pool ?trace_steps ?batch ~machine ~space kernel =
+let search ?cache ?pool ?trace_steps ~machine ~space kernel =
   Rtrt_obs.Span.with_ ~name:"autotune.search"
     ~attrs:
       [
@@ -277,8 +158,7 @@ let search ?cache ?pool ?trace_steps ?batch ~machine ~space kernel =
   let t0 = Rtrt_obs.Clock.now_ns () in
   let details =
     List.map
-      (fun plan ->
-        fst (score ?cache ?pool ?trace_steps ?batch ~machine plan kernel))
+      (fun plan -> fst (score ?cache ?pool ?trace_steps ~machine plan kernel))
       space
   in
   let winner =
@@ -295,54 +175,40 @@ let search ?cache ?pool ?trace_steps ?batch ~machine ~space kernel =
   Rtrt_obs.Hist.record h_search (Rtrt_obs.Clock.now_ns () - t0);
   (winner, details)
 
-(* Tune one (kernel, machine) cell. Candidates default to
-   [candidates_for]; every candidate must pass [Plan.validate] (the
-   default space is pruned by construction, a caller-supplied one is
-   re-checked here). With [tuned], the search is skipped when the
-   store already holds a winner for this (access pattern, machine,
-   space) key, and a fresh search's winner is stored back. *)
-let tune ?cache ?pool ?tuned ?trace_steps ?batch ?candidates ~machine kernel =
-  let space =
-    match candidates with
-    | Some c -> c
-    | None -> candidates_for ~machine kernel
-  in
-  if space = [] then invalid_arg "Autotune.tune: empty candidate space";
-  List.iter
-    (fun p ->
-      match Compose.Plan.validate p with
-      | Ok () -> ()
-      | Error msg ->
-        Fmt.invalid_arg "Autotune.tune: invalid candidate %s: %s"
-          (Compose.Plan.name p) msg)
-    space;
+(* Tune one (kernel, machine) cell over [candidates_for]. With [tuned],
+   the search is skipped when the store already holds a winner for this
+   (access pattern, machine, space) key, and a fresh search's winner is
+   stored back. The key hashes every candidate's transform list, so the
+   stored name picks the winner out of [space]; a name that is not
+   there falls through to a fresh search. *)
+let tune ?cache ?pool ?tuned ?trace_steps ~machine kernel =
+  let space = candidates_for ~machine kernel in
   let key = fingerprint ~machine ~space kernel in
   let key_hex = Rtrt_plancache.Fingerprint.to_hex key in
   let machine_name = machine.Cachesim.Machine.name in
-  let cached_entry =
+  let stored =
     Option.bind tuned (fun store ->
         Rtrt_plancache.Tuned.find store ~key ~machine:machine_name)
   in
-  let of_entry (e : Rtrt_plancache.Tuned.entry) =
-    match plan_of_string e.Rtrt_plancache.Tuned.winner_plan with
-    | Ok plan ->
-      Rtrt_obs.Metrics.incr c_served_cached;
-      Some
-        {
-          at_winner = plan;
-          at_winner_score_ns = e.Rtrt_plancache.Tuned.winner_score_ns;
-          at_scores = e.Rtrt_plancache.Tuned.scores;
-          at_details = [];
-          at_cached = true;
-          at_key_hex = key_hex;
-        }
-    | Error _ -> None (* corrupt payload: fall through to a fresh search *)
+  let served =
+    Option.bind stored (fun (e : Rtrt_plancache.Tuned.entry) ->
+        List.find_opt (fun p -> Compose.Plan.name p = e.winner) space
+        |> Option.map (fun plan -> (plan, e)))
   in
-  match Option.bind cached_entry of_entry with
-  | Some t -> t
+  match served with
+  | Some (plan, e) ->
+    Rtrt_obs.Metrics.incr c_served_cached;
+    {
+      at_winner = plan;
+      at_winner_score_ns = e.Rtrt_plancache.Tuned.winner_score_ns;
+      at_scores = e.Rtrt_plancache.Tuned.scores;
+      at_details = [];
+      at_cached = true;
+      at_key_hex = key_hex;
+    }
   | None ->
     let winner, details =
-      search ?cache ?pool ?trace_steps ?batch ~machine ~space kernel
+      search ?cache ?pool ?trace_steps ~machine ~space kernel
     in
     let scores =
       List.map
@@ -355,7 +221,6 @@ let tune ?cache ?pool ?tuned ?trace_steps ?batch ?candidates ~machine kernel =
       Rtrt_plancache.Tuned.store store ~key
         {
           Rtrt_plancache.Tuned.winner = Compose.Plan.name winner.sc_plan;
-          winner_plan = plan_to_string winner.sc_plan;
           winner_score_ns = winner.sc_score_ns;
           scores;
           machine = machine_name;
@@ -372,19 +237,43 @@ let tune ?cache ?pool ?tuned ?trace_steps ?batch ?candidates ~machine kernel =
 (* ------------------------------------------------------------------ *)
 (* Ranking for a known run length (the paper's Section 7 guidance)     *)
 
-(* Predicted seconds of an [iterations]-step run under each plan: the
-   measured inspector seconds plus [iterations] times the modeled step.
-   Small budgets favor cheap compositions, large ones the aggressive
-   ones: the amortization trade-off of Figures 8/9 as a decision. *)
-let rank ?trace_steps ~machine ~iterations ~plans kernel =
+(* Best-of-3 host seconds per step over [wall_steps] steps: the callers
+   divide short wall-clock windows. *)
+let wall_of_plan ?cache ~wall_steps plan kernel =
+  let result = Experiment.inspect ?cache plan kernel in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let s = Experiment.wall_clock_steps result ~steps:wall_steps in
+    if s < !best then best := s
+  done;
+  !best
+
+(* Steps per wall-clock window of the guide's clock factor. *)
+let guide_wall_steps = 5
+
+(* Predicted model seconds of an [iterations]-step run under each plan:
+   [iterations] modeled steps plus the plan's measured inspector
+   seconds priced on the model's clock. One factor per ranking prices
+   them, the base plan's modeled over its host seconds per step
+   ([Experiment.amortization_modeled]'s conversion), so no plan's own
+   timer noise enters its total. Small budgets favor cheap
+   compositions, large ones the aggressive ones: the amortization
+   trade-off of Figures 8/9 as a decision. *)
+let guide ~trace_steps ~machine ~iterations ~plans kernel =
   if plans = [] then invalid_arg "Autotune.rank: no candidate plans";
+  let base, _ = score ~trace_steps ~machine Compose.Plan.base kernel in
+  let factor =
+    base.sc_score_ns *. 1e-9
+    /. wall_of_plan ~wall_steps:guide_wall_steps Compose.Plan.base kernel
+  in
   let ranked =
     List.map
       (fun plan ->
-        let sc, result = score ?trace_steps ~machine plan kernel in
+        let sc, result = score ~trace_steps ~machine plan kernel in
         let inspector = result.Compose.Inspector.inspector_seconds in
         let total =
-          inspector +. (float_of_int iterations *. sc.sc_score_ns *. 1e-9)
+          (float_of_int iterations *. sc.sc_score_ns *. 1e-9)
+          +. (inspector *. factor)
         in
         ( total,
           Table.row
@@ -399,8 +288,15 @@ let rank ?trace_steps ~machine ~iterations ~plans kernel =
   let by_total (a, _) (b, _) = Float.compare a b in
   {
     Table.name = "guide";
-    rows = List.map snd (List.stable_sort by_total ranked);
+    rows =
+      Table.row []
+        [ Table.info "model_ns_per_host_ns" "ratio" factor ]
+      :: List.map snd (List.stable_sort by_total ranked);
   }
+
+let rank ?(trace_steps = 2) ~machine ~iterations ~plans kernel =
+  let t = guide ~trace_steps ~machine ~iterations ~plans kernel in
+  { t with Table.rows = List.tl t.Table.rows }
 
 (* ------------------------------------------------------------------ *)
 (* The BENCH_AUTOTUNE table                                            *)
@@ -424,16 +320,6 @@ let best_named ~machine ~scores kernel =
     List.fold_left
       (fun (bn, bs) (n, s) -> if s < bs then (n, s) else (bn, bs))
       first rest
-
-let wall_of_plan ?cache ~wall_steps plan kernel =
-  let result = Experiment.inspect ?cache plan kernel in
-  (* Best-of-3: the table divides two short wall-clock windows. *)
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let s = Experiment.wall_clock_steps result ~steps:wall_steps in
-    if s < !best then best := s
-  done;
-  !best
 
 let machines = [ Cachesim.Machine.power3; Cachesim.Machine.pentium4 ]
 
@@ -476,7 +362,15 @@ let measure ~(config : Figures.config) () =
                         (fun p -> Compose.Plan.name p = named_name)
                         (Figures.suite_for ~machine kernel)
                     in
-                    let named_wall = wall named_plan in
+                    (* One plan is timed once: timed twice, it would
+                       read timer noise as a speedup. *)
+                    let named_wall =
+                      if
+                        Compose.Plan.transforms named_plan
+                        = Compose.Plan.transforms t.at_winner
+                      then winner_wall
+                      else wall named_plan
+                    in
                     let labels =
                       [
                         ("bench", bench);

@@ -42,12 +42,6 @@ let steps_to_amortize ~repair_s ~cold_s ~repaired_steps ~cold_steps =
 (* Bit-identity of a repaired result against frozen regrowth, executor
    output included (same check the churn test suite makes). *)
 
-let schedules_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> Reorder.Schedule.equal a b
-  | _ -> false
-
 let exec_bits (r : I.result) =
   let k = r.I.kernel.Kernels.Kernel.copy () in
   (match r.I.schedule with
@@ -58,7 +52,7 @@ let exec_bits (r : I.result) =
 let results_equal (a : I.result) (b : I.result) =
   Reorder.Perm.equal a.I.sigma_total b.I.sigma_total
   && Reorder.Perm.equal a.I.delta_total b.I.delta_total
-  && schedules_equal a.I.schedule b.I.schedule
+  && Option.equal Reorder.Schedule.equal a.I.schedule b.I.schedule
   && Kernels.Kernel.snapshots_equal_bits (exec_bits a) (exec_bits b)
 
 (* ------------------------------------------------------------------ *)

@@ -25,19 +25,11 @@ let best_of ~repeats run =
   done;
   (!best, Option.get !result)
 
-let schedules_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-    Reorder.Schedule.row_ptr a = Reorder.Schedule.row_ptr b
-    && Reorder.Schedule.flat_items a = Reorder.Schedule.flat_items b
-  | _ -> false
-
 let results_equal (a : Compose.Inspector.result)
     (b : Compose.Inspector.result) =
   Reorder.Perm.equal a.sigma_total b.sigma_total
   && Reorder.Perm.equal a.delta_total b.delta_total
-  && schedules_equal a.schedule b.schedule
+  && Option.equal Reorder.Schedule.equal a.schedule b.schedule
   && List.length a.reordering_fns = List.length b.reordering_fns
   && List.for_all2
        (fun (na, pa) (nb, pb) -> na = nb && Reorder.Perm.equal pa pb)

@@ -6,11 +6,11 @@
    traffic on the same pattern gets the tuned plan without re-scoring
    the space.
 
-   The plan itself is opaque here: the harness serializes the winning
-   transform list to a JSON string and deserializes it on a hit (this
-   library sits below the composition layer and cannot name
-   [Transform.t]). Entries also carry the full per-candidate score
-   table for reporting.
+   An entry names its winner and stores no serialized plan: the key
+   hashes every candidate's transform list, so the caller already
+   holds the plan of that name (this library sits below the
+   composition layer and cannot name [Transform.t]). Entries also
+   carry the full per-candidate score table for reporting.
 
    Same disk discipline as [Cache]: one [tuned-<hex>.json] file per
    key, atomic tmp+rename writes, validated loads (version, the key
@@ -20,7 +20,6 @@
 
 type entry = {
   winner : string;            (* name of the winning plan *)
-  winner_plan : string;       (* serialized plan (harness JSON format) *)
   winner_score_ns : float;    (* modeled ns per step of the winner *)
   scores : (string * float) list;  (* every candidate: name, modeled ns/step *)
   machine : string;           (* machine model the scores belong to *)
@@ -93,16 +92,16 @@ let pp_stats ppf (s : stats) =
 
 module J = Rtrt_obs.Json
 
-(* Version 2 added the checksum: a version 1 file is a miss that the
-   next store overwrites. *)
-let format_version = 2
+(* Version 2 added the checksum; version 3 dropped the serialized
+   winning plan. A file of an older version is a miss that the next
+   store overwrites. *)
+let format_version = 3
 
 let fields ~hex e =
   [
     ("version", J.Int format_version);
     ("key", J.String hex);
     ("winner", J.String e.winner);
-    ("winner_plan", J.String e.winner_plan);
     ("winner_score_ns", J.Float e.winner_score_ns);
     ( "scores",
       J.List
@@ -117,7 +116,7 @@ let fields ~hex e =
    entry prints back to the same bytes (floats print as text that
    reads back exactly), so the reader recomputes it from what it
    decoded: a change to any value that still parses, such as a flipped
-   letter in the plan, is caught. *)
+   letter in a plan name, is caught. *)
 let checksum ~hex e =
   let s = J.to_string (J.Obj (fields ~hex e)) in
   Printf.sprintf "%016Lx"
@@ -161,7 +160,6 @@ let entry_of_json ~hex j =
       if key = hex then Ok () else Error ("entry stored under key " ^ key)
     in
     let* winner = string_field "winner" j in
-    let* winner_plan = string_field "winner_plan" j in
     let* winner_score_ns = float_field "winner_score_ns" j in
     let* scores =
       match J.member "scores" j with
@@ -177,7 +175,7 @@ let entry_of_json ~hex j =
       | _ -> Error "bad scores field"
     in
     let* machine = string_field "machine" j in
-    let e = { winner; winner_plan; winner_score_ns; scores; machine } in
+    let e = { winner; winner_score_ns; scores; machine } in
     let* sum = string_field "checksum" j in
     if sum <> checksum ~hex e then Error "checksum mismatch"
     else if not (List.mem_assoc winner scores) then
@@ -187,9 +185,7 @@ let entry_of_json ~hex j =
 (* Is this (possibly deserialized, possibly fingerprint-colliding)
    entry usable for the machine the caller is tuning for? *)
 let validate_entry e ~machine =
-  if e.machine <> machine then Error "machine mismatch"
-  else if e.winner_plan = "" then Error "empty winner plan"
-  else Ok ()
+  if e.machine <> machine then Error "machine mismatch" else Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Disk tier                                                           *)

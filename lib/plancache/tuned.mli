@@ -2,24 +2,25 @@
     {!Cache} memoizes the result of inspecting one.
 
     Keys are {!Fingerprint.t} hashes of the access pattern, the
-    machine model, and the candidate-space shape; the value is the
-    winning plan (serialized by the harness — this library sits below
-    the composition layer and stores it as an opaque string) together
-    with the full per-candidate score table for reporting.
+    machine model, and every candidate's transform list; the value
+    names the winning plan (no serialized plan is stored: the caller
+    holds the space the key hashed, so the name picks the plan out of
+    it) together with the full per-candidate score table for
+    reporting.
 
     Two tiers: an in-memory table and an optional on-disk store (one
     [tuned-<hex>.json] per key, written atomically). Disk loads are
-    validated — version, the key the entry names, a checksum over its
+    validated — version (now 3; older files are misses that the next
+    store overwrites), the key the entry names, a checksum over its
     values, machine, winner present in the score table — so a corrupt,
     stale or misnamed file degrades to a counted miss, never a crash or
-    another entry's plan.
+    another entry's winner.
     Traffic is published to {!Rtrt_obs.Metrics} under
     [autotune.cache.hit], [autotune.cache.miss], [autotune.cache.store],
     [autotune.cache.disk_hit], [autotune.cache.disk_error]. *)
 
 type entry = {
   winner : string;  (** name of the winning plan *)
-  winner_plan : string;  (** serialized plan (harness JSON format) *)
   winner_score_ns : float;  (** modeled ns per step of the winner *)
   scores : (string * float) list;
       (** every scored candidate: name, modeled ns per step *)

@@ -46,8 +46,8 @@ let run (access : Access.t) =
    [delta_inv.(cur)] — the fused-composition traversal that never
    materializes the intermediate access. [order] optionally gives an
    explicit visit order over current iterations (tilePack's schedule
-   traversal); default is ascending. Bit-identical to [run] /
-   [run_in_order] on the materialized access. A plain loop over
+   traversal); default is ascending. Bit-identical to [run] on the
+   materialized access when the order is ascending. A plain loop over
    [ptr]/[dat]: besides its output and two arrays per datum it
    allocates nothing per iteration. *)
 let run_view ?order (base : Access.t) ~(sigma : int array)
@@ -78,29 +78,6 @@ let run_view ?order (base : Access.t) ~(sigma : int array)
     done);
   Rtrt_obs.Metrics.incr c_runs;
   Rtrt_obs.Metrics.add c_touches_scanned (Access.n_touches base);
-  Rtrt_obs.Metrics.add c_first_touch !count;
-  for loc = 0 to n_data - 1 do
-    place loc
-  done;
-  Perm.of_inverse inv
-
-(* CPACK over an explicit iteration visit order (used by tilePack and
-   by composed inspectors that traverse an updated data mapping). *)
-let run_in_order (access : Access.t) ~order =
-  let n_data = Access.n_data access in
-  let already_ordered = Array.make n_data false in
-  let inv = Array.make n_data 0 in
-  let count = ref 0 in
-  let place loc =
-    if not already_ordered.(loc) then begin
-      inv.(!count) <- loc;
-      already_ordered.(loc) <- true;
-      incr count
-    end
-  in
-  Array.iter (fun it -> Access.iter_touches access it place) order;
-  Rtrt_obs.Metrics.incr c_runs;
-  Rtrt_obs.Metrics.add c_touches_scanned (Access.n_touches access);
   Rtrt_obs.Metrics.add c_first_touch !count;
   for loc = 0 to n_data - 1 do
     place loc

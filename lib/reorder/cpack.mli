@@ -6,14 +6,12 @@
     reordering sigma_cp. *)
 val run : Access.t -> Perm.t
 
-(** CPACK over an explicit iteration visit order (used by tilePack). *)
-val run_in_order : Access.t -> order:int array -> Perm.t
-
 (** CPACK over a fused-composition view of [base]: current iteration
     [cur] touches [sigma.(d)] for each datum [d] of base iteration
     [delta_inv.(cur)]. [order] optionally fixes the visit order over
-    current iterations (default ascending). Bit-identical to {!run} /
-    {!run_in_order} on the materialized access. *)
+    current iterations (default ascending; tilePack visits in schedule
+    order). Bit-identical to {!run} on the materialized access when the
+    order is ascending. *)
 val run_view :
   ?order:int array -> Access.t -> sigma:int array -> delta_inv:int array ->
   Perm.t

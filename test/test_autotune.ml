@@ -1,12 +1,12 @@
-(* Tests for the plan autotuner: candidate-space validity, plan
-   (de)serialization round trips, winner optimality against the
-   hand-named suite, the tuned-winner store (including the disk tier),
-   bit-identical replay of tuned winners through the plan cache, and
-   the degenerate one-candidate space. *)
+(* Tests for the plan autotuner: candidate-space validity, winner
+   optimality against the hand-named suite, the tuned-winner store
+   (including the disk tier and files of an older format), and
+   bit-identical replay of tuned winners through the plan cache. *)
 
 module A = Harness.Autotune
 module Tuned = Rtrt_plancache.Tuned
 module Cache = Rtrt_plancache.Cache
+module J = Rtrt_obs.Json
 open Compose
 
 let machine = Cachesim.Machine.pentium4
@@ -49,22 +49,6 @@ let test_candidates_validate () =
         (List.mem (Plan.name p) names))
     (Plan.standard_suite ~gpart_size:32 ~seed_part_size:24)
 
-let test_plan_string_roundtrip () =
-  List.iter
-    (fun p ->
-      match A.plan_of_string (A.plan_to_string p) with
-      | Error e -> Alcotest.failf "%s does not round-trip: %s" (Plan.name p) e
-      | Ok p' ->
-        Alcotest.(check string) "name survives" (Plan.name p) (Plan.name p');
-        Alcotest.(check string)
-          "transforms survive"
-          (Fmt.str "%a" Plan.pp p)
-          (Fmt.str "%a" Plan.pp p'))
-    (Plan.candidates ~gpart_size:32 ~seed_part_size:24);
-  match A.plan_of_string "{not json" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage must not parse"
-
 (* ------------------------------------------------------------------ *)
 (* Winner optimality                                                   *)
 
@@ -103,10 +87,11 @@ let test_tuned_store_roundtrip () =
   Alcotest.(check bool) "first tune searches" false cold.A.at_cached;
   let warm = A.tune ~cache ~tuned ~machine kernel in
   Alcotest.(check bool) "second tune is served" true warm.A.at_cached;
+  (* [Plan.pp] prints the name and the transform list. *)
   Alcotest.(check string)
-    "same winner"
-    (Plan.name cold.A.at_winner)
-    (Plan.name warm.A.at_winner);
+    "same winner and transforms"
+    (Fmt.str "%a" Plan.pp cold.A.at_winner)
+    (Fmt.str "%a" Plan.pp warm.A.at_winner);
   Alcotest.(check (float 0.0))
     "same score" cold.A.at_winner_score_ns warm.A.at_winner_score_ns;
   (* A fresh store over the same directory (a new process) still
@@ -114,9 +99,9 @@ let test_tuned_store_roundtrip () =
   let reopened = A.tune ~cache ~tuned:(Tuned.create ~dir ()) ~machine kernel in
   Alcotest.(check bool) "disk tier serves" true reopened.A.at_cached;
   Alcotest.(check string)
-    "disk tier winner"
-    (Plan.name cold.A.at_winner)
-    (Plan.name reopened.A.at_winner);
+    "disk tier winner and transforms"
+    (Fmt.str "%a" Plan.pp cold.A.at_winner)
+    (Fmt.str "%a" Plan.pp reopened.A.at_winner);
   (* The tuned winner replays bit-identically through the plan cache:
      a cache-hit inspection drives the same executor output as a cold
      one. *)
@@ -155,7 +140,6 @@ let store_repeatedly dir =
   let entry =
     {
       Tuned.winner = "CL";
-      winner_plan = "[]";
       winner_score_ns = 1.0;
       scores =
         List.init 512 (fun i ->
@@ -197,12 +181,11 @@ let test_tuned_concurrent_processes () =
     (Self_exec.run_children 2 [ (writer_env, dir) ]);
   check_one_entry_left dir
 
-(* A small real entry: a winning plan the harness can parse back. *)
+(* A small real entry: a candidate's name wins its score table. *)
 let sample_entry =
   let plan = Plan.with_fst ~seed_part_size:24 Plan.cpack_lexgroup in
   {
     Tuned.winner = Plan.name plan;
-    winner_plan = A.plan_to_string plan;
     winner_score_ns = 1.0;
     scores = [ ("CL", 2.0); (Plan.name plan, 1.0) ];
     machine = "m";
@@ -240,9 +223,84 @@ let test_tuned_copied_entry () =
     (Tuned.find fresh ~key:k1 ~machine:"m" <> None);
   remove_dir dir
 
+(* Rewrite the entry file at [path]: [f] edits its fields, checksum
+   left out, and the result is sealed with a fresh checksum the way
+   the writer seals one, so the reader must judge it by its values. *)
+let rewrite_entry path f =
+  let fields =
+    match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok (J.Obj fields) -> f (List.remove_assoc "checksum" fields)
+    | _ -> Alcotest.fail "stored entry is not a JSON object"
+  in
+  let s = J.to_string (J.Obj fields) in
+  let sum =
+    Rtrt_plancache.Fingerprint.checksum (Bytes.of_string s) (String.length s)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      let sum = ("checksum", J.String (Printf.sprintf "%016Lx" sum)) in
+      output_string oc (J.to_string (J.Obj (fields @ [ sum ])));
+      output_char oc '\n')
+
+(* A file of format v2, which also stored the winning plan serialized,
+   is one counted disk miss; the next store rewrites it as v3. *)
+let test_tuned_v2_entry () =
+  let dir = fresh_dir () in
+  let key = key_of "v2" in
+  let path = entry_path dir key in
+  Tuned.store (Tuned.create ~dir ()) ~key sample_entry;
+  rewrite_entry path
+    (List.concat_map (function
+      | "version", _ -> [ ("version", J.Int 2) ]
+      | ("winner", _) as w ->
+        [
+          w;
+          ( "winner_plan",
+            J.String
+              {|{"name":"CL+FST","transforms":[{"t":"cpack"},{"t":"lexgroup"},{"t":"sparse_tile","growth":"full","seed":"block","part_size":24},{"t":"tilepack"}]}|}
+          );
+        ]
+      | field -> [ field ]));
+  let fresh = Tuned.create ~dir () in
+  Alcotest.(check bool) "a v2 entry is a miss" true
+    (Tuned.find fresh ~key ~machine:"m" = None);
+  let st = Tuned.stats fresh in
+  Alcotest.(check (triple int int int)) "one miss, one disk error, no hit"
+    (1, 1, 0) (st.Tuned.misses, st.Tuned.disk_errors, st.Tuned.hits);
+  Tuned.store fresh ~key sample_entry;
+  let version =
+    match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok j -> Option.bind (J.member "version" j) J.to_int_opt
+    | Error _ -> None
+  in
+  Alcotest.(check (option int)) "rewritten as v3" (Some 3) version;
+  Alcotest.(check bool) "the rewritten entry hits" true
+    (Tuned.find (Tuned.create ~dir ()) ~key ~machine:"m" = Some sample_entry);
+  remove_dir dir
+
+(* A stored winner that names no plan of the space is searched afresh,
+   and the search's winner is stored over it. *)
+let test_tuned_unknown_winner () =
+  let kernel = test_kernel () in
+  let dir = fresh_dir () in
+  let cold = A.tune ~tuned:(Tuned.create ~dir ()) ~machine kernel in
+  let path = Filename.concat dir ("tuned-" ^ cold.A.at_key_hex ^ ".json") in
+  let nope = J.Obj [ ("name", J.String "nope"); ("score_ns", J.Float 0.0) ] in
+  rewrite_entry path
+    (List.map (function
+      | "winner", _ -> ("winner", J.String "nope")
+      | "scores", J.List ss -> ("scores", J.List (nope :: ss))
+      | field -> field));
+  let again = A.tune ~tuned:(Tuned.create ~dir ()) ~machine kernel in
+  Alcotest.(check bool) "searched afresh" false again.A.at_cached;
+  let served = A.tune ~tuned:(Tuned.create ~dir ()) ~machine kernel in
+  Alcotest.(check bool) "the new winner is served" true served.A.at_cached;
+  Alcotest.(check string) "the search's winner"
+    (Plan.name cold.A.at_winner) (Plan.name served.A.at_winner);
+  remove_dir dir
+
 (* The reader under damage: byte flips, truncations and appends to a
    stored entry. [find] never raises; a miss counts exactly one disk
-   error; a hit's winner is in its score table and its plan parses. *)
+   error; a hit is the stored entry, every v3 field of it. *)
 type damage = Flip of int * int | Truncate of int | Append of string
 
 let prop_tuned_reader_fuzz =
@@ -291,33 +349,7 @@ let prop_tuned_reader_fuzz =
       | Error e ->
         QCheck.Test.fail_reportf "find raised %s" (Printexc.to_string e)
       | Ok None -> (Tuned.stats t).Tuned.disk_errors = 1
-      | Ok (Some e) ->
-        List.mem_assoc e.Tuned.winner e.Tuned.scores
-        && Result.is_ok (A.plan_of_string e.Tuned.winner_plan))
-
-(* ------------------------------------------------------------------ *)
-(* Degenerate spaces                                                   *)
-
-let test_single_candidate () =
-  let kernel = test_kernel () in
-  let only = Plan.cpack_lexgroup in
-  let r = A.tune ~candidates:[ only ] ~machine kernel in
-  Alcotest.(check string)
-    "one-candidate space degenerates to it" (Plan.name only)
-    (Plan.name r.A.at_winner);
-  Alcotest.(check int) "one score" 1 (List.length r.A.at_scores)
-
-let test_bad_spaces_rejected () =
-  let kernel = test_kernel () in
-  (match A.tune ~candidates:[] ~machine kernel with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty space must be rejected");
-  let invalid =
-    Plan.with_fst ~seed_part_size:8 (Plan.with_fst ~seed_part_size:8 Plan.base)
-  in
-  match A.tune ~candidates:[ invalid ] ~machine kernel with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "invalid candidate must be rejected"
+      | Ok (Some e) -> e = sample_entry)
 
 let () =
   (match Sys.getenv_opt writer_env with
@@ -329,8 +361,6 @@ let () =
         [
           Alcotest.test_case "candidates validate" `Quick
             test_candidates_validate;
-          Alcotest.test_case "plan string round trip" `Quick
-            test_plan_string_roundtrip;
         ] );
       ( "tune",
         [
@@ -346,10 +376,10 @@ let () =
             `Quick test_tuned_concurrent_processes;
           Alcotest.test_case "tuned store: entry copied under another key"
             `Quick test_tuned_copied_entry;
+          Alcotest.test_case "tuned store: v2 entry is a miss, rewritten"
+            `Quick test_tuned_v2_entry;
+          Alcotest.test_case "tuned store: winner not in the space" `Slow
+            test_tuned_unknown_winner;
           QCheck_alcotest.to_alcotest prop_tuned_reader_fuzz;
-          Alcotest.test_case "single-candidate space" `Quick
-            test_single_candidate;
-          Alcotest.test_case "bad spaces rejected" `Quick
-            test_bad_spaces_rejected;
         ] );
     ]

@@ -233,6 +233,39 @@ let test_guidance_ranks () =
       (value a "modeled_ns_per_step" > 0.0)
   | _ -> Alcotest.fail "two rows expected"
 
+(* Every total is on the model's clock: the modeled steps plus each
+   plan's host inspector seconds priced with the one factor of the
+   summary row. *)
+let test_guidance_one_clock () =
+  let d = Datagen.Generators.foil ~scale:96 () in
+  let kernel = Kernels.Irreg.of_dataset d in
+  let machine = Cachesim.Machine.pentium4 in
+  let iterations = 10 in
+  let plans =
+    Compose.Plan.
+      [ base; cpack_lexgroup; with_fst ~seed_part_size:24 cpack_lexgroup ]
+  in
+  match
+    (Harness.Autotune.guide ~trace_steps:1 ~machine ~iterations ~plans kernel)
+      .T.rows
+  with
+  | summary :: rows ->
+    Alcotest.(check (list (pair string string))) "summary has no labels" []
+      summary.T.labels;
+    let factor = value summary "model_ns_per_host_ns" in
+    Alcotest.(check bool) "factor is positive and finite" true
+      (factor > 0.0 && Float.is_finite factor);
+    Alcotest.(check int) "one row per plan" 3 (List.length rows);
+    List.iter
+      (fun r ->
+        Alcotest.(check (float 1e-15))
+          (List.assoc "plan" r.T.labels ^ " total in model seconds")
+          ((float_of_int iterations *. value r "modeled_ns_per_step" *. 1e-9)
+          +. (value r "inspector_seconds" *. factor))
+          (value r "total_seconds"))
+      rows
+  | [] -> Alcotest.fail "empty guide table"
+
 let test_guidance_empty () =
   let d = Datagen.Generators.foil ~scale:512 () in
   let kernel = Kernels.Irreg.of_dataset d in
@@ -586,6 +619,7 @@ let () =
         [
           Alcotest.test_case "ranking" `Slow test_guidance_ranks;
           Alcotest.test_case "empty" `Quick test_guidance_empty;
+          Alcotest.test_case "one clock" `Slow test_guidance_one_clock;
         ] );
       ( "ablations",
         [

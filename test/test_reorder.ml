@@ -198,7 +198,10 @@ let test_cpack_untouched_tail () =
 
 let test_cpack_in_order () =
   let a = Access.of_pairs ~n_data:4 [| 0; 2 |] [| 1; 3 |] in
-  let sigma = Cpack.run_in_order a ~order:[| 1; 0 |] in
+  let sigma =
+    Cpack.run_view ~order:[| 1; 0 |] a ~sigma:[| 0; 1; 2; 3 |]
+      ~delta_inv:[| 0; 1 |]
+  in
   (* Visiting iteration 1 first: 2, 3, then 0, 1. *)
   Alcotest.(check int) "2 first" 0 (Perm.forward sigma 2);
   Alcotest.(check int) "0 third" 2 (Perm.forward sigma 0)
