@@ -28,7 +28,9 @@
 
 open Cmdliner
 
-let config_of ?(domains = 1) ?cache_dir ~scale ~steps () =
+(* The figure commands run serial: the paper's executors are, and its
+   Section 4 models tile-level parallelism rather than running it. *)
+let config_of ?cache_dir ~scale ~steps () =
   let plan_cache =
     match cache_dir with
     | Some d when String.trim d <> "" ->
@@ -39,7 +41,7 @@ let config_of ?(domains = 1) ?cache_dir ~scale ~steps () =
     Harness.Figures.scale;
     trace_steps = steps;
     wall_steps = max steps 3;
-    domains;
+    domains = 1;
     plan_cache;
   }
 
@@ -55,20 +57,6 @@ let setup_trace cli_trace =
     ~default:(if cli_trace then Rtrt_obs.Config.Pretty else Rtrt_obs.Config.Off)
     ()
 
-let specialize_arg =
-  let doc =
-    "Tier B executor specialization: compile each frozen schedule into a \
-     table-driven native executor (ocamlopt -shared + Dynlink) and run \
-     that instead of the interpreted walk. Equivalent to \
-     RTRT_SPECIALIZE=1. Falls back to the shape-specialized executor when \
-     no OCaml toolchain is available. Compiled modules are cached on disk \
-     and verified bitwise against the interpreted executor."
-  in
-  Arg.(value & flag & info [ "specialize" ] ~doc)
-
-let setup_specialize specialize =
-  if specialize then Compose.Specialize.set_enabled true
-
 let scale_arg =
   let doc =
     "Dataset scale divisor: node counts are the paper's divided by this \
@@ -79,17 +67,6 @@ let scale_arg =
 let steps_arg =
   let doc = "Time steps measured by the cache model." in
   Arg.(value & opt int 2 & info [ "steps" ] ~docv:"S" ~doc)
-
-let domains_arg =
-  let doc =
-    "OCaml domains for parallel tiled execution (default: RTRT_DOMAINS or \
-     1). With more than one, Full-growth sparse-tiled plans also run on a \
-     domain pool and report measured speedup next to the modeled makespan."
-  in
-  Arg.(
-    value
-    & opt int (Rtrt_par.Pool.domains_from_env ())
-    & info [ "domains" ] ~docv:"D" ~doc)
 
 let plan_cache_arg =
   let doc =
@@ -108,8 +85,8 @@ let plan_cache_arg =
     & info [ "plan-cache" ] ~docv:"DIR" ~env ~doc)
 
 (* One figure of Harness.Figures.all, printed as a table. *)
-let run_figure (f : Harness.Figures.figure) ?cache_dir domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
+let run_figure (f : Harness.Figures.figure) ?cache_dir scale steps =
+  let config = config_of ?cache_dir ~scale ~steps () in
   Fmt.pr "%s@.%a@." f.Harness.Figures.doc Harness.Table.pp
     (f.Harness.Figures.table config)
 
@@ -136,8 +113,8 @@ let tuned_of config =
   in
   Rtrt_plancache.Tuned.create ?dir ()
 
-let run_raw ?cache_dir bench ds machine_name plan domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
+let run_raw ?cache_dir bench ds machine_name plan scale steps =
+  let config = config_of ?cache_dir ~scale ~steps () in
   let machine = machine_of machine_name in
   let dataset, kernel = kernel_of ~scale bench ds in
   Fmt.pr "%a; kernel %s (%d B/node)@." Datagen.Dataset.pp dataset bench
@@ -146,13 +123,12 @@ let run_raw ?cache_dir bench ds machine_name plan domains scale steps =
     match plan with
     | None -> Harness.Figures.run_suite ~machine ~config kernel
     | Some which ->
-      Harness.Figures.with_config_pool ~config @@ fun pool ->
       let cache = config.Harness.Figures.plan_cache in
       let plan =
         if which = "auto" then begin
           let tuned = tuned_of config in
           let result =
-            Harness.Autotune.tune ?cache ?pool ~tuned
+            Harness.Autotune.tune ?cache ~tuned
               ~trace_steps:config.Harness.Figures.trace_steps ~machine kernel
           in
           Fmt.pr "%a@." Harness.Autotune.pp_result result;
@@ -169,7 +145,7 @@ let run_raw ?cache_dir bench ds machine_name plan domains scale steps =
           | [] -> Fmt.invalid_arg "unknown plan %s (try rtrt autotune)" which
       in
       [
-        Harness.Experiment.measure ?cache ?pool
+        Harness.Experiment.measure ?cache
           ~trace_steps_n:config.Harness.Figures.trace_steps
           ~wall_steps:config.Harness.Figures.wall_steps ~machine ~plan kernel;
       ]
@@ -180,17 +156,15 @@ let run_raw ?cache_dir bench ds machine_name plan domains scale steps =
       rows = List.map Harness.Experiment.row measurements;
     }
 
-let run_autotune ?cache_dir bench ds machine_name domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
+let run_autotune ?cache_dir bench ds machine_name scale steps =
+  let config = config_of ?cache_dir ~scale ~steps () in
   let machine = machine_of machine_name in
   let dataset, kernel = kernel_of ~scale bench ds in
   Fmt.pr "Autotune: %a; kernel %s on %a@." Datagen.Dataset.pp dataset bench
     Cachesim.Machine.pp machine;
-  Harness.Figures.with_config_pool ~config @@ fun pool ->
   let tuned = tuned_of config in
   let result =
-    Harness.Autotune.tune
-      ?cache:config.Harness.Figures.plan_cache ?pool ~tuned
+    Harness.Autotune.tune ?cache:config.Harness.Figures.plan_cache ~tuned
       ~trace_steps:config.Harness.Figures.trace_steps ~machine kernel
   in
   Fmt.pr "%a@." Harness.Autotune.pp_result result
@@ -215,7 +189,7 @@ let run_symbolic () =
   in
   Fmt.pr "%a@." Compose.Symbolic.pp_report st
 
-let run_gs domains scale =
+let run_gs scale =
   Rtrt_obs.Span.with_ ~name:"gs.run"
     ~attrs:[ ("scale", Rtrt_obs.Json.Int scale) ]
   @@ fun () ->
@@ -264,36 +238,20 @@ let run_gs domains scale =
     (100.0 *. (1.0 -. (float_of_int tiled /. float_of_int plain)))
     tiling.Kernels.Gauss_seidel.n_tiles
     (Kernels.Gauss_seidel.check_constraints graph' tiling = []);
-  if domains > 1 then
-    Rtrt_par.Pool.with_pool ~domains @@ fun pool ->
-    let dag = Kernels.Gauss_seidel.tile_dag graph' tiling in
-    let serial = Kernels.Gauss_seidel.create ~graph:graph' ~f:f' in
-    let par_t = Kernels.Gauss_seidel.copy serial in
-    Kernels.Gauss_seidel.run_tiled serial tiling;
-    Kernels.Gauss_seidel.run_tiled_par ~pool par_t tiling dag;
-    (* Bit patterns, not IEEE equality: [=] calls -0.0 equal to 0.0
-       and a NaN unequal to itself. *)
-    let bits_equal (a : Kernels.Gauss_seidel.t) (b : Kernels.Gauss_seidel.t) =
-      Kernels.Kernel.snapshots_equal_bits
-        [ ("u", a.Kernels.Gauss_seidel.u) ]
-        [ ("u", b.Kernels.Gauss_seidel.u) ]
-    in
-    let tiled_eq = bits_equal par_t serial in
-    Fmt.pr
-      "  parallel tiles on %d domains: %a, modeled speedup %.2fx, bitwise \
-       equal: %b@."
-      domains Reorder.Tile_par.pp dag
-      (Reorder.Tile_par.speedup dag ~processors:domains)
-      tiled_eq;
-    let w =
-      Reorder.Wavefront.run (Kernels.Gauss_seidel.wavefront_preds graph')
-    in
-    let plain_t = Kernels.Gauss_seidel.create ~graph:graph' ~f:f' in
-    let wave_t = Kernels.Gauss_seidel.copy plain_t in
-    Kernels.Gauss_seidel.run_plain plain_t ~sweeps:slab;
-    Kernels.Gauss_seidel.run_wavefront_par ~pool wave_t w ~sweeps:slab;
-    Fmt.pr "  parallel wavefront: %a, bitwise equal: %b@." Reorder.Wavefront.pp
-      w (bits_equal wave_t plain_t)
+  (* Section 4 models this parallelism rather than running it: the
+     tile DAG's and the wavefront's makespans at a fixed processor
+     count. *)
+  let processors = 4 in
+  let dag = Kernels.Gauss_seidel.tile_dag graph' tiling in
+  Fmt.pr "  tile DAG: %a, modeled speedup %.2fx on %d processors@."
+    Reorder.Tile_par.pp dag
+    (Reorder.Tile_par.speedup dag ~processors)
+    processors;
+  let w = Reorder.Wavefront.run (Kernels.Gauss_seidel.wavefront_preds graph') in
+  Fmt.pr "  wavefront: %a, modeled speedup %.2fx on %d processors@."
+    Reorder.Wavefront.pp w
+    (float_of_int n /. float_of_int (Reorder.Wavefront.makespan w ~processors))
+    processors
 
 let run_guide bench ds budget scale steps =
   let machine = Cachesim.Machine.pentium4 in
@@ -307,8 +265,8 @@ let run_guide bench ds budget scale steps =
        ~plans:(Harness.Figures.suite_for ~machine kernel)
        kernel)
 
-let run_json (f : Harness.Figures.figure) ?cache_dir domains scale steps =
-  let config = config_of ?cache_dir ~domains ~scale ~steps () in
+let run_json (f : Harness.Figures.figure) ?cache_dir scale steps =
+  let config = config_of ?cache_dir ~scale ~steps () in
   print_string (Harness.Table.to_string (f.Harness.Figures.table config))
 
 let print_trace_report events =
@@ -431,26 +389,21 @@ let run_codegen bench ds plan_name scale =
            exceeded)@."
       | Some src ->
         Fmt.pr
-          "@.Tier B specialized executor (dataset %s, scale %d; what \
-           --specialize compiles and loads):@.@."
+          "@.Tier B specialized executor (dataset %s, scale %d):@.@."
           ds scale;
         print_string src))
 
-let run_all ?cache_dir domains scale steps =
+let run_all ?cache_dir scale steps =
   run_symbolic ();
-  List.iter
-    (fun f -> run_figure f ?cache_dir domains scale steps)
-    Harness.Figures.all
+  List.iter (fun f -> run_figure f ?cache_dir scale steps) Harness.Figures.all
 
 let cmd_of ~name ~doc f =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun trace specialize cache_dir domains scale steps ->
+      const (fun trace cache_dir scale steps ->
           setup_trace trace;
-          setup_specialize specialize;
-          f ?cache_dir domains scale steps)
-      $ trace_arg $ specialize_arg $ plan_cache_arg $ domains_arg $ scale_arg
-      $ steps_arg)
+          f ?cache_dir scale steps)
+      $ trace_arg $ plan_cache_arg $ scale_arg $ steps_arg)
 
 let figure_cmds =
   List.map
@@ -480,14 +433,11 @@ let raw_cmd =
   Cmd.v
     (Cmd.info "raw" ~doc:"Raw measurements for one kernel/dataset/machine")
     Term.(
-      const
-        (fun trace specialize cache_dir bench ds machine plan domains scale
-             steps ->
+      const (fun trace cache_dir bench ds machine plan scale steps ->
           setup_trace trace;
-          setup_specialize specialize;
-          run_raw ?cache_dir bench ds machine plan domains scale steps)
-      $ trace_arg $ specialize_arg $ plan_cache_arg $ bench $ ds $ machine
-      $ plan $ domains_arg $ scale_arg $ steps_arg)
+          run_raw ?cache_dir bench ds machine plan scale steps)
+      $ trace_arg $ plan_cache_arg $ bench $ ds $ machine $ plan $ scale_arg
+      $ steps_arg)
 
 let autotune_cmd =
   let bench =
@@ -501,25 +451,24 @@ let autotune_cmd =
     (Cmd.info "autotune"
        ~doc:
          "Search the validated plan space for one kernel/dataset/machine: \
-          score every candidate with the cache model (plus the makespan \
-          model when --domains > 1) and report the winner. With \
-          --plan-cache, winners persist on disk and replay on repeat runs.")
+          score every candidate with the cache model and report the \
+          winner. With --plan-cache, winners persist on disk and replay on \
+          repeat runs.")
     Term.(
-      const (fun trace cache_dir bench ds machine domains scale steps ->
+      const (fun trace cache_dir bench ds machine scale steps ->
           setup_trace trace;
-          run_autotune ?cache_dir bench ds machine domains scale steps)
-      $ trace_arg $ plan_cache_arg $ bench $ ds $ machine $ domains_arg
-      $ scale_arg $ steps_arg)
+          run_autotune ?cache_dir bench ds machine scale steps)
+      $ trace_arg $ plan_cache_arg $ bench $ ds $ machine $ scale_arg
+      $ steps_arg)
 
 let ablations_cmd =
   Cmd.v
     (Cmd.info "ablations" ~doc:"Design-choice ablations")
     Term.(
-      const (fun trace specialize scale steps ->
+      const (fun trace scale steps ->
           setup_trace trace;
-          setup_specialize specialize;
           run_ablations scale steps)
-      $ trace_arg $ specialize_arg $ scale_arg $ steps_arg)
+      $ trace_arg $ scale_arg $ steps_arg)
 
 let churn_cmd =
   Cmd.v
@@ -539,10 +488,10 @@ let gs_cmd =
   Cmd.v
     (Cmd.info "gs" ~doc:"Gauss-Seidel sparse tiling (E-GS)")
     Term.(
-      const (fun trace domains scale ->
+      const (fun trace scale ->
           setup_trace trace;
-          run_gs domains scale)
-      $ trace_arg $ domains_arg $ scale_arg)
+          run_gs scale)
+      $ trace_arg $ scale_arg)
 
 let guide_cmd =
   let bench =
@@ -575,7 +524,7 @@ let codegen_cmd =
             "Also print the Tier B specialized executor source for this \
              plan's frozen schedule on the real dataset: a plan name from \
              the candidate space (e.g. $(b,CLCL+FST)). This is the exact \
-             OCaml module $(b,--specialize) compiles and Dynlinks.")
+             OCaml module Tier B compiles and Dynlinks.")
   in
   Cmd.v
     (Cmd.info "codegen"
@@ -620,11 +569,10 @@ let json_cmd =
          "Print one figure's table as rtrt.table/1 JSON on stdout (one row per \
           line; rtrt bench-diff compares two of them)")
     Term.(
-      const (fun trace cache_dir figure domains scale steps ->
+      const (fun trace cache_dir figure scale steps ->
           setup_trace trace;
-          run_json figure ?cache_dir domains scale steps)
-      $ trace_arg $ plan_cache_arg $ figure $ domains_arg $ scale_arg
-      $ steps_arg)
+          run_json figure ?cache_dir scale steps)
+      $ trace_arg $ plan_cache_arg $ figure $ scale_arg $ steps_arg)
 
 let bench_cmd =
   let suites = Harness.Suite.all in
@@ -676,11 +624,10 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Run one wall-clock bench table and write its BENCH_*.json")
     Term.(
-      const (fun trace specialize suite out domains scale ->
+      const (fun trace suite out scale ->
           setup_trace trace;
-          setup_specialize specialize;
-          Harness.Suite.run ?scale ~domains ?out suite)
-      $ trace_arg $ specialize_arg $ only $ out $ domains_arg $ scale)
+          Harness.Suite.run ?scale ?out suite)
+      $ trace_arg $ only $ out $ scale)
 
 let bench_diff_cmd =
   let old_path =

@@ -274,6 +274,14 @@ let remap (kernel : Kernels.Kernel.t) ~delta ~sigma =
   ( kernel.Kernels.Kernel.apply_perms ~delta ~sigma,
     if Perm.is_id sigma then 0 else 1 )
 
+(* [remap], except that identity delta and sigma move nothing and
+   leave [kernel] itself: [run] copies it once its clock has stopped,
+   because the copy only keeps the result from sharing the caller's
+   arrays and is no part of inspection. *)
+let remap_unless_id kernel ~delta ~sigma =
+  if Perm.is_id delta && Perm.is_id sigma then (kernel, 0)
+  else remap kernel ~delta ~sigma
+
 (* A warm hit skips every per-transformation inspector and only
    remaps. All strategies produce exactly the kernel [remap] builds,
    so the replayed result is bit-identical to the cold run's. *)
@@ -281,7 +289,7 @@ let replay (entry : Rtrt_plancache.Cache.entry) (kernel : Kernels.Kernel.t) =
   Rtrt_obs.Span.with_span ~name:"inspector.replay" @@ fun span ->
   let t0 = Rtrt_obs.Clock.now_s () in
   let k, remaps =
-    remap kernel ~delta:entry.delta_total ~sigma:entry.sigma_total
+    remap_unless_id kernel ~delta:entry.delta_total ~sigma:entry.sigma_total
   in
   if remaps > 0 then Rtrt_obs.Metrics.incr c_data_remaps;
   let seconds = Rtrt_obs.Clock.now_s () -. t0 in
@@ -305,7 +313,8 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
   (* Remap_each works on a private copy: [apply_*_perm] rebuild only
      the arrays they touch, so its kernel would otherwise alias (and
      its executor mutate) the caller's arrays. Remap_once ends in one
-     [remap], which shares nothing with its input. *)
+     [remap], which shares nothing with its input, or under identity
+     delta and sigma in [unalias]'s copy. *)
   let kernel =
     match strategy with
     | Remap_each -> kernel.Kernels.Kernel.copy ()
@@ -461,7 +470,9 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     | Remap_each -> walk.kern
     | Remap_once ->
       Rtrt_obs.Span.with_ ~name:"inspector.final_remap" @@ fun () ->
-      let k, remaps = remap walk.kern ~delta:delta_total ~sigma:sigma_total in
+      let k, remaps =
+        remap_unless_id walk.kern ~delta:delta_total ~sigma:sigma_total
+      in
       walk.remaps <- walk.remaps + remaps;
       Rtrt_obs.Metrics.add c_data_remaps remaps;
       k
@@ -481,8 +492,15 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     reordering_fns = List.rev walk.fns;
   }
   in
+  (* Only identity delta and sigma under [Remap_once] leave the
+     caller's kernel itself in the result; it is copied here, after the
+     clock has stopped. *)
+  let unalias r =
+    if r.kernel == kernel then { r with kernel = kernel.Kernels.Kernel.copy () }
+    else r
+  in
   match cache with
-  | None -> inspect ()
+  | None -> unalias (inspect ())
   | Some cache -> (
     let key = fingerprint ~strategy ~share_symmetric_deps plan kernel in
     match
@@ -491,9 +509,9 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
         ~n_iter:kernel.Kernels.Kernel.n_inter
         ~loop_sizes:kernel.Kernels.Kernel.loop_sizes
     with
-    | Some entry -> replay entry kernel
+    | Some entry -> unalias (replay entry kernel)
     | None ->
-      let r = inspect () in
+      let r = unalias (inspect ()) in
       (* If an entry appeared under the key meanwhile (e.g. stored by
          another domain), the result must agree with it — verify
          before (re)storing rather than silently shadowing. *)

@@ -47,7 +47,11 @@ val fingerprint :
     never aliases the caller's arrays: a cold [Remap_each] inspection
     works on a private copy, and every other path (the [Remap_once]
     cold tail, a warm replay) ends in a {!remap}, which builds fresh
-    ones.
+    ones. When the composed delta and sigma are both identities
+    (the base plan, base+FST) there is nothing to remap: the caller's
+    kernel is copied after the clock stops, outside the
+    [inspector.run] and [inspector.replay] spans, so the copy is not
+    counted in [inspector_seconds].
     [share_symmetric_deps] enables the Section 6 symmetric-dependence
     elision during sparse-tile growth (default true): [Remap_once]
     growth then scatters over the predecessor dependence set alone,
@@ -81,8 +85,9 @@ val run :
     ([Kernel.apply_perms]), with the number of data remaps that counts
     (0 when [sigma] is the identity, else 1). The result shares no
     array with [kernel], also under identity permutations, so [kernel]
-    is never copied. The [Remap_once] cold tail, cache hits and
-    {!Repair}'s frozen replays all go through it. *)
+    is never copied. {!Repair}'s frozen replays go through it, and so
+    do the [Remap_once] cold tail and cache hits whenever delta or
+    sigma moves anything. *)
 val remap :
   Kernels.Kernel.t ->
   delta:Reorder.Perm.t ->

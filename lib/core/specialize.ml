@@ -6,7 +6,7 @@
      schedule and the kernels' [run_tiled_shaped] executors stream it
      as [for lo to hi] ranges instead of loading iteration ids.
 
-   - Tier B (Codegen, opt-in via [--specialize] / RTRT_SPECIALIZE):
+   - Tier B (Codegen, only where the caller passes [~tier_b:true]):
      {!Codegen.specialized_source} emits a table-driven OCaml module
      for the exact (kernel, schedule) pair (the kernel's body file,
      then the schedule as array literals), compiled out-of-process
@@ -64,17 +64,6 @@ let c_compiles = Rtrt_obs.Metrics.counter "specialize.compiles"
 let c_cmxs_hits = Rtrt_obs.Metrics.counter "specialize.cmxs_cache_hits"
 let c_memo_hits = Rtrt_obs.Metrics.counter "specialize.memo_hits"
 let c_fallbacks = Rtrt_obs.Metrics.counter "specialize.fallbacks"
-
-(* -------------------------------------------------------------- *)
-(* Enabling Tier B *)
-
-let override = ref None
-let set_enabled b = override := Some b
-
-let enabled () =
-  match !override with
-  | Some b -> b
-  | None -> Rtrt_obs.Config.env_bool ~name:"RTRT_SPECIALIZE" ~default:false ()
 
 (* -------------------------------------------------------------- *)
 (* Compiled-executor plumbing *)
@@ -308,7 +297,7 @@ let finish ~verify_run result =
    order-of-visit divergence, cheap enough to run by default. *)
 let verify_steps = 2
 
-let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
+let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
     (sched : Reorder.Schedule.t) =
   let shape = Reorder.Shape.analyze sched in
   let summary = Reorder.Shape.summary shape in
@@ -317,7 +306,6 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
       ~n_nodes:kernel.Kernels.Kernel.n_nodes
       ~n_inter:kernel.Kernels.Kernel.n_inter sched
   in
-  let want_b = match tier_b with Some b -> b | None -> enabled () in
   let base tier run =
     {
       tier;
@@ -363,7 +351,7 @@ let make ?tier_b ?(verify = true) (kernel : Kernels.Kernel.t)
             })
   in
   let result =
-    if not want_b then shaped ()
+    if not tier_b then shaped ()
     else
       match codegen () with
       | Some r -> r

@@ -6,8 +6,8 @@
     - [Interp]: the kernels' interpreted [run_tiled] walk;
     - [Shaped] (Tier A, on whenever {!Reorder.Shape.profitable}): the
       run-length-index streaming executors, selected at plan time;
-    - [Codegen] (Tier B, opt-in via [--specialize] or
-      [RTRT_SPECIALIZE=1]; moldyn, nbf and irreg): a table-driven OCaml
+    - [Codegen] (Tier B, only where the caller passes [~tier_b:true];
+      moldyn, nbf and irreg): a table-driven OCaml
       module emitted by {!Codegen.specialized_source} for this exact
       (kernel, schedule) pair, around the kernel's own body file,
       compiled with [ocamlopt -shared] and loaded with [Dynlink].
@@ -54,19 +54,12 @@ type t = {
   key : string;  (** 16-hex-digit schedule fingerprint. *)
 }
 
-(** Is Tier B requested? The [set_enabled] override if any, else
-    [RTRT_SPECIALIZE] (default off). Tier A needs no opt-in. *)
-val enabled : unit -> bool
-
-(** Programmatic override of [RTRT_SPECIALIZE] (the CLI's
-    [--specialize] flag). *)
-val set_enabled : bool -> unit
-
-(** Specialize [kernel]'s execution of [sched]. [tier_b] overrides
-    {!enabled} for this call; [verify] (default [true]) asserts the
-    chosen tier bitwise against [run_tiled] on two-step copies and
-    raises [Failure] on divergence. Never raises for a missing
-    toolchain — that is a counted fallback. *)
+(** Specialize [kernel]'s execution of [sched]. [tier_b] (default
+    [false]) asks for Tier B; Tier A needs no opt-in. [verify]
+    (default [true]) asserts the chosen tier bitwise against
+    [run_tiled] on two-step copies and raises [Failure] on divergence.
+    Never raises for a missing toolchain — that is a counted
+    fallback. *)
 val make :
   ?tier_b:bool -> ?verify:bool -> Kernels.Kernel.t -> Reorder.Schedule.t -> t
 

@@ -66,9 +66,6 @@ let fingerprint ~machine ~space (kernel : Kernels.Kernel.t) =
 
 type scored = {
   sc_plan : Compose.Plan.t;
-  sc_locality_ns : float;  (* modeled cycles/step on the machine clock *)
-  sc_makespan_ns : float option;  (* decide's modeled parallel ns/step *)
-  sc_tier : string;  (* tier the makespan model picked ("serial" w/o pool) *)
   sc_score_ns : float;  (* effective modeled ns/step: min of the tiers *)
 }
 
@@ -86,7 +83,7 @@ let score ?cache ?pool ?(trace_steps = 2) ~machine plan kernel =
     Experiment.trace_steps result ~machine ~warmup:1 ~steps:trace_steps
   in
   let locality_ns = Cachesim.Machine.ns_of_cycles machine cycles in
-  let makespan =
+  let score_ns =
     match (pool, result.Compose.Inspector.schedule) with
     | Some pool, Some sched
       when Rtrt_par.Pool.size pool > 1 && Compose.Plan.has_full_growth plan ->
@@ -104,30 +101,10 @@ let score ?cache ?pool ?(trace_steps = 2) ~machine plan kernel =
       let d =
         pe.Kernels.Kernel.par_decide ~serial_ns_per_step:locality_ns ~batch
       in
-      Some d
-    | _ -> None
+      Float.min locality_ns d.Rtrt_par.Exec.d_modeled_par_ns_per_step
+    | _ -> locality_ns
   in
-  let scored =
-    match makespan with
-    | Some d ->
-      {
-        sc_plan = plan;
-        sc_locality_ns = locality_ns;
-        sc_makespan_ns = Some d.Rtrt_par.Exec.d_modeled_par_ns_per_step;
-        sc_tier = Rtrt_par.Exec.tier_name d.Rtrt_par.Exec.d_tier;
-        sc_score_ns =
-          Float.min locality_ns d.Rtrt_par.Exec.d_modeled_par_ns_per_step;
-      }
-    | None ->
-      {
-        sc_plan = plan;
-        sc_locality_ns = locality_ns;
-        sc_makespan_ns = None;
-        sc_tier = "serial";
-        sc_score_ns = locality_ns;
-      }
-  in
-  (scored, result)
+  ({ sc_plan = plan; sc_score_ns = score_ns }, result)
 
 (* ------------------------------------------------------------------ *)
 (* The tuner                                                           *)
@@ -275,23 +252,34 @@ let guide ~trace_steps ~machine ~iterations ~plans kernel =
           (float_of_int iterations *. sc.sc_score_ns *. 1e-9)
           +. (inspector *. factor)
         in
+        let name = Compose.Plan.name plan in
         ( total,
+          name,
           Table.row
-            [ ("plan", Compose.Plan.name plan) ]
+            [ ("plan", name) ]
             [
               Table.lower "total_seconds" "s" total;
               Table.lower "inspector_seconds" "s" inspector;
               Table.lower "modeled_ns_per_step" "ns" sc.sc_score_ns;
             ] ))
       plans
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
   in
-  let by_total (a, _) (b, _) = Float.compare a b in
+  (* The pick's margin: each total carries one inspection's timer
+     noise, so a lead near 1 is no decision. *)
+  let notes, lead =
+    match ranked with
+    | (best, _, _) :: (next, runner_up, _) :: _ ->
+      ( [ ("runner_up", runner_up) ],
+        [ Table.info "lead_over_next" "ratio" (next /. best) ] )
+    | _ -> ([], [])
+  in
   {
     Table.name = "guide";
     rows =
-      Table.row []
-        [ Table.info "model_ns_per_host_ns" "ratio" factor ]
-      :: List.map snd (List.stable_sort by_total ranked);
+      Table.row ~notes []
+        (Table.info "model_ns_per_host_ns" "ratio" factor :: lead)
+      :: List.map (fun (_, _, row) -> row) ranked;
   }
 
 let rank ?(trace_steps = 2) ~machine ~iterations ~plans kernel =
@@ -430,13 +418,7 @@ let measure ~(config : Figures.config) () =
   }
 
 let pp_scored ppf c =
-  Fmt.pf ppf "%-12s %10.1f ns/step [%s]%a"
-    (Compose.Plan.name c.sc_plan)
-    c.sc_score_ns c.sc_tier
-    (fun ppf -> function
-      | Some m -> Fmt.pf ppf " (par model %.1f ns/step)" m
-      | None -> ())
-    c.sc_makespan_ns
+  Fmt.pf ppf "%-12s %10.1f ns/step" (Compose.Plan.name c.sc_plan) c.sc_score_ns
 
 let pp_result ppf t =
   Fmt.pf ppf "winner %s at %.1f ns/step%s (%d candidates, key %s)@."

@@ -29,10 +29,12 @@ type scored
     plan's modeled over its measured host ns per step (best of 3
     multi-step runs). The cache model counts [trace_steps] steps per
     plan. The first row, without labels, holds the factor
-    ([model_ns_per_host_ns]); then one row per plan
-    ([total_seconds], [inspector_seconds], [modeled_ns_per_step]),
-    cheapest total first. Raises [Invalid_argument] on an empty
-    list. *)
+    ([model_ns_per_host_ns]) and, with two or more plans, the pick's
+    margin: the second-cheapest plan as the [runner_up] note and
+    [lead_over_next], its total over the cheapest. Then one row per
+    plan ([total_seconds], [inspector_seconds],
+    [modeled_ns_per_step]), cheapest total first. Raises
+    [Invalid_argument] on an empty list. *)
 val guide :
   trace_steps:int ->
   machine:Cachesim.Machine.t ->

@@ -7,9 +7,9 @@
 
 (* Multicore execution of the tiled schedule, measured against the
    serial executor on the identical (level-major renumbered) schedule.
-   [modeled_*] come from the Tile_par DAG makespan model, so figure
-   tables can show measured next to modeled. [par_tier] is which tier
-   the auto-fallback decision selected for the timed run (fed by the
+   [modeled_*] come from the Tile_par DAG makespan model, so BENCH_PAR
+   can show measured next to modeled. [par_tier] is which tier the
+   auto-fallback decision selected for the timed run (fed by the
    measured serial step time); the dispatch/barrier waits come from
    pool accounting deltas around the run, separating synchronization
    overhead from work in BENCH_PAR.json. *)
@@ -114,10 +114,10 @@ let wall_clock_steps (result : Compose.Inspector.result) ~steps =
     let (), seconds = time (fun () -> kernel.Kernels.Kernel.run ~steps) in
     seconds /. float_of_int steps
   | Some sched ->
-    (* The staged tier choice (interpreted / shaped / compiled) is made
-       at plan time, outside the timed region; construction verifies
-       the chosen tier bitwise against the interpreted walk on
-       two-step copies, so the timed executor is provably the same
+    (* The staged tier choice (interpreted / shaped) is made at plan
+       time, outside the timed region; construction verifies the
+       chosen tier bitwise against the interpreted walk on two-step
+       copies, so the timed executor is provably the same
        computation. *)
     let spec = Compose.Specialize.make kernel sched in
     let (), seconds = time (fun () -> spec.Compose.Specialize.run ~steps) in
@@ -415,9 +415,8 @@ let amortization_cached ~base m =
 
 module T = Table
 
-(* The parallel run as table cells, declared once for the Figures 6/7
-   rows, BENCH_PAR and [rtrt raw]: the tier the auto-fallback chose is
-   a note, the rest are metrics. *)
+(* The parallel run as BENCH_PAR's table cells: the tier the
+   auto-fallback chose is a note, the rest are metrics. *)
 let par_cells p =
   ( [ ("tier", p.par_tier) ],
     [
@@ -447,11 +446,7 @@ let row m =
           T.count "cache_misses" pc.pc_misses;
         ] )
   in
-  let par_notes, par_metrics =
-    match m.par with None -> ([], []) | Some p -> par_cells p
-  in
-  T.row
-    ~notes:(cache_notes @ par_notes)
+  T.row ~notes:cache_notes
     [ ("plan", m.plan_name) ]
     ([
        T.lower "modeled_cycles_per_step" "cycles" m.modeled_cycles_per_step;
@@ -461,4 +456,4 @@ let row m =
        T.lower "executor_seconds_per_step" "s" m.executor_seconds_per_step;
        T.count "n_tiles" m.n_tiles;
      ]
-    @ cache_metrics @ par_metrics)
+    @ cache_metrics)

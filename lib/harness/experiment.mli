@@ -84,7 +84,6 @@ val trace_steps :
 (** Wall-clock seconds per step of the inspected kernel's executor.
     With a schedule, execution dispatches through
     {!Compose.Specialize}: shape-specialized (Tier A) when profitable,
-    compiled (Tier B) when [--specialize]/[RTRT_SPECIALIZE] is on,
     interpreted otherwise — the tier is chosen and bitwise-verified
     outside the timed region. *)
 val wall_clock_steps : Compose.Inspector.result -> steps:int -> float
@@ -132,12 +131,11 @@ val amortization_modeled : base:measurement -> measurement -> float option
 val amortization_cached :
   base:measurement -> measurement -> (float * float) option
 
-(** The parallel run as table cells: the chosen tier as a note and
-    the other twelve fields as metrics. The one declaration of these
-    columns, shared by the Figures 6/7 rows, BENCH_PAR and {!row}. *)
+(** The parallel run as BENCH_PAR's table cells: the chosen tier as a
+    note and the other twelve fields as metrics. *)
 val par_cells : par_measurement -> (string * string) list * Table.metric list
 
 (** One measurement as a row labelled [plan]: modeled cycles, misses
     and miss ratio per step, inspector and executor seconds, tiles,
-    then the plan-cache traffic and {!par_cells} when present. *)
+    then the plan-cache traffic when present. *)
 val row : measurement -> Table.row

@@ -19,7 +19,7 @@ type config = {
   scale : int;       (* dataset node-count divisor; 1 = paper size *)
   trace_steps : int; (* time steps counted by the cache model *)
   wall_steps : int;  (* time steps for wall-clock measurement *)
-  domains : int;     (* OCaml domains; > 1 runs tiled executors in parallel *)
+  domains : int;     (* pool width for Parbench and Autotune; figures use 1 *)
   plan_cache : Rtrt_plancache.Cache.t option;
       (* inspections go through the plan cache when set *)
 }
@@ -145,8 +145,8 @@ let measure_pairings ~machine ~config () =
         datasets)
     pairings
 
-(* One row per (bench, dataset, plan) with the plan's parallel run
-   appended when it had one, then each plan's phase profile. *)
+(* One row per (bench, dataset, plan), then each plan's phase
+   profile. *)
 let executor_time ~machine ~config () =
   let cells = measure_pairings ~machine ~config () in
   let plan_rows, profile_rows =
@@ -159,15 +159,11 @@ let executor_time ~machine ~config () =
                  [ ("bench", bench); ("dataset", dataset);
                    ("plan", m.Experiment.plan_name) ]
                in
-               let notes, par =
-                 match m.Experiment.par with
-                 | Some p -> Experiment.par_cells p
-                 | None -> ([], [])
-               in
-               ( T.row ~notes labels
-                   (T.lower "normalized_cycles" "ratio" cycles
-                   :: T.lower "normalized_wall" "ratio" wall
-                   :: par),
+               ( T.row labels
+                   [
+                     T.lower "normalized_cycles" "ratio" cycles;
+                     T.lower "normalized_wall" "ratio" wall;
+                   ],
                  List.map
                    (fun (r : T.row) ->
                      { r with T.labels = r.T.labels @ labels })

@@ -8,8 +8,9 @@ type config = {
   trace_steps : int; (** time steps counted by the cache model *)
   wall_steps : int;  (** time steps for wall-clock measurement *)
   domains : int;
-      (** OCaml domains; > 1 additionally runs Full-growth tiled
-          executors on a domain pool and reports measured speedup *)
+      (** pool width; > 1 additionally runs Full-growth tiled
+          executors on a domain pool and measures their speedup
+          ({!Parbench}, {!Autotune}). The figure commands pass 1. *)
   plan_cache : Rtrt_plancache.Cache.t option;
       (** inspections go through the plan cache when set *)
 }
@@ -67,9 +68,8 @@ val measure_pairings :
 val dataset_table : config:config -> unit -> Table.t
 
 (** Figures 6/7: [normalized_cycles] and [normalized_wall] (against
-    base) per (bench, dataset, plan), followed on plans that ran on a
-    domain pool by {!Experiment.par_cells}; then each plan's phase
-    profile rows. *)
+    base) per (bench, dataset, plan); then each plan's phase profile
+    rows. *)
 val executor_time :
   machine:Cachesim.Machine.t -> config:config -> unit -> Table.t
 

@@ -1,13 +1,13 @@
 (* The one bench driver's suite table. An entry's settings are the
    ones its committed baseline in bench/baselines/ was recorded under:
-   CI runs each suite with no overrides but --domains, and gates the
-   JSON against that baseline with `rtrt bench-diff --ratios-only`. *)
+   CI runs each suite with no overrides and gates the JSON against
+   that baseline with `rtrt bench-diff --ratios-only`. *)
 
 type t = {
   name : string;
   doc : string;
   scale : int;
-  min_domains : int;
+  domains : int;
   wall_steps : int;
   table : Figures.config -> Table.t;
 }
@@ -100,7 +100,7 @@ let all =
          tiled-vs-plain steady state, the specialized-executor tiers, and \
          the inspector phase breakdown";
       scale = 24;
-      min_domains = 1;
+      domains = 1;
       wall_steps = 3;
       table = (fun c -> Hotpath.measure ~scale:c.Figures.scale ());
     };
@@ -110,7 +110,7 @@ let all =
         "cold-inspection cost, remap-each vs remap-once, with bit-identity \
          checks";
       scale = 24;
-      min_domains = 1;
+      domains = 1;
       wall_steps = 3;
       table = (fun c -> Inspctime.measure ~scale:c.Figures.scale ());
     };
@@ -118,9 +118,9 @@ let all =
       name = "par";
       doc =
         "serial vs domain-pool tiled execution with the makespan model's \
-         prediction, on at least 2 domains";
+         prediction, on 4 domains";
       scale = 64;
-      min_domains = 2;
+      domains = 4;
       wall_steps = 32;
       table =
         (fun config ->
@@ -130,10 +130,10 @@ let all =
       name = "autotune";
       doc =
         "cost-model plan search per (bench, dataset, machine) cell with the \
-         winner's and the best hand-named plan's wall clocks, on at least 2 \
-         domains";
+         winner's and the best hand-named plan's wall clocks, scored with \
+         the makespan model on 2 domains";
       scale = 64;
-      min_domains = 2;
+      domains = 2;
       wall_steps = 8;
       table = (fun config -> Autotune.measure ~config ());
     };
@@ -144,7 +144,7 @@ let all =
          1/2/5/10% of interactions, with bit-identity checks and \
          steps-to-amortize";
       scale = 64;
-      min_domains = 1;
+      domains = 1;
       wall_steps = 3;
       table = (fun c -> Churnbench.measure ~scale:c.Figures.scale ());
     };
@@ -155,7 +155,7 @@ let all =
          plan cache, with the cached break-even (RTRT_PLAN_CACHE_DIR adds \
          the disk tier)";
       scale = 64;
-      min_domains = 1;
+      domains = 1;
       wall_steps = 3;
       table = plancache_table;
     };
@@ -163,18 +163,18 @@ let all =
 
 let default_out s = "BENCH_" ^ String.uppercase_ascii s.name ^ ".json"
 
-let config ?scale ~domains s =
+let config ?scale s =
   {
     Figures.scale = Option.value scale ~default:s.scale;
     trace_steps = 2;
     wall_steps = s.wall_steps;
-    domains = max s.min_domains domains;
+    domains = s.domains;
     plan_cache = None;
   }
 
-let run ?scale ~domains ?out s =
+let run ?scale ?out s =
   let out = Option.value out ~default:(default_out s) in
-  let t = s.table (config ?scale ~domains s) in
+  let t = s.table (config ?scale s) in
   Fmt.pr "%a" Table.pp t;
   Table.write out t;
   Fmt.pr "wrote %s@." out

@@ -7,8 +7,7 @@ type t = {
   name : string;  (** the [--only] value *)
   doc : string;  (** one sentence for [--help] *)
   scale : int;  (** default dataset scale *)
-  min_domains : int;
-      (** domain-count floor: 2 where the table measures a pool *)
+  domains : int;  (** pool width: 4 for par, 2 for autotune, else 1 *)
   wall_steps : int;  (** executor steps per wall-clock window *)
   table : Figures.config -> Table.t;  (** measure the table *)
 }
@@ -20,7 +19,6 @@ val all : t list
 val default_out : t -> string
 
 (** Run the suite under its settings, with [scale] replacing its
-    default scale and [domains] raised to its floor; print the table on
-    stdout ({!Table.pp}) and write it to [out] (default
-    {!default_out}). *)
-val run : ?scale:int -> domains:int -> ?out:string -> t -> unit
+    default scale; print the table on stdout ({!Table.pp}) and write it
+    to [out] (default {!default_out}). *)
+val run : ?scale:int -> ?out:string -> t -> unit

@@ -149,16 +149,6 @@ let update_items t fl lo hi =
     update t fl.(idx)
   done
 
-(* Walk one tile of the flat schedule: sweeps in order, member nodes in
-   numbering order. *)
-let run_tile t (sched : Reorder.Schedule.t) ~tile =
-  let nl = Reorder.Schedule.n_loops sched in
-  let rp = Reorder.Schedule.row_ptr sched in
-  for s = 0 to nl - 1 do
-    let r = (tile * nl) + s in
-    update_items t (Reorder.Schedule.flat_items sched) rp.(r) rp.(r + 1)
-  done
-
 (* Walk a flat schedule directly — tiles in order, sweeps (chain
    positions) in order within a tile, member nodes in row order —
    through the pair kernels' walker. [run_tiled] is [run_sched] of
@@ -188,7 +178,8 @@ let run_tiled_slabbed t tiling ~total_sweeps =
    sweep-s neighbors to its sweep-(s+1) tile, C3 links a node's own
    consecutive-sweep tiles. Any two tiles that share any value version
    of u are therefore connected, so same-level tiles are fully
-   independent and may run concurrently with bitwise-serial results. *)
+   independent: any order of a level's tiles gives the serial result
+   bitwise. *)
 let tile_dag graph tiling =
   let n = Irgraph.Csr.num_nodes graph in
   let n_tiles = tiling.n_tiles in
@@ -220,37 +211,15 @@ let tile_dag graph tiling =
   in
   Reorder.Tile_par.of_edges ~n_tiles ~tile_cost edges
 
-(* Run the tiling with same-level tiles concurrent (tiles atomic:
-   sweeps in order, member nodes in numbering order, exactly as
-   [run_tiled]). Bitwise equal to [run_tiled]: conflicting tile pairs
-   all have DAG edges and execute in the same relative order, and
-   edge-free pairs touch disjoint value versions. *)
-let run_tiled_par ~pool t tiling (par : Reorder.Tile_par.t) =
-  let sched = schedule tiling in
-  Rtrt_par.Exec.run_levels ~pool ~levels:par.Reorder.Tile_par.levels
-    ~weight:(fun tile -> par.Reorder.Tile_par.tile_cost.(tile))
-    (fun tile -> run_tile t sched ~tile)
-
 (* Dependences of one Gauss-Seidel sweep for wavefront scheduling:
    node [v] depends on its lower-numbered neighbors (whose
    current-sweep values it reads). Higher-numbered neighbors list [v]
    as a predecessor in turn, so adjacent nodes never share a wavefront
-   level and in-place parallel execution of a level is exact. *)
+   level, and the nodes of one level may be updated in any order. *)
 let wavefront_preds graph =
   let n = Irgraph.Csr.num_nodes graph in
   Reorder.Access.of_touches ~sort_rows:true ~n_iter:n ~n_data:n (fun v emit ->
       Irgraph.Csr.iter_neighbors graph v (fun w -> if w < v then emit w))
-
-(* [sweeps] plain sweeps with each wavefront level's nodes updated
-   concurrently; bitwise equal to [run_plain] because a level never
-   contains two adjacent nodes (each reads only values written in
-   earlier or later levels, the same versions the serial sweep
-   reads). All sweeps execute inside one pool dispatch
-   ([~rounds:sweeps]), synchronized by in-job barriers. *)
-let run_wavefront_par ~pool t (w : Reorder.Wavefront.t) ~sweeps =
-  let weight v = Irgraph.Csr.degree t.graph v in
-  Rtrt_par.Exec.run_levels ~rounds:sweeps ~pool
-    ~levels:w.Reorder.Wavefront.levels ~weight (update t)
 
 (* Traced executors for the cache model: u and f are the two arrays. *)
 let trace_update graph ~touch_u ~touch_f v =

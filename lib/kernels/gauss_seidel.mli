@@ -64,23 +64,16 @@ val run_sched : t -> Reorder.Schedule.t -> unit
 val run_tiled_slabbed : t -> tiling -> total_sweeps:int -> unit
 
 (** Levelized tile dependence DAG of the tiling (C1/C2/C3 edges);
-    same-level tiles are fully independent. Raises [Invalid_argument]
-    on an illegal tiling. *)
+    same-level tiles are fully independent, so running a level's
+    tiles in any order is bitwise {!run_tiled}. Raises
+    [Invalid_argument] on an illegal tiling. *)
 val tile_dag : Irgraph.Csr.t -> tiling -> Reorder.Tile_par.t
 
-(** Execute the tiling with same-level tiles concurrent; bitwise equal
-    to {!run_tiled}. *)
-val run_tiled_par :
-  pool:Rtrt_par.Pool.t -> t -> tiling -> Reorder.Tile_par.t -> unit
-
 (** Dependences of one sweep for wavefront scheduling: each node
-    depends on its lower-numbered neighbors. *)
+    depends on its lower-numbered neighbors, so a sweep that updates
+    the levels in order, each level's nodes in any order, is bitwise
+    {!run_plain}'s. *)
 val wavefront_preds : Irgraph.Csr.t -> Reorder.Access.t
-
-(** [sweeps] sweeps with each wavefront level's nodes updated
-    concurrently; bitwise equal to {!run_plain}. *)
-val run_wavefront_par :
-  pool:Rtrt_par.Pool.t -> t -> Reorder.Wavefront.t -> sweeps:int -> unit
 
 val run_traced :
   t -> sweeps:int -> layout:Cachesim.Layout.t -> access:(int -> unit) -> unit

@@ -15,12 +15,10 @@ type mode = Off | Pretty | Jsonl of string
 let default_jsonl_path = "rtrt_trace.jsonl"
 
 (* ------------------------------------------------------------------ *)
-(* Warn-and-default environment parsing, shared by every RTRT_* env
-   var (RTRT_TRACE here, RTRT_DOMAINS in Pool, RTRT_PLAN_CACHE_DIR in
-   Plancache):
-   an unset variable silently yields the default, an unparsable value
-   warns once on stderr and yields the default — never a silent
-   partial fallback, never an exception. *)
+(* Warn-and-default environment parsing (RTRT_TRACE): an unset
+   variable silently yields the default, an unparsable value warns
+   once on stderr and yields the default — never a silent partial
+   fallback, never an exception. *)
 
 let env_parse ~name ~parse ~default () =
   match Sys.getenv_opt name with
@@ -31,22 +29,6 @@ let env_parse ~name ~parse ~default () =
     | Error msg ->
       Fmt.epr "rtrt: warning: %s=%S %s; using default@." name s msg;
       default)
-
-let env_int ?(min = min_int) ~name ~default () =
-  env_parse ~name ~default ()
-    ~parse:(fun s ->
-      match int_of_string_opt s with
-      | Some n when n >= min -> Ok n
-      | Some _ -> Error (Fmt.str "is below the minimum %d" min)
-      | None -> Error "is not an integer")
-
-let env_bool ~name ~default () =
-  env_parse ~name ~default ()
-    ~parse:(fun s ->
-      match String.lowercase_ascii s with
-      | "1" | "true" | "yes" | "on" -> Ok true
-      | "" | "0" | "false" | "no" | "off" -> Ok false
-      | _ -> Error "is not a boolean (expected 1|true|yes|on|0|false|no|off)")
 
 (* A directory-valued variable; empty or whitespace-only means unset. *)
 let env_dir ~name () =

@@ -7,24 +7,6 @@ type mode = Off | Pretty | Jsonl of string
 val default_jsonl_path : string
 val parse : string -> (mode, string) result
 
-(** Warn-and-default environment parsing shared by every [RTRT_*]
-    variable: unset yields [default] silently; an unparsable value
-    warns on stderr (naming the variable and the offending value) and
-    yields [default]. *)
-val env_parse :
-  name:string ->
-  parse:(string -> ('a, string) result) ->
-  default:'a ->
-  unit ->
-  'a
-
-(** Integer variable with an optional lower bound (values below [min]
-    warn and default). *)
-val env_int : ?min:int -> name:string -> default:int -> unit -> int
-
-(** Boolean variable: [1|true|yes|on] / [0|false|no|off|""]. *)
-val env_bool : name:string -> default:bool -> unit -> bool
-
 (** Directory-valued variable; unset, empty, or whitespace-only is
     [None]. *)
 val env_dir : name:string -> unit -> string option

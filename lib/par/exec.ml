@@ -562,112 +562,3 @@ let run ?(batch = 1) ?(tier = Parallel) ?profile t ~steps ~body ~stash ~apply =
         remaining := !remaining - k
       done
     end
-
-(* ------------------------------------------------------------------ *)
-(* Level-by-level driver                                               *)
-
-(* Parallel driver for executors that are not Schedule-based
-   (Gauss-Seidel tiles, wavefront iterations): run each level's items
-   concurrently, weighted by [weight], with a barrier between
-   levels. Items of one level must be pairwise independent — then any
-   per-lane order is bit-exact, and we keep ascending order within
-   each lane.
-
-   Chunks are computed once, the whole [rounds] repetitions execute
-   inside ONE pool dispatch (in-job barriers between levels), and
-   singleton levels run on lane 0 with the same lazy pending-barrier
-   rule as [run]. [~rounds] is the level-driver's step batching: a
-   wavefront executor passes its sweep count and pays one dispatch
-   total. *)
-let run_levels ?(rounds = 1) ?profile ~pool ~levels ~weight exec =
-  let lanes = Pool.size pool in
-  let counters = lane_counters pool in
-  let n_levels = Array.length levels in
-  let l_par =
-    Array.map (fun members -> lanes > 1 && Array.length members > 1) levels
-  in
-  let any_par = Array.exists Fun.id l_par in
-  if rounds > 0 then begin
-    if not any_par then begin
-      let n = ref 0 in
-      for _r = 1 to rounds do
-        Array.iter
-          (fun members ->
-            n := !n + Array.length members;
-            Array.iter exec members)
-          levels
-      done;
-      Rtrt_obs.Metrics.add counters.(0) !n
-    end
-    else begin
-      let chunks =
-        Array.mapi
-          (fun l members ->
-            if not l_par.(l) then [||]
-            else
-              let weights = Array.map weight members in
-              Chunk.weighted ~weights ~lanes)
-          levels
-      in
-      (* Barriers per round: serial levels defer to the next parallel
-         level, so the count depends on whether a round enters with a
-         barrier pending (identical for every round after the first,
-         since the pending-out state is a function of the last level
-         only). *)
-      let round_barriers ~pending_in =
-        let count = ref 0 in
-        let pending = ref pending_in in
-        for l = 0 to n_levels - 1 do
-          if not l_par.(l) then pending := true
-          else begin
-            if !pending then incr count;
-            pending := false;
-            incr count
-          end
-        done;
-        (!count, !pending)
-      in
-      let first, pending_out = round_barriers ~pending_in:false in
-      let steady, _ = round_barriers ~pending_in:pending_out in
-      let quota = first + ((rounds - 1) * steady) in
-      Pool.parallel ?profile pool (fun lane ->
-          let iters = ref 0 in
-          let bars = ref 0 in
-          let pending = ref false in
-          (try
-             for _r = 1 to rounds do
-               for l = 0 to n_levels - 1 do
-                 let members = levels.(l) in
-                 if not l_par.(l) then begin
-                   if lane = 0 then begin
-                     iters := !iters + Array.length members;
-                     Array.iter exec members
-                   end;
-                   pending := true
-                 end
-                 else begin
-                   if !pending then begin
-                     Pool.barrier pool ~lane;
-                     incr bars;
-                     pending := false
-                   end;
-                   let s, len = chunks.(l).(lane) in
-                   iters := !iters + len;
-                   for i = s to s + len - 1 do
-                     exec members.(i)
-                   done;
-                   Pool.barrier pool ~lane;
-                   incr bars
-                 end
-               done
-             done
-           with exn ->
-             while !bars < quota do
-               Pool.barrier pool ~lane;
-               incr bars
-             done;
-             Rtrt_obs.Metrics.add counters.(lane) !iters;
-             raise exn);
-          Rtrt_obs.Metrics.add counters.(lane) !iters)
-    end
-  end

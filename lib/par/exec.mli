@@ -95,19 +95,3 @@ val run :
   stash:(pos:int -> int array -> int -> int -> unit) ->
   apply:(pos:int -> datum:int -> int array -> int -> int -> unit) ->
   unit
-
-(** [run_levels ~pool ~levels ~weight exec] runs each level's items
-    concurrently (weighted static chunks computed once, in-job
-    barriers between levels, the whole call one pool dispatch). Items
-    within one level must be pairwise independent. [rounds] (default
-    1) repeats the whole level program that many times inside the same
-    dispatch — the level-driver's step batching; a wavefront executor
-    passes its sweep count. [profile] as in {!run}. *)
-val run_levels :
-  ?rounds:int ->
-  ?profile:bool ->
-  pool:Pool.t ->
-  levels:int array array ->
-  weight:(int -> int) ->
-  (int -> unit) ->
-  unit

@@ -24,7 +24,7 @@
    other lane after any barrier — the executors rely on exactly this
    for their per-level phases. The spin budget is forced to 0 when the
    pool is wider than the machine (oversubscribed lanes must yield,
-   not burn the core); RTRT_POOL_SPIN overrides it.
+   not burn the core).
 
    Lane 0 is the calling domain itself, so [create ~domains:n] spawns
    n-1 workers and a pool of 1 degenerates to plain serial calls.
@@ -163,13 +163,10 @@ let rec worker_loop t lane =
     worker_loop t lane
   end
 
+(* An oversubscribed pool (more lanes than cores) must never spin: the
+   waited-for lane needs this core to make progress. *)
 let spin_budget ~domains =
-  let default =
-    (* An oversubscribed pool (more lanes than cores) must never spin:
-       the waited-for lane needs this core to make progress. *)
-    if domains > Domain.recommended_domain_count () then 0 else 4096
-  in
-  Rtrt_obs.Config.env_int ~min:0 ~name:"RTRT_POOL_SPIN" ~default ()
+  if domains > Domain.recommended_domain_count () then 0 else 4096
 
 let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
@@ -392,6 +389,3 @@ let shutdown t =
 let with_pool ~domains f =
   let t = create ~domains in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-let domains_from_env ?(default = 1) () =
-  Rtrt_obs.Config.env_int ~min:1 ~name:"RTRT_DOMAINS" ~default ()

@@ -3,9 +3,9 @@
     {!parallel} calls every worker is parked at the start barrier, so
     dispatch is a single barrier arrival by the caller — no
     mutex/condition broadcast on the hot path. Waiters spin a bounded
-    number of [Domain.cpu_relax] iterations (RTRT_POOL_SPIN; forced to
-    0 when the pool is wider than the machine) before falling back to
-    a futex-style blocking sleep. Every barrier crossing establishes
+    number of [Domain.cpu_relax] iterations (none when the pool is
+    wider than the machine) before falling back to a futex-style
+    blocking sleep. Every barrier crossing establishes
     happens-before, so plain array writes made by one lane are visible
     to every lane afterwards. *)
 
@@ -89,7 +89,3 @@ val dispatch_wait_ns : t -> int
 (** [with_pool ~domains f] creates a pool, runs [f], and shuts the
     pool down even on exceptions. *)
 val with_pool : domains:int -> (t -> 'a) -> 'a
-
-(** Domain count from the RTRT_DOMAINS environment variable
-    ([default], default 1, when unset or invalid). *)
-val domains_from_env : ?default:int -> unit -> int

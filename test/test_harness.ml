@@ -235,7 +235,8 @@ let test_guidance_ranks () =
 
 (* Every total is on the model's clock: the modeled steps plus each
    plan's host inspector seconds priced with the one factor of the
-   summary row. *)
+   summary row, which also names the runner-up and the pick's lead
+   over it. *)
 let test_guidance_one_clock () =
   let d = Datagen.Generators.foil ~scale:96 () in
   let kernel = Kernels.Irreg.of_dataset d in
@@ -263,7 +264,21 @@ let test_guidance_one_clock () =
           ((float_of_int iterations *. value r "modeled_ns_per_step" *. 1e-9)
           +. (value r "inspector_seconds" *. factor))
           (value r "total_seconds"))
-      rows
+      rows;
+    (match
+       List.sort
+         (fun (a, _) (b, _) -> Float.compare a b)
+         (List.map
+            (fun r -> (value r "total_seconds", List.assoc "plan" r.T.labels))
+            rows)
+     with
+    | (best, _) :: (next, runner_up) :: _ ->
+      Alcotest.(check (list (pair string string))) "runner-up note"
+        [ ("runner_up", runner_up) ]
+        summary.T.notes;
+      Alcotest.(check (float 1e-12)) "lead over the runner-up" (next /. best)
+        (value summary "lead_over_next")
+    | _ -> Alcotest.fail "three plans ranked")
   | [] -> Alcotest.fail "empty guide table"
 
 let test_guidance_empty () =
@@ -548,8 +563,7 @@ let test_suite name () =
   in
   let out = Filename.temp_file ("rtrt-bench-" ^ name) ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
-  (* One domain asked for: par and autotune still measure a pool. *)
-  Harness.Suite.run ~scale:512 ~domains:1 ~out suite;
+  Harness.Suite.run ~scale:512 ~out suite;
   let table = T.load out in
   Alcotest.(check bool) "passes its own gate" false
     (B.has_regression (B.compare_files ~old_path:out ~new_path:out ()));

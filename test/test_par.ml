@@ -511,7 +511,7 @@ let test_barrier_stress_accounting () =
                (Rtrt_par.Pool.lane_stats pool))))
 
 (* ------------------------------------------------------------------ *)
-(* Gauss-Seidel: tile-DAG and wavefront parallel executors *)
+(* Gauss-Seidel: the independence Section 4 models, checked serially *)
 
 let gs_setup graph =
   let n = Irgraph.Csr.num_nodes graph in
@@ -527,25 +527,41 @@ let gs_setup graph =
 
 let u_bits (t : Kernels.Gauss_seidel.t) = Array.map Int64.bits_of_float t.u
 
-let prop_gs_tiled_par_bitwise =
-  QCheck.Test.make ~name:"parallel tiled GS bitwise = serial tiled GS"
+let reversed levels =
+  Array.map
+    (fun l -> Array.init (Array.length l) (fun i -> l.(Array.length l - 1 - i)))
+    levels
+
+(* The tile DAG's levels in order, each level's tiles reversed: the
+   same-level tiles are independent, so the tiled smoother's result
+   must not change bit for bit. *)
+let gs_reversed_levels_equal graph f tiling =
+  let dag = Kernels.Gauss_seidel.tile_dag graph tiling in
+  let order =
+    Array.concat (Array.to_list (reversed dag.Reorder.Tile_par.levels))
+  in
+  let sched =
+    Reorder.Schedule.permute_tiles (Kernels.Gauss_seidel.schedule tiling) ~order
+  in
+  let t_tiled = Kernels.Gauss_seidel.create ~graph ~f in
+  let t_perm = Kernels.Gauss_seidel.create ~graph ~f in
+  Kernels.Gauss_seidel.run_tiled t_tiled tiling;
+  Kernels.Gauss_seidel.run_sched t_perm sched;
+  u_bits t_tiled = u_bits t_perm
+
+let prop_gs_reversed_tile_levels =
+  QCheck.Test.make ~name:"reversed tile levels GS bitwise = tiled GS"
     ~count:20 arb_dataset (fun spec ->
       let graph = Datagen.Dataset.to_graph (dataset_of spec) in
       let graph', f', tiling = gs_setup graph in
-      let dag = Kernels.Gauss_seidel.tile_dag graph' tiling in
-      List.for_all
-        (fun domains ->
-          let t_ser = Kernels.Gauss_seidel.create ~graph:graph' ~f:f' in
-          let t_par = Kernels.Gauss_seidel.create ~graph:graph' ~f:f' in
-          Kernels.Gauss_seidel.run_tiled t_ser tiling;
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              Kernels.Gauss_seidel.run_tiled_par ~pool t_par tiling dag);
-          u_bits t_ser = u_bits t_par)
-        domain_counts)
+      gs_reversed_levels_equal graph' f' tiling)
 
-let prop_gs_wavefront_bitwise =
-  QCheck.Test.make ~name:"parallel wavefront GS bitwise = plain GS" ~count:20
-    arb_dataset (fun spec ->
+(* Each wavefront level's nodes updated in reverse order: no level
+   holds two adjacent nodes, so every update reads the versions the
+   plain sweep reads. *)
+let prop_gs_reversed_wavefront =
+  QCheck.Test.make ~name:"reversed wavefront levels GS bitwise = plain GS"
+    ~count:20 arb_dataset (fun spec ->
       let graph = Datagen.Dataset.to_graph (dataset_of spec) in
       let preds = Kernels.Gauss_seidel.wavefront_preds graph in
       let w = Reorder.Wavefront.run preds in
@@ -553,32 +569,26 @@ let prop_gs_wavefront_bitwise =
         QCheck.Test.fail_report "Wavefront.check rejected its own levels";
       let n = Irgraph.Csr.num_nodes graph in
       let f = Array.init n (fun i -> 0.5 +. float_of_int (i mod 7)) in
-      List.for_all
-        (fun domains ->
-          let t_ser = Kernels.Gauss_seidel.create ~graph ~f in
-          let t_par = Kernels.Gauss_seidel.create ~graph ~f in
-          Kernels.Gauss_seidel.run_plain t_ser ~sweeps:3;
-          Rtrt_par.Pool.with_pool ~domains (fun pool ->
-              Kernels.Gauss_seidel.run_wavefront_par ~pool t_par w ~sweeps:3);
-          u_bits t_ser = u_bits t_par)
-        domain_counts)
+      let t_plain = Kernels.Gauss_seidel.create ~graph ~f in
+      let t_wave = Kernels.Gauss_seidel.create ~graph ~f in
+      Kernels.Gauss_seidel.run_plain t_plain ~sweeps:3;
+      let levels = reversed w.Reorder.Wavefront.levels in
+      for _ = 1 to 3 do
+        Array.iter (Array.iter (Kernels.Gauss_seidel.update t_wave)) levels
+      done;
+      u_bits t_plain = u_bits t_wave)
 
-let test_gs_foil_tiled_par () =
+let test_gs_foil_tile_levels () =
   let graph =
     Datagen.Dataset.to_graph (Datagen.Generators.foil ~scale:512 ())
   in
   let graph', f', tiling = gs_setup graph in
-  let dag = Kernels.Gauss_seidel.tile_dag graph' tiling in
   Alcotest.(check (list reject))
     "tiling legal" []
     (List.map (fun _ -> ())
        (Kernels.Gauss_seidel.check_constraints graph' tiling));
-  let t_ser = Kernels.Gauss_seidel.create ~graph:graph' ~f:f' in
-  let t_par = Kernels.Gauss_seidel.create ~graph:graph' ~f:f' in
-  Kernels.Gauss_seidel.run_tiled t_ser tiling;
-  Rtrt_par.Pool.with_pool ~domains:4 (fun pool ->
-      Kernels.Gauss_seidel.run_tiled_par ~pool t_par tiling dag);
-  Alcotest.(check bool) "bitwise" true (u_bits t_ser = u_bits t_par)
+  Alcotest.(check bool) "bitwise" true
+    (gs_reversed_levels_equal graph' f' tiling)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics are atomic under concurrent increments *)
@@ -766,8 +776,10 @@ let () =
         :: qsuite
              [ prop_kernels_bitwise; prop_batch_bitwise; prop_tier_iff_modeled ] );
       ( "gauss-seidel",
-        Alcotest.test_case "foil tiled par" `Slow test_gs_foil_tiled_par
-        :: qsuite [ prop_gs_tiled_par_bitwise; prop_gs_wavefront_bitwise ] );
+        Alcotest.test_case "foil tile levels any order" `Slow
+          test_gs_foil_tile_levels
+        :: qsuite [ prop_gs_reversed_tile_levels; prop_gs_reversed_wavefront ]
+      );
       ( "obs",
         [
           Alcotest.test_case "atomic metrics" `Quick test_metrics_atomic;
