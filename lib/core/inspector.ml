@@ -190,32 +190,29 @@ let sparse_tile walk strategy ~share_symmetric_deps growth seed =
   if walk.schedule <> None then invalid "Inspector: already sparse tiled";
   (* The chain build is the one Remap_once stage that needs a concrete
      access (it is a kernel closure); the lazy cache makes it a single
-     materialization. *)
+     materialization. The chain holds that access itself, once per
+     dependence set, in the orientation the kernel declares. *)
   let work = current walk in
   let chain = kern.Kernels.Kernel.chain_of_access work in
-  let tiles =
+  (* Traversing one set per pair in its stored orientation is the
+     Section 6 elision; without it, each set stored the other way is
+     first transposed into the orientation growth gathers over (the A5
+     baseline). *)
+  let oriented ~seed =
+    if share_symmetric_deps then chain
+    else Sparse_tile.gather_oriented ~chain ~seed
+  in
+  let chain, tiles =
     match (growth : Transform.tile_growth) with
-    | Transform.Full -> (
+    | Transform.Full ->
       let seed_loop = kern.Kernels.Kernel.seed_loop in
       let seed_tiles = seed_tiles_of walk seed ~seed_loop ~work in
-      match strategy with
-      | Remap_once when share_symmetric_deps ->
-        (* Traverse one dependence set: scatter-min over the
-           predecessors instead of gathering over the successors. *)
-        Sparse_tile.full ~grow_backward:Sparse_tile.grow_backward_scatter
-          ~chain ~seed:seed_loop ~seed_tiles ()
-      | _ ->
-        let shared_succ =
-          if share_symmetric_deps then
-            List.map
-              (fun (l, conn_idx) -> (l, chain.Sparse_tile.conn.(conn_idx)))
-              kern.Kernels.Kernel.symmetric_backward
-          else []
-        in
-        Sparse_tile.full ~shared_succ ~chain ~seed:seed_loop ~seed_tiles ())
+      let chain = oriented ~seed:seed_loop in
+      (chain, Sparse_tile.full ~chain ~seed:seed_loop ~seed_tiles ())
     | Transform.Cache_block ->
       let seed_tiles = seed_tiles_of walk seed ~seed_loop:0 ~work in
-      Sparse_tile.cache_block ~chain ~seed_tiles
+      let chain = oriented ~seed:0 in
+      (chain, Sparse_tile.cache_block ~chain ~seed_tiles)
   in
   (match Sparse_tile.check_legality ~chain ~tiles with
   | [] -> ()
@@ -392,16 +389,21 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
             (* tilePack is CPACK over the tiled execution order of the
                seed loop (whose schedule rows data perms never touch,
                so the deferred Remap_once schedule is already correct
-               here). *)
-            match strategy with
-            | Remap_once ->
+               here). Where the current access is at hand — always
+               under Remap_each, and under Remap_once when sparse
+               tiling materialized the view and nothing reordered
+               since — it is packed in schedule order; otherwise the
+               view is read through sigma and delta^-1 in that order.
+               Both visit the same touches in the same order. *)
+            match walk.work_access with
+            | Some work ->
+              Tile_pack.run ~schedule:sched
+                ~accesses:[ (seed_loop, work) ]
+                ~n_data:(Access.n_data work)
+            | None ->
               let order = Schedule.loop_order sched seed_loop in
               Cpack.run_view ~order walk.base ~sigma:walk.sigma_acc
-                ~delta_inv:walk.delta_inv
-            | Remap_each ->
-              Tile_pack.run ~schedule:sched
-                ~accesses:[ (seed_loop, current walk) ]
-                ~n_data:(Access.n_data (current walk))))
+                ~delta_inv:walk.delta_inv))
       in
       let base =
         match alg with

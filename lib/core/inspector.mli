@@ -53,11 +53,14 @@ val fingerprint :
     [inspector.run] and [inspector.replay] spans, so the copy is not
     counted in [inspector_seconds].
     [share_symmetric_deps] enables the Section 6 symmetric-dependence
-    elision during sparse-tile growth (default true): [Remap_once]
-    growth then scatters over the predecessor dependence set alone,
-    and [Remap_each] gathers over the kernel's shared
-    symmetric twin; with [false] both build the successor set (a
-    transpose) and gather over it. Default strategy is [Remap_once].
+    elision during sparse-tile growth (default true): under either
+    strategy, growth walks each of the chain's dependence sets once,
+    in the orientation the kernel stores it (for the bundled kernels,
+    the interaction access itself), and builds no transpose. With
+    [false], each set stored opposite to the orientation growth
+    gathers over is first transposed into it
+    ([Reorder.Sparse_tile.gather_oriented]); the schedule is the same.
+    Default strategy is [Remap_once].
 
     [pool] is unused: inspection is serial. It stays only because the
     end-to-end benchmark's md-steady probe passes one, and goes with

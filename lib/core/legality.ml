@@ -11,35 +11,63 @@ open Reorder
 
 let ( let* ) r f = Result.bind r f
 
-(* Rebuild the per-loop tile functions from a schedule. *)
-let tile_fns_of_schedule sched ~loop_sizes =
+(* Rebuild the per-loop tile functions from a schedule, checking
+   coverage in the same pass: the flag is false when a row names an
+   iteration outside its loop or one an earlier row already named, or
+   when a loop's rows name fewer iterations than it has. Without a
+   duplicate, that count is exactly the number of iterations
+   covered. *)
+let rebuild sched ~loop_sizes =
   let rp = Schedule.row_ptr sched and fl = Schedule.flat_items sched in
-  let nl = Schedule.n_loops sched in
-  Array.mapi
-    (fun l n ->
-      let tile_of = Array.make n (-1) in
-      for t = 0 to Schedule.n_tiles sched - 1 do
-        let r = (t * nl) + l in
-        for i = rp.(r) to rp.(r + 1) - 1 do
-          tile_of.(fl.(i)) <- t
-        done
-      done;
-      { Sparse_tile.n_tiles = Schedule.n_tiles sched; tile_of })
-    loop_sizes
+  let nl = Schedule.n_loops sched and n_tiles = Schedule.n_tiles sched in
+  let covered = ref true in
+  let tiles =
+    Array.mapi
+      (fun l n ->
+        let tile_of = Array.make n (-1) in
+        let placed = ref 0 in
+        for t = 0 to n_tiles - 1 do
+          let r = (t * nl) + l in
+          for i = rp.(r) to rp.(r + 1) - 1 do
+            let it = fl.(i) in
+            if it < 0 || it >= n || tile_of.(it) >= 0 then covered := false
+            else begin
+              tile_of.(it) <- t;
+              incr placed
+            end
+          done
+        done;
+        if !placed <> n then covered := false;
+        { Sparse_tile.n_tiles; tile_of })
+      loop_sizes
+  in
+  (tiles, !covered)
+
+let tile_fns_of_schedule sched ~loop_sizes = fst (rebuild sched ~loop_sizes)
 
 (* Check a tiled executor against the final kernel: coverage (every
    iteration exactly once) and dependence order (tile(p) <= tile(q)
-   for every dependence edge between adjacent loops). *)
+   for every dependence edge between adjacent loops). The kernel's
+   chain holds its access itself, so the check walks each dependence
+   set once, in the orientation the kernel declares, and transposes
+   nothing. *)
 let check_tiled (kernel : Kernels.Kernel.t) sched =
   let loop_sizes = kernel.Kernels.Kernel.loop_sizes in
   let* () =
-    if Schedule.check_coverage sched ~loop_sizes then Ok ()
+    if Schedule.n_loops sched = Array.length loop_sizes then Ok ()
+    else
+      Error
+        (Fmt.str "schedule has %d loops, the kernel chain %d"
+           (Schedule.n_loops sched) (Array.length loop_sizes))
+  in
+  let tiles, covered = rebuild sched ~loop_sizes in
+  let* () =
+    if covered then Ok ()
     else Error "schedule does not cover every iteration exactly once"
   in
-  let chain = kernel.Kernels.Kernel.chain_of_access kernel.Kernels.Kernel.access in
   (* Coverage puts every iteration in exactly one row, so every tile
      function is total. *)
-  let tiles = tile_fns_of_schedule sched ~loop_sizes in
+  let chain = kernel.Kernels.Kernel.chain_of_access kernel.Kernels.Kernel.access in
   match Sparse_tile.check_legality ~chain ~tiles with
   | [] -> Ok ()
   | (l, a, b) :: _ ->

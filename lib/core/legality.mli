@@ -2,14 +2,18 @@
     respect every dependence of the transformed program. *)
 
 (** Rebuild per-loop tile functions from a schedule (inverse of
-    {!Reorder.Schedule.of_tile_fns}). *)
+    {!Reorder.Schedule.of_tile_fns}). An iteration no row names keeps
+    tile [-1]. *)
 val tile_fns_of_schedule :
   Reorder.Schedule.t ->
   loop_sizes:int array ->
   Reorder.Sparse_tile.tile_fn array
 
 (** Coverage + dependence-order check of a tiled executor against the
-    final kernel's chain. *)
+    final kernel's chain. Coverage is checked in the pass that rebuilds
+    the tile functions, and each dependence set is walked once in the
+    orientation the kernel's chain stores it, so no transpose is
+    built. *)
 val check_tiled :
   Kernels.Kernel.t -> Reorder.Schedule.t -> (unit, string) result
 

@@ -15,11 +15,11 @@
    actually moved back into the schedule.
 
    Supported chain shapes are those where every non-seed loop is a
-   node loop adjacent to the seed whose growth connectivity is the
-   interaction access itself (backward: successors of a node = the
-   transpose rows; forward: predecessors = the same rows) — which is
-   all four bundled kernels. [prepare] verifies this against the
-   kernel's own chain rather than trusting the shape. *)
+   node loop adjacent to the seed whose dependence set is the
+   interaction access itself (backward: the interactions' predecessor
+   rows; forward: their successor rows) — which is all four bundled
+   kernels. [prepare] verifies this against the kernel's own chain
+   rather than trusting the shape. *)
 
 open Reorder
 
@@ -104,15 +104,25 @@ let adjacency_of (trans : Access.t) =
     inter = trans.Access.dat;
   }
 
-let arrays_equal a b =
+let arrays_equal (a : int array) (b : int array) =
   Array.length a = Array.length b
   &&
   let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
   go (Array.length a - 1)
 
+(* The same access: physically (the bundled kernels' chains hold the
+   access value itself), else by content. *)
+let same_access (c : Access.t) (a : Access.t) =
+  c == a
+  || Access.n_iter c = Access.n_iter a
+     && Access.n_data c = Access.n_data a
+     && arrays_equal c.Access.ptr a.Access.ptr
+     && arrays_equal c.Access.dat a.Access.dat
+
 (* Why every [repair] on this state will take the cold path, or [Ok]
    if the incremental path applies. [trans] is the transpose of the
-   final access (computed by the caller, reused for the adjacency). *)
+   final access, forced only for a set stored in the orientation
+   opposite to the access (the caller reuses it for the adjacency). *)
 let compute_support plan (k : Kernels.Kernel.t) sched ~trans =
   let tiling =
     List.find_map
@@ -145,24 +155,29 @@ let compute_support plan (k : Kernels.Kernel.t) sched ~trans =
         Error (Fmt.str "loop %d is not a seed-adjacent node loop" l)
       | None ->
         (* Trust nothing about the chain shape: the per-node min/max
-           rule is only the growth rule if the chain's connectivities
-           for the adjacent loops are the access and its transpose. *)
+           rule is only the growth rule if the dependence sets of the
+           adjacent loops are the access, as the interactions'
+           predecessor rows before the seed and their successor rows
+           after it. *)
         let access = k.Kernels.Kernel.access in
         let chain = k.Kernels.Kernel.chain_of_access access in
-        let conn_is c (a : Access.t) =
-          arrays_equal c.Access.ptr a.Access.ptr
-          && arrays_equal c.Access.dat a.Access.dat
+        (* Set [l]'s rows index the seed loop, the interactions,
+           when they are loop [l + 1]'s predecessor rows or loop [l]'s
+           successor rows; otherwise they index the nodes and must be
+           the transpose. *)
+        let is_access l =
+          match chain.Sparse_tile.conn.(l) with
+          | Sparse_tile.Preds c ->
+            same_access c (if l + 1 = seed then access else Lazy.force trans)
+          | Sparse_tile.Succs c ->
+            same_access c (if l = seed then access else Lazy.force trans)
         in
-        let back_ok =
-          seed = 0 || conn_is chain.Sparse_tile.conn.(seed - 1) access
-        in
-        let fwd_ok =
-          seed = n_loops - 1 || conn_is chain.Sparse_tile.conn.(seed) trans
-        in
+        let back_ok = seed = 0 || is_access (seed - 1) in
+        let fwd_ok = seed = n_loops - 1 || is_access seed in
         if not back_ok then
           Error "backward connectivity is not the interaction access"
         else if not fwd_ok then
-          Error "forward connectivity is not the access transpose"
+          Error "forward connectivity is not the interaction access"
         else Ok ()
     end
 
@@ -170,7 +185,7 @@ let compute_support plan (k : Kernels.Kernel.t) sched ~trans =
    (used by [prepare] and after every cold fallback). *)
 let reset state (result : Inspector.result) =
   let k = result.Inspector.kernel in
-  let trans = Access.transpose k.Kernels.Kernel.access in
+  let trans = lazy (Access.transpose k.Kernels.Kernel.access) in
   let support =
     compute_support state.f.plan k result.Inspector.schedule ~trans
   in
@@ -198,7 +213,7 @@ let reset state (result : Inspector.result) =
   in
   let adj =
     match (support, sched) with
-    | Ok (), Some _ -> Some (adjacency_of trans)
+    | Ok (), Some _ -> Some (adjacency_of (Lazy.force trans))
     | _ -> None
   in
   let n_touches = Access.n_touches k.Kernels.Kernel.access in
@@ -292,10 +307,7 @@ let regrow state (kernel : Kernels.Kernel.t) =
     | Some tile_of ->
       let chain = k.Kernels.Kernel.chain_of_access k.Kernels.Kernel.access in
       let seed_tiles = { Sparse_tile.n_tiles = f.n_tiles; tile_of } in
-      let tiles =
-        Sparse_tile.full ~grow_backward:Sparse_tile.grow_backward_scatter
-          ~chain ~seed:f.seed_loop ~seed_tiles ()
-      in
+      let tiles = Sparse_tile.full ~chain ~seed:f.seed_loop ~seed_tiles () in
       Some (Schedule.of_tile_fns tiles)
   in
   let seconds = Rtrt_obs.Clock.now_s () -. t0 in

@@ -15,7 +15,8 @@
 
     Adjacency maintenance, regrowth and the splice's row merges cost
     O(damage): the node -> interactions adjacency is a set of flat
-    arrays (the transpose of the final access) edited in place. The
+    arrays (the transpose of the final access, the one transpose
+    {!prepare} builds) edited in place. The
     splice blits the untouched rows in one pass. One part stays
     O(dataset) whatever the damage: the replay of the frozen
     reorderings ({!Inspector.remap}, one kernel rebuild). At a few
@@ -28,9 +29,10 @@
     [repair state kernel ~damage] is {b bit-identical} to the frozen
     cold path {!regrow} — replaying the same frozen reorderings and
     re-running full growth from the frozen seed tiling over the whole
-    churned access ([Reorder.Sparse_tile.full], whose backward scatter
-    walk repair's per-node rule mirrors; see the
-    [grow_backward_scatter] precondition in [sparse_tile.mli]) — in
+    churned access ([Reorder.Sparse_tile.full], whose scatters over
+    the interaction access — min backward, max forward — repair's
+    per-node rule mirrors; see the [grow_backward_scatter]
+    precondition in [sparse_tile.mli]) — in
     both the schedule ([Reorder.Schedule.equal]) and every executor
     result. Growth over min/max is order-independent and the damage
     set is exactly the set of iterations whose predecessor/successor

@@ -51,7 +51,6 @@ type t = {
       (** Tier B out-of-process compile time; 0 on a cache hit or for
           the other tiers. *)
   cmxs_cache_hit : bool;
-  key : string;  (** 16-hex-digit schedule fingerprint. *)
 }
 
 (* -------------------------------------------------------------- *)
@@ -129,11 +128,11 @@ let emitter_version = 3
    answer). The emitter is checked by the seal, not the key. *)
 let key_format = 2
 
-let schedule_key ~kernel ~n_nodes ~n_inter (sched : Reorder.Schedule.t) =
+let schedule_key (kernel : Kernels.Kernel.t) (sched : Reorder.Schedule.t) =
   let b = Rtrt_plancache.Fingerprint.create () in
-  Rtrt_plancache.Fingerprint.add_string b kernel;
-  Rtrt_plancache.Fingerprint.add_int b n_nodes;
-  Rtrt_plancache.Fingerprint.add_int b n_inter;
+  Rtrt_plancache.Fingerprint.add_string b kernel.Kernels.Kernel.name;
+  Rtrt_plancache.Fingerprint.add_int b kernel.Kernels.Kernel.n_nodes;
+  Rtrt_plancache.Fingerprint.add_int b kernel.Kernels.Kernel.n_inter;
   Rtrt_plancache.Fingerprint.add_int b (Reorder.Schedule.n_loops sched);
   Rtrt_plancache.Fingerprint.add_int_array b (Reorder.Schedule.row_ptr sched);
   Rtrt_plancache.Fingerprint.add_int_array b (Reorder.Schedule.flat_items sched);
@@ -301,21 +300,8 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
     (sched : Reorder.Schedule.t) =
   let shape = Reorder.Shape.analyze sched in
   let summary = Reorder.Shape.summary shape in
-  let key =
-    schedule_key ~kernel:kernel.Kernels.Kernel.name
-      ~n_nodes:kernel.Kernels.Kernel.n_nodes
-      ~n_inter:kernel.Kernels.Kernel.n_inter sched
-  in
   let base tier run =
-    {
-      tier;
-      shape;
-      summary;
-      run;
-      compile_seconds = 0.;
-      cmxs_cache_hit = false;
-      key;
-    }
+    { tier; shape; summary; run; compile_seconds = 0.; cmxs_cache_hit = false }
   in
   let shaped () =
     if Reorder.Shape.profitable summary then
@@ -323,6 +309,9 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
           kernel.Kernels.Kernel.run_tiled_shaped sched shape ~steps)
     else base Interp (fun ~steps -> kernel.Kernels.Kernel.run_tiled sched ~steps)
   in
+  (* Only Tier B names a compiled module, so only it hashes the
+     schedule. *)
+  let key = lazy (schedule_key kernel sched) in
   let codegen () =
     if
       not
@@ -330,6 +319,7 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
            ~loop_sizes:kernel.Kernels.Kernel.loop_sizes)
     then None
     else
+      let key = Lazy.force key in
       match Codegen.specialized_source kernel ~key sched shape with
       | None -> None
       | Some source -> (
@@ -347,7 +337,6 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
                   exec ia fa steps);
               compile_seconds;
               cmxs_cache_hit;
-              key;
             })
   in
   let result =
@@ -371,8 +360,8 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
           ~steps:verify_steps
       | Codegen -> (
         match
-          compile_and_load ~kernel:kernel.Kernels.Kernel.name ~key
-            "(* cached *)"
+          compile_and_load ~kernel:kernel.Kernels.Kernel.name
+            ~key:(Lazy.force key) "(* cached *)"
         with
         | Some (exec, _, _) ->
           let ia, fa = exec_args candidate sched in
@@ -386,8 +375,8 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
       then
         failwith
           (Printf.sprintf
-             "Specialize: %s tier diverged bitwise from run_tiled (%s/%s)"
-             (tier_name r.tier) kernel.Kernels.Kernel.name r.key)
+             "Specialize: %s tier diverged bitwise from run_tiled (%s)"
+             (tier_name r.tier) kernel.Kernels.Kernel.name)
     end
   in
   finish ~verify_run result
@@ -398,9 +387,5 @@ let make ?(tier_b = false) ?(verify = true) (kernel : Kernels.Kernel.t)
 
 let dump_source (kernel : Kernels.Kernel.t) (sched : Reorder.Schedule.t) =
   let shape = Reorder.Shape.analyze sched in
-  let key =
-    schedule_key ~kernel:kernel.Kernels.Kernel.name
-      ~n_nodes:kernel.Kernels.Kernel.n_nodes
-      ~n_inter:kernel.Kernels.Kernel.n_inter sched
-  in
-  Codegen.specialized_source kernel ~key sched shape
+  Codegen.specialized_source kernel ~key:(schedule_key kernel sched) sched
+    shape

@@ -51,8 +51,14 @@ type t = {
   cmxs_cache_hit : bool;
       (** Tier B executor came from the in-process memo or the on-disk
           [.cmxs] cache rather than a fresh compile. *)
-  key : string;  (** 16-hex-digit schedule fingerprint. *)
 }
+
+(** The 16-hex-digit fingerprint that names Tier B's compiled module
+    for this (kernel, schedule) pair: the kernel's name and sizes, the
+    schedule's rows and items, and the compiler identity (OCaml
+    version, word size, OS). {!make} computes it only on the Tier B
+    path; Tiers A and interp never hash the schedule. *)
+val schedule_key : Kernels.Kernel.t -> Reorder.Schedule.t -> string
 
 (** Specialize [kernel]'s execution of [sched]. [tier_b] (default
     [false]) asks for Tier B; Tier A needs no opt-in. [verify]

@@ -18,8 +18,9 @@ open Reorder
 
 let invalid fmt = Fmt.kstr invalid_arg fmt
 
-(* The unrolled chain: loop sizes repeated [depth] times; conns are the
-   within-step conns plus the wrap conn between copies. *)
+(* The unrolled chain: loop sizes repeated [depth] times; the sets are
+   the within-step sets plus the wrap set between copies, each in the
+   orientation the kernel stores it. *)
 let unrolled_chain (kernel : Kernels.Kernel.t) ~depth =
   if depth < 1 then invalid "Timetile: depth %d" depth;
   let access = kernel.Kernels.Kernel.access in
@@ -35,7 +36,7 @@ let unrolled_chain (kernel : Kernels.Kernel.t) ~depth =
       (fun c ->
         if (c + 1) mod l = 0 then wrap else base.Sparse_tile.conn.(c mod l))
   in
-  Sparse_tile.make_chain ~loop_sizes ~conn
+  Sparse_tile.make_oriented_chain ~loop_sizes ~conn
 
 type t = {
   schedule : Schedule.t; (* depth * chain-length loops *)

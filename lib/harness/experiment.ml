@@ -60,11 +60,17 @@ type measurement = {
 
 let time f = Rtrt_obs.Clock.time f
 
-(* Run the inspector and verify the result. *)
+(* Run the inspector and verify the result. The minor heap is emptied
+   first, which also runs the major-GC slice it owes, so the inspector
+   seconds do not include GC work that earlier allocation (the previous
+   measurement's cache model and executor steps) left due. A warm
+   replay is a large share of a small inspection's allocation and would
+   otherwise often take that slice. *)
 let inspect ?cache ?strategy plan kernel =
   Rtrt_obs.Span.with_ ~name:"experiment.inspect"
     ~attrs:[ ("plan", Rtrt_obs.Json.String (Compose.Plan.name plan)) ]
   @@ fun () ->
+  Gc.minor ();
   let result = Compose.Inspector.run ?cache ?strategy plan kernel in
   (match Compose.Legality.check result with
   | Ok () -> ()

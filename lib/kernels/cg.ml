@@ -143,9 +143,9 @@ let decl =
     loops = [| Nodes; Inters; Nodes |];
     (* Same chain shape as moldyn: both dependence sets of the 3-loop
        chain are constrained by left/right (Section 6 symmetric
-       dependences), so conn.(1) doubles as loop 0's successor set. *)
-    conn = (fun acc -> [| acc; Reorder.Access.transpose acc |]);
-    wrap = (fun n _ -> Reorder.Access.identity n);
+       dependences), so both are the access itself. *)
+    conn = (fun acc -> Reorder.Sparse_tile.[| Preds acc; Succs acc |]);
+    wrap = (fun n _ -> Reorder.Sparse_tile.Preds (Reorder.Access.identity n));
     seed_loop = 1;
     symmetric_backward = [ (0, 1) ];
     time_tiling = false;

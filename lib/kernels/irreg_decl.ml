@@ -72,9 +72,9 @@ let decl =
         | _ -> assert false);
     loops = [| Inters; Nodes |];
     (* Chain [j; k]: k-iterations depend on the j-iterations touching
-       their node, i.e. the transpose of the j access. *)
-    conn = (fun acc -> [| Reorder.Access.transpose acc |]);
-    wrap = (fun _ acc -> acc);
+       their node, so the j access lists each j's successors. *)
+    conn = (fun acc -> [| Reorder.Sparse_tile.Succs acc |]);
+    wrap = (fun _ acc -> Reorder.Sparse_tile.Preds acc);
     seed_loop = 0;
     symmetric_backward = [];
     time_tiling = true;

@@ -54,16 +54,20 @@ type t = {
      iteration reordering. Compose.Symbolic derives the kernel's
      program from this, [loop_sizes] and [seed_loop]. *)
   reduction_only : bool array;
+  (* The loop chain over an access: one dependence set per adjacent
+     pair, each in the orientation the kernel has at hand, so building
+     it transposes nothing. *)
   chain_of_access : Reorder.Access.t -> Reorder.Sparse_tile.chain;
-  (* Cross-time-step connectivity: for each iteration of the chain's
-     FIRST loop at step s+1, the iterations of the LAST loop at step s
-     it shares data with. Lets sparse tiling grow across the outer
-     time-stepping loop (Section 2.3: "across an outer loop"). *)
-  wrap_conn_of_access : Reorder.Access.t -> Reorder.Access.t;
-  (* [(backward_loop, conn_index)] pairs recording that the successor
-     connectivity needed to grow loop [backward_loop] backward equals
-     [chain.conn.(conn_index)] — the paper's symmetric-dependence
-     observation (Section 6), letting the inspector traverse one set. *)
+  (* Cross-time-step dependences between the chain's LAST loop at step
+     s and its FIRST loop at step s+1, in either orientation. Lets
+     sparse tiling grow across the outer time-stepping loop (Section
+     2.3: "across an outer loop"). *)
+  wrap_conn_of_access : Reorder.Access.t -> Reorder.Sparse_tile.deps;
+  (* [(backward_loop, conn_index)] pairs recording that the set growing
+     loop [backward_loop] walks and [chain.conn.(conn_index)] are keyed
+     by the same index arrays — the paper's symmetric dependences
+     (Section 6) — so the chain stores both as one access. Only the
+     plan-cache fingerprint reads it. *)
   symmetric_backward : (int * int) list;
   (* [apply_data_perm]: fresh index and node arrays, per-interaction
      arrays shared; [apply_iter_perm]: fresh index and per-interaction

@@ -47,14 +47,25 @@ type t = {
           [Compose.Symbolic] derives the kernel's program from it,
           [loop_sizes] and [seed_loop]. *)
   chain_of_access : Reorder.Access.t -> Reorder.Sparse_tile.chain;
-  wrap_conn_of_access : Reorder.Access.t -> Reorder.Access.t;
-      (** cross-time-step connectivity: for each first-loop iteration at
-          step s+1, the last-loop iterations at step s it shares data
-          with — lets sparse tiling grow across the outer loop *)
+      (** the loop chain over an access: one dependence set per
+          adjacent pair, each in the orientation the kernel has at hand
+          ([Reorder.Sparse_tile.deps]). The bundled kernels hand it the
+          interaction access itself, as predecessor or successor rows,
+          so building a chain transposes nothing. *)
+  wrap_conn_of_access : Reorder.Access.t -> Reorder.Sparse_tile.deps;
+      (** cross-time-step dependences between the last loop at step s
+          and the first loop at step s+1, in either orientation — lets
+          sparse tiling grow across the outer loop *)
   symmetric_backward : (int * int) list;
-      (** [(backward_loop, conn_index)]: the successor connectivity for
-          growing [backward_loop] equals [chain.conn.(conn_index)]
-          (Section 6 symmetric dependences) *)
+      (** [(backward_loop, conn_index)]: the dependence set that
+          growing [backward_loop] walks and [chain.conn.(conn_index)]
+          are keyed by the same index arrays (Section 6 symmetric
+          dependences), so the chain stores both as the one
+          interaction access, in opposite orientations, and sparse
+          tiling walks it once per pair without a transpose. Growth
+          does not read this list; it remains an ingredient of
+          [Compose.Inspector.fingerprint], whose values name stored
+          plans. *)
   apply_data_perm : Reorder.Perm.t -> t;
       (** The kernel under data reordering [sigma]: fresh index arrays
           (values renamed) and fresh node arrays (permuted). The

@@ -109,10 +109,10 @@ let decl =
         | _ -> assert false);
     loops = [| Nodes; Inters; Nodes |];
     (* The chain's two dependence sets are symmetric (both constrained
-       by left/right, Section 6): conn.(1) is the transpose that
-       backward growth of loop 0 also needs. *)
-    conn = (fun acc -> [| acc; Reorder.Access.transpose acc |]);
-    wrap = (fun n _ -> Reorder.Access.identity n);
+       by left/right, Section 6): each is the pair access itself, as
+       the pairs' predecessor rows and as their successor rows. *)
+    conn = (fun acc -> Reorder.Sparse_tile.[| Preds acc; Succs acc |]);
+    wrap = (fun n _ -> Reorder.Sparse_tile.Preds (Reorder.Access.identity n));
     seed_loop = 1;
     symmetric_backward = [ (0, 1) ];
     time_tiling = true;

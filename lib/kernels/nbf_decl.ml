@@ -91,8 +91,9 @@ let decl =
         | [| x; y; z; fx; fy; fz |] -> (s.left, s.right, x, y, z, fx, fy, fz)
         | _ -> assert false);
     loops = [| Nodes; Inters |];
-    conn = (fun acc -> [| acc |]);
-    wrap = (fun _ -> Reorder.Access.transpose);
+    conn = (fun acc -> [| Reorder.Sparse_tile.Preds acc |]);
+    (* Step s's pairs precede step s+1's updates of their endpoints. *)
+    wrap = (fun _ acc -> Reorder.Sparse_tile.Succs acc);
     seed_loop = 1;
     symmetric_backward = [];
     time_tiling = true;

@@ -72,8 +72,8 @@ type 'a t = {
   scalars : float array;
   pack : state -> 'a;
   loops : loop array;
-  conn : Reorder.Access.t -> Reorder.Access.t array;
-  wrap : int -> Reorder.Access.t -> Reorder.Access.t;
+  conn : Reorder.Access.t -> Reorder.Sparse_tile.deps array;
+  wrap : int -> Reorder.Access.t -> Reorder.Sparse_tile.deps;
   seed_loop : int;
   symmetric_backward : (int * int) list;
   time_tiling : bool;
@@ -298,7 +298,8 @@ let rec make decl st =
         decl.classes;
     chain_of_access =
       (fun acc ->
-        Reorder.Sparse_tile.make_chain ~loop_sizes ~conn:(decl.conn acc));
+        Reorder.Sparse_tile.make_oriented_chain ~loop_sizes
+          ~conn:(decl.conn acc));
     wrap_conn_of_access = decl.wrap n;
     symmetric_backward = decl.symmetric_backward;
     apply_data_perm = (fun sigma -> permute ~sigma ());

@@ -68,9 +68,13 @@ type 'a t = {
   scalars : float array;  (** initial scalars *)
   pack : state -> 'a;  (** the loop functions' view of the arrays *)
   loops : loop array;  (** the chain, one entry per class *)
-  conn : Reorder.Access.t -> Reorder.Access.t array;
-      (** the chain's connectivity from the interaction access *)
-  wrap : int -> Reorder.Access.t -> Reorder.Access.t;
+  conn : Reorder.Access.t -> Reorder.Sparse_tile.deps array;
+      (** the chain's dependence sets from the interaction access, one
+          per adjacent loop pair, each in the orientation in which the
+          access already holds it: [Preds acc] where the later loop is
+          the interaction loop, [Succs acc] where the earlier one is.
+          No set needs a transpose. *)
+  wrap : int -> Reorder.Access.t -> Reorder.Sparse_tile.deps;
       (** [Kernel.wrap_conn_of_access], given the node count *)
   seed_loop : int;
   symmetric_backward : (int * int) list;

@@ -149,11 +149,18 @@ let shift_data ~offset ~n_data a =
     invalid "Access.shift_data: bad embedding";
   { a with n_data; dat = Array.map (fun d -> d + offset) a.dat }
 
+(* Transposes built; one branch when tracing is off. Sparse tiling,
+   the legality check and repair's support check walk each dependence
+   set in the orientation it is stored, so a traced inspection that
+   counts any here has a caller that could do without. *)
+let c_transposes = Rtrt_obs.Metrics.counter "access.transposes"
+
 (* Transpose: for each datum, the iterations that touch it, in
    ascending iteration order. Used to derive dependence connectivity
    (e.g. which j iterations read x.(i)). Plain loops over [ptr]/[dat]:
    besides its output it allocates only the per-datum cursor. *)
 let transpose a =
+  Rtrt_obs.Metrics.incr c_transposes;
   let ptr = Array.make (a.n_data + 1) 0 in
   Array.iter (fun d -> ptr.(d + 1) <- ptr.(d + 1) + 1) a.dat;
   for d = 0 to a.n_data - 1 do

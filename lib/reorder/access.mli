@@ -65,7 +65,8 @@ val reorder_iters : Perm.t -> t -> t
     [n_data] locations (stacking several arrays into one space). *)
 val shift_data : offset:int -> n_data:int -> t -> t
 
-(** For each datum, the iterations touching it (ascending). *)
+(** For each datum, the iterations touching it (ascending). Counted in
+    [access.transposes]. *)
 val transpose : t -> t
 
 (** Data-affinity graph: locations co-touched by an iteration are

@@ -61,15 +61,13 @@ let grow_backward ~(conn : Access.t) ~(next : tile_fn) =
   count_growth ~conn next.n_tiles;
   { n_tiles = next.n_tiles; tile_of }
 
-(* Backward growth walking only the *predecessor* dependence set: the
-   paper's symmetric-dependence overhead reduction generalized. Where
-   [grow_backward] gathers min over successors (and therefore needs
-   the successor connectivity — a transpose, unless a symmetric twin
-   is shared), this scatters min over the same edge multiset read from
-   [conn] (each iteration of the assigned loop pushes its tile to its
-   predecessors). min is order-independent, so the result is
-   bit-identical to [grow_backward ~conn:(Access.transpose conn)]
-   without ever materializing the transpose. *)
+(* Backward growth walking the *predecessor* rows: where
+   [grow_backward] gathers min over successor rows, this scatters min
+   over the same edge multiset read from [conn] (each iteration of the
+   assigned loop pushes its tile to its predecessors). min is
+   order-independent, so the result is bit-identical to
+   [grow_backward ~conn:(Access.transpose conn)] without ever
+   materializing the transpose. *)
 let grow_backward_scatter ~(conn : Access.t) ~(next : tile_fn) =
   if Access.n_iter conn <> Array.length next.tile_of then
     invalid "grow_backward_scatter: conn/next size mismatch";
@@ -108,84 +106,161 @@ let grow_forward ~(conn : Access.t) ~(prev : tile_fn) =
   count_growth ~conn prev.n_tiles;
   { n_tiles = prev.n_tiles; tile_of }
 
+(* Forward growth walking the *successor* rows: each iteration of the
+   assigned loop pushes its tile to its successors, max over the same
+   edge multiset [grow_forward] gathers from the predecessor rows.
+   Both start every iteration at tile 0, so the results are
+   bit-identical. *)
+let grow_forward_scatter ~(conn : Access.t) ~(prev : tile_fn) =
+  if Access.n_iter conn <> Array.length prev.tile_of then
+    invalid "grow_forward_scatter: conn/prev size mismatch";
+  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let prev_of = prev.tile_of in
+  let tile_of = Array.make (Access.n_data conn) 0 in
+  for a = 0 to Access.n_iter conn - 1 do
+    let t = prev_of.(a) in
+    for idx = ptr.(a) to ptr.(a + 1) - 1 do
+      let b = dat.(idx) in
+      if t > tile_of.(b) then tile_of.(b) <- t
+    done
+  done;
+  count_growth ~conn prev.n_tiles;
+  { n_tiles = prev.n_tiles; tile_of }
+
 (* Cache-blocking growth: keep an iteration in tile t only when all of
    its predecessors are in tile t; otherwise it falls into the shared
-   [leftover] tile (executed last). *)
+   [leftover] tile (executed last). An iteration without predecessors
+   goes to tile 0. *)
 let grow_cache_block ~leftover ~(conn : Access.t) ~(prev : tile_fn) =
   if Access.n_data conn <> Array.length prev.tile_of then
     invalid "grow_cache_block: conn/prev size mismatch";
   let n = Access.n_iter conn in
-  let tile_of =
-    Array.init n (fun b ->
-        let ts = Access.touches conn b in
-        if Array.length ts = 0 then 0
-        else
-          let t0 = prev.tile_of.(ts.(0)) in
-          if t0 <> leftover && Array.for_all (fun a -> prev.tile_of.(a) = t0) ts
-          then t0
-          else leftover)
-  in
+  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let prev_of = prev.tile_of in
+  let tile_of = Array.make n 0 in
+  for b = 0 to n - 1 do
+    let lo = ptr.(b) and hi = ptr.(b + 1) in
+    if hi > lo then begin
+      let t0 = prev_of.(dat.(lo)) in
+      let t = ref (if t0 = leftover then leftover else t0) in
+      for idx = lo + 1 to hi - 1 do
+        if prev_of.(dat.(idx)) <> t0 then t := leftover
+      done;
+      tile_of.(b) <- !t
+    end
+  done;
+  count_growth ~conn (leftover + 1);
+  { n_tiles = leftover + 1; tile_of }
+
+(* The same rule over the successor rows: the first tile pushed to an
+   iteration is kept unless it is the leftover, and any different tile
+   pushed later sends it to the leftover. Agreement of all
+   predecessors does not depend on the order they are seen in, so this
+   is bit-identical to [grow_cache_block]. *)
+let grow_cache_block_scatter ~leftover ~(conn : Access.t) ~(prev : tile_fn) =
+  if Access.n_iter conn <> Array.length prev.tile_of then
+    invalid "grow_cache_block_scatter: conn/prev size mismatch";
+  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let prev_of = prev.tile_of in
+  let tile_of = Array.make (Access.n_data conn) (-1) in
+  for a = 0 to Access.n_iter conn - 1 do
+    let t = prev_of.(a) in
+    for idx = ptr.(a) to ptr.(a + 1) - 1 do
+      let b = dat.(idx) in
+      let cur = tile_of.(b) in
+      if cur < 0 then tile_of.(b) <- t
+      else if cur <> t then tile_of.(b) <- leftover
+    done
+  done;
+  for b = 0 to Array.length tile_of - 1 do
+    if tile_of.(b) < 0 then tile_of.(b) <- 0
+  done;
   count_growth ~conn (leftover + 1);
   { n_tiles = leftover + 1; tile_of }
 
 (* ------------------------------------------------------------------ *)
 (* Loop chains                                                         *)
 
+(* One dependence set between adjacent loops [l] and [l + 1], stored in
+   the orientation its kernel has at hand: predecessor rows (each
+   iteration of loop [l + 1] lists the loop-[l] iterations it depends
+   on) or successor rows (each iteration of loop [l] lists the
+   loop-[l + 1] iterations that depend on it). Either holds the same
+   edge multiset, and every traversal below is a min, a max or a
+   comparison over that multiset, so it reads either form with
+   bit-identical results. *)
+type deps = Preds of Access.t | Succs of Access.t
+
 (* A chain of loops executed in sequence (inside an outer loop), with
-   dependence connectivity between adjacent loops. [conn.(l)] maps each
-   iteration of loop [l+1] to the iterations of loop [l] it depends on
-   (predecessors). *)
+   one dependence set between each adjacent pair. *)
 type chain = {
   loop_sizes : int array;        (* iterations per loop *)
-  conn : Access.t array;         (* length = n_loops - 1 *)
+  conn : deps array;             (* length = n_loops - 1 *)
 }
 
 let n_loops chain = Array.length chain.loop_sizes
 
-let make_chain ~loop_sizes ~conn =
+let make_oriented_chain ~loop_sizes ~conn =
   if Array.length conn <> Array.length loop_sizes - 1 then
     invalid "Sparse_tile.make_chain: need one conn per adjacent pair";
   Array.iteri
-    (fun l (a : Access.t) ->
-      if Access.n_iter a <> loop_sizes.(l + 1) then
-        invalid "make_chain: conn %d n_iter" l;
-      if Access.n_data a <> loop_sizes.(l) then
-        invalid "make_chain: conn %d n_data" l)
+    (fun l deps ->
+      let rows, entries, (a : Access.t) =
+        match deps with
+        | Preds a -> (loop_sizes.(l + 1), loop_sizes.(l), a)
+        | Succs a -> (loop_sizes.(l), loop_sizes.(l + 1), a)
+      in
+      if Access.n_iter a <> rows then invalid "make_chain: conn %d n_iter" l;
+      if Access.n_data a <> entries then invalid "make_chain: conn %d n_data" l)
     conn;
   { loop_sizes; conn }
 
+let make_chain ~loop_sizes ~conn =
+  make_oriented_chain ~loop_sizes ~conn:(Array.map (fun a -> Preds a) conn)
+
+(* The chain with every set in the orientation that growth from
+   [seed] gathers over: successor rows before the seed, predecessor
+   rows after it. Each set stored the other way is transposed, so this
+   is the two-set baseline of the symmetric-dependence elision. *)
+let gather_oriented ~chain ~seed =
+  let conn =
+    Array.mapi
+      (fun l deps ->
+        match deps with
+        | Preds a when l < seed -> Succs (Access.transpose a)
+        | Succs a when l >= seed -> Preds (Access.transpose a)
+        | d -> d)
+      chain.conn
+  in
+  { chain with conn }
+
 (* Full sparse tiling over a chain from a seed partitioning of loop
    [seed]. Returns one tile function per loop (all with the same
-   n_tiles). Backward growth needs successor connectivity — the
-   transpose of [conn] — unless [shared_succ] already provides it
-   (the paper's symmetric-dependence overhead reduction, Section 6:
-   when two dependence sets satisfy the same constraints the inspector
-   traverses only one). *)
-let full ?(shared_succ = []) ?grow_backward:gb ~chain ~seed
-    ~(seed_tiles : tile_fn) () =
+   n_tiles). Each set is walked once, in the orientation the chain
+   stores it: backward growth gathers over successor rows or scatters
+   over predecessor rows, forward growth gathers over predecessor rows
+   or scatters over successor rows. So a kernel whose two dependence
+   sets are both the interaction access (the paper's symmetric
+   dependences, Section 6) builds no transpose at all. *)
+let full ~chain ~seed ~(seed_tiles : tile_fn) () =
   let l_count = n_loops chain in
   if seed < 0 || seed >= l_count then invalid "Sparse_tile.full: seed";
   if Array.length seed_tiles.tile_of <> chain.loop_sizes.(seed) then
     invalid "Sparse_tile.full: seed partition size";
   let tiles = Array.make l_count seed_tiles in
   for l = seed - 1 downto 0 do
+    let next = tiles.(l + 1) in
     tiles.(l) <-
-      (match gb with
-      | Some grow ->
-        (* A substituted grower (scatter-min) walks the predecessor
-           set [conn.(l)] directly, so neither the shared symmetric
-           twin nor a transpose is needed. *)
-        grow ~conn:chain.conn.(l) ~next:tiles.(l + 1)
-      | None ->
-        let succ_conn =
-          match List.assoc_opt l shared_succ with
-          | Some shared -> shared
-          | None -> Access.transpose chain.conn.(l)
-        in
-        grow_backward ~conn:succ_conn ~next:tiles.(l + 1))
+      (match chain.conn.(l) with
+      | Succs conn -> grow_backward ~conn ~next
+      | Preds conn -> grow_backward_scatter ~conn ~next)
   done;
   for l = seed + 1 to l_count - 1 do
-    tiles.(l) <- grow_forward ~conn:chain.conn.(l - 1) ~prev:tiles.(l - 1)
+    let prev = tiles.(l - 1) in
+    tiles.(l) <-
+      (match chain.conn.(l - 1) with
+      | Preds conn -> grow_forward ~conn ~prev
+      | Succs conn -> grow_forward_scatter ~conn ~prev)
   done;
   tiles
 
@@ -196,27 +271,44 @@ let cache_block ~chain ~(seed_tiles : tile_fn) =
   let leftover = seed_tiles.n_tiles in
   let tiles = Array.make l_count seed_tiles in
   for l = 1 to l_count - 1 do
+    let prev = tiles.(l - 1) in
     tiles.(l) <-
-      grow_cache_block ~leftover ~conn:chain.conn.(l - 1) ~prev:tiles.(l - 1)
+      (match chain.conn.(l - 1) with
+      | Preds conn -> grow_cache_block ~leftover ~conn ~prev
+      | Succs conn -> grow_cache_block_scatter ~leftover ~conn ~prev)
   done;
   let n_tiles = leftover + 1 in
   Array.map (fun t -> { t with n_tiles }) tiles
 
 (* Run-time legality check: every dependence edge a -> b between
    adjacent loops must satisfy tile(a) <= tile(b). Returns the list of
-   violated (loop_pair, a, b) triples (empty = legal). Plain loops over
-   [ptr]/[dat], so a legal chain allocates nothing per iteration. *)
+   violated (loop_pair, a, b) triples (empty = legal), in the order
+   the stored rows list them. Plain loops over [ptr]/[dat], so a legal
+   chain allocates nothing per edge. *)
 let check_legality ~chain ~tiles =
   let violations = ref [] in
   Array.iteri
-    (fun l (conn : Access.t) ->
+    (fun l deps ->
       let src = tiles.(l).tile_of and dst = tiles.(l + 1).tile_of in
-      for b = 0 to Access.n_iter conn - 1 do
-        for idx = conn.Access.ptr.(b) to conn.Access.ptr.(b + 1) - 1 do
-          let a = conn.Access.dat.(idx) in
-          if src.(a) > dst.(b) then violations := (l, a, b) :: !violations
+      match deps with
+      | Preds (conn : Access.t) ->
+        let ptr = conn.Access.ptr and dat = conn.Access.dat in
+        for b = 0 to Access.n_iter conn - 1 do
+          let tb = dst.(b) in
+          for idx = ptr.(b) to ptr.(b + 1) - 1 do
+            let a = dat.(idx) in
+            if src.(a) > tb then violations := (l, a, b) :: !violations
+          done
         done
-      done)
+      | Succs conn ->
+        let ptr = conn.Access.ptr and dat = conn.Access.dat in
+        for a = 0 to Access.n_iter conn - 1 do
+          let ta = src.(a) in
+          for idx = ptr.(a) to ptr.(a + 1) - 1 do
+            let b = dat.(idx) in
+            if ta > dst.(b) then violations := (l, a, b) :: !violations
+          done
+        done)
     chain.conn;
   List.rev !violations
 

@@ -21,19 +21,28 @@ type t = {
 
 (* Tile DAG edges from the chain's dependences: collect packed int
    keys [ta * n_tiles + tb] into a pooled scratch buffer, then
-   sort-and-dedup — no Hashtbl, no tuple boxing per touch. *)
+   sort-and-dedup — no Hashtbl, no tuple boxing per touch. Each set is
+   read in its stored orientation; sort-and-dedup makes the result
+   independent of the order the edges come in. *)
 let tile_edges ~(chain : Sparse_tile.chain) ~(tiles : Sparse_tile.tile_fn array) =
   let n_tiles = tiles.(0).Sparse_tile.n_tiles in
   Irgraph.Scratch.with_buf @@ fun buf ->
+  let push ta tb = if ta <> tb then Irgraph.Scratch.push buf ((ta * n_tiles) + tb) in
   Array.iteri
-    (fun l (conn : Access.t) ->
-      let t_src = tiles.(l) and t_dst = tiles.(l + 1) in
-      for b = 0 to Access.n_iter conn - 1 do
-        let tb = t_dst.Sparse_tile.tile_of.(b) in
-        Access.iter_touches conn b (fun a ->
-            let ta = t_src.Sparse_tile.tile_of.(a) in
-            if ta <> tb then Irgraph.Scratch.push buf ((ta * n_tiles) + tb))
-      done)
+    (fun l (deps : Sparse_tile.deps) ->
+      let src = tiles.(l).Sparse_tile.tile_of in
+      let dst = tiles.(l + 1).Sparse_tile.tile_of in
+      match deps with
+      | Sparse_tile.Preds conn ->
+        for b = 0 to Access.n_iter conn - 1 do
+          let tb = dst.(b) in
+          Access.iter_touches conn b (fun a -> push src.(a) tb)
+        done
+      | Sparse_tile.Succs conn ->
+        for a = 0 to Access.n_iter conn - 1 do
+          let ta = src.(a) in
+          Access.iter_touches conn a (fun b -> push ta dst.(b))
+        done)
     chain.Sparse_tile.conn;
   Irgraph.Scratch.sort_dedup buf;
   Array.init (Irgraph.Scratch.length buf) (fun i ->

@@ -330,7 +330,7 @@ let test_no_stale_specialization () =
   let state = Repair.prepare fst_plan cold in
   let old_sched = Option.get cold.Inspector.schedule in
   let old_shape = Reorder.Shape.analyze old_sched in
-  let old_spec = Specialize.make kernel old_sched in
+  let old_key = Specialize.schedule_key kernel old_sched in
   let churned, damage = churn d in
   let kernel' = Kernels.Moldyn.of_dataset churned in
   let repaired, info = Repair.repair ~policy:`Repair state kernel' ~damage in
@@ -339,10 +339,10 @@ let test_no_stale_specialization () =
   Alcotest.(check bool)
     "old shape index does not apply to the repaired schedule" false
     (Reorder.Shape.for_schedule old_shape new_sched);
-  let new_spec = Specialize.make repaired.Inspector.kernel new_sched in
+  let new_key = Specialize.schedule_key repaired.Inspector.kernel new_sched in
   Alcotest.(check bool)
     "specialization key re-fingerprints" true
-    (old_spec.Specialize.key <> new_spec.Specialize.key)
+    (old_key <> new_key)
 
 (* ------------------------------------------------------------------ *)
 

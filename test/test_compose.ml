@@ -682,6 +682,81 @@ let test_gpart_seeded_fst () =
   Alcotest.(check bool) "gpart-seeded FST correct" true
     (Kernels.Kernel.snapshots_close ~rtol:1e-9 expected got)
 
+(* [Legality.check] rebuilds the tile functions and checks coverage in
+   one pass, and reads moldyn's second dependence set as the pairs'
+   successor rows: it must reject a schedule that misses an iteration,
+   one that holds an iteration twice, and one that breaks an edge of
+   that successor-form set. *)
+let legality_subject () =
+  let r =
+    Inspector.run (Plan.with_fst ~seed_part_size:24 Plan.cpack_lexgroup)
+      (test_kernel "moldyn")
+  in
+  let sched = Option.get r.Inspector.schedule in
+  let loop_sizes = r.Inspector.kernel.Kernels.Kernel.loop_sizes in
+  (r, Legality.tile_fns_of_schedule sched ~loop_sizes)
+
+let rejects what (r : Inspector.result) sched ~prefix =
+  match Legality.check { r with Inspector.schedule = Some sched } with
+  | Ok () -> Alcotest.failf "%s: accepted" what
+  | Error m ->
+    Alcotest.(check bool)
+      (Fmt.str "%s: %s" what m) true
+      (String.starts_with ~prefix m)
+
+let with_loop0 tiles f =
+  Array.mapi
+    (fun l (tf : Reorder.Sparse_tile.tile_fn) ->
+      if l = 0 then { tf with tile_of = f tf.Reorder.Sparse_tile.tile_of }
+      else tf)
+    tiles
+
+let test_legality_rejects_missing () =
+  let r, tiles = legality_subject () in
+  (Alcotest.(check bool) "the subject is legal" true (Legality.check r = Ok ()));
+  let tiles = with_loop0 tiles (fun t -> Array.sub t 0 (Array.length t - 1)) in
+  rejects "missing iteration" r
+    (Reorder.Schedule.of_tile_fns tiles)
+    ~prefix:"schedule does not cover"
+
+let test_legality_rejects_duplicate () =
+  let r, tiles = legality_subject () in
+  (* Loop 0's last iteration renamed to iteration 0: the loop's rows
+     still hold as many items as it has iterations, iteration 0
+     twice. *)
+  let n = Array.length tiles.(0).Reorder.Sparse_tile.tile_of in
+  let twice =
+    Reorder.Perm.unsafe_of_forward
+      (Array.init n (fun i -> if i = n - 1 then 0 else i))
+  in
+  rejects "duplicated iteration" r
+    (Reorder.Schedule.remap_loop (Reorder.Schedule.of_tile_fns tiles) ~loop:0
+       twice)
+    ~prefix:"schedule does not cover"
+
+let test_legality_rejects_successor_violation () =
+  let r, _ = legality_subject () in
+  let k = r.Inspector.kernel in
+  let chain = k.Kernels.Kernel.chain_of_access k.Kernels.Kernel.access in
+  (match chain.Reorder.Sparse_tile.conn.(1) with
+  | Reorder.Sparse_tile.Succs _ -> ()
+  | Reorder.Sparse_tile.Preds _ ->
+    Alcotest.fail "moldyn's second set is stored as successor rows");
+  (* Pair 0 alone in tile 1, everything else in tile 0: its force
+     scatter then runs after the velocity updates of its endpoints. *)
+  let tiles =
+    Array.mapi
+      (fun l n ->
+        {
+          Reorder.Sparse_tile.n_tiles = 2;
+          tile_of = Array.init n (fun i -> if l = 1 && i = 0 then 1 else 0);
+        })
+      k.Kernels.Kernel.loop_sizes
+  in
+  rejects "successor-form edge" r
+    (Reorder.Schedule.of_tile_fns tiles)
+    ~prefix:"dependence violated between loops 1 and 2: 0 -> "
+
 (* The compile-time composition formulas, evaluated with the run-time
    reordering functions as the UFS interpretation, must equal the
    inspector's composed permutations — the framework's central
@@ -908,6 +983,15 @@ let () =
             test_multilevel_plan_correct;
           Alcotest.test_case "lexsort/bucket plans" `Quick
             test_other_iter_reorders_correct;
+        ] );
+      ( "legality",
+        [
+          Alcotest.test_case "rejects a missing iteration" `Quick
+            test_legality_rejects_missing;
+          Alcotest.test_case "rejects a duplicated iteration" `Quick
+            test_legality_rejects_duplicate;
+          Alcotest.test_case "rejects a successor-form violation" `Quick
+            test_legality_rejects_successor_violation;
         ] );
       ( "consistency",
         [

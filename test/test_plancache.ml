@@ -160,12 +160,9 @@ let test_schedule_key_known_answer () =
   if (Sys.ocaml_version, Sys.word_size, Sys.os_type) <> ("5.1.1", 64, "Unix")
   then Alcotest.skip ();
   let r = Inspector.run key_plan (test_kernel ()) in
-  let spec =
-    Specialize.make ~tier_b:false ~verify:false r.Inspector.kernel
-      (Option.get r.Inspector.schedule)
-  in
-  Alcotest.(check string) "Specialize.make key" "073c60e23123bdd6"
-    spec.Specialize.key
+  Alcotest.(check string) "Specialize.schedule_key" "073c60e23123bdd6"
+    (Specialize.schedule_key r.Inspector.kernel
+       (Option.get r.Inspector.schedule))
 
 (* Hashing folds bytes into an unboxed local and writes the builder
    once per call, so it allocates a few words per call, never per

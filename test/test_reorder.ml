@@ -156,6 +156,48 @@ let test_grow_backward_scatter_allocation () =
     (fun () -> Sparse_tile.grow_backward_scatter ~conn ~next)
     ~output:tile_fn_output
 
+(* The legality check walks each set in its stored orientation: on a
+   legal tiling it allocates nothing per edge, so in particular no
+   transpose of either set. *)
+let test_check_legality_allocation () =
+  let acc = alloc_pairs () in
+  let chain =
+    Sparse_tile.make_oriented_chain
+      ~loop_sizes:[| alloc_n_data; alloc_n_iter; alloc_n_data |]
+      ~conn:Sparse_tile.[| Preds acc; Succs acc |]
+  in
+  let seed_tiles =
+    Sparse_tile.tile_fn_of_partition
+      (Irgraph.Partition.block ~n:alloc_n_iter ~part_size:1000)
+  in
+  let tiles = Sparse_tile.full ~chain ~seed:1 ~seed_tiles () in
+  check_allocation "check_legality"
+    (fun () -> Sparse_tile.check_legality ~chain ~tiles)
+    ~output:(fun violations ->
+      Alcotest.(check int) "legal" 0 (List.length violations);
+      0)
+
+(* [Legality.check] on a legal moldyn result: the rebuilt tile
+   functions and the chain's few blocks. A transpose of the access
+   would add [n_nodes + 1 + n_touches] words, about ten times the
+   slack. *)
+let test_legality_check_allocation () =
+  let kernel =
+    Kernels.Moldyn.of_dataset (Datagen.Generators.mol1 ~scale:64 ())
+  in
+  let r =
+    Compose.Inspector.run
+      (Compose.Plan.with_fst ~seed_part_size:64 Compose.Plan.cpack_lexgroup)
+      kernel
+  in
+  let sizes = r.Compose.Inspector.kernel.Kernels.Kernel.loop_sizes in
+  let tile_fns = Array.fold_left (fun acc n -> acc + n + 4) 8 sizes in
+  check_allocation "Legality.check"
+    (fun () -> Compose.Legality.check r)
+    ~output:(fun verdict ->
+      Alcotest.(check bool) "legal" true (verdict = Ok ());
+      tile_fns)
+
 let test_cpack_view_allocation () =
   let base = alloc_pairs () in
   let sigma = Array.init alloc_n_data (fun d -> alloc_n_data - 1 - d) in
@@ -526,6 +568,94 @@ let prop_scatter_growth_matches_transpose =
       in
       scatter.Sparse_tile.n_tiles = gather.Sparse_tile.n_tiles
       && scatter.Sparse_tile.tile_of = gather.Sparse_tile.tile_of)
+
+(* A random chain with each set stored in a random orientation, and
+   its all-predecessor twin over the same edges (duplicates and empty
+   rows included), with random tile functions for every loop. *)
+let arb_oriented_chain =
+  let gen =
+    QCheck.Gen.(
+      let* n_loops = int_range 2 4 in
+      let* loop_sizes = array_repeat n_loops (int_range 1 12) in
+      let* edges =
+        flatten_a
+          (Array.init (n_loops - 1) (fun l ->
+               list_size (int_range 0 30)
+                 (pair
+                    (int_range 0 (loop_sizes.(l) - 1))
+                    (int_range 0 (loop_sizes.(l + 1) - 1)))))
+      in
+      let* succ = array_repeat (n_loops - 1) bool in
+      let* n_tiles = int_range 1 6 in
+      let* tiles =
+        flatten_a
+          (Array.map
+             (fun n -> array_repeat n (int_range 0 (n_tiles - 1)))
+             loop_sizes)
+      in
+      return (loop_sizes, edges, succ, n_tiles, tiles))
+  in
+  QCheck.make
+    ~print:(fun (sizes, _, succ, t, _) ->
+      Printf.sprintf "loop_sizes=[%s] succ=[%s] n_tiles=%d"
+        (String.concat ";" (Array.to_list (Array.map string_of_int sizes)))
+        (String.concat ";" (Array.to_list (Array.map string_of_bool succ)))
+        t)
+    gen
+
+let prop_orientations_agree =
+  QCheck.Test.make
+    ~name:"either orientation: same growth, violations and tile edges"
+    ~count:500 arb_oriented_chain
+    (fun (loop_sizes, edges, succ, n_tiles, tiles) ->
+      let rows n edges =
+        let a = Array.make n [] in
+        List.iter (fun (r, x) -> a.(r) <- x :: a.(r)) (List.rev edges);
+        a
+      in
+      let preds l =
+        Access.of_lists ~n_data:loop_sizes.(l)
+          (rows loop_sizes.(l + 1) (List.map (fun (a, b) -> (b, a)) edges.(l)))
+      in
+      let succs l =
+        Access.of_lists ~n_data:loop_sizes.(l + 1) (rows loop_sizes.(l) edges.(l))
+      in
+      let n_pairs = Array.length edges in
+      let reference =
+        Sparse_tile.make_chain ~loop_sizes ~conn:(Array.init n_pairs preds)
+      in
+      let chain =
+        Sparse_tile.make_oriented_chain ~loop_sizes
+          ~conn:
+            (Array.init n_pairs (fun l ->
+                 if succ.(l) then Sparse_tile.Succs (succs l)
+                 else Sparse_tile.Preds (preds l)))
+      in
+      let tiles = Array.map (fun tile_of -> { Sparse_tile.n_tiles; tile_of }) tiles in
+      let same a b =
+        Array.for_all2
+          (fun (x : Sparse_tile.tile_fn) (y : Sparse_tile.tile_fn) ->
+            x.n_tiles = y.n_tiles && x.tile_of = y.tile_of)
+          a b
+      in
+      let grown chain seed =
+        Sparse_tile.full ~chain ~seed ~seed_tiles:tiles.(seed) ()
+      in
+      let violations chain =
+        List.sort compare (Sparse_tile.check_legality ~chain ~tiles)
+      in
+      List.for_all
+        (fun seed ->
+          let want = grown reference seed in
+          same want (grown chain seed)
+          && same want (grown (Sparse_tile.gather_oriented ~chain ~seed) seed))
+        (List.init (Array.length loop_sizes) Fun.id)
+      && same
+           (Sparse_tile.cache_block ~chain:reference ~seed_tiles:tiles.(0))
+           (Sparse_tile.cache_block ~chain ~seed_tiles:tiles.(0))
+      && violations reference = violations chain
+      && Tile_par.tile_edges ~chain:reference ~tiles
+         = Tile_par.tile_edges ~chain ~tiles)
 
 let prop_cache_block_always_legal =
   QCheck.Test.make ~name:"cache blocking is always legal" ~count:100
@@ -956,6 +1086,10 @@ let () =
             test_grow_forward_allocation;
           Alcotest.test_case "grow_backward_scatter allocation" `Quick
             test_grow_backward_scatter_allocation;
+          Alcotest.test_case "check_legality allocation" `Quick
+            test_check_legality_allocation;
+          Alcotest.test_case "Legality.check allocation" `Quick
+            test_legality_check_allocation;
         ] );
       ( "schedule",
         [
@@ -998,6 +1132,7 @@ let () =
             prop_transpose_involution;
             prop_fst_always_legal;
             prop_scatter_growth_matches_transpose;
+            prop_orientations_agree;
             prop_cache_block_always_legal;
             prop_schedule_covers;
             prop_schedule_flat_matches_nested;

@@ -423,7 +423,7 @@ let test_concurrent_writers () =
   if not (have_toolchain ()) then ()
   else begin
     let k, sched = writer_input () in
-    let key = (Specialize.make ~tier_b:false ~verify:false k sched).Specialize.key in
+    let key = Specialize.schedule_key k sched in
     let root = Filename.temp_dir "rtrt-spec-writers" "" in
     let statuses =
       Self_exec.run_children 2
@@ -470,7 +470,7 @@ let test_damaged_cmxs () =
   if not (have_toolchain ()) then ()
   else begin
     let k, sched = writer_input () in
-    let key = (Specialize.make ~tier_b:false ~verify:false k sched).Specialize.key in
+    let key = Specialize.schedule_key k sched in
     let name = Printf.sprintf "spec_irreg_%s.cmxs" key in
     (* Run one child over a fresh cache directory holding [contents]
        (none: empty) as the module; returns its exit status and the
