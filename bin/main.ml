@@ -16,20 +16,20 @@
      rtrt autotune            cost-model plan search for one configuration
      rtrt churn               repair-vs-cold re-inspection under graph churn
      rtrt bench               one wall-clock table and its BENCH_*.json
-                              (--only hotpath|inspector|par|autotune|
-                               churn|plancache)
+                              (--only hotpath|inspector|autotune|churn|
+                               plancache)
      rtrt bench-diff          regression gate between two BENCH_*.json files
      rtrt json                one figure's table as rtrt.table/1 JSON
      rtrt trace-report        span-tree summary of a JSONL trace
      rtrt all                 the figure suite end to end
 
    Every command honours RTRT_TRACE (pretty | jsonl[:PATH]) and the
-   --trace flag; see the README's Observability section. *)
+   --trace flag; see the README's Observability section. Every command
+   runs the serial executor; Section 4's tile-level parallelism is
+   modeled (rtrt gs, ablation A6), not run. *)
 
 open Cmdliner
 
-(* The figure commands run serial: the paper's executors are, and its
-   Section 4 models tile-level parallelism rather than running it. *)
 let config_of ?cache_dir ~scale ~steps () =
   let plan_cache =
     match cache_dir with
@@ -41,7 +41,6 @@ let config_of ?cache_dir ~scale ~steps () =
     Harness.Figures.scale;
     trace_steps = steps;
     wall_steps = max steps 3;
-    domains = 1;
     plan_cache;
   }
 

@@ -14,7 +14,7 @@ let () =
     (Kernels.Kernel.bytes_per_node kernel);
 
   let config =
-    { Harness.Figures.scale = 48; trace_steps = 2; wall_steps = 3; domains = 1;
+    { Harness.Figures.scale = 48; trace_steps = 2; wall_steps = 3;
       plan_cache = None }
   in
   List.iter

@@ -26,17 +26,6 @@ let has_sparse_tiling p =
     (function Transform.Sparse_tile _ -> true | _ -> false)
     p.transforms
 
-(* Only Full growth guarantees that same-level tiles at non-adjacent
-   chain positions never share data (conn-path transitivity), which the
-   phase-major parallel executor's bitwise claim rests on; Cache_block
-   tilings are excluded from parallel measurement. *)
-let has_full_growth p =
-  List.exists
-    (function
-      | Transform.Sparse_tile { growth = Transform.Full; _ } -> true
-      | _ -> false)
-    p.transforms
-
 (* Static validation of composition rules (Section 4):
    - iteration reorderings that ignore dependences (lexGroup, lexSort,
      bucket tiling) may not follow a sparse tiling: they would destroy

@@ -13,11 +13,6 @@ val n_data_reorders : t -> int
 
 val has_sparse_tiling : t -> bool
 
-(** The plan sparse-tiles with Full growth: the tilings whose
-    same-level tiles never share data, so the parallel executor may
-    run them. *)
-val has_full_growth : t -> bool
-
 (** Static composition rules (Section 4): no dependence-free iteration
     reordering after sparse tiling, tilePack only after sparse tiling,
     at most one sparse tiling. *)

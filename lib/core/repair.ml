@@ -193,23 +193,14 @@ let reset state (result : Inspector.result) =
     match result.Inspector.schedule with
     | None -> (None, 0, [||], None)
     | Some sched ->
-      let n_loops = Schedule.n_loops sched in
-      let n_tiles = Schedule.n_tiles sched in
-      let items = Schedule.flat_items sched in
       let tiles =
-        Array.init n_loops (fun l ->
-            Array.make k.Kernels.Kernel.loop_sizes.(l) 0)
+        Array.map
+          (fun (f : Sparse_tile.tile_fn) -> f.Sparse_tile.tile_of)
+          (Legality.tile_fns_of_schedule sched
+             ~loop_sizes:k.Kernels.Kernel.loop_sizes)
       in
-      for t = 0 to n_tiles - 1 do
-        for l = 0 to n_loops - 1 do
-          let lo, hi = Schedule.row sched ~tile:t ~loop:l in
-          for p = lo to hi - 1 do
-            tiles.(l).(items.(p)) <- t
-          done
-        done
-      done;
-      (Some (Array.copy tiles.(k.Kernels.Kernel.seed_loop)), n_tiles, tiles,
-       Some sched)
+      (Some (Array.copy tiles.(k.Kernels.Kernel.seed_loop)),
+       Schedule.n_tiles sched, tiles, Some sched)
   in
   let adj =
     match (support, sched) with

@@ -1,16 +1,9 @@
 (* Plan autotuning (ROADMAP item 3): search the validated composition
    space over {cpack, gpart, lexGroup, lexSort, FST, tilePack} with
-   the repo's two cost models composed end to end:
-
-   - locality: the candidate's inspected kernel runs through the
-     Cachesim two-level hierarchy; modeled cycles per step convert to
-     nanoseconds on the machine model's clock;
-   - makespan: for Full-growth sparse-tiled candidates on a live
-     domain pool, the locality prediction is fed into the (fixed)
-     [Exec.decide] Amdahl model as the serial step time, and the
-     candidate scores the cheaper of the two tiers — exactly the time
-     the auto-fallback executor would take if the locality model were
-     the truth.
+   the locality cost model: the candidate's inspected kernel runs
+   through the Cachesim two-level hierarchy, and its modeled cycles
+   per step convert to nanoseconds on the machine model's clock. The
+   executor it scores is the serial one the harness times.
 
    The winner is the score argmin. Because the hand-named standard
    suite is a subset of the candidate space, the winner matches or
@@ -66,44 +59,17 @@ let fingerprint ~machine ~space (kernel : Kernels.Kernel.t) =
 
 type scored = {
   sc_plan : Compose.Plan.t;
-  sc_score_ns : float;  (* effective modeled ns/step: min of the tiers *)
+  sc_score_ns : float;  (* modeled ns/step *)
 }
 
-(* Time steps per pool dispatch the makespan model amortizes one
-   wake-up over. *)
-let batch = 8
-
-(* Score one candidate: inspect, run the cache model, and — when the
-   plan Full-growth-tiles and a multi-lane pool is live — feed the
-   locality prediction into the engine's tier model as the serial
-   step time. The candidate's score is the cheaper tier. *)
-let score ?cache ?pool ?(trace_steps = 2) ~machine plan kernel =
+(* Score one candidate: inspect, then run the cache model for one
+   warm-up step and [trace_steps] counted ones. *)
+let score ?cache ?(trace_steps = 2) ~machine plan kernel =
   let result = Experiment.inspect ?cache plan kernel in
   let cycles, _misses, _accesses, _miss_ratio =
     Experiment.trace_steps result ~machine ~warmup:1 ~steps:trace_steps
   in
-  let locality_ns = Cachesim.Machine.ns_of_cycles machine cycles in
-  let score_ns =
-    match (pool, result.Compose.Inspector.schedule) with
-    | Some pool, Some sched
-      when Rtrt_par.Pool.size pool > 1 && Compose.Plan.has_full_growth plan ->
-      let k = result.Compose.Inspector.kernel in
-      let tiles =
-        Compose.Legality.tile_fns_of_schedule sched
-          ~loop_sizes:k.Kernels.Kernel.loop_sizes
-      in
-      let chain = k.Kernels.Kernel.chain_of_access k.Kernels.Kernel.access in
-      let par = Reorder.Tile_par.analyze ~chain ~tiles in
-      let pe =
-        k.Kernels.Kernel.plan_par ~pool sched
-          ~level_of:par.Reorder.Tile_par.level_of
-      in
-      let d =
-        pe.Kernels.Kernel.par_decide ~serial_ns_per_step:locality_ns ~batch
-      in
-      Float.min locality_ns d.Rtrt_par.Exec.d_modeled_par_ns_per_step
-    | _ -> locality_ns
-  in
+  let score_ns = Cachesim.Machine.ns_of_cycles machine cycles in
   ({ sc_plan = plan; sc_score_ns = score_ns }, result)
 
 (* ------------------------------------------------------------------ *)
@@ -124,7 +90,7 @@ let c_search = Rtrt_obs.Metrics.counter "autotune.search"
 let c_served_cached = Rtrt_obs.Metrics.counter "autotune.served_cached"
 let h_search = Rtrt_obs.Hist.hist "autotune.search"
 
-let search ?cache ?pool ?trace_steps ~machine ~space kernel =
+let search ?cache ?trace_steps ~machine ~space kernel =
   Rtrt_obs.Span.with_ ~name:"autotune.search"
     ~attrs:
       [
@@ -135,7 +101,7 @@ let search ?cache ?pool ?trace_steps ~machine ~space kernel =
   let t0 = Rtrt_obs.Clock.now_ns () in
   let details =
     List.map
-      (fun plan -> fst (score ?cache ?pool ?trace_steps ~machine plan kernel))
+      (fun plan -> fst (score ?cache ?trace_steps ~machine plan kernel))
       space
   in
   let winner =
@@ -158,7 +124,7 @@ let search ?cache ?pool ?trace_steps ~machine ~space kernel =
    stored back. The key hashes every candidate's transform list, so the
    stored name picks the winner out of [space]; a name that is not
    there falls through to a fresh search. *)
-let tune ?cache ?pool ?tuned ?trace_steps ~machine kernel =
+let tune ?cache ?tuned ?trace_steps ~machine kernel =
   let space = candidates_for ~machine kernel in
   let key = fingerprint ~machine ~space kernel in
   let key_hex = Rtrt_plancache.Fingerprint.to_hex key in
@@ -184,9 +150,7 @@ let tune ?cache ?pool ?tuned ?trace_steps ~machine kernel =
       at_key_hex = key_hex;
     }
   | None ->
-    let winner, details =
-      search ?cache ?pool ?trace_steps ~machine ~space kernel
-    in
+    let winner, details = search ?cache ?trace_steps ~machine ~space kernel in
     let scores =
       List.map
         (fun c -> (Compose.Plan.name c.sc_plan, c.sc_score_ns))
@@ -323,7 +287,6 @@ let measure ~(config : Figures.config) () =
   in
   let cells, profile =
     Rtrt_obs.Profile.record ~name:"autotune" (fun () ->
-        Figures.with_config_pool ~config @@ fun pool ->
         List.concat_map
           (fun (bench, datasets) ->
             List.concat_map
@@ -333,7 +296,7 @@ let measure ~(config : Figures.config) () =
                   (fun machine ->
                     let kernel = Figures.kernel_of ~name:bench dataset in
                     let t =
-                      tune ?cache ?pool ~tuned
+                      tune ?cache ~tuned
                         ~trace_steps:config.Figures.trace_steps ~machine
                         kernel
                     in
@@ -407,11 +370,7 @@ let measure ~(config : Figures.config) () =
   {
     T.name = "autotune";
     rows =
-      T.row []
-        [
-          T.info "scale" "divisor" (float_of_int config.Figures.scale);
-          T.info "domains" "domains" (float_of_int config.Figures.domains);
-        ]
+      T.row [] [ T.info "scale" "divisor" (float_of_int config.Figures.scale) ]
       :: cell_rows
       @ List.concat candidate_rows
       @ T.profile_rows [ profile ];

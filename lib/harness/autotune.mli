@@ -1,9 +1,8 @@
 (** Plan autotuning (ROADMAP item 3): search the validated composition
     space over {cpack, gpart, lexGroup, lexSort, FST, tilePack},
     scoring each candidate with the cache-model locality cost
-    (modeled cycles per step on the machine's clock) composed with the
-    {!Rtrt_par.Exec.decide} makespan model for Full-growth tiled
-    candidates on a live pool. Winners are memoized in
+    (modeled cycles per step on the machine's clock) of the serial
+    executor. Winners are memoized in
     {!Rtrt_plancache.Tuned} keyed by (access-pattern fingerprint,
     machine, candidate space); since the key hashes every candidate's
     transform list, an entry names its winner and no longer stores a
@@ -16,10 +15,9 @@
 val candidates_for :
   machine:Cachesim.Machine.t -> Kernels.Kernel.t -> Compose.Plan.t list
 
-(** One scored candidate: its effective modeled nanoseconds per step
-    are the locality model alone, or the cheaper of serial locality
-    and the makespan model's parallel prediction when the candidate
-    Full-growth-tiles on a multi-lane pool. *)
+(** One scored candidate: its modeled nanoseconds per step,
+    {!Cachesim.Machine.ns_of_cycles} of {!Experiment.trace_steps}'
+    cycles (one warm-up step, [trace_steps] counted). *)
 type scored
 
 (** The paper's Section 7 guidance: rank [plans] for a run of
@@ -67,11 +65,10 @@ type t = {
 (** [tune ~machine kernel] scores every plan of {!candidates_for} and
     returns the argmin. [tuned] consults/updates the winner store (a
     stored winner whose name is not in the space is searched afresh);
-    [cache] routes inspections through the plan cache; [pool] enables
-    makespan scoring. Publishes [autotune.*] metrics. *)
+    [cache] routes inspections through the plan cache. Publishes
+    [autotune.*] metrics. *)
 val tune :
   ?cache:Rtrt_plancache.Cache.t ->
-  ?pool:Rtrt_par.Pool.t ->
   ?tuned:Rtrt_plancache.Tuned.t ->
   ?trace_steps:int ->
   machine:Cachesim.Machine.t ->

@@ -2,33 +2,6 @@
     cost, executor wall clock, and modeled cycles from the cache
     simulator. *)
 
-(** Multicore execution of the tiled schedule vs. the serial executor
-    on the identical (level-major renumbered) schedule, plus the
-    Tile_par makespan model's prediction. The executor runs at
-    whatever tier the auto-fallback decision picked ([par_tier],
-    {!Rtrt_par.Exec.tier_name}) with [par_batch] steps per pool
-    dispatch; the pool's calibrated barrier cost and the per-step
-    dispatch/barrier wait observed during the run separate
-    synchronization overhead from work. *)
-type par_measurement = {
-  domains : int;
-  serial_seconds_per_step : float;
-  par_seconds_per_step : float;
-  measured_speedup : float;
-  modeled_speedup : float;
-  modeled_makespan : int;
-  bitwise_equal : bool;
-  par_tier : string;  (** "parallel" or "serial" (auto-fallback) *)
-  par_batch : int;  (** steps per pool dispatch *)
-  modeled_par_seconds_per_step : float;
-      (** the tier decision's modeled parallel step time *)
-  barrier_cost_ns : float;  (** pool calibration, {!Rtrt_par.Pool.barrier_cost_ns} *)
-  dispatch_wait_ns_per_step : float;
-      (** per-step [pool.dispatch_wait] during the parallel run *)
-  barrier_wait_ns_per_step : float;
-      (** per-step per-lane barrier wait during the parallel run *)
-}
-
 (** Plan-cache traffic around one measurement. When [pc_hit], the
     measurement's [inspector_seconds] is the replay cost of a cache
     hit; [pc_cold_inspector_seconds] is what the cold inspection paid,
@@ -50,13 +23,10 @@ type measurement = {
   miss_ratio : float;
   n_data_remaps : int;
   n_tiles : int; (** 1 when not sparse tiled *)
-  par : par_measurement option;
-      (** parallel run, when a multi-domain pool was given and the plan
-          sparse-tiles with Full growth *)
   plancache : plancache_report option;  (** when a cache was given *)
   profile : Rtrt_obs.Profile.phase list;
       (** per-phase GC + monotonic timing deltas (inspect, cache_model,
-          wall_clock, and par when measured) *)
+          wall_clock) *)
 }
 
 (** Run the inspector and verify the result (raises on an illegal
@@ -91,18 +61,13 @@ val wall_clock_steps : Compose.Inspector.result -> steps:int -> float
 (** Measure one plan, inspected with the default (remap-once,
     shared symmetric dependences) inspector: one step warms the
     modeled cache, [trace_steps_n] steps are counted, [wall_steps]
-    steps are timed. When [pool] has more than one domain and the
-    plan sparse-tiles with Full growth, the tiled executor
-    additionally runs on the pool and the serial-vs-parallel
-    comparison lands in [par]. When [cache] is given, the inspection
-    goes through the plan cache and [plancache] reports the hit/miss
-    traffic. The inspection itself is serial. At the end of a
-    measurement the calling domain's scratch pool is trimmed to 1 MiB,
-    so transient inspector working sets do not linger between
-    plans. *)
+    steps are timed on the serial executor. When [cache] is given,
+    the inspection goes through the plan cache and [plancache] reports
+    the hit/miss traffic. At the end of a measurement the calling
+    domain's scratch pool is trimmed to 1 MiB, so transient inspector
+    working sets do not linger between plans. *)
 val measure :
   ?cache:Rtrt_plancache.Cache.t ->
-  ?pool:Rtrt_par.Pool.t ->
   ?layout_of:(Kernels.Kernel.t -> Cachesim.Layout.t) ->
   ?trace_steps_n:int ->
   ?wall_steps:int ->
@@ -130,10 +95,6 @@ val amortization_modeled : base:measurement -> measurement -> float option
     cache or when the plan does not save time. *)
 val amortization_cached :
   base:measurement -> measurement -> (float * float) option
-
-(** The parallel run as BENCH_PAR's table cells: the chosen tier as a
-    note and the other twelve fields as metrics. *)
-val par_cells : par_measurement -> (string * string) list * Table.metric list
 
 (** One measurement as a row labelled [plan]: modeled cycles, misses
     and miss ratio per step, inspector and executor seconds, tiles,

@@ -19,7 +19,6 @@ type config = {
   scale : int;       (* dataset node-count divisor; 1 = paper size *)
   trace_steps : int; (* time steps counted by the cache model *)
   wall_steps : int;  (* time steps for wall-clock measurement *)
-  domains : int;     (* pool width for Parbench and Autotune; figures use 1 *)
   plan_cache : Rtrt_plancache.Cache.t option;
       (* inspections go through the plan cache when set *)
 }
@@ -72,7 +71,6 @@ let summary config =
       T.info "scale" "divisor" (float_of_int config.scale);
       T.info "trace_steps" "steps" (float_of_int config.trace_steps);
       T.info "wall_steps" "steps" (float_of_int config.wall_steps);
-      T.info "domains" "domains" (float_of_int config.domains);
     ]
 
 (* Working-set footprint per benchmark at the PAPER's size, in MB with
@@ -111,37 +109,21 @@ let dataset_table ~config () =
 (* ------------------------------------------------------------------ *)
 (* Figures 6/7: normalized executor time without overhead              *)
 
-(* One pool for a whole figure table: every row's measurements reuse
-   the same domains (and the same one-shot barrier calibration), so no
-   row pays domain spawn cost, and the lane count is stable across a
-   report, which Parbench asserts. *)
-let with_config_pool ~config f =
-  if config.domains > 1 then
-    Rtrt_par.Pool.with_pool ~domains:config.domains (fun pool -> f (Some pool))
-  else f None
-
-let run_suite ?pool ~machine ~config kernel =
-  let measure_all pool =
-    let plans = suite_for ~machine kernel in
-    List.map
-      (fun plan ->
-        Experiment.measure ?cache:config.plan_cache ?pool
-          ~trace_steps_n:config.trace_steps ~wall_steps:config.wall_steps
-          ~machine ~plan kernel)
-      plans
-  in
-  match pool with
-  | Some _ -> measure_all pool
-  | None -> with_config_pool ~config measure_all
+let run_suite ~machine ~config kernel =
+  List.map
+    (fun plan ->
+      Experiment.measure ?cache:config.plan_cache
+        ~trace_steps_n:config.trace_steps ~wall_steps:config.wall_steps
+        ~machine ~plan kernel)
+    (suite_for ~machine kernel)
 
 let measure_pairings ~machine ~config () =
-  with_config_pool ~config @@ fun pool ->
   List.concat_map
     (fun (bench, datasets) ->
       List.map
         (fun ds_name ->
           let kernel = kernel_of ~name:bench (dataset_of ~config ds_name) in
-          (bench, ds_name, run_suite ?pool ~machine ~config kernel))
+          (bench, ds_name, run_suite ~machine ~config kernel))
         datasets)
     pairings
 

@@ -1,16 +1,13 @@
 (** Drivers regenerating every measured table/figure of the paper, each
     as a {!Table.t}; the CLI, the bench suites and the tests all
     consume these. Every figure table opens with a summary row without
-    labels (scale, trace_steps, wall_steps, domains). *)
+    labels (scale, trace_steps, wall_steps). Every measurement runs
+    the serial executor. *)
 
 type config = {
   scale : int;       (** dataset node-count divisor; 1 = paper size *)
   trace_steps : int; (** time steps counted by the cache model *)
   wall_steps : int;  (** time steps for wall-clock measurement *)
-  domains : int;
-      (** pool width; > 1 additionally runs Full-growth tiled
-          executors on a domain pool and measures their speedup
-          ({!Parbench}, {!Autotune}). The figure commands pass 1. *)
   plan_cache : Rtrt_plancache.Cache.t option;
       (** inspections go through the plan cache when set *)
 }
@@ -24,12 +21,6 @@ val kernel_of : name:string -> Datagen.Dataset.t -> Kernels.Kernel.t
 
 val dataset_of : config:config -> string -> Datagen.Dataset.t
 
-(** Run [f] with one pool for a whole table when [config.domains > 1]
-    (rows share the domains and the one-shot barrier calibration),
-    or with [None] otherwise. *)
-val with_config_pool :
-  config:config -> (Rtrt_par.Pool.t option -> 'a) -> 'a
-
 (** Gpart nodes-per-partition for a cache-byte target. *)
 val gpart_size_for : target_bytes:int -> Kernels.Kernel.t -> int
 
@@ -40,25 +31,12 @@ val seed_size_for : target_bytes:int -> Kernels.Kernel.t -> int
 (** The ten standard compositions, sized for a machine's L1. *)
 val suite_for : machine:Cachesim.Machine.t -> Kernels.Kernel.t -> Compose.Plan.t list
 
-(** Measure the full suite on one kernel. [pool] reuses an existing
-    domain pool across measurements (the figure drivers thread one
-    pool through every row so repeated measurements never pay domain
-    spawn or recalibration cost); without it, a pool is created for
-    this call when [config.domains > 1]. *)
+(** Measure the full suite on one kernel. *)
 val run_suite :
-  ?pool:Rtrt_par.Pool.t ->
   machine:Cachesim.Machine.t ->
   config:config ->
   Kernels.Kernel.t ->
   Experiment.measurement list
-
-(** {!run_suite} on every pairing, all on one pool: (bench, dataset,
-    measurements) in {!pairings} order. *)
-val measure_pairings :
-  machine:Cachesim.Machine.t ->
-  config:config ->
-  unit ->
-  (string * string * Experiment.measurement list) list
 
 (** Section 2.4 dataset table: one row per dataset with the generated
     [nodes]/[edges], the paper's [paper_nodes]/[paper_edges] and each

@@ -8,7 +8,6 @@ module Figures = Figures
 module Ablations = Ablations
 module Hotpath = Hotpath
 module Inspctime = Inspctime
-module Parbench = Parbench
 module Churnbench = Churnbench
 module Autotune = Autotune
 module Benchdiff = Benchdiff

@@ -7,7 +7,6 @@ type t = {
   name : string;
   doc : string;
   scale : int;
-  domains : int;
   wall_steps : int;
   table : Figures.config -> Table.t;
 }
@@ -86,11 +85,7 @@ let plancache_table config =
   }
 
 (* Scale 24 keeps the hot-path and inspector tables under a minute on
-   a CI runner; the others run at 64. The parallel-speedup ratio
-   divides two short wall-clock windows, so par times 32 steps per
-   window: shorter windows leave it wobbling tens of percent run to
-   run on throttled cgroup hosts, where a CPU-quota stall lands in one
-   window and not the other. *)
+   a CI runner; the others run at 64. *)
 let all =
   [
     {
@@ -100,7 +95,6 @@ let all =
          tiled-vs-plain steady state, the specialized-executor tiers, and \
          the inspector phase breakdown";
       scale = 24;
-      domains = 1;
       wall_steps = 3;
       table = (fun c -> Hotpath.measure ~scale:c.Figures.scale ());
     };
@@ -110,30 +104,15 @@ let all =
         "cold-inspection cost, remap-each vs remap-once, with bit-identity \
          checks";
       scale = 24;
-      domains = 1;
       wall_steps = 3;
       table = (fun c -> Inspctime.measure ~scale:c.Figures.scale ());
-    };
-    {
-      name = "par";
-      doc =
-        "serial vs domain-pool tiled execution with the makespan model's \
-         prediction, on 4 domains";
-      scale = 64;
-      domains = 4;
-      wall_steps = 32;
-      table =
-        (fun config ->
-          Parbench.measure ~machine:Cachesim.Machine.pentium4 ~config ());
     };
     {
       name = "autotune";
       doc =
         "cost-model plan search per (bench, dataset, machine) cell with the \
-         winner's and the best hand-named plan's wall clocks, scored with \
-         the makespan model on 2 domains";
+         winner's and the best hand-named plan's wall clocks";
       scale = 64;
-      domains = 2;
       wall_steps = 8;
       table = (fun config -> Autotune.measure ~config ());
     };
@@ -144,7 +123,6 @@ let all =
          1/2/5/10% of interactions, with bit-identity checks and \
          steps-to-amortize";
       scale = 64;
-      domains = 1;
       wall_steps = 3;
       table = (fun c -> Churnbench.measure ~scale:c.Figures.scale ());
     };
@@ -155,7 +133,6 @@ let all =
          plan cache, with the cached break-even (RTRT_PLAN_CACHE_DIR adds \
          the disk tier)";
       scale = 64;
-      domains = 1;
       wall_steps = 3;
       table = plancache_table;
     };
@@ -168,7 +145,6 @@ let config ?scale s =
     Figures.scale = Option.value scale ~default:s.scale;
     trace_steps = 2;
     wall_steps = s.wall_steps;
-    domains = s.domains;
     plan_cache = None;
   }
 

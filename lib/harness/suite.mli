@@ -7,12 +7,11 @@ type t = {
   name : string;  (** the [--only] value *)
   doc : string;  (** one sentence for [--help] *)
   scale : int;  (** default dataset scale *)
-  domains : int;  (** pool width: 4 for par, 2 for autotune, else 1 *)
   wall_steps : int;  (** executor steps per wall-clock window *)
   table : Figures.config -> Table.t;  (** measure the table *)
 }
 
-(** hotpath, inspector, par, autotune, churn, plancache. *)
+(** hotpath, inspector, autotune, churn, plancache. *)
 val all : t list
 
 (** [BENCH_<NAME>.json]. *)

@@ -75,6 +75,30 @@ let test_winner_beats_named () =
           (r.A.at_winner_score_ns <= s))
     (Harness.Figures.suite_for ~machine kernel)
 
+(* The score is the cache model alone: every candidate's entry is its
+   modeled cycles per step (one warm-up step, two counted) on the
+   machine's clock. No pool width enters a score, so none needs to be
+   in the tuned key. *)
+let test_scores_are_the_cache_model () =
+  let kernel = test_kernel () in
+  let space = A.candidates_for ~machine kernel in
+  let r = A.tune ~machine kernel in
+  Alcotest.(check (list string))
+    "one score per candidate, in space order"
+    (List.map Plan.name space)
+    (List.map fst r.A.at_scores);
+  List.iter2
+    (fun plan (name, score) ->
+      let result = Harness.Experiment.inspect plan kernel in
+      let cycles, _, _, _ =
+        Harness.Experiment.trace_steps result ~machine ~warmup:1 ~steps:2
+      in
+      Alcotest.(check (float 0.0))
+        (name ^ " scores its modeled ns per step")
+        (Cachesim.Machine.ns_of_cycles machine cycles)
+        score)
+    space r.A.at_scores
+
 (* ------------------------------------------------------------------ *)
 (* Tuned store and bit-identical replay                                *)
 
@@ -366,6 +390,8 @@ let () =
         [
           Alcotest.test_case "winner beats every named plan" `Slow
             test_winner_beats_named;
+          Alcotest.test_case "scores are the cache model" `Slow
+            test_scores_are_the_cache_model;
           Alcotest.test_case "tuned store round trip + replay" `Slow
             test_tuned_store_roundtrip;
           Alcotest.test_case "tuned store keyed by machine" `Slow

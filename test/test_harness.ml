@@ -16,7 +16,6 @@ let mk ?(plan = "p") ?(insp = 1.0) ?(exec = 1.0) ?(cycles = 100.0) () =
     miss_ratio = 0.1;
     n_data_remaps = 1;
     n_tiles = 1;
-    par = None;
     plancache = None;
     profile = [];
   }
@@ -68,7 +67,7 @@ let test_sizing () =
     (Harness.Figures.seed_size_for ~target_bytes:64 kernel)
 
 let tiny =
-  { Harness.Figures.scale = 512; trace_steps = 1; wall_steps = 1; domains = 1;
+  { Harness.Figures.scale = 512; trace_steps = 1; wall_steps = 1;
     plan_cache = None }
 
 (* A figure table's rows after its unlabelled summary row, outside the
@@ -670,5 +669,5 @@ let () =
       ( "bench suites",
         List.map
           (fun name -> Alcotest.test_case name `Slow (test_suite name))
-          [ "inspector"; "par"; "autotune"; "churn"; "plancache" ] );
+          [ "inspector"; "autotune"; "churn"; "plancache" ] );
     ]
