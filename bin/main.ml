@@ -8,7 +8,6 @@
      rtrt figure17            cache-size-target parameter sweep
      rtrt symbolic            Section 5 symbolic composition report
      rtrt codegen             Figures 10-15 generated pseudo-code
-                              (--plan also prints the Tier B executor)
      rtrt gs                  Gauss-Seidel sparse tiling (E-GS)
      rtrt guide               Section 7 runtime composition selection
      rtrt ablations           design-choice ablations A1-A9
@@ -365,32 +364,7 @@ let run_codegen bench ds plan_name scale =
      plan %a@.@."
     bench Compose.Plan.pp plan;
   let st = Compose.Symbolic.apply (Compose.Symbolic.create program) plan in
-  print_string (Compose.Codegen.full_report st ~program);
-  (* With an explicit plan, additionally freeze the schedule on the
-     real dataset and print the Tier B executor module the specializer
-     would compile for it. *)
-  match plan_name with
-  | None -> ()
-  | Some _ -> (
-    let result = Harness.Experiment.inspect plan kernel in
-    match result.Compose.Inspector.schedule with
-    | None ->
-      Fmt.pr
-        "@.(plan does not sparse-tile: no frozen schedule, no Tier B \
-         executor)@."
-    | Some sched -> (
-      match
-        Compose.Specialize.dump_source result.Compose.Inspector.kernel sched
-      with
-      | None ->
-        Fmt.pr
-          "@.(Tier B emitter declined this schedule — source budget \
-           exceeded)@."
-      | Some src ->
-        Fmt.pr
-          "@.Tier B specialized executor (dataset %s, scale %d):@.@."
-          ds scale;
-        print_string src))
+  print_string (Compose.Codegen.full_report st ~program)
 
 let run_all ?cache_dir scale steps =
   run_symbolic ();
@@ -520,10 +494,8 @@ let codegen_cmd =
       & opt (some string) None
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
-            "Also print the Tier B specialized executor source for this \
-             plan's frozen schedule on the real dataset: a plan name from \
-             the candidate space (e.g. $(b,CLCL+FST)). This is the exact \
-             OCaml module Tier B compiles and Dynlinks.")
+            "The plan to report, a name from the candidate space (e.g. \
+             $(b,CLCL+FST)); the default is CLCL+FST.")
   in
   Cmd.v
     (Cmd.info "codegen"

@@ -209,156 +209,3 @@ let full_report (st : Symbolic.state) ~(program : Symbolic.program) =
   buf_add b "\n";
   buf_add b (executor st ~program);
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Tier B: real OCaml emission for a frozen schedule (ROADMAP item 2).
-
-   Everything above renders pseudo-code for inspection; this section
-   emits a compilable OCaml module specialized to one (kernel,
-   schedule) pair. The module opens with the kernel's body file
-   verbatim (Kernels.Body_files, the text the kernel's own module is
-   compiled from), so its loop bodies are the walker's. The rest is
-   table-driven: the schedule's row bounds and its {!Reorder.Shape} run
-   table become array literals, and each chain class gets two closed
-   loop functions that call its body (one streams a run of consecutive
-   ids, one walks a dense row's items slice). A single tile loop hands
-   every row to them, so the source grows with the number of rows and
-   runs, not with body size times runs. The module depends only on
-   Stdlib and hands its executor to the host through
-   [Callback.register] (see Compose.Specialize for the compile /
-   Dynlink / cache pipeline).
-
-   Emitted executor type:  int array array -> float array array ->
-   int -> unit, the kernel's [exec_arrays] with the schedule's [items]
-   appended to the int arrays. Each body takes the arrays in that
-   order, then the iteration. *)
-
-(* Each kernel's body file and its chain classes' body names. *)
-let bodies =
-  Kernels.Body_files.
-    [
-      ("moldyn", (moldyn, [| "position"; "pair"; "velocity" |]));
-      ("nbf", (nbf, [| "update"; "pair" |]));
-      ("irreg", (irreg, [| "edge"; "node" |]));
-    ]
-
-(* Rows whose run count is at most this stream their runs through the
-   run function; denser rows walk their items slice instead, and their
-   runs stay out of the emitted run table. *)
-let inline_runs_max = 8
-
-(* Schedules past this stay on Tier A. The source is almost all table
-   entries, two per row and two per streamed run, which ocamlopt
-   compiles at about 1.4 MB/s: moldyn on mol1 at paper size under
-   CL+FST (1.4M iterations) emits 1.25 MB and compiles in 0.9 s. *)
-let max_source_bytes = 1 lsl 21 (* 2 MiB *)
-
-let specialized_source (kernel : Kernels.Kernel.t) ~key
-    (sched : Reorder.Schedule.t) (shape : Reorder.Shape.t) =
-  match List.assoc_opt kernel.Kernels.Kernel.name bodies with
-  | None -> None
-  | Some _ when not (Reorder.Shape.for_schedule shape sched) -> None
-  | Some (body_file, classes) ->
-    let b = Buffer.create 16384 in
-    let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    (* The tables are the bulk of the source: give up as soon as they
-       overflow the budget rather than after building all of it. *)
-    let table name arr =
-      add "let %s : int array = [|" name;
-      Array.iteri
-        (fun i v ->
-          if i mod 16 = 0 then begin
-            if Buffer.length b > max_source_bytes then raise_notrace Exit;
-            add "\n  "
-          end;
-          add "%d;" v)
-        arr;
-      add "\n|]\n"
-    in
-    let n_tiles = Reorder.Schedule.n_tiles sched in
-    let n_loops = Reorder.Schedule.n_loops sched in
-    (* The run table keeps only the runs of streamed rows, so a row is
-       streamed iff it has runs in the table; any other row, empty ones
-       included, walks its items slice. *)
-    let rq = Reorder.Shape.run_ptr shape in
-    let rows = Array.length rq - 1 in
-    let run_ptr = Array.make (rows + 1) 0 in
-    for r = 0 to rows - 1 do
-      let n = rq.(r + 1) - rq.(r) in
-      run_ptr.(r + 1) <- (run_ptr.(r) + if n <= inline_runs_max then n else 0)
-    done;
-    let src_lo = Reorder.Shape.run_lo shape in
-    let src_len = Reorder.Shape.run_len shape in
-    let run_lo = Array.make run_ptr.(rows) 0 in
-    let run_hi = Array.make run_ptr.(rows) 0 in
-    for r = 0 to rows - 1 do
-      for i = 0 to run_ptr.(r + 1) - run_ptr.(r) - 1 do
-        let k = rq.(r) + i in
-        run_lo.(run_ptr.(r) + i) <- src_lo.(k);
-        run_hi.(run_ptr.(r) + i) <- src_lo.(k) + src_len.(k) - 1
-      done
-    done;
-    (* The loop functions are closed and take the kernel's arrays as
-       arguments, so inside a loop the arrays live in registers rather
-       than behind a closure environment. They take them as one tuple:
-       a full application of a tupled function is still a direct call
-       that passes the components as separate arguments (no tuple is
-       built), and the plugin link step then generates no currying
-       wrappers for these 10-plus-argument functions (about a third of
-       a moldyn module's compile time). *)
-    let ia, fa = kernel.Kernels.Kernel.exec_arrays () in
-    let n_int = Array.length ia in
-    let arrays =
-      String.concat ", "
-        (List.init (n_int + Array.length fa) (Printf.sprintf "a%d"))
-    in
-    Buffer.add_string b body_file;
-    add
-      "\n(* Specialized executor for kernel %s, schedule key %s.\n\
-      \   Emitted by Compose.Codegen.specialized_source; do not edit. *)\n\n"
-      kernel.Kernels.Kernel.name key;
-    match
-      table "row_ptr" (Reorder.Schedule.row_ptr sched);
-      table "run_ptr" run_ptr;
-      table "run_lo" run_lo;
-      table "run_hi" run_hi
-    with
-    | exception Exit -> None
-    | () ->
-      Array.iteri
-        (fun c body ->
-          add "\nlet[@inline never] run_%d (%s, lo, hi) =\n" c arrays;
-          add "  for v = lo to hi do %s (%s, v) done\n" body arrays;
-          add "let[@inline never] idx_%d (items, %s, lo, hi) =\n" c arrays;
-          add "  for idx = lo to hi do %s (%s, Array.unsafe_get items idx) done\n"
-            body arrays)
-        classes;
-      add "\nlet exec (ia : int array array) (fa : float array array) (steps : int) =\n";
-      for i = 0 to n_int - 1 do
-        add "  let a%d = Array.unsafe_get ia %d in\n" i i
-      done;
-      add "  let items = Array.unsafe_get ia %d in\n" n_int;
-      Array.iteri
-        (fun i _ -> add "  let a%d = Array.unsafe_get fa %d in\n" (n_int + i) i)
-        fa;
-      add "  for _s = 1 to steps do\n";
-      add "    for t = 0 to %d do\n" (n_tiles - 1);
-      for c = 0 to n_loops - 1 do
-        let cls = c mod Array.length classes in
-        add "      (let r = (t * %d) + %d in\n" n_loops c;
-        add "       let klo = Array.unsafe_get run_ptr r and khi = Array.unsafe_get run_ptr (r + 1) in\n";
-        add "       if khi > klo then\n";
-        add "         for k = klo to khi - 1 do\n";
-        add "           run_%d (%s, Array.unsafe_get run_lo k, Array.unsafe_get run_hi k)\n"
-          cls arrays;
-        add "         done\n";
-        add "       else\n";
-        add "         idx_%d (items, %s, Array.unsafe_get row_ptr r,\n" cls arrays;
-        add "           Array.unsafe_get row_ptr (r + 1) - 1));\n"
-      done;
-      add "      ()\n";
-      add "    done\n";
-      add "  done\n";
-      add "\nlet () = Callback.register %S exec\n" ("rtrt.spec." ^ key);
-      if Buffer.length b > max_source_bytes then None
-      else Some (Buffer.contents b)

@@ -3,10 +3,9 @@
     compile-time data mappings carry exactly the subscript chains a
     specialized inspector traverses (the paper's "automatic generation
     of specialized run-time inspectors" future work). That output is
-    C-like pseudo-code for inspection, not compiled. The one compiled
-    output is {!specialized_source}, Tier B's executor module, which
-    takes its loop bodies from the kernel's body file rather than
-    writing any of its own. *)
+    C-like pseudo-code for inspection, not compiled. The executor that
+    runs is generated at build time from each kernel's body file (see
+    [lib/kernels/gen/exec_gen.ml]). *)
 
 (** Render a term as a subscript chain: [sigma_cp(left(j))] becomes
     ["sigma_cp[left[j]]"]. *)
@@ -36,25 +35,3 @@ val executor : Symbolic.state -> program:Symbolic.program -> string
 (** Specialized inspectors for every step, the composed driver, and
     the executor. *)
 val full_report : Symbolic.state -> program:Symbolic.program -> string
-
-(** Tier B: the complete OCaml source of a table-driven executor
-    specialized to one (kernel, schedule) pair. It opens with the
-    kernel's body file ({!Kernels.Body_files}) verbatim, so it runs the
-    walker's own loop bodies. The schedule's row bounds and the
-    {!Reorder.Shape} runs of its rows with at most 8 runs follow as
-    array literals; then, per chain class, two closed loop functions
-    that call the class's body (one streams a run of consecutive ids,
-    one walks a denser row's items slice); then one tile loop that
-    hands every row to them. Source size is O(rows + runs) table
-    entries plus the body file. The kernel is one of moldyn, nbf and
-    irreg; the executor is handed to the host via
-    [Callback.register ("rtrt.spec." ^ key)]. [None] for any other
-    kernel, when the shape was not built from the schedule, or when the
-    source would exceed 2 MiB; callers fall back to the Tier A shaped
-    walk. See {!Specialize} for the compile / load / cache pipeline. *)
-val specialized_source :
-  Kernels.Kernel.t ->
-  key:string ->
-  Reorder.Schedule.t ->
-  Reorder.Shape.t ->
-  string option

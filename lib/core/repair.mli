@@ -72,9 +72,9 @@
     costs more than the incremental work a hit could skip. Only a cold
     fallback reads and fills the cache, as {!Compose.Inspector.run}
     does. The spliced schedule is a new value
-    (fresh [items]/[row_ptr]), so Tier A shape indexes pinned to the
-    old schedule ([Shape.for_schedule]) and Tier B [.cmxs] caches
-    (keyed by schedule content) can never serve stale specializations.
+    (fresh [items]/[row_ptr]), so a shape index pinned to the old
+    schedule ([Shape.for_schedule]) can never serve a stale
+    specialization.
 
     Observability: counters [repair.rounds], [repair.fallbacks_cold],
     [repair.nodes_recomputed], [repair.tiles_moved],

@@ -27,10 +27,9 @@ let median_i xs =
    for its better plan. The step times differ by a few microseconds, so
    the sign of (repaired - cold) is decided by the min-max ranges over
    the rounds, not by the two best times: overlapping ranges are no
-   measurable executor difference, reported as 0 (perfbench's
-   tier_b_breakeven_steps convention); -1 is a repaired plan that is
-   never slower; only a repaired range wholly above the cold one gets
-   the break-even, from the best times. *)
+   measurable executor difference, reported as 0; -1 is a repaired
+   plan that is never slower; only a repaired range wholly above the
+   cold one gets the break-even, from the best times. *)
 let steps_to_amortize ~repair_s ~cold_s ~repaired_steps ~cold_steps =
   let max_f xs = List.fold_left Float.max neg_infinity xs in
   let rstep = min_f repaired_steps and cstep = min_f cold_steps in

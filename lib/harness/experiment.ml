@@ -95,11 +95,10 @@ let wall_clock_steps (result : Compose.Inspector.result) ~steps =
     let (), seconds = time (fun () -> kernel.Kernels.Kernel.run ~steps) in
     seconds /. float_of_int steps
   | Some sched ->
-    (* The staged tier choice (interpreted / shaped) is made at plan
-       time, outside the timed region; construction verifies the
-       chosen tier bitwise against the interpreted walk on two-step
-       copies, so the timed executor is provably the same
-       computation. *)
+    (* The run index is built at plan time, outside the timed region;
+       construction verifies the generated executor bitwise against the
+       interpreted walk on two-step copies, so the timed executor is
+       provably the same computation. *)
     let spec = Compose.Specialize.make kernel sched in
     let (), seconds = time (fun () -> spec.Compose.Specialize.run ~steps) in
     seconds /. float_of_int steps

@@ -52,10 +52,9 @@ val trace_steps :
   float * float * float * float
 
 (** Wall-clock seconds per step of the inspected kernel's executor.
-    With a schedule, execution dispatches through
-    {!Compose.Specialize}: shape-specialized (Tier A) when profitable,
-    interpreted otherwise — the tier is chosen and bitwise-verified
-    outside the timed region. *)
+    With a schedule, execution runs the generated executor through
+    {!Compose.Specialize}, which builds its run index and verifies it
+    bitwise outside the timed region. *)
 val wall_clock_steps : Compose.Inspector.result -> steps:int -> float
 
 (** Measure one plan, inspected with the default (remap-once,

@@ -9,10 +9,9 @@
      within a small factor of plain at default scale — its payoff is
      locality, not raw dispatch);
    - specialized executors: the interpreted [run_tiled] walk against
-     the Tier A shape-specialized executor and the Tier B compiled
-     executor ([Compose.Specialize]) on the same frozen schedule, per
-     kernel, on a contiguous-run-rich plan (tilePack on) plus a
-     run-poor comparison, nominal schedule GB/s for each;
+     the generated executor ([Compose.Specialize]) on the same frozen
+     schedule, per kernel, on a contiguous-run-rich plan (tilePack on)
+     plus a run-poor comparison, nominal schedule GB/s for each;
    - inspector phase breakdown: the composed inspector re-run under an
      in-memory trace sink, per-span-name totals via [Rtrt_obs.Report].
 
@@ -25,7 +24,6 @@ let g_flat_gbps = Rtrt_obs.Metrics.gauge "hotpath.walk.flat_gbps"
 let g_walk_speedup = Rtrt_obs.Metrics.gauge "hotpath.walk.speedup"
 let g_exec_ratio = Rtrt_obs.Metrics.gauge "hotpath.exec.tiled_over_plain"
 let g_spec_shaped = Rtrt_obs.Metrics.gauge "hotpath.spec.shaped_speedup"
-let g_spec_codegen = Rtrt_obs.Metrics.gauge "hotpath.spec.codegen_speedup"
 
 let time f = snd (Rtrt_obs.Clock.time f)
 
@@ -176,12 +174,12 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
     (* Calibrate the step count off the interpreted walk's warmup step
        so one timing round lasts roughly [min_seconds / rounds] — the
        per-step times here are far too short to gate on raw. Each
-       variant runs on its own copy of the transformed kernel; the
-       rounds are interleaved across the tiers (interp round, shaped
-       round, codegen round, repeat) so ambient machine drift lands on
-       every tier equally and the best-of-rounds ratios stay stable.
-       Every variant executes the same 1 + rounds*steps walks, so the
-       final states must be bitwise equal — asserted below. *)
+       walk runs on its own copy of the transformed kernel; the rounds
+       alternate (interpreted round, generated round, repeat) so
+       ambient machine drift lands on both equally and the
+       best-of-rounds ratio stays stable. Both execute the same
+       1 + rounds*steps walks, so the final states must be bitwise
+       equal — asserted below. *)
     let interp_k = Kernels.Kernel.(k.copy ()) in
     let one =
       time (fun () -> interp_k.Kernels.Kernel.run_tiled sched ~steps:1)
@@ -191,85 +189,49 @@ let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
         (int_of_float
            (min_seconds /. float_of_int rounds /. max 1e-9 one))
     in
+    (* Construction verifies bitwise on throwaway copies. *)
     let shaped_k = Kernels.Kernel.(k.copy ()) in
-    let shape = Reorder.Shape.analyze sched in
-    (* Tier B on its own copy; construction verifies bitwise on
-       throwaway copies and degrades to a counted fallback when the
-       toolchain is missing. *)
-    let cg_k = Kernels.Kernel.(k.copy ()) in
-    let cg = Compose.Specialize.make ~tier_b:true cg_k sched in
-    let have_cg = cg.Compose.Specialize.tier = Compose.Specialize.Codegen in
-    (* Warmups (the calibration step already warmed interp_k). *)
-    shaped_k.Kernels.Kernel.run_tiled_shaped sched shape ~steps:1;
-    if have_cg then cg.Compose.Specialize.run ~steps:1;
-    let interp_best = ref infinity
-    and shaped_best = ref infinity
-    and cg_best = ref infinity in
+    let spec = Compose.Specialize.make shaped_k sched in
+    (* Warmup (the calibration step already warmed interp_k). *)
+    spec.Compose.Specialize.run ~steps:1;
+    let interp_best = ref infinity and shaped_best = ref infinity in
     for _ = 1 to rounds do
       let keep cell t = if t < !cell then cell := t in
       keep interp_best
         (time (fun () -> interp_k.Kernels.Kernel.run_tiled sched ~steps));
-      keep shaped_best
-        (time (fun () ->
-             shaped_k.Kernels.Kernel.run_tiled_shaped sched shape ~steps));
-      if have_cg then
-        keep cg_best (time (fun () -> cg.Compose.Specialize.run ~steps))
+      keep shaped_best (time (fun () -> spec.Compose.Specialize.run ~steps))
     done;
     let interp_seconds = !interp_best in
     let shaped_seconds = !shaped_best in
-    let codegen_seconds = if have_cg then Some !cg_best else None in
-    let eq a b =
-      Kernels.Kernel.snapshots_equal_bits
-        (a.Kernels.Kernel.snapshot ())
-        (b.Kernels.Kernel.snapshot ())
-    in
     let bitwise =
-      eq interp_k shaped_k
-      && (codegen_seconds = None || eq interp_k cg_k)
+      Kernels.Kernel.snapshots_equal_bits
+        (interp_k.Kernels.Kernel.snapshot ())
+        (shaped_k.Kernels.Kernel.snapshot ())
     in
-    if not bitwise then failwith "Hotpath.bench_spec: tiers diverged";
-    let sm = cg.Compose.Specialize.summary in
+    if not bitwise then failwith "Hotpath.bench_spec: walks diverged";
+    let sm = spec.Compose.Specialize.summary in
     let gbps sec =
       float_of_int (8 * items * steps) /. max 1e-12 sec /. 1e9
     in
     let shaped_speedup = interp_seconds /. max 1e-12 shaped_seconds in
-    let codegen_speedup =
-      Option.map (fun s -> interp_seconds /. max 1e-12 s) codegen_seconds
-    in
     Rtrt_obs.Metrics.set g_spec_shaped shaped_speedup;
-    Option.iter (Rtrt_obs.Metrics.set g_spec_codegen) codegen_speedup;
     T.row
-      ~notes:
-        [ ("tier", Compose.Specialize.tier_name cg.Compose.Specialize.tier) ]
       [
         ("section", "specialize");
         ("bench", k.Kernels.Kernel.name);
         ("plan", plan_name);
       ]
-      ([
-         T.count "items" items;
-         T.count "steps" steps;
-         T.count "runs" sm.Reorder.Shape.runs;
-         T.count "identity_rows" sm.Reorder.Shape.identity_rows;
-         T.info "avg_run_len" "items" sm.Reorder.Shape.avg_run_len;
-         T.higher "interp_gbps" "GB/s" (gbps interp_seconds);
-         T.higher "shaped_gbps" "GB/s" (gbps shaped_seconds);
-         T.higher "shaped_speedup" "ratio" shaped_speedup;
-       ]
-      @ (match (codegen_seconds, codegen_speedup) with
-        | Some s, Some sp ->
-          [
-            T.higher "codegen_gbps" "GB/s" (gbps s);
-            T.higher "codegen_speedup" "ratio" sp;
-          ]
-        | _ -> [])
-      @ [
-          T.lower "compile_seconds" "s" cg.Compose.Specialize.compile_seconds;
-          (* a fact about the cache directory, not a better or worse
-             executor *)
-          T.flag T.Info "cmxs_cache_hit" cg.Compose.Specialize.cmxs_cache_hit;
-          T.flag T.Higher "bitwise" bitwise;
-        ])
+      [
+        T.count "items" items;
+        T.count "steps" steps;
+        T.count "runs" sm.Reorder.Shape.runs;
+        T.count "identity_rows" sm.Reorder.Shape.identity_rows;
+        T.info "avg_run_len" "items" sm.Reorder.Shape.avg_run_len;
+        T.higher "interp_gbps" "GB/s" (gbps interp_seconds);
+        T.higher "shaped_gbps" "GB/s" (gbps shaped_seconds);
+        T.higher "shaped_speedup" "ratio" shaped_speedup;
+        T.flag T.Higher "bitwise" bitwise;
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Inspector phase breakdown                                           *)
@@ -316,11 +278,9 @@ let measure ~scale () =
   let spec, ph_spec =
     Rtrt_obs.Profile.record ~name:"specialize" (fun () ->
         (* Run-rich rows: the top-level plan tilePacks, so its rows are
-           long contiguous runs — the shape the Tier A streaming
-           executors exploit. The moldyn CL+FST row drops tilePack for
-           a run-poor comparison on the same kernel. The cg row has no
-           Tier B emitter (it falls back), so every kernel's walks get
-           an interpreted and a shaped row. *)
+           long contiguous runs — the shape the generated executor
+           streams. The moldyn CL+FST row drops tilePack for a run-poor
+           comparison on the same kernel. *)
         let row p kname dname =
           let dataset = Option.get (Datagen.Generators.by_name ~scale dname) in
           let k = (Option.get (Kernels.by_name kname)) dataset in

@@ -29,68 +29,12 @@
    executors require a schedule whose loop count is exactly the 3-loop
    chain and raise otherwise.
 
-   A Walker declaration: each class's body once, inlined into its two
-   loop functions; Walker derives every executor from them. *)
+   A Walker declaration. dune compiles it after cg_body.ml, which holds
+   each class's body once, and after the loop functions and executor
+   that gen/exec_gen.exe generates from the bodies' names; Walker
+   derives every walk from them. *)
 
 open Walker
-
-let beta = 0.5
-let rho = 0.25
-
-let[@inline always] spmv (p, q, diag, i) = q.!(i) <- diag.!(i) *. p.!(i)
-
-let[@inline always] scatter (left, right, w, p, q, j) =
-  let l = left.!(j) and rr = right.!(j) in
-  let wj = w.!(j) in
-  q.!(l) <- q.!(l) +. (wj *. p.!(rr));
-  q.!(rr) <- q.!(rr) +. (wj *. p.!(l))
-
-let[@inline always] update (alpha, p, q, x, r, dot, k) =
-  let pk = p.!(k) and qk = q.!(k) in
-  dot.!(k) <- pk *. qk;
-  x.!(k) <- x.!(k) +. (alpha *. pk);
-  let rk = r.!(k) -. (alpha *. qk) in
-  r.!(k) <- rk;
-  p.!(k) <- rk +. (beta *. pk)
-
-let spmv_items (_, _, _, p, q, _, _, diag, _, _) fl lo hi =
-  for idx = lo to hi - 1 do
-    spmv (p, q, diag, fl.!(idx))
-  done
-
-let spmv_runs (_, _, _, p, q, _, _, diag, _, _) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for i = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      spmv (p, q, diag, i)
-    done
-  done
-
-let scatter_items (left, right, w, p, q, _, _, _, _, _) fl lo hi =
-  for idx = lo to hi - 1 do
-    scatter (left, right, w, p, q, fl.!(idx))
-  done
-
-let scatter_runs (left, right, w, p, q, _, _, _, _, _) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for j = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      scatter (left, right, w, p, q, j)
-    done
-  done
-
-(* alpha changes only in the epilogue, between walks. *)
-let update_items (_, _, _, p, q, x, r, _, dot, scal) fl lo hi =
-  let alpha = scal.(0) in
-  for idx = lo to hi - 1 do
-    update (alpha, p, q, x, r, dot, fl.!(idx))
-  done
-
-let update_runs (_, _, _, p, q, x, r, _, dot, scal) rlo rln klo khi =
-  let alpha = scal.(0) in
-  for k = klo to khi - 1 do
-    for i = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      update (alpha, p, q, x, r, dot, i)
-    done
-  done
 
 (* Parallel reduction over the scatter class: [stash] computes each
    interaction's two contributions (w*p[r] toward the left slot, w*p[l]
@@ -153,22 +97,20 @@ let decl =
       [|
         {
           items = spmv_items;
-          runs = spmv_runs;
           touches = at Iter [ "diag"; "p"; "q" ];
         };
         {
           items = scatter_items;
-          runs = scatter_runs;
           touches =
             at Iter [ "left"; "right"; "w" ]
             @ [ ("p", Left); ("p", Right); ("q", Left); ("q", Right) ];
         };
         {
           items = update_items;
-          runs = update_runs;
           touches = at Iter [ "p"; "q"; "x"; "r"; "dot" ];
         };
       |];
+    exec;
     reduction = 1;
     par;
     epilogue =

@@ -8,34 +8,11 @@
      loop 1 (k): node update  x[k] += c * y[k]
 
    A Walker declaration. dune compiles it after irreg_body.ml, which
-   holds each class's body once; the loop functions below inline them,
-   and Walker derives every executor from the loop functions. *)
+   holds each class's body once, and after the loop functions and
+   executor that gen/exec_gen.exe generates from the bodies' names;
+   Walker derives every walk from them. *)
 
 open Walker
-
-let edge_items (l, r, w, x, y) fl lo hi =
-  for idx = lo to hi - 1 do
-    edge (l, r, w, x, y, fl.!(idx))
-  done
-
-let edge_runs (l, r, w, x, y) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for j = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      edge (l, r, w, x, y, j)
-    done
-  done
-
-let node_items (l, r, w, x, y) fl lo hi =
-  for idx = lo to hi - 1 do
-    node (l, r, w, x, y, fl.!(idx))
-  done
-
-let node_runs (l, r, w, x, y) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for i = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      node (l, r, w, x, y, i)
-    done
-  done
 
 (* Parallel reduction over the flux class (y). The stashed flux is a
    pure function of w and x, read-only during the position, so the
@@ -82,17 +59,16 @@ let decl =
       [|
         {
           items = edge_items;
-          runs = edge_runs;
           touches =
             at Iter [ "left"; "right"; "w" ]
             @ [ ("x", Left); ("x", Right); ("y", Left); ("y", Right) ];
         };
         {
           items = node_items;
-          runs = node_runs;
           touches = at Iter [ "x"; "y" ];
         };
       |];
+    exec;
     reduction = 0;
     par;
     epilogue = None;

@@ -78,19 +78,21 @@ type t = {
   apply_data_perm : Reorder.Perm.t -> t;
   apply_iter_perm : Reorder.Perm.t -> t;
   apply_perms : delta:Reorder.Perm.t -> sigma:Reorder.Perm.t -> t;
-  (* Executors; [run*] mutate the kernel's arrays in place. *)
+  (* Executors; [run*] mutate the kernel's arrays in place. [run] is
+     the generated executor in the original order, [run_tiled] the
+     interpreted reference walk of a schedule. *)
   run : steps:int -> unit;
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
-  (* Tier A specialized executor: same walk as [run_tiled] but streams
-     the schedule's run-length index (lo..hi ranges) instead of loading
+  (* The generated executor over a schedule: same iterations in the
+     same order as [run_tiled], streaming the schedule's run-length
+     index (lo..hi ranges) on rows of at most 8 runs instead of loading
      every iteration id; bitwise identical by construction. The shape
      must have been built (Reorder.Shape.analyze) from this exact
      schedule value. *)
   run_tiled_shaped :
     Reorder.Schedule.t -> Reorder.Shape.t -> steps:int -> unit;
-  (* Tier B handshake: the kernel's index arrays and float arrays in
-     the executor-emitter's documented order (Compose.Specialize);
-     the arrays themselves, not copies. *)
+  (* The kernel's index arrays and float arrays, the arrays themselves,
+     not copies. *)
   exec_arrays : unit -> int array array * float array array;
   run_traced :
     steps:int -> layout:Cachesim.Layout.t -> access:(int -> unit) -> unit;

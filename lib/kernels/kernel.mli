@@ -88,16 +88,23 @@ type t = {
           array is fresh, also under identity permutations, so the
           result shares nothing with this kernel. *)
   run : steps:int -> unit;
+      (** The generated executor in the original order. *)
   run_tiled : Reorder.Schedule.t -> steps:int -> unit;
+      (** The interpreted reference walk of a schedule: each row's
+          items through its class's loop function. *)
   run_tiled_shaped :
     Reorder.Schedule.t -> Reorder.Shape.t -> steps:int -> unit;
-      (** Tier A shape-specialized executor: streams the run-length
-          index built by {!Reorder.Shape.analyze} from this exact
-          schedule value; bitwise identical to [run_tiled]. *)
+      (** The generated executor over a schedule: it streams the runs
+          of rows with at most 8 of them from the shape's run index and
+          walks the items of denser rows; bitwise identical to
+          [run_tiled]. The shape must be {!Reorder.Shape.analyze} of
+          this exact schedule value. Callers go through
+          [Compose.Specialize.make], which builds the shape once per
+          schedule; the shape argument is kept only for perfbench,
+          which times this walk directly. *)
   exec_arrays : unit -> int array array * float array array;
-      (** The kernel's index arrays and float arrays (not copies) in
-          the Tier B emitter's documented order; see
-          [Compose.Specialize]. *)
+      (** The kernel's index arrays and its per-interaction and node
+          float arrays, the arrays themselves, not copies. *)
   run_traced :
     steps:int -> layout:Cachesim.Layout.t -> access:(int -> unit) -> unit;
   run_tiled_traced :

@@ -1,7 +1,8 @@
 (** The paper's three benchmarks and a CG-style dependent reduction as
     loop-chain declarations over flat float arrays, from which
-    {!Walker} derives plain, sparse-tiled, shaped, parallel and
-    trace-emitting executors, plus a Gauss-Seidel smoother for the
+    {!Walker} derives the generated executor, the interpreted
+    sparse-tiled reference walk, and the parallel and trace-emitting
+    executors, plus a Gauss-Seidel smoother for the
     sparse-tiling generality claim. *)
 
 module Kernel = Kernel
@@ -10,9 +11,6 @@ module Nbf = Nbf
 module Irreg = Irreg
 module Cg = Cg
 module Gauss_seidel = Gauss_seidel
-
-(** The Tier B kernels' body files, [<kernel>_body.ml], as strings. *)
-module Body_files = Body_files
 
 (** Benchmark constructors by name. *)
 let by_name = function

@@ -1,7 +1,8 @@
 (* Moldyn's loop bodies, the only copy: one per chain class, each
-   taking the kernel's arrays in Kernel.exec_arrays order and then the
-   iteration. Stdlib only: dune splices this file into module Moldyn
-   and Compose.Codegen into every specialized moldyn module. *)
+   taking the kernel's arrays in the order its declaration packs them
+   and then the iteration. dune compiles this file into module Moldyn,
+   ahead of the loop functions and executor that gen/exec_gen.exe
+   generates from the bodies' names. *)
 
 external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"

@@ -9,46 +9,11 @@
      S4 (k loop): velocity update     vx += fx            (reads fx)
 
    A Walker declaration. dune compiles it after moldyn_body.ml, which
-   holds each class's body once; the loop functions below inline them,
-   and Walker derives every executor from the loop functions. *)
+   holds each class's body once, and after the loop functions and
+   executor that gen/exec_gen.exe generates from the bodies' names;
+   Walker derives every walk from them. *)
 
 open Walker
-
-let position_items (l, r, x, y, z, vx, vy, vz, fx, fy, fz) fl lo hi =
-  for idx = lo to hi - 1 do
-    position (l, r, x, y, z, vx, vy, vz, fx, fy, fz, fl.!(idx))
-  done
-
-let position_runs (l, r, x, y, z, vx, vy, vz, fx, fy, fz) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for i = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      position (l, r, x, y, z, vx, vy, vz, fx, fy, fz, i)
-    done
-  done
-
-let pair_items (l, r, x, y, z, vx, vy, vz, fx, fy, fz) fl lo hi =
-  for idx = lo to hi - 1 do
-    pair (l, r, x, y, z, vx, vy, vz, fx, fy, fz, fl.!(idx))
-  done
-
-let pair_runs (l, r, x, y, z, vx, vy, vz, fx, fy, fz) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for j = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      pair (l, r, x, y, z, vx, vy, vz, fx, fy, fz, j)
-    done
-  done
-
-let velocity_items (l, r, x, y, z, vx, vy, vz, fx, fy, fz) fl lo hi =
-  for idx = lo to hi - 1 do
-    velocity (l, r, x, y, z, vx, vy, vz, fx, fy, fz, fl.!(idx))
-  done
-
-let velocity_runs (l, r, x, y, z, vx, vy, vz, fx, fy, fz) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for i = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      velocity (l, r, x, y, z, vx, vy, vz, fx, fy, fz, i)
-    done
-  done
 
 (* Parallel reduction over the pair class: [stash] computes each
    interaction's contribution g*dx (etc.) into per-interaction scratch —
@@ -120,13 +85,11 @@ let decl =
       [|
         {
           items = position_items;
-          runs = position_runs;
           touches =
             at Iter [ "x"; "y"; "z"; "vx"; "vy"; "vz"; "fx"; "fy"; "fz" ];
         };
         {
           items = pair_items;
-          runs = pair_runs;
           touches =
             at Iter [ "left"; "right" ]
             @ at Left [ "x"; "y"; "z" ] @ at Right [ "x"; "y"; "z" ]
@@ -134,10 +97,10 @@ let decl =
         };
         {
           items = velocity_items;
-          runs = velocity_runs;
           touches = at Iter [ "vx"; "vy"; "vz"; "fx"; "fy"; "fz" ];
         };
       |];
+    exec;
     reduction = 1;
     par;
     epilogue = None;

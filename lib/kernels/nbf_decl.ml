@@ -7,34 +7,11 @@
      loop 1 (j): pairwise LJ forces    fx[l] += g, fx[r] -= g
 
    A Walker declaration. dune compiles it after nbf_body.ml, which holds
-   each class's body once; the loop functions below inline them, and
-   Walker derives every executor from the loop functions. *)
+   each class's body once, and after the loop functions and executor
+   that gen/exec_gen.exe generates from the bodies' names; Walker
+   derives every walk from them. *)
 
 open Walker
-
-let update_items (l, r, x, y, z, fx, fy, fz) fl lo hi =
-  for idx = lo to hi - 1 do
-    update (l, r, x, y, z, fx, fy, fz, fl.!(idx))
-  done
-
-let update_runs (l, r, x, y, z, fx, fy, fz) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for i = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      update (l, r, x, y, z, fx, fy, fz, i)
-    done
-  done
-
-let pair_items (l, r, x, y, z, fx, fy, fz) fl lo hi =
-  for idx = lo to hi - 1 do
-    pair (l, r, x, y, z, fx, fy, fz, fl.!(idx))
-  done
-
-let pair_runs (l, r, x, y, z, fx, fy, fz) rlo rln klo khi =
-  for k = klo to khi - 1 do
-    for j = rlo.!(k) to rlo.!(k) + rln.!(k) - 1 do
-      pair (l, r, x, y, z, fx, fy, fz, j)
-    done
-  done
 
 (* Parallel reduction over the force class (fx/fy/fz). The stashed
    contribution g*dx is a pure function of x/y/z, read-only during the
@@ -101,18 +78,17 @@ let decl =
       [|
         {
           items = update_items;
-          runs = update_runs;
           touches = at Iter [ "x"; "y"; "z"; "fx"; "fy"; "fz" ];
         };
         {
           items = pair_items;
-          runs = pair_runs;
           touches =
             at Iter [ "left"; "right" ]
             @ at Left [ "x"; "y"; "z" ] @ at Right [ "x"; "y"; "z" ]
             @ at Left [ "fx"; "fy"; "fz" ] @ at Right [ "fx"; "fy"; "fz" ];
         };
       |];
+    exec;
     reduction = 1;
     par;
     epilogue = None;

@@ -1,30 +1,32 @@
 (* One engine for every executor walk of the pair kernels (moldyn, nbf,
    irreg, cg). A kernel is a declaration: its node and per-interaction
    arrays with their initial values, its loop chain, each chain class's
-   body once, the class's touches for the cache model, and the
-   reduction stash/apply of the parallel engine. [make] derives the
-   whole Kernel.t from it, so every walk runs the same bodies in a
-   different iteration order (the paper's Figures 13-14):
+   interpreted loop function and touches for the cache model, its
+   generated executor, and the reduction stash/apply of the parallel
+   engine. [make] derives the whole Kernel.t from it, so every walk
+   runs the same bodies in a different iteration order (the paper's
+   Figures 13-14):
 
-   - run: each loop as one run, original order;
-   - run_tiled / run_tiled_shaped: tiles, then chain positions, then a
-     row's items or its Reorder.Shape runs; position c runs class
-     (c mod chain), so a schedule of S chains is S time steps;
+   - run / run_tiled_shaped: the generated executor ([exec]) over a
+     walk in run form: the original order's one run per loop, or a
+     schedule's rows with the Reorder.Shape runs of those it streams;
+     position c runs class (c mod chain), so a schedule of S chains is
+     S time steps;
+   - run_tiled: the interpreted reference walk, tiles, then chain
+     positions, then each row's items through its class's loop
+     function;
    - plan_par: the items loop as Rtrt_par.Exec.run's body;
    - run_traced / run_tiled_traced: the same orders, reporting each
      class's touches (bounds-checked, no arithmetic);
    - the data and iteration reorderings (one rebuild, alone or
      composed), copy, snapshot, exec_arrays.
 
-   Each class's body is an [@inline always] function over a tuple of
-   arrays, inlined into two closed loop functions: one walks a row's
-   [items] slice, one streams a row's runs. The loop functions take the
-   kernel's arrays as one tuple and bind them before the loop, so inside
-   it the arrays live in registers rather than behind a closure
-   environment; the engine calls them once per row. Moldyn, nbf and
-   irreg keep their bodies in a Stdlib-only <kernel>_body.ml, which
-   dune places ahead of the declaration in the kernel's module (see
-   lib/kernels/dune) and Tier B splices into its specialized modules.
+   Each class's body is an [@inline always] function of the kernel's
+   arrays and the iteration, written once in <kernel>_body.ml. At build
+   time lib/kernels/gen/exec_gen.ml writes, from the bodies' names,
+   each class's loop functions and the executor, and dune compiles the
+   body file, that file and the declaration as one module (see
+   lib/kernels/dune), so the loop functions inline the bodies.
 
    Validated at construction, then unsafe. Every Kernel.t is built
    through Access.of_pairs, whose Access.make rejects an endpoint
@@ -41,7 +43,6 @@ type index = Iter | Left | Right
 
 type 'a cls = {
   items : 'a -> int array -> int -> int -> unit;
-  runs : 'a -> int array -> int array -> int -> int -> unit;
   touches : (string * index) list;
 }
 
@@ -55,6 +56,21 @@ type state = {
   inters : float array array;
   scalars : float array;
 }
+
+type walk = {
+  tiles : int;
+  copies : int;
+  row_ptr : int array;
+  flat_items : int array;
+  run_ptr : int array;
+  run_lo : int array;
+  run_len : int array;
+}
+
+(* Rows of at most this many runs stream them; denser rows walk their
+   items, where a run's two loads and loop set-up cost more than the
+   indirect loads they save. *)
+let stream_runs_max = 8
 
 type stash = pos:int -> int array -> int -> int -> unit
 type apply = pos:int -> datum:int -> int array -> int -> int -> unit
@@ -78,6 +94,7 @@ type 'a t = {
   symmetric_backward : (int * int) list;
   time_tiling : bool;
   classes : 'a cls array;
+  exec : 'a -> walk -> unit;
   reduction : int;
   par : 'a -> int -> stash * apply;
   epilogue : 'a epilogue option;
@@ -93,25 +110,52 @@ let seeded salt i =
   float_of_int ((h lxor salt) land 0xFFFF) /. 65536.0
 
 (* ------------------------------------------------------------------ *)
-(* Walks. A walk in run form has [n_tiles] x [n_loops] rows, row r's
-   runs at [ptr.(r) .. ptr.(r + 1) - 1]: a Reorder.Shape index, or the
-   original order's one run per loop. *)
+(* Walks. *)
 
-type runs = {
-  n_tiles : int;
-  n_loops : int;
-  ptr : int array;
-  lo : int array;
-  len : int array;
-}
-
-let of_shape sched shape =
+(* A schedule in run form: its rows and items, and the runs of the rows
+   the executor streams, copied out of the run index of a shape built
+   from the schedule. The denser rows' runs, which the executor never
+   reads, are left out, so the table it streams is packed: on a working
+   set near L2 the full index cost the four-kernel step a few percent. *)
+let of_shape ~chain sched shape =
+  let src_ptr = Reorder.Shape.run_ptr shape in
+  let src_lo = Reorder.Shape.run_lo shape in
+  let src_len = Reorder.Shape.run_len shape in
+  let rows = Array.length src_ptr - 1 in
+  let run_ptr = Array.make (rows + 1) 0 in
+  for r = 0 to rows - 1 do
+    let n = src_ptr.(r + 1) - src_ptr.(r) in
+    run_ptr.(r + 1) <- (run_ptr.(r) + if n <= stream_runs_max then n else 0)
+  done;
+  let run_lo = Array.make run_ptr.(rows) 0 in
+  let run_len = Array.make run_ptr.(rows) 0 in
+  for r = 0 to rows - 1 do
+    let n = run_ptr.(r + 1) - run_ptr.(r) in
+    Array.blit src_lo src_ptr.(r) run_lo run_ptr.(r) n;
+    Array.blit src_len src_ptr.(r) run_len run_ptr.(r) n
+  done;
   {
-    n_tiles = Reorder.Schedule.n_tiles sched;
-    n_loops = Reorder.Schedule.n_loops sched;
-    ptr = Reorder.Shape.run_ptr shape;
-    lo = Reorder.Shape.run_lo shape;
-    len = Reorder.Shape.run_len shape;
+    tiles = Reorder.Schedule.n_tiles sched;
+    copies = Reorder.Schedule.n_loops sched / chain;
+    row_ptr = Reorder.Schedule.row_ptr sched;
+    flat_items = Reorder.Schedule.flat_items sched;
+    run_ptr;
+    run_lo;
+    run_len;
+  }
+
+(* The original order: one tile, each loop one run. Every row is
+   streamed, so the row bounds are never read and there are no items. *)
+let original loop_sizes =
+  let chain = Array.length loop_sizes in
+  {
+    tiles = 1;
+    copies = 1;
+    row_ptr = Array.make (chain + 1) 0;
+    flat_items = [||];
+    run_ptr = Array.init (chain + 1) Fun.id;
+    run_lo = Array.make chain 0;
+    run_len = loop_sizes;
   }
 
 let walk_items fns a sched =
@@ -122,14 +166,6 @@ let walk_items fns a sched =
     for c = 0 to nl - 1 do
       let r = (t * nl) + c in
       fns.(c mod Array.length fns) a fl rp.!(r) rp.!(r + 1)
-    done
-  done
-
-let walk_runs fns a o =
-  for t = 0 to o.n_tiles - 1 do
-    for c = 0 to o.n_loops - 1 do
-      let r = (t * o.n_loops) + c in
-      fns.(c mod Array.length fns) a o.lo o.len o.ptr.!(r) o.ptr.!(r + 1)
     done
   done
 
@@ -148,15 +184,11 @@ let sum_items sched ~pos (v : float array) =
   done;
   !acc
 
-let sum_runs o ~pos (v : float array) =
+(* The same fold over the original order: loop [pos] in id order. *)
+let sum_ids ~n (v : float array) =
   let acc = ref 0.0 in
-  for t = 0 to o.n_tiles - 1 do
-    let r = (t * o.n_loops) + pos in
-    for k = o.ptr.!(r) to o.ptr.!(r + 1) - 1 do
-      for i = o.lo.!(k) to o.lo.!(k) + o.len.!(k) - 1 do
-        acc := !acc +. v.!(i)
-      done
-    done
+  for i = 0 to n - 1 do
+    acc := !acc +. v.!(i)
   done;
   !acc
 
@@ -218,16 +250,10 @@ let rec make decl st =
   let loop_sizes = Array.map (function Nodes -> n | Inters -> m) decl.loops in
   let chain = Array.length loop_sizes in
   let items = Array.map (fun c -> c.items) decl.classes in
-  let runs = Array.map (fun c -> c.runs) decl.classes in
-  let plain =
-    {
-      n_tiles = 1;
-      n_loops = chain;
-      ptr = Array.init (chain + 1) Fun.id;
-      lo = Array.make chain 0;
-      len = loop_sizes;
-    }
-  in
+  let plain = original loop_sizes in
+  (* The last shape's walk: a specialization steps with one shape, so
+     its tables are packed on the first step only. *)
+  let last = ref None in
   let who f = String.capitalize_ascii decl.name ^ "." ^ f in
   let legal f sched =
     if not (decl.time_tiling || Reorder.Schedule.n_loops sched = chain) then
@@ -307,7 +333,9 @@ let rec make decl st =
     apply_perms = (fun ~delta ~sigma -> permute ~delta ~sigma ());
     run =
       (fun ~steps ->
-        stepping ~steps (fun () -> walk_runs runs a plain) (sum_runs plain));
+        stepping ~steps
+          (fun () -> decl.exec a plain)
+          (fun ~pos v -> sum_ids ~n:loop_sizes.(pos) v));
     run_tiled =
       (fun sched ~steps ->
         fits "run_tiled" sched;
@@ -318,8 +346,15 @@ let rec make decl st =
           invalid_arg
             (who "run_shaped" ^ ": shape built from a different schedule");
         fits "run_shaped" sched;
-        let o = of_shape sched shape in
-        stepping ~steps (fun () -> walk_runs runs a o) (sum_runs o));
+        let w =
+          match !last with
+          | Some (packed, w) when packed == shape -> w
+          | _ ->
+            let w = of_shape ~chain sched shape in
+            last := Some (shape, w);
+            w
+        in
+        stepping ~steps (fun () -> decl.exec a w) (sum_items sched));
     exec_arrays =
       (fun () -> ([| st.left; st.right |], Array.append st.inters st.nodes));
     run_traced =

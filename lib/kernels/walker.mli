@@ -1,12 +1,13 @@
 (** The executor engine of the pair kernels. A kernel declares its
     arrays, its loop chain and each chain class's body once; {!make}
     derives every walk of {!Kernel.t} from that declaration: the
-    original order, the tiled and shaped schedule walks, the parallel
-    engine's body, the traced walks and the reorderings. For moldyn,
-    nbf and irreg the bodies live in a Stdlib-only [<kernel>_body.ml],
-    compiled into the kernel's module ahead of its declaration and
-    spliced by Tier B (Compose.Codegen) into every specialized module,
-    so the walker and Tier B run the same text. *)
+    original order, the interpreted schedule walk, the generated
+    executor, the parallel engine's body, the traced walks and the
+    reorderings. Each kernel's bodies live in [<kernel>_body.ml]; at
+    build time [lib/kernels/gen/exec_gen.ml] writes the classes' loop
+    functions and the kernel's executor ({!t.exec}) from their names,
+    and dune compiles the body file, the generated file and the
+    declaration as the kernel's one module. *)
 
 (** Unchecked indexing for the loop functions. Sound because every
     index is validated before a walk: endpoints at construction, the
@@ -19,14 +20,11 @@ external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
     itself, or the left or right endpoint of the interaction it is. *)
 type index = Iter | Left | Right
 
-(** One chain class: its body run two ways, over the kernel's packed
-    arrays ['a], and the references it makes. *)
+(** One chain class: its generated interpreted loop function, over the
+    kernel's packed arrays ['a], and the references it makes. *)
 type 'a cls = {
   items : 'a -> int array -> int -> int -> unit;
       (** [items a fl lo hi] runs the iterations [fl.(lo) .. fl.(hi - 1)]. *)
-  runs : 'a -> int array -> int array -> int -> int -> unit;
-      (** [runs a lo len klo khi] runs, for each run [k] in
-          [klo .. khi - 1], the iterations [lo.(k) .. lo.(k) + len.(k) - 1]. *)
   touches : (string * index) list;
       (** One entry per array-element reference of one iteration, in
           the order the cache model sees them. *)
@@ -45,6 +43,28 @@ type state = {
   nodes : float array array;
   inters : float array array;
   scalars : float array;
+}
+
+(** A schedule walk in run form, the generated executor's argument:
+    [tiles] tiles, each holding [copies] copies of the chain (more than
+    one only in a time-tiled schedule), so [tiles * copies * chain]
+    rows, row [r] being chain position [r mod chain] of its copy. Row
+    [r]'s items are [flat_items.(row_ptr.(r)) .. flat_items.(row_ptr.(r + 1) - 1)].
+    The run table holds the runs ({!Reorder.Shape}) of the rows with at
+    most 8 of them: row [r]'s are
+    [run_ptr.(r) .. run_ptr.(r + 1) - 1], run [k] being the ids
+    [run_lo.(k) .. run_lo.(k) + run_len.(k) - 1]. The executor streams
+    a row that has runs in the table and walks the items of any other
+    row. It indexes every array unchecked: the walks {!make} builds
+    are validated first. *)
+type walk = {
+  tiles : int;
+  copies : int;
+  row_ptr : int array;
+  flat_items : int array;
+  run_ptr : int array;
+  run_lo : int array;
+  run_len : int array;
 }
 
 type stash = pos:int -> int array -> int -> int -> unit
@@ -80,6 +100,8 @@ type 'a t = {
   symmetric_backward : (int * int) list;
   time_tiling : bool;  (** whether a schedule may unroll several chains *)
   classes : 'a cls array;
+  exec : 'a -> walk -> unit;
+      (** the generated executor: one walk over the kernel's arrays *)
   reduction : int;  (** the class the parallel engine combines *)
   par : 'a -> int -> stash * apply;
       (** the parallel engine's stash and apply for the reduction

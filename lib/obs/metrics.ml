@@ -115,7 +115,6 @@ let flush () =
         (Sink.Metric { m_name = name; m_kind = kind; m_value = v; m_time = t })
     in
     let cs, gs = snapshot () in
-    let cs = List.filter (fun c -> Atomic.get c.c_value <> 0) cs in
     List.iter
       (fun c -> emit Sink.Counter c.c_name (float_of_int (Atomic.get c.c_value)))
       (List.sort (fun a b -> compare a.c_name b.c_name) cs);

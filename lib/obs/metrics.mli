@@ -38,8 +38,9 @@ val reset : unit -> unit
     appear as their derived [<name>.{count,...,p99_ns}] gauges. *)
 val dump : unit -> (string * float) list
 
-(** Emit one Metric event per touched handle (and per derived
-    histogram stat) to the active sink. *)
+(** Emit one Metric event per registered counter, zeros included, so
+    a trace shows a counter that read 0; per set gauge; and per derived
+    stat of a touched histogram, to the active sink. *)
 val flush : unit -> unit
 
 (** [switch_sink s]: flush to the current sink, route events to [s]

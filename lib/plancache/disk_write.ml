@@ -1,14 +1,12 @@
 (* Atomic file writes for the on-disk tiers of [Cache] and [Tuned],
-   and the directory creation they share with [Specialize]'s .cmxs
-   cache.
+   and the directory creation they share.
 
    A write goes to a temp file next to the target, then is renamed
    over the target, so a reader sees the old file or the new one,
    never a partial one. Every write gets its own temp name (pid,
-   domain and a process-wide counter, as [Specialize] names its build
-   directories). The pid alone is not enough: two writers in one
-   process would share a temp file, and one could rename it away while
-   the other still writes it. *)
+   domain and a process-wide counter). The pid alone is not enough:
+   two writers in one process would share a temp file, and one could
+   rename it away while the other still writes it. *)
 
 let counter = Atomic.make 0
 

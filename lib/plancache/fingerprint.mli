@@ -25,5 +25,5 @@ val add_float : builder -> float -> unit
 val value : builder -> t
 
 (** 64-bit FNV-1a of the first [len] bytes of a buffer, untagged: the
-    checksum sealing plan-cache entries and Tier B [.cmxs] files. *)
+    checksum sealing plan-cache entries. *)
 val checksum : Bytes.t -> int -> int64

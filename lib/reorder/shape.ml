@@ -1,6 +1,5 @@
-(* Schedule shape analysis for specialized executors (ROADMAP item 2 /
-   the paper's "automatic generation of specialized executors" future
-   work). A frozen flat-CSR schedule often has exploitable structure:
+(* Schedule shape analysis for the generated executor (the paper's
+   "automatic generation of specialized executors" future work). A frozen flat-CSR schedule often has exploitable structure:
    after tilePack the identity-mapped loops' rows are literally
    [lo, lo+1, ..., hi], and even without it cpack/lexgroup leave long
    stretches where consecutive items differ by one. This module builds,
@@ -14,7 +13,8 @@
    (a delta other than +1 simply ends the current run), so a
    run-streaming walk visits the same iterations in the same order as
    the element-at-a-time walk, bitwise. The payoff is merely
-   proportional to the average run length. *)
+   proportional to the average run length, so the generated executor
+   streams only rows of few runs. *)
 
 type summary = {
   rows : int;            (* n_tiles * n_loops *)
@@ -121,17 +121,6 @@ let analyze (s : Schedule.t) =
   in
   Rtrt_obs.Metrics.incr c_analyses;
   { summary; run_ptr; run_lo; run_len; src_items = items; src_row_ptr = row_ptr }
-
-(* When is run streaming worth dispatching to? The shaped walk trades
-   one indirect load per element for two loads per run plus a tiny
-   inner loop; below ~2 elements per run it is the same work with more
-   branches. Identity-dominated schedules always profit. *)
-let run_threshold = 2.0
-
-let profitable (sm : summary) =
-  sm.total_items > 0
-  && (sm.avg_run_len >= run_threshold
-     || sm.identity_rows * 2 >= sm.rows)
 
 let summary_equal (a : summary) (b : summary) = a = b
 

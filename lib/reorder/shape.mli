@@ -1,13 +1,12 @@
 (** Run-length shape analysis over frozen flat-CSR schedules.
 
     Built once per schedule at plan time, a {!t} indexes every row's
-    maximal runs of consecutive iteration ids so shaped executors can
-    stream [for i = lo to hi] ranges instead of indirect loads. The
-    run enumeration reproduces the stored item sequence exactly for
-    any row content, so shaped walks are bitwise-identical to the
-    interpreted walk by construction; profitability (not correctness)
-    depends on {!summary} statistics. See README "Specialized
-    executors". *)
+    maximal runs of consecutive iteration ids so the generated
+    executor can stream [for i = lo to hi] ranges instead of indirect
+    loads. The run enumeration reproduces the stored item sequence
+    exactly for any row content, so a run-streaming walk is
+    bitwise-identical to the interpreted walk by construction. See
+    README "Specialized executors". *)
 
 type summary = {
   rows : int;  (** [n_tiles * n_loops] *)
@@ -40,12 +39,8 @@ val run_len : t -> int array
 val for_schedule : t -> Schedule.t -> bool
 (** [true] iff the shape was built from exactly this schedule value
     (physical identity on its [items]/[row_ptr] arrays — every schedule
-    transformation allocates fresh ones). Shaped executors must check
+    transformation allocates fresh ones). Run-streaming executors must check
     this before streaming the run index with unsafe reads. *)
-
-val profitable : summary -> bool
-(** Whether dispatching to a run-streaming executor is expected to
-    beat the element-at-a-time interpreted walk. *)
 
 val summary_equal : summary -> summary -> bool
 val pp_summary : summary Fmt.t

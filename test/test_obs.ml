@@ -115,6 +115,23 @@ let test_counter_accumulation () =
   Alcotest.(check bool) "registry is idempotent" true
     (Rtrt_obs.Metrics.counter "test.counter" == c)
 
+(* A registered counter nothing touched is flushed as 0, so a trace
+   can show that an event never happened. *)
+let test_untouched_counter_flushed () =
+  let c = Rtrt_obs.Metrics.counter "test.untouched" in
+  let events = with_memory_sink Rtrt_obs.Metrics.flush in
+  Alcotest.(check int) "untouched" 0 (Rtrt_obs.Metrics.value c);
+  match
+    List.find_opt
+      (fun (m : Rtrt_obs.Sink.metric) -> m.m_name = "test.untouched")
+      (Rtrt_obs.Report.metrics events)
+  with
+  | Some m ->
+    Alcotest.(check (float 0.0)) "flushed as 0" 0.0 m.Rtrt_obs.Sink.m_value;
+    Alcotest.(check bool) "kind counter" true
+      (m.Rtrt_obs.Sink.m_kind = Rtrt_obs.Sink.Counter)
+  | None -> Alcotest.fail "untouched counter not flushed"
+
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 
@@ -405,8 +422,10 @@ let test_jsonl_sink_roundtrip () =
   Rtrt_obs.disable () (* closes the file *);
   let events = Rtrt_obs.Report.events_of_jsonl path in
   Sys.remove path;
-  (* trace header + 2 span starts + 2 span ends + 1 counter. *)
-  Alcotest.(check int) "six events" 6 (List.length events);
+  (* 2 span starts + 2 span ends; every other event is a metric. *)
+  let ms = Rtrt_obs.Report.metrics events in
+  Alcotest.(check int) "four span events" 4
+    (List.length events - List.length ms);
   (match Rtrt_obs.Report.tree_of_events events with
   | [ a ] ->
     Alcotest.(check string) "root is a" "a" (span_name a);
@@ -418,9 +437,16 @@ let test_jsonl_sink_roundtrip () =
     Alcotest.(check bool) "durations nest" true
       ((List.hd a.children).dur <= a.dur)
   | roots -> Alcotest.fail (Fmt.str "expected 1 root, got %d" (List.length roots)));
-  let ms = Rtrt_obs.Report.metrics events in
-  (* The trace header plus our counter. *)
-  Alcotest.(check int) "two metrics" 2 (List.length ms);
+  (* The trace header and our counter; every other registered counter
+     is flushed as 0. *)
+  Alcotest.(check (list string)) "non-zero metrics"
+    [ "jsonl.test"; "trace.wall_start_unix_s" ]
+    (List.sort compare
+       (List.filter_map
+          (fun (m : Rtrt_obs.Sink.metric) ->
+            if m.Rtrt_obs.Sink.m_value <> 0.0 then Some m.Rtrt_obs.Sink.m_name
+            else None)
+          ms));
   Alcotest.(check bool) "header metric present" true
     (List.exists
        (fun (m : Rtrt_obs.Sink.metric) ->
@@ -551,6 +577,8 @@ let () =
             test_counter_accumulation;
           Alcotest.test_case "switch_sink flushes and resets" `Quick
             test_switch_sink_flushes_and_resets;
+          Alcotest.test_case "untouched counter flushed as 0" `Quick
+            test_untouched_counter_flushed;
         ] );
       ( "hist",
         [

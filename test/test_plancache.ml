@@ -153,17 +153,6 @@ let test_keys_known_answers () =
   Alcotest.(check string) "Inspector.fingerprint" "85d1db3321f7c117"
     (F.to_hex (Inspector.fingerprint key_plan kernel))
 
-(* The schedule key also hashes the compiler version, word size and OS
-   type (a .cmxs only loads under the toolchain that built it), so its
-   known answer holds for the toolchain it was recorded under. *)
-let test_schedule_key_known_answer () =
-  if (Sys.ocaml_version, Sys.word_size, Sys.os_type) <> ("5.1.1", 64, "Unix")
-  then Alcotest.skip ();
-  let r = Inspector.run key_plan (test_kernel ()) in
-  Alcotest.(check string) "Specialize.schedule_key" "073c60e23123bdd6"
-    (Specialize.schedule_key r.Inspector.kernel
-       (Option.get r.Inspector.schedule))
-
 (* Hashing folds bytes into an unboxed local and writes the builder
    once per call, so it allocates a few words per call, never per
    byte. A count rather than a timer: no machine noise can hide a
@@ -899,8 +888,6 @@ let () =
             test_fingerprint_known_answers;
           Alcotest.test_case "keys known answers" `Quick
             test_keys_known_answers;
-          Alcotest.test_case "schedule key known answer" `Quick
-            test_schedule_key_known_answer;
           Alcotest.test_case "no allocation per byte" `Quick
             test_fingerprint_allocation;
           QCheck_alcotest.to_alcotest prop_builder_is_fnv1a;
