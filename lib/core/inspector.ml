@@ -236,7 +236,12 @@ let strategy_name = function
    (it changes [n_data_remaps]), and the symmetric-dependence flag (it
    changes tile growth). The plan *name* is deliberately excluded —
    two differently-named plans with the same transforms inspect
-   identically. *)
+   identically.
+
+   The kernel's symmetric dependences (Section 6) are an ingredient
+   too, derived from its chain: the pair [(seed - 1, seed)] when the
+   sets just before and after the seed loop hold the same access
+   (moldyn and cg), none otherwise (nbf and irreg have one set). *)
 let fingerprint ?(strategy = Remap_once) ?(share_symmetric_deps = true) plan
     (kernel : Kernels.Kernel.t) =
   let module F = Rtrt_plancache.Fingerprint in
@@ -245,13 +250,19 @@ let fingerprint ?(strategy = Remap_once) ?(share_symmetric_deps = true) plan
   F.add_int b kernel.Kernels.Kernel.n_nodes;
   F.add_int b kernel.Kernels.Kernel.n_inter;
   F.add_int_array b kernel.Kernels.Kernel.loop_sizes;
-  F.add_int b kernel.Kernels.Kernel.seed_loop;
-  List.iter
-    (fun (l, conn_idx) ->
-      F.add_int b l;
-      F.add_int b conn_idx)
-    kernel.Kernels.Kernel.symmetric_backward;
+  let seed = kernel.Kernels.Kernel.seed_loop in
+  F.add_int b seed;
   let access = kernel.Kernels.Kernel.access in
+  let conn = (kernel.Kernels.Kernel.chain_of_access access).Sparse_tile.conn in
+  let access_of = function Sparse_tile.Preds a | Sparse_tile.Succs a -> a in
+  if
+    seed > 0
+    && seed < Array.length conn
+    && Access.equal (access_of conn.(seed - 1)) (access_of conn.(seed))
+  then begin
+    F.add_int b (seed - 1);
+    F.add_int b seed
+  end;
   F.add_int_array b access.Access.ptr;
   F.add_int_array b access.Access.dat;
   List.iter

@@ -11,39 +11,14 @@ open Reorder
 
 let ( let* ) r f = Result.bind r f
 
-(* Rebuild the per-loop tile functions from a schedule, checking
-   coverage in the same pass: the flag is false when a row names an
-   iteration outside its loop or one an earlier row already named, or
-   when a loop's rows name fewer iterations than it has. Without a
-   duplicate, that count is exactly the number of iterations
-   covered. *)
-let rebuild sched ~loop_sizes =
-  let rp = Schedule.row_ptr sched and fl = Schedule.flat_items sched in
-  let nl = Schedule.n_loops sched and n_tiles = Schedule.n_tiles sched in
-  let covered = ref true in
-  let tiles =
-    Array.mapi
-      (fun l n ->
-        let tile_of = Array.make n (-1) in
-        let placed = ref 0 in
-        for t = 0 to n_tiles - 1 do
-          let r = (t * nl) + l in
-          for i = rp.(r) to rp.(r + 1) - 1 do
-            let it = fl.(i) in
-            if it < 0 || it >= n || tile_of.(it) >= 0 then covered := false
-            else begin
-              tile_of.(it) <- t;
-              incr placed
-            end
-          done
-        done;
-        if !placed <> n then covered := false;
-        { Sparse_tile.n_tiles; tile_of })
-      loop_sizes
-  in
-  (tiles, !covered)
+(* [Schedule.tile_fns_of_rows] over a schedule's own rows: the tile
+   functions and the coverage verdict, in one pass. *)
+let tile_fns sched ~loop_sizes =
+  Schedule.tile_fns_of_rows ~n_tiles:(Schedule.n_tiles sched)
+    ~row_ptr:(Schedule.row_ptr sched) ~items:(Schedule.flat_items sched)
+    ~loop_sizes
 
-let tile_fns_of_schedule sched ~loop_sizes = fst (rebuild sched ~loop_sizes)
+let tile_fns_of_schedule sched ~loop_sizes = fst (tile_fns sched ~loop_sizes)
 
 (* Check a tiled executor against the final kernel: coverage (every
    iteration exactly once) and dependence order (tile(p) <= tile(q)
@@ -60,7 +35,7 @@ let check_tiled (kernel : Kernels.Kernel.t) sched =
         (Fmt.str "schedule has %d loops, the kernel chain %d"
            (Schedule.n_loops sched) (Array.length loop_sizes))
   in
-  let tiles, covered = rebuild sched ~loop_sizes in
+  let tiles, covered = tile_fns sched ~loop_sizes in
   let* () =
     if covered then Ok ()
     else Error "schedule does not cover every iteration exactly once"

@@ -1,9 +1,9 @@
 (** Run-time verification that inspector-generated reordering functions
     respect every dependence of the transformed program. *)
 
-(** Rebuild per-loop tile functions from a schedule (inverse of
-    {!Reorder.Schedule.of_tile_fns}). An iteration no row names keeps
-    tile [-1]. *)
+(** Per-loop tile functions of a schedule
+    ({!Reorder.Schedule.tile_fns_of_rows} without the coverage
+    verdict). An iteration no row names keeps tile [-1]. *)
 val tile_fns_of_schedule :
   Reorder.Schedule.t ->
   loop_sizes:int array ->
@@ -11,7 +11,7 @@ val tile_fns_of_schedule :
 
 (** Coverage + dependence-order check of a tiled executor against the
     final kernel's chain. Coverage is checked in the pass that rebuilds
-    the tile functions, and each dependence set is walked once in the
+    the tile functions ({!Reorder.Schedule.tile_fns_of_rows}), and each dependence set is walked once in the
     orientation the kernel's chain stores it, so no transpose is
     built. *)
 val check_tiled :

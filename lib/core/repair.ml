@@ -110,15 +110,6 @@ let arrays_equal (a : int array) (b : int array) =
   let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
   go (Array.length a - 1)
 
-(* The same access: physically (the bundled kernels' chains hold the
-   access value itself), else by content. *)
-let same_access (c : Access.t) (a : Access.t) =
-  c == a
-  || Access.n_iter c = Access.n_iter a
-     && Access.n_data c = Access.n_data a
-     && arrays_equal c.Access.ptr a.Access.ptr
-     && arrays_equal c.Access.dat a.Access.dat
-
 (* Why every [repair] on this state will take the cold path, or [Ok]
    if the incremental path applies. [trans] is the transpose of the
    final access, forced only for a set stored in the orientation
@@ -168,9 +159,9 @@ let compute_support plan (k : Kernels.Kernel.t) sched ~trans =
         let is_access l =
           match chain.Sparse_tile.conn.(l) with
           | Sparse_tile.Preds c ->
-            same_access c (if l + 1 = seed then access else Lazy.force trans)
+            Access.equal c (if l + 1 = seed then access else Lazy.force trans)
           | Sparse_tile.Succs c ->
-            same_access c (if l = seed then access else Lazy.force trans)
+            Access.equal c (if l = seed then access else Lazy.force trans)
         in
         let back_ok = seed = 0 || is_access (seed - 1) in
         let fwd_ok = seed = n_loops - 1 || is_access seed in

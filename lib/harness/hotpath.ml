@@ -1,9 +1,6 @@
-(* Hot-path microbenchmarks for the flat-CSR schedule representation:
+(* Hot-path microbenchmarks for the executors over the flat-CSR
+   schedule:
 
-   - schedule walk: stream every (tile, loop) row of a real sparse-tiled
-     schedule, flat CSR with validated-once [Array.unsafe_get] against a
-     locally synthesized nested [int array array array] reference (the
-     pre-flat representation), reporting GB/s for both and the ratio;
    - executor steady state: moldyn's tiled executor against the plain
      executor, seconds per time step (the tiled executor must stay
      within a small factor of plain at default scale — its payoff is
@@ -15,141 +12,56 @@
    - inspector phase breakdown: the composed inspector re-run under an
      in-memory trace sink, per-span-name totals via [Rtrt_obs.Report].
 
-   Results land in BENCH_HOTPATH.json (the CI perf trajectory) and in
-   the [hotpath.*] gauges. *)
+   Both timed sections go through [best_of_rounds]. Results land in
+   BENCH_HOTPATH.json (the CI perf trajectory) and in the [hotpath.*]
+   gauges. *)
 
 module T = Table
 
-let g_flat_gbps = Rtrt_obs.Metrics.gauge "hotpath.walk.flat_gbps"
-let g_walk_speedup = Rtrt_obs.Metrics.gauge "hotpath.walk.speedup"
 let g_exec_ratio = Rtrt_obs.Metrics.gauge "hotpath.exec.tiled_over_plain"
 let g_spec_shaped = Rtrt_obs.Metrics.gauge "hotpath.spec.shaped_speedup"
 
 let time f = snd (Rtrt_obs.Clock.time f)
 
-(* ------------------------------------------------------------------ *)
-(* Schedule walk                                                       *)
-
-(* The pre-flat representation, synthesized from the same schedule so
-   both walks visit identical items in identical order. Rows are
-   allocated loop-major, as the nested [of_tile_fns] built them (one
-   loop's rows at a time), so the tile-major walk below hops between
-   allocations exactly as the old executors did. *)
-let nested_of_schedule s =
-  let nt = Reorder.Schedule.n_tiles s and nl = Reorder.Schedule.n_loops s in
-  let nested = Array.init nt (fun _ -> Array.make nl [||]) in
-  for loop = 0 to nl - 1 do
-    for tile = 0 to nt - 1 do
-      nested.(tile).(loop) <- Reorder.Schedule.items s ~tile ~loop
-    done
-  done;
-  nested
-
-(* The old executors fetched each row through [Schedule.items], a
-   cross-module call the compiler did not inline. *)
-let[@inline never] nested_row (nested : int array array array) tile loop =
-  nested.(tile).(loop)
-
-let walk_nested (nested : int array array array) =
-  let acc = ref 0 in
-  for tile = 0 to Array.length nested - 1 do
-    for loop = 0 to Array.length nested.(tile) - 1 do
-      let row = nested_row nested tile loop in
-      for i = 0 to Array.length row - 1 do
-        acc := !acc + row.(i)
-      done
-    done
-  done;
-  !acc
-
-(* Row-major flat walk, one row-pointer read per row (rows are
-   contiguous, so the previous row's end is the next row's start) —
-   the executors' access pattern. *)
-let walk_flat s =
-  let rp = Reorder.Schedule.row_ptr s
-  and fl = Reorder.Schedule.flat_items s in
-  let n_rows = Reorder.Schedule.n_tiles s * Reorder.Schedule.n_loops s in
-  let acc = ref 0 in
-  let lo = ref 0 in
-  for r = 0 to n_rows - 1 do
-    let hi = Array.unsafe_get rp (r + 1) in
-    for i = !lo to hi - 1 do
-      acc := !acc + Array.unsafe_get fl i
-    done;
-    lo := hi
-  done;
-  !acc
-
-let bench_walk ?(min_seconds = 0.2) sched =
-  let nested = nested_of_schedule sched in
-  let items = Reorder.Schedule.total_iterations sched in
-  let check = walk_flat sched in
-  if walk_nested nested <> check then failwith "Hotpath.bench_walk: mismatch";
-  (* Calibrate the pass count on the nested walk, then time both sides
-     as the best of several rounds of [passes] walks each — the
-     minimum is the least scheduler-perturbed round, so the ratio is
-     stable run to run. *)
-  let sink = ref 0 in
-  let one = time (fun () -> sink := !sink + walk_nested nested) in
-  let rounds = 5 in
-  let passes =
+(* Two walks of [steps] steps each, timed as the best of five
+   alternating rounds (a round, b round, repeat), so ambient machine
+   drift lands on both equally and the best-of-rounds ratio stays
+   stable. [steps] is calibrated off [a]'s first step, which (like
+   [b]'s) is a warm-up, so that one round lasts about 0.05 s. Each
+   walk runs 1 + 5 * steps steps in all. Returns [steps] and each
+   walk's best round in seconds. *)
+let best_of_rounds a b =
+  let rounds = 5 and min_seconds = 0.25 in
+  let one = time (fun () -> a ~steps:1) in
+  b ~steps:1;
+  let steps =
     max 3 (int_of_float (min_seconds /. float_of_int rounds /. max 1e-9 one))
   in
-  let run walk =
-    let best = ref infinity in
-    for _ = 1 to rounds do
-      let t =
-        time (fun () ->
-            for _ = 1 to passes do
-              sink := !sink + walk ()
-            done)
-      in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let nested_seconds = run (fun () -> walk_nested nested) in
-  let flat_seconds = run (fun () -> walk_flat sched) in
-  ignore (Sys.opaque_identity !sink);
-  let gbps sec =
-    float_of_int (8 * items * passes) /. max 1e-12 sec /. 1e9
-  in
-  let speedup = nested_seconds /. max 1e-12 flat_seconds in
-  Rtrt_obs.Metrics.set g_flat_gbps (gbps flat_seconds);
-  Rtrt_obs.Metrics.set g_walk_speedup speedup;
-  T.row
-    [ ("section", "schedule_walk") ]
-    [
-      T.count "items" items;
-      T.count "passes" passes;
-      T.lower "nested_seconds" "s" nested_seconds;
-      T.lower "flat_seconds" "s" flat_seconds;
-      T.higher "nested_gbps" "GB/s" (gbps nested_seconds);
-      T.higher "flat_gbps" "GB/s" (gbps flat_seconds);
-      T.higher "speedup" "ratio" speedup;
-    ]
+  let best_a = ref infinity and best_b = ref infinity in
+  for _ = 1 to rounds do
+    let keep cell t = if t < !cell then cell := t in
+    keep best_a (time (fun () -> a ~steps));
+    keep best_b (time (fun () -> b ~steps))
+  done;
+  (steps, !best_a, !best_b)
 
 (* ------------------------------------------------------------------ *)
 (* Executor steady state                                               *)
 
-let bench_exec ?(steps = 3) (kernel : Kernels.Kernel.t)
-    (result : Compose.Inspector.result) =
+let bench_exec (kernel : Kernels.Kernel.t) (result : Compose.Inspector.result)
+    =
   match result.Compose.Inspector.schedule with
   | None -> invalid_arg "Hotpath.bench_exec: plan produced no schedule"
   | Some sched ->
     let k = result.Compose.Inspector.kernel in
     let plain = Kernels.Kernel.(kernel.copy ()) in
     let tiled = Kernels.Kernel.(k.copy ()) in
-    (* One warmup step each, then the timed steady state. *)
-    plain.Kernels.Kernel.run ~steps:1;
-    tiled.Kernels.Kernel.run_tiled sched ~steps:1;
-    let plain_s =
-      time (fun () -> plain.Kernels.Kernel.run ~steps) /. float_of_int steps
+    let steps, plain_best, tiled_best =
+      best_of_rounds plain.Kernels.Kernel.run
+        (tiled.Kernels.Kernel.run_tiled sched)
     in
-    let tiled_s =
-      time (fun () -> tiled.Kernels.Kernel.run_tiled sched ~steps)
-      /. float_of_int steps
-    in
+    let plain_s = plain_best /. float_of_int steps in
+    let tiled_s = tiled_best /. float_of_int steps in
     let tiled_over_plain = tiled_s /. max 1e-12 plain_s in
     Rtrt_obs.Metrics.set g_exec_ratio tiled_over_plain;
     T.row
@@ -164,45 +76,24 @@ let bench_exec ?(steps = 3) (kernel : Kernels.Kernel.t)
 (* ------------------------------------------------------------------ *)
 (* Specialized executors                                               *)
 
-let bench_spec ?(min_seconds = 0.25) ?(rounds = 5) ~plan_name
-    (result : Compose.Inspector.result) =
+let bench_spec ~plan_name (result : Compose.Inspector.result) =
   match result.Compose.Inspector.schedule with
   | None -> invalid_arg "Hotpath.bench_spec: plan produced no schedule"
   | Some sched ->
     let k = result.Compose.Inspector.kernel in
     let items = Reorder.Schedule.total_iterations sched in
-    (* Calibrate the step count off the interpreted walk's warmup step
-       so one timing round lasts roughly [min_seconds / rounds] — the
-       per-step times here are far too short to gate on raw. Each
-       walk runs on its own copy of the transformed kernel; the rounds
-       alternate (interpreted round, generated round, repeat) so
-       ambient machine drift lands on both equally and the
-       best-of-rounds ratio stays stable. Both execute the same
-       1 + rounds*steps walks, so the final states must be bitwise
-       equal — asserted below. *)
+    (* Each walk runs on its own copy of the transformed kernel, the
+       same number of steps, so the final states must be bitwise
+       equal — asserted below. Construction verifies bitwise on
+       throwaway copies. *)
     let interp_k = Kernels.Kernel.(k.copy ()) in
-    let one =
-      time (fun () -> interp_k.Kernels.Kernel.run_tiled sched ~steps:1)
-    in
-    let steps =
-      max 3
-        (int_of_float
-           (min_seconds /. float_of_int rounds /. max 1e-9 one))
-    in
-    (* Construction verifies bitwise on throwaway copies. *)
     let shaped_k = Kernels.Kernel.(k.copy ()) in
     let spec = Compose.Specialize.make shaped_k sched in
-    (* Warmup (the calibration step already warmed interp_k). *)
-    spec.Compose.Specialize.run ~steps:1;
-    let interp_best = ref infinity and shaped_best = ref infinity in
-    for _ = 1 to rounds do
-      let keep cell t = if t < !cell then cell := t in
-      keep interp_best
-        (time (fun () -> interp_k.Kernels.Kernel.run_tiled sched ~steps));
-      keep shaped_best (time (fun () -> spec.Compose.Specialize.run ~steps))
-    done;
-    let interp_seconds = !interp_best in
-    let shaped_seconds = !shaped_best in
+    let steps, interp_seconds, shaped_seconds =
+      best_of_rounds
+        (interp_k.Kernels.Kernel.run_tiled sched)
+        spec.Compose.Specialize.run
+    in
     let bitwise =
       Kernels.Kernel.snapshots_equal_bits
         (interp_k.Kernels.Kernel.snapshot ())
@@ -264,14 +155,6 @@ let measure ~scale () =
     Compose.Plan.with_fst ~seed_part_size:64 Compose.Plan.cpack_lexgroup_twice
   in
   let result = Experiment.inspect plan kernel in
-  let sched =
-    match result.Compose.Inspector.schedule with
-    | Some s -> s
-    | None -> invalid_arg "Hotpath.measure: plan produced no schedule"
-  in
-  let walk, ph_walk =
-    Rtrt_obs.Profile.record ~name:"walk" (fun () -> bench_walk sched)
-  in
   let exec, ph_exec =
     Rtrt_obs.Profile.record ~name:"exec" (fun () -> bench_exec kernel result)
   in
@@ -317,9 +200,8 @@ let measure ~scale () =
         T.row
           ~notes:[ ("plan", Compose.Plan.name plan) ]
           [] [ T.info "scale" "divisor" (float_of_int scale) ];
-        walk;
         exec;
       ]
       @ spec @ phases
-      @ T.profile_rows [ ph_walk; ph_exec; ph_spec; ph_insp ];
+      @ T.profile_rows [ ph_exec; ph_spec; ph_insp ];
   }

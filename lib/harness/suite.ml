@@ -91,9 +91,9 @@ let all =
     {
       name = "hotpath";
       doc =
-        "flat-CSR schedule-walk bandwidth vs the nested reference, moldyn \
-         tiled-vs-plain steady state, the specialized-executor tiers, and \
-         the inspector phase breakdown";
+        "moldyn tiled-vs-plain steady state and the generated executor \
+         against the interpreted walk per kernel (interleaved best-of-5 \
+         rounds each), and the inspector phase breakdown";
       scale = 24;
       wall_steps = 3;
       table = (fun c -> Hotpath.measure ~scale:c.Figures.scale ());

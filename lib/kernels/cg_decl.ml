@@ -91,7 +91,6 @@ let decl =
     conn = (fun acc -> Reorder.Sparse_tile.[| Preds acc; Succs acc |]);
     wrap = (fun n _ -> Reorder.Sparse_tile.Preds (Reorder.Access.identity n));
     seed_loop = 1;
-    symmetric_backward = [ (0, 1) ];
     time_tiling = false;
     classes =
       [|

@@ -53,7 +53,6 @@ let decl =
     conn = (fun acc -> [| Reorder.Sparse_tile.Succs acc |]);
     wrap = (fun _ acc -> Reorder.Sparse_tile.Preds acc);
     seed_loop = 0;
-    symmetric_backward = [];
     time_tiling = true;
     classes =
       [|

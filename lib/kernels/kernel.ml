@@ -63,12 +63,6 @@ type t = {
      sparse tiling grow across the outer time-stepping loop (Section
      2.3: "across an outer loop"). *)
   wrap_conn_of_access : Reorder.Access.t -> Reorder.Sparse_tile.deps;
-  (* [(backward_loop, conn_index)] pairs recording that the set growing
-     loop [backward_loop] walks and [chain.conn.(conn_index)] are keyed
-     by the same index arrays — the paper's symmetric dependences
-     (Section 6) — so the chain stores both as one access. Only the
-     plan-cache fingerprint reads it. *)
-  symmetric_backward : (int * int) list;
   (* [apply_data_perm]: fresh index and node arrays, per-interaction
      arrays shared; [apply_iter_perm]: fresh index and per-interaction
      arrays, node arrays shared; [apply_perms ~delta ~sigma]: both in

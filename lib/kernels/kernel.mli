@@ -56,16 +56,6 @@ type t = {
       (** cross-time-step dependences between the last loop at step s
           and the first loop at step s+1, in either orientation — lets
           sparse tiling grow across the outer loop *)
-  symmetric_backward : (int * int) list;
-      (** [(backward_loop, conn_index)]: the dependence set that
-          growing [backward_loop] walks and [chain.conn.(conn_index)]
-          are keyed by the same index arrays (Section 6 symmetric
-          dependences), so the chain stores both as the one
-          interaction access, in opposite orientations, and sparse
-          tiling walks it once per pair without a transpose. Growth
-          does not read this list; it remains an ingredient of
-          [Compose.Inspector.fingerprint], whose values name stored
-          plans. *)
   apply_data_perm : Reorder.Perm.t -> t;
       (** The kernel under data reordering [sigma]: fresh index arrays
           (values renamed) and fresh node arrays (permuted). The

@@ -72,7 +72,6 @@ let decl =
     (* Step s's pairs precede step s+1's updates of their endpoints. *)
     wrap = (fun _ acc -> Reorder.Sparse_tile.Succs acc);
     seed_loop = 1;
-    symmetric_backward = [];
     time_tiling = true;
     classes =
       [|

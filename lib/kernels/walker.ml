@@ -91,7 +91,6 @@ type 'a t = {
   conn : Reorder.Access.t -> Reorder.Sparse_tile.deps array;
   wrap : int -> Reorder.Access.t -> Reorder.Sparse_tile.deps;
   seed_loop : int;
-  symmetric_backward : (int * int) list;
   time_tiling : bool;
   classes : 'a cls array;
   exec : 'a -> walk -> unit;
@@ -327,7 +326,6 @@ let rec make decl st =
         Reorder.Sparse_tile.make_oriented_chain ~loop_sizes
           ~conn:(decl.conn acc));
     wrap_conn_of_access = decl.wrap n;
-    symmetric_backward = decl.symmetric_backward;
     apply_data_perm = (fun sigma -> permute ~sigma ());
     apply_iter_perm = (fun delta -> permute ~delta ());
     apply_perms = (fun ~delta ~sigma -> permute ~delta ~sigma ());

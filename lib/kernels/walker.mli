@@ -97,7 +97,6 @@ type 'a t = {
   wrap : int -> Reorder.Access.t -> Reorder.Sparse_tile.deps;
       (** [Kernel.wrap_conn_of_access], given the node count *)
   seed_loop : int;
-  symmetric_backward : (int * int) list;
   time_tiling : bool;  (** whether a schedule may unroll several chains *)
   classes : 'a cls array;
   exec : 'a -> walk -> unit;

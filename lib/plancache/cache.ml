@@ -1,21 +1,9 @@
 (* Content-addressed cache of composed inspector results, so repeated
    experiments over an identical (dataset, plan) pair pay the
    inspection cost once (the paper's amortization argument, Figures
-   8/9/17, made a first-class subsystem).
-
-   Two tiers:
-   - an in-memory LRU keyed by the fingerprint hex, bounded by a byte
-     budget (permutations dominate: ~8 bytes per element);
-   - an optional on-disk store: one binary [<key>.plan] file per key
-     under [dir] (format v4, below), written atomically via rename.
-
-   Loads are checked (length, magic, version, checksum, key, header
-   sizes) and then validated — array sizes against the kernel the
-   caller is about to transform, permutation bijectivity via
-   [Perm.of_forward], schedule coverage via [Schedule.check_coverage]
-   — so a corrupt, truncated, or mismatched file degrades to a miss,
-   never a crash and never a wrong executor. Hit/miss/evict traffic is
-   published as [plancache.*] metrics. *)
+   8/9/17, made a first-class subsystem). This module is the entry,
+   its binary codec (format v4, below) and its validation against the
+   kernel at hand; [Store] holds the memory and disk tiers. *)
 
 open Reorder
 
@@ -31,7 +19,7 @@ type entry = {
          the amortization win *)
 }
 
-type stats = {
+type stats = Store.stats = {
   hits : int;
   misses : int;
   stores : int;
@@ -42,80 +30,13 @@ type stats = {
   bytes : int;
 }
 
-type slot = { entry : entry; slot_bytes : int; mutable last_use : int }
-
-type t = {
-  mem_budget : int;
-  dir : string option;
-  tbl : (string, slot) Hashtbl.t;
-  mutex : Mutex.t;
-  mutable clock : int;
-  mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
-  mutable evictions : int;
-  mutable disk_hits : int;
-  mutable disk_errors : int;
-}
-
-let c_hit = Rtrt_obs.Metrics.counter "plancache.hit"
-let c_miss = Rtrt_obs.Metrics.counter "plancache.miss"
-let c_evict = Rtrt_obs.Metrics.counter "plancache.evict"
-let c_store = Rtrt_obs.Metrics.counter "plancache.store"
-let c_disk_hit = Rtrt_obs.Metrics.counter "plancache.disk_hit"
-let c_disk_error = Rtrt_obs.Metrics.counter "plancache.disk_error"
-let g_bytes = Rtrt_obs.Metrics.gauge "plancache.bytes"
-
-let default_mem_budget = 64 * 1024 * 1024
+(* The kernel an entry must fit: what [find] checks it against. *)
+type shape = { n_data : int; n_iter : int; loop_sizes : int array }
 
 let dir_from_env () = Rtrt_obs.Config.env_dir ~name:"RTRT_PLAN_CACHE_DIR" ()
 
-let create ?(mem_budget_bytes = default_mem_budget) ?dir () =
-  Option.iter Disk_write.mkdir_p dir;
-  {
-    mem_budget = mem_budget_bytes;
-    dir;
-    tbl = Hashtbl.create 32;
-    mutex = Mutex.create ();
-    clock = 0;
-    bytes = 0;
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    evictions = 0;
-    disk_hits = 0;
-    disk_errors = 0;
-  }
-
-let dir t = t.dir
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      stores = t.stores;
-      evictions = t.evictions;
-      disk_hits = t.disk_hits;
-      disk_errors = t.disk_errors;
-      entries = Hashtbl.length t.tbl;
-      bytes = t.bytes;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
-
-let pp_stats ppf (s : stats) =
-  Fmt.pf ppf
-    "%d hits (%d from disk), %d misses, %d stores, %d evictions, %d disk \
-     errors, %d entries / %d bytes resident"
-    s.hits s.disk_hits s.misses s.stores s.evictions s.disk_errors s.entries
-    s.bytes
-
 (* ------------------------------------------------------------------ *)
-(* Sizing and the LRU memory tier                                      *)
+(* Sizing for the memory tier's budget                                 *)
 
 let perm_bytes p = 8 * Perm.size p
 
@@ -128,41 +49,6 @@ let entry_bytes e =
       (fun acc (name, p) -> acc + String.length name + perm_bytes p)
       0 e.reordering_fns
   + 128
-
-(* Callers hold the mutex. O(entries) eviction scan: plan caches hold
-   tens of entries, not millions. *)
-let evict_until_within t =
-  while t.bytes > t.mem_budget && Hashtbl.length t.tbl > 1 do
-    let victim =
-      Hashtbl.fold
-        (fun key slot acc ->
-          match acc with
-          | Some (_, best) when best.last_use <= slot.last_use -> acc
-          | _ -> Some (key, slot))
-        t.tbl None
-    in
-    match victim with
-    | None -> ()
-    | Some (key, slot) ->
-      Hashtbl.remove t.tbl key;
-      t.bytes <- t.bytes - slot.slot_bytes;
-      t.evictions <- t.evictions + 1;
-      Rtrt_obs.Metrics.incr c_evict
-  done;
-  Rtrt_obs.Metrics.set g_bytes (float_of_int t.bytes)
-
-(* Callers hold the mutex. *)
-let insert_mem t hex entry =
-  (match Hashtbl.find_opt t.tbl hex with
-  | Some old ->
-    Hashtbl.remove t.tbl hex;
-    t.bytes <- t.bytes - old.slot_bytes
-  | None -> ());
-  let slot_bytes = entry_bytes entry in
-  t.clock <- t.clock + 1;
-  Hashtbl.replace t.tbl hex { entry; slot_bytes; last_use = t.clock };
-  t.bytes <- t.bytes + slot_bytes;
-  evict_until_within t
 
 (* ------------------------------------------------------------------ *)
 (* Binary entries (format v4) — on-disk tier                           *)
@@ -313,47 +199,34 @@ let get_perm c n =
   | exception Invalid_argument msg -> corrupt ("not a permutation: " ^ msg)
 
 (* Rebuild a schedule from its flat CSR through per-loop tile
-   functions, so [Schedule.of_tile_fns] revalidates from scratch: each
-   loop's rows must address its iterations exactly once or the
-   reconstruction fails (the bijectivity check for tile schedules, the
-   analogue of [Perm.of_forward] for permutations). Reconstruction
-   also requires the file's [items] to match the canonical
-   (row-ascending) order the constructor produces — every writer emits
-   that order, and insisting on it keeps warm replay bit-identical to
-   the cold run. *)
-let schedule_of_csr ~n_tiles ~n_loops ~row_ptr ~items =
-  let n_rows = n_tiles * n_loops in
+   functions ([Schedule.tile_fns_of_rows]), so [Schedule.of_tile_fns]
+   revalidates from scratch: each loop's rows must address the
+   caller's iterations of that loop exactly once or the reconstruction
+   fails (the bijectivity check for tile schedules, the analogue of
+   [Perm.of_forward] for permutations). Reconstruction also requires
+   the file's [items] to match the canonical (row-ascending) order the
+   constructor produces — every writer emits that order, and insisting
+   on it keeps warm replay bit-identical to the cold run. *)
+let schedule_of_csr ~n_tiles ~row_ptr ~items ~loop_sizes =
+  let n_rows = Array.length row_ptr - 1 in
   if row_ptr.(0) <> 0 || row_ptr.(n_rows) <> Array.length items then
     corrupt "bad schedule row pointers";
   for r = 0 to n_rows - 1 do
     if row_ptr.(r + 1) < row_ptr.(r) then corrupt "bad schedule row pointers"
   done;
-  let fn_of_loop l =
-    let size = ref 0 in
-    for tile = 0 to n_tiles - 1 do
-      let r = (tile * n_loops) + l in
-      size := !size + (row_ptr.(r + 1) - row_ptr.(r))
-    done;
-    let tile_of = Array.make !size (-1) in
-    for tile = 0 to n_tiles - 1 do
-      let r = (tile * n_loops) + l in
-      for i = row_ptr.(r) to row_ptr.(r + 1) - 1 do
-        let it = items.(i) in
-        if it < 0 || it >= !size || tile_of.(it) <> -1 then
-          corrupt "schedule loop does not cover its iterations exactly once";
-        tile_of.(it) <- tile
-      done
-    done;
-    { Sparse_tile.n_tiles; tile_of }
+  let tiles, covered =
+    Schedule.tile_fns_of_rows ~n_tiles ~row_ptr ~items ~loop_sizes
   in
-  let s = Schedule.of_tile_fns (Array.init n_loops fn_of_loop) in
+  if not covered then
+    corrupt "schedule loop does not cover its iterations exactly once";
+  let s = Schedule.of_tile_fns tiles in
   if Schedule.row_ptr s <> row_ptr || Schedule.flat_items s <> items then
     corrupt "schedule items not in canonical order";
   s
 
 (* Raises [Corrupt] (or [Invalid_argument] from a constructor) on
    anything but a well-formed entry for [hex] of the caller's sizes. *)
-let decode buf ~hex ~n_data ~n_iter =
+let decode buf ~hex { n_data; n_iter; loop_sizes } =
   let len = Bytes.length buf in
   if len < header_bytes + trailer_bytes then corrupt "shorter than a header";
   let c = { buf; pos = 0; limit = len - 8 } in
@@ -383,10 +256,12 @@ let decode buf ~hex ~n_data ~n_iter =
   let delta_total = get_perm c n_iter in
   let schedule =
     if n_tiles = 0 then None
+    else if n_loops <> Array.length loop_sizes then
+      corrupt "schedule loop-count mismatch"
     else
       let row_ptr = get_ints c ((n_tiles * n_loops) + 1) in
       let items = get_ints c n_items in
-      Some (schedule_of_csr ~n_tiles ~n_loops ~row_ptr ~items)
+      Some (schedule_of_csr ~n_tiles ~row_ptr ~items ~loop_sizes)
   in
   let reordering_fns =
     List.init n_fns (fun _ ->
@@ -408,7 +283,7 @@ let decode buf ~hex ~n_data ~n_iter =
 
 (* Does a (possibly deserialized, possibly fingerprint-colliding)
    entry actually fit the kernel the caller is about to transform? *)
-let validate_entry e ~n_data ~n_iter ~loop_sizes =
+let validate_entry { n_data; n_iter; loop_sizes } e =
   if Perm.size e.sigma_total <> n_data then Error "sigma size mismatch"
   else if Perm.size e.delta_total <> n_iter then Error "delta size mismatch"
   else if
@@ -433,110 +308,31 @@ let validate_entry e ~n_data ~n_iter ~loop_sizes =
       else Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* Disk tier                                                           *)
+(* The store                                                           *)
 
-let file_path dir hex = Filename.concat dir (hex ^ ".plan")
-
-let count_disk_error t =
-  t.disk_errors <- t.disk_errors + 1;
-  Rtrt_obs.Metrics.incr c_disk_error
-
-(* One read of the whole file, then decode and validate. *)
-let load path ~hex ~n_data ~n_iter ~loop_sizes =
-  match
-    let buf =
-      In_channel.with_open_bin path (fun ic ->
-          let buf = Bytes.create (Int64.to_int (In_channel.length ic)) in
-          match In_channel.really_input ic buf 0 (Bytes.length buf) with
-          | Some () -> buf
-          | None -> corrupt "file shrank while being read")
-    in
-    decode buf ~hex ~n_data ~n_iter
-  with
-  | e -> Result.map (fun () -> e) (validate_entry e ~n_data ~n_iter ~loop_sizes)
-  | exception (Corrupt msg | Invalid_argument msg | Sys_error msg) -> Error msg
-
-let disk_load t hex ~n_data ~n_iter ~loop_sizes =
-  match t.dir with
-  | None -> None
-  | Some dir -> (
-    let path = file_path dir hex in
-    if not (Sys.file_exists path) then None
-    else
-      match load path ~hex ~n_data ~n_iter ~loop_sizes with
-      | Ok e -> Some e
-      | Error msg ->
-        count_disk_error t;
-        Fmt.epr
-          "rtrt: warning: plan-cache entry %s is invalid (%s); treating as a \
-           miss@."
-          path msg;
-        None)
-
-let disk_store t hex e =
-  match t.dir with
-  | None -> ()
-  | Some dir -> (
-    let path = file_path dir hex in
-    let written =
+let format =
+  Store.format ~prefix:"plancache" ~what:"plan-cache entry"
+    ~file_name:(fun hex -> hex ^ ".plan")
+    ~size:entry_bytes
+    ~encode:(fun ~hex e ->
       match encode ~hex e with
-      | buf ->
-        Disk_write.atomically path (fun oc -> Out_channel.output_bytes oc buf)
-      | exception Unrepresentable what -> Error ("cannot encode " ^ what)
-    in
-    match written with
-    | Ok () -> ()
-    | Error msg ->
-      count_disk_error t;
-      Fmt.epr "rtrt: warning: cannot write plan-cache entry %s (%s)@." path msg)
+      | buf -> Ok (Bytes.unsafe_to_string buf)
+      | exception Unrepresentable what -> Error ("cannot encode " ^ what))
+    ~decode:(fun ~hex shape buf ->
+      match decode buf ~hex shape with
+      | e -> Ok e
+      | exception (Corrupt msg | Invalid_argument msg) -> Error msg)
+    ~valid:validate_entry
 
-(* ------------------------------------------------------------------ *)
-(* Public operations                                                   *)
+type t = (entry, shape) Store.t
+
+let create ?mem_budget_bytes ?dir () =
+  Store.create format ?mem_budget_bytes ?dir ()
+
+let dir = Store.dir
+let stats = Store.stats
+let store = Store.store
+let peek = Store.peek
 
 let find t ~key ~n_data ~n_iter ~loop_sizes =
-  let hex = Fingerprint.to_hex key in
-  Mutex.lock t.mutex;
-  let result =
-    match Hashtbl.find_opt t.tbl hex with
-    | Some slot
-      when validate_entry slot.entry ~n_data ~n_iter ~loop_sizes = Ok () ->
-      t.clock <- t.clock + 1;
-      slot.last_use <- t.clock;
-      Some slot.entry
-    | _ -> (
-      match disk_load t hex ~n_data ~n_iter ~loop_sizes with
-      | Some e ->
-        t.disk_hits <- t.disk_hits + 1;
-        Rtrt_obs.Metrics.incr c_disk_hit;
-        insert_mem t hex e;
-        Some e
-      | None -> None)
-  in
-  (match result with
-  | Some _ ->
-    t.hits <- t.hits + 1;
-    Rtrt_obs.Metrics.incr c_hit
-  | None ->
-    t.misses <- t.misses + 1;
-    Rtrt_obs.Metrics.incr c_miss);
-  Mutex.unlock t.mutex;
-  result
-
-let store t ~key entry =
-  let hex = Fingerprint.to_hex key in
-  Mutex.lock t.mutex;
-  t.stores <- t.stores + 1;
-  Rtrt_obs.Metrics.incr c_store;
-  insert_mem t hex entry;
-  disk_store t hex entry;
-  Mutex.unlock t.mutex
-
-(* Memory-tier-only lookup with no stats or LRU side effects — for
-   reporting layers that want the cold-run cost after [find]/[store]
-   already ran. *)
-let peek t ~key =
-  let hex = Fingerprint.to_hex key in
-  Mutex.lock t.mutex;
-  let e = Option.map (fun s -> s.entry) (Hashtbl.find_opt t.tbl hex) in
-  Mutex.unlock t.mutex;
-  e
+  Store.find t ~key { n_data; n_iter; loop_sizes }

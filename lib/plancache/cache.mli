@@ -2,20 +2,21 @@
 
     Keys are {!Fingerprint.t} hashes of everything that determines the
     inspection outcome (kernel access pattern, plan transformations,
-    strategy, symmetric-dependence sharing). Two tiers: an in-memory
-    LRU bounded by a byte budget, and an optional on-disk store (one
-    binary [<key>.plan] file per key, format v4: a fixed header,
-    little-endian int32 arrays and a trailing FNV-1a checksum) so the
-    amortization survives process restarts.
+    strategy, symmetric-dependence sharing). Two tiers, kept by the
+    library's internal store: an in-memory LRU bounded by a byte
+    budget, and an optional on-disk store of one binary [<key>.plan]
+    file per key (format v4: a fixed header, little-endian int32
+    arrays and a trailing FNV-1a checksum), so the amortization
+    survives process restarts.
 
     Disk entries are checked on load (length, magic, version,
     checksum, key, header sizes) and then validated — array sizes
     against the kernel at hand, permutation bijectivity, schedule
-    coverage — so a corrupt or stale file degrades to a miss, never a
-    crash. Files of older formats (JSON, [<key>.json]) are ignored; a
-    v3 [<key>.plan] file fails the version check, a counted miss that
-    the next store overwrites. All
-    operations are mutex-guarded and safe to call from worker domains.
+    coverage — so a corrupt or stale file degrades to a counted miss,
+    never a crash. Files of older formats (JSON, [<key>.json]) are
+    ignored; a v3 [<key>.plan] file fails the version check, a counted
+    miss that the next store overwrites. All operations are
+    mutex-guarded and safe to call from worker domains.
 
     Traffic is published to {!Rtrt_obs.Metrics} under
     [plancache.hit], [plancache.miss], [plancache.evict],
@@ -39,7 +40,7 @@ type entry = {
       (** inspector wall time of the run that produced this entry *)
 }
 
-type stats = {
+type stats = Store.stats = {
   hits : int;
   misses : int;
   stores : int;
@@ -86,4 +87,3 @@ val store : t -> key:Fingerprint.t -> entry -> unit
 val peek : t -> key:Fingerprint.t -> entry option
 
 val stats : t -> stats
-val pp_stats : stats Fmt.t

@@ -1,7 +1,7 @@
 (* Umbrella module: [Rtrt_plancache.Cache], [Rtrt_plancache.Fingerprint],
-   [Rtrt_plancache.Tuned], [Rtrt_plancache.Disk_write]. *)
+   [Rtrt_plancache.Tuned]. [Store], the two tiers both caches sit on,
+   stays internal. *)
 
 module Fingerprint = Fingerprint
 module Cache = Cache
 module Tuned = Tuned
-module Disk_write = Disk_write

@@ -1,22 +1,14 @@
-(* Autotuned-winner store: the second content-addressed tier of the
-   plan cache. Where [Cache] memoizes the *result* of inspecting one
-   (dataset, plan) pair, [Tuned] memoizes the *choice* of plan — the
-   winner of an autotune search over the candidate space — keyed by
-   the access-pattern fingerprint plus the machine model, so repeat
-   traffic on the same pattern gets the tuned plan without re-scoring
-   the space.
+(* Autotuned-winner store: where [Cache] memoizes the *result* of
+   inspecting one (dataset, plan) pair, [Tuned] memoizes the *choice*
+   of plan, the winner of an autotune search over the candidate space,
+   keyed by the access-pattern fingerprint plus the machine model.
 
    An entry names its winner and stores no serialized plan: the key
    hashes every candidate's transform list, so the caller already
    holds the plan of that name (this library sits below the
-   composition layer and cannot name [Transform.t]). Entries also
-   carry the full per-candidate score table for reporting.
-
-   Same disk discipline as [Cache]: one [tuned-<hex>.json] file per
-   key, atomic tmp+rename writes, validated loads (version, the key
-   the entry names, a checksum over its values) that degrade to a
-   miss on any corruption. Traffic is published as [autotune.cache.*]
-   metrics. *)
+   composition layer and cannot name [Transform.t]). This module is
+   the entry, its JSON codec (format v3) and its machine check;
+   [Store] holds the tiers, as for [Cache]. *)
 
 type entry = {
   winner : string;            (* name of the winning plan *)
@@ -33,59 +25,6 @@ type stats = {
   disk_errors : int;
   entries : int;
 }
-
-type t = {
-  dir : string option;
-  tbl : (string, entry) Hashtbl.t;
-  mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable stores : int;
-  mutable disk_hits : int;
-  mutable disk_errors : int;
-}
-
-let c_hit = Rtrt_obs.Metrics.counter "autotune.cache.hit"
-let c_miss = Rtrt_obs.Metrics.counter "autotune.cache.miss"
-let c_store = Rtrt_obs.Metrics.counter "autotune.cache.store"
-let c_disk_hit = Rtrt_obs.Metrics.counter "autotune.cache.disk_hit"
-let c_disk_error = Rtrt_obs.Metrics.counter "autotune.cache.disk_error"
-
-let create ?dir () =
-  Option.iter Disk_write.mkdir_p dir;
-  {
-    dir;
-    tbl = Hashtbl.create 16;
-    mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    disk_hits = 0;
-    disk_errors = 0;
-  }
-
-let dir t = t.dir
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      stores = t.stores;
-      disk_hits = t.disk_hits;
-      disk_errors = t.disk_errors;
-      entries = Hashtbl.length t.tbl;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
-
-let pp_stats ppf (s : stats) =
-  Fmt.pf ppf
-    "%d hits (%d from disk), %d misses, %d stores, %d disk errors, %d \
-     entries resident"
-    s.hits s.disk_hits s.misses s.stores s.disk_errors s.entries
 
 (* ------------------------------------------------------------------ *)
 (* JSON (de)serialization — on-disk tier                               *)
@@ -184,93 +123,45 @@ let entry_of_json ~hex j =
 
 (* Is this (possibly deserialized, possibly fingerprint-colliding)
    entry usable for the machine the caller is tuning for? *)
-let validate_entry e ~machine =
+let validate_entry machine e =
   if e.machine <> machine then Error "machine mismatch" else Ok ()
 
-(* ------------------------------------------------------------------ *)
-(* Disk tier                                                           *)
-
-let file_path dir hex = Filename.concat dir ("tuned-" ^ hex ^ ".json")
-
-let disk_load t hex ~machine =
-  match t.dir with
-  | None -> None
-  | Some dir -> (
-    let path = file_path dir hex in
-    if not (Sys.file_exists path) then None
-    else
-      let parsed =
-        match In_channel.with_open_bin path In_channel.input_all with
-        | contents -> (
-          match J.of_string contents with
-          | Ok j ->
-            let* e = entry_of_json ~hex j in
-            let* () = validate_entry e ~machine in
-            Ok e
-          | Error msg -> Error msg)
-        | exception Sys_error msg -> Error msg
-      in
-      match parsed with
-      | Ok e -> Some e
-      | Error msg ->
-        t.disk_errors <- t.disk_errors + 1;
-        Rtrt_obs.Metrics.incr c_disk_error;
-        Fmt.epr
-          "rtrt: warning: tuned-plan entry %s is invalid (%s); treating as a \
-           miss@."
-          path msg;
-        None)
-
-let disk_store t hex e =
-  match t.dir with
-  | None -> ()
-  | Some dir -> (
-    let path = file_path dir hex in
-    match
-      Disk_write.atomically path (fun oc ->
-          output_string oc (J.to_string (json_of_entry ~hex e));
-          output_char oc '\n')
-    with
-    | Ok () -> ()
-    | Error msg ->
-      t.disk_errors <- t.disk_errors + 1;
-      Rtrt_obs.Metrics.incr c_disk_error;
-      Fmt.epr "rtrt: warning: cannot write tuned-plan entry %s (%s)@." path
-        msg)
+(* Resident bytes for the memory tier's budget: about a kilobyte for a
+   full candidate space (27 scores), far below the 64 MiB default. *)
+let entry_bytes e =
+  List.fold_left
+    (fun n (name, _) -> n + String.length name + 16)
+    (64 + String.length e.winner + String.length e.machine)
+    e.scores
 
 (* ------------------------------------------------------------------ *)
-(* Public operations                                                   *)
+(* The store                                                           *)
 
-let find t ~key ~machine =
-  let hex = Fingerprint.to_hex key in
-  Mutex.lock t.mutex;
-  let result =
-    match Hashtbl.find_opt t.tbl hex with
-    | Some e when validate_entry e ~machine = Ok () -> Some e
-    | _ -> (
-      match disk_load t hex ~machine with
-      | Some e ->
-        t.disk_hits <- t.disk_hits + 1;
-        Rtrt_obs.Metrics.incr c_disk_hit;
-        Hashtbl.replace t.tbl hex e;
-        Some e
-      | None -> None)
-  in
-  (match result with
-  | Some _ ->
-    t.hits <- t.hits + 1;
-    Rtrt_obs.Metrics.incr c_hit
-  | None ->
-    t.misses <- t.misses + 1;
-    Rtrt_obs.Metrics.incr c_miss);
-  Mutex.unlock t.mutex;
-  result
+let format =
+  Store.format ~prefix:"autotune.cache" ~what:"tuned-plan entry"
+    ~file_name:(fun hex -> "tuned-" ^ hex ^ ".json")
+    ~size:entry_bytes
+    ~encode:(fun ~hex e -> Ok (J.to_string (json_of_entry ~hex e) ^ "\n"))
+    ~decode:(fun ~hex _ buf ->
+      Result.bind
+        (J.of_string (Bytes.unsafe_to_string buf))
+        (entry_of_json ~hex))
+    ~valid:validate_entry
 
-let store t ~key entry =
-  let hex = Fingerprint.to_hex key in
-  Mutex.lock t.mutex;
-  t.stores <- t.stores + 1;
-  Rtrt_obs.Metrics.incr c_store;
-  Hashtbl.replace t.tbl hex entry;
-  disk_store t hex entry;
-  Mutex.unlock t.mutex
+type t = (entry, string) Store.t
+
+let create ?dir () = Store.create format ?dir ()
+let dir = Store.dir
+let find t ~key ~machine = Store.find t ~key machine
+let store = Store.store
+
+let stats t =
+  let s = Store.stats t in
+  {
+    hits = s.Store.hits;
+    misses = s.misses;
+    stores = s.stores;
+    disk_hits = s.disk_hits;
+    disk_errors = s.disk_errors;
+    entries = s.entries;
+  }

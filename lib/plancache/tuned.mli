@@ -8,16 +8,17 @@
     it) together with the full per-candidate score table for
     reporting.
 
-    Two tiers: an in-memory table and an optional on-disk store (one
-    [tuned-<hex>.json] per key, written atomically). Disk loads are
-    validated — version (now 3; older files are misses that the next
-    store overwrites), the key the entry names, a checksum over its
-    values, machine, winner present in the score table — so a corrupt,
-    stale or misnamed file degrades to a counted miss, never a crash or
-    another entry's winner.
+    Two tiers, the ones {!Cache} keeps: an in-memory LRU and an
+    optional on-disk store (one [tuned-<hex>.json] per key, written
+    atomically). Disk loads are validated — version (now 3; older
+    files are misses that the next store overwrites), the key the
+    entry names, a checksum over its values, machine, winner present
+    in the score table — so a corrupt, stale or misnamed file degrades
+    to a counted miss, never a crash or another entry's winner.
     Traffic is published to {!Rtrt_obs.Metrics} under
     [autotune.cache.hit], [autotune.cache.miss], [autotune.cache.store],
-    [autotune.cache.disk_hit], [autotune.cache.disk_error]. *)
+    [autotune.cache.disk_hit], [autotune.cache.disk_error],
+    [autotune.cache.evict] and the gauge [autotune.cache.bytes]. *)
 
 type entry = {
   winner : string;  (** name of the winning plan *)
@@ -57,4 +58,3 @@ val find : t -> key:Fingerprint.t -> machine:string -> entry option
 val store : t -> key:Fingerprint.t -> entry -> unit
 
 val stats : t -> stats
-val pp_stats : stats Fmt.t

@@ -155,6 +155,19 @@ let shift_data ~offset ~n_data a =
    counts any here has a caller that could do without. *)
 let c_transposes = Rtrt_obs.Metrics.counter "access.transposes"
 
+let ints_equal (a : int array) (b : int array) =
+  Array.length a = Array.length b
+  &&
+  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+  go (Array.length a - 1)
+
+(* Physically (the bundled kernels' chains hold the access value
+   itself), else by content. *)
+let equal a b =
+  a == b
+  || a.n_iter = b.n_iter && a.n_data = b.n_data && ints_equal a.ptr b.ptr
+     && ints_equal a.dat b.dat
+
 (* Transpose: for each datum, the iterations that touch it, in
    ascending iteration order. Used to derive dependence connectivity
    (e.g. which j iterations read x.(i)). Plain loops over [ptr]/[dat]:

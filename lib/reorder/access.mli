@@ -15,6 +15,10 @@ val n_data : t -> int
 (** Total number of (iteration, location) touches. *)
 val n_touches : t -> int
 
+(** The same mapping: physically the same value, else the same sizes
+    and arrays (a monomorphic comparison). *)
+val equal : t -> t -> bool
+
 (** Raw constructor; validates CSR shape and location bounds. *)
 val make : n_iter:int -> n_data:int -> ptr:int array -> dat:int array -> t
 

@@ -287,25 +287,40 @@ let splice s ~moves =
 let memo_hit memo sizes =
   match memo with Some m -> m = sizes | None -> false
 
-(* Every iteration of every loop appears exactly once. *)
-let check_coverage_scan s ~loop_sizes =
-  let ok = ref true in
-  Array.iteri
-    (fun l size ->
-      let seen = Array.make size 0 in
-      (try
-         for t = 0 to s.n_tiles - 1 do
-           let r = (t * s.n_loops) + l in
-           for i = s.row_ptr.(r) to s.row_ptr.(r + 1) - 1 do
-             let it = s.items.(i) in
-             if it < 0 || it >= size then raise Exit;
-             seen.(it) <- seen.(it) + 1
-           done
-         done
-       with Exit -> ok := false);
-      if not (Array.for_all (fun c -> c = 1) seen) then ok := false)
-    loop_sizes;
-  !ok
+(* The inverse of [of_tile_fns], in one pass over each loop's rows:
+   the per-loop tile functions, and whether every loop's rows name each
+   of its iterations exactly once. The verdict is false when a row
+   names an iteration outside its loop or one an earlier row already
+   named (neither is placed), or when a loop's rows place fewer
+   iterations than it has; without a duplicate, that count is exactly
+   the number covered. An iteration no row names keeps tile [-1]. *)
+let tile_fns_of_rows ~n_tiles ~row_ptr ~items ~loop_sizes =
+  let nl = Array.length loop_sizes in
+  if Array.length row_ptr <> (n_tiles * nl) + 1 then
+    invalid "Schedule.tile_fns_of_rows: %d row pointers for %d x %d rows"
+      (Array.length row_ptr) n_tiles nl;
+  let covered = ref true in
+  let tiles =
+    Array.mapi
+      (fun l n ->
+        let tile_of = Array.make n (-1) in
+        let placed = ref 0 in
+        for t = 0 to n_tiles - 1 do
+          let r = (t * nl) + l in
+          for i = row_ptr.(r) to row_ptr.(r + 1) - 1 do
+            let it = items.(i) in
+            if it < 0 || it >= n || tile_of.(it) >= 0 then covered := false
+            else begin
+              tile_of.(it) <- t;
+              incr placed
+            end
+          done
+        done;
+        if !placed <> n then covered := false;
+        { Sparse_tile.n_tiles; tile_of })
+      loop_sizes
+  in
+  (tiles, !covered)
 
 let check_coverage s ~loop_sizes =
   if Array.length loop_sizes <> s.n_loops then
@@ -315,7 +330,11 @@ let check_coverage s ~loop_sizes =
     true
   end
   else begin
-    let ok = check_coverage_scan s ~loop_sizes in
+    let ok =
+      snd
+        (tile_fns_of_rows ~n_tiles:s.n_tiles ~row_ptr:s.row_ptr ~items:s.items
+           ~loop_sizes)
+    in
     if ok then s.coverage_ok <- Some (Array.copy loop_sizes);
     ok
   end

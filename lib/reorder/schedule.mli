@@ -78,6 +78,20 @@ val permute_tiles : t -> order:int array -> t
     array returns the schedule unchanged. *)
 val splice : t -> moves:(int * int * int * int) array -> t
 
+(** The inverse of {!of_tile_fns}: per-loop tile functions rebuilt
+    from CSR rows ([n_tiles * Array.length loop_sizes] of them, as in
+    {!t}), and whether each loop [l]'s rows name every iteration of
+    [0, loop_sizes.(l)) exactly once. An iteration no row names keeps
+    tile [-1]; one outside its loop, or named again, is not placed.
+    One pass over the items. Raises [Invalid_argument] if [row_ptr]
+    has the wrong length. *)
+val tile_fns_of_rows :
+  n_tiles:int ->
+  row_ptr:int array ->
+  items:int array ->
+  loop_sizes:int array ->
+  Sparse_tile.tile_fn array * bool
+
 (** Each iteration of each loop appears exactly once. O(iterations)
     the first time; subsequent calls with the same sizes on the same
     schedule value return via the memo in O(loops) and bump the

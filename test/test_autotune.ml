@@ -228,6 +228,25 @@ let remove_dir dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* The layout known answer, the twin of test_plancache's: the
+   fingerprint of the file bytes [Tuned.store] writes for
+   [sample_entry]. The file is a storage format, so this constant was
+   recorded once, with the v3 codec, and is never re-recorded to make a
+   test pass: a change to the layout bumps the format version
+   instead. *)
+let test_tuned_layout_known_answer () =
+  let dir = fresh_dir () in
+  let key = key_of "one" in
+  Tuned.store (Tuned.create ~dir ()) ~key sample_entry;
+  let b = Rtrt_plancache.Fingerprint.create () in
+  Rtrt_plancache.Fingerprint.add_string b
+    (In_channel.with_open_bin (entry_path dir key) In_channel.input_all);
+  Alcotest.(check string) "file bytes" "bd8242b6e9c3432e"
+    (Rtrt_plancache.Fingerprint.to_hex (Rtrt_plancache.Fingerprint.value b));
+  Alcotest.(check bool) "reads back equal" true
+    (Tuned.find (Tuned.create ~dir ()) ~key ~machine:"m" = Some sample_entry);
+  remove_dir dir
+
 (* An entry copied under another key's file name names its own key
    inside: it is a counted disk error and a miss for the other key. *)
 let test_tuned_copied_entry () =
@@ -400,6 +419,8 @@ let () =
             test_tuned_concurrent_writers;
           Alcotest.test_case "tuned store: two writer processes, one key"
             `Quick test_tuned_concurrent_processes;
+          Alcotest.test_case "tuned store: layout known answer" `Quick
+            test_tuned_layout_known_answer;
           Alcotest.test_case "tuned store: entry copied under another key"
             `Quick test_tuned_copied_entry;
           Alcotest.test_case "tuned store: v2 entry is a miss, rewritten"
