@@ -89,23 +89,27 @@ let record_fn walk base perm =
   name
 
 (* The composed view as a concrete access, bit-identical to
-   [Access.reorder_iters delta (Access.map_data sigma base)]. *)
+   [Access.reorder_iters delta (Access.map_data sigma base)]: one pass
+   over the rows in current order, which builds a row pointer only for
+   a ragged base. *)
 let materialize (base : Access.t) ~sigma ~delta_inv =
   let n_iter = Access.n_iter base and n_data = Access.n_data base in
-  let bptr = base.Access.ptr and bdat = base.Access.dat in
-  let ptr = Array.make (n_iter + 1) 0 in
+  let k = base.Access.arity and bptr = base.Access.ptr in
+  let bdat = base.Access.dat in
+  let ptr = if k > 0 then [||] else Array.make (n_iter + 1) 0 in
+  let dat = Array.make (Array.length bdat) 0 in
+  let dst = ref 0 in
   for cur = 0 to n_iter - 1 do
     let r = delta_inv.(cur) in
-    ptr.(cur + 1) <- ptr.(cur) + (bptr.(r + 1) - bptr.(r))
+    let lo = if k > 0 then k * r else bptr.(r) in
+    let hi = if k > 0 then lo + k else bptr.(r + 1) in
+    for idx = lo to hi - 1 do
+      dat.(!dst) <- sigma.(bdat.(idx));
+      incr dst
+    done;
+    if k = 0 then ptr.(cur + 1) <- !dst
   done;
-  let dat = Array.make ptr.(n_iter) 0 in
-  for cur = 0 to n_iter - 1 do
-    let src = bptr.(delta_inv.(cur)) and dst = ptr.(cur) in
-    for k = 0 to ptr.(cur + 1) - dst - 1 do
-      dat.(dst + k) <- sigma.(bdat.(src + k))
-    done
-  done;
-  Access.unsafe_make ~n_iter ~n_data ~ptr ~dat
+  Access.unsafe_make ~n_iter ~n_data ~arity:k ~ptr ~dat
 
 (* The access under all reorderings so far. Remap_each keeps it
    eagerly materialized; Remap_once materializes the view on demand
@@ -263,8 +267,7 @@ let fingerprint ?(strategy = Remap_once) ?(share_symmetric_deps = true) plan
     F.add_int b (seed - 1);
     F.add_int b seed
   end;
-  F.add_int_array b access.Access.ptr;
-  F.add_int_array b access.Access.dat;
+  F.add_access b access;
   List.iter
     (fun t -> F.add_string b (Fmt.str "%a" Transform.pp t))
     (Plan.transforms plan);

@@ -97,10 +97,13 @@ let schedule state = state.sched
 (* ---- prepare ------------------------------------------------------ *)
 
 let adjacency_of (trans : Access.t) =
-  let row = trans.Access.ptr in
+  let k = trans.Access.arity and n = Access.n_iter trans in
+  let row =
+    if k > 0 then Array.init (n + 1) (fun v -> k * v) else trans.Access.ptr
+  in
   {
     row;
-    len = Array.init (Access.n_iter trans) (fun v -> row.(v + 1) - row.(v));
+    len = Array.init n (fun v -> row.(v + 1) - row.(v));
     inter = trans.Access.dat;
   }
 

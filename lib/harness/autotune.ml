@@ -43,8 +43,7 @@ let fingerprint ~machine ~space (kernel : Kernels.Kernel.t) =
   F.add_int_array b kernel.Kernels.Kernel.loop_sizes;
   F.add_int b kernel.Kernels.Kernel.seed_loop;
   let access = kernel.Kernels.Kernel.access in
-  F.add_int_array b access.Reorder.Access.ptr;
-  F.add_int_array b access.Reorder.Access.dat;
+  F.add_access b access;
   F.add_string b machine.Cachesim.Machine.name;
   List.iter
     (fun p ->

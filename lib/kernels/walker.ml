@@ -29,8 +29,8 @@
    lib/kernels/dune), so the loop functions inline the bodies.
 
    Validated at construction, then unsafe. Every Kernel.t is built
-   through Access.of_pairs, whose Access.make rejects an endpoint
-   outside [0, n) and unequal left/right lengths; [make] checks every
+   through Access.of_pairs, which rejects an endpoint outside [0, n)
+   and unequal left/right lengths; [make] checks every
    array's length; the tiled walks check the schedule
    (Schedule.check_fits, Shape.for_schedule) on every call. So the loop
    functions index with the unchecked [.!()]. The transformations build

@@ -32,14 +32,28 @@ let create () = { h = fnv_offset }
 let[@inline] byte h c =
   Int64.mul (Int64.logxor h (Int64.of_int (c land 0xff))) fnv_prime
 
-(* The 8 bytes of [v], little-endian, so every int hashes the same
-   number of bytes. *)
-let[@inline] raw_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+(* [zero_run.(z)] = prime^z: hashing a zero byte is one multiply by
+   the prime, so hashing z of them is one multiply by this. *)
+let zero_run =
+  let a = Array.make 9 1L in
+  for z = 1 to 8 do
+    a.(z) <- Int64.mul a.(z - 1) fnv_prime
   done;
-  !h
+  a
+
+(* The 8 bytes of [v], little-endian, so every int hashes the same
+   number of bytes. The bytes above the highest non-zero one are all
+   zero and cost one multiply together: a small non-negative int, the
+   common ingredient, hashes in a few steps, with the value of the
+   byte-serial hash. *)
+let[@inline] raw_int64 h v =
+  let h = ref h and v = ref v and n = ref 0 in
+  while !v <> 0L do
+    h := byte !h (Int64.to_int !v);
+    v := Int64.shift_right_logical !v 8;
+    incr n
+  done;
+  Int64.mul !h (Array.unsafe_get zero_run (8 - !n))
 
 let[@inline] raw_int h n = raw_int64 h (Int64.of_int n)
 
@@ -61,15 +75,39 @@ let add_int_array b a =
   done;
   b.h <- !h
 
+(* The row pointer, then the touches, each as [add_int_array] hashes
+   it. A fixed-arity access stores no row pointer; the one it implies,
+   [0; k; 2k; ...; k n_iter], is hashed in its place, so the key does
+   not depend on how the rows are stored. *)
+let add_access b (a : Reorder.Access.t) =
+  let k = a.Reorder.Access.arity in
+  if k = 0 then add_int_array b a.Reorder.Access.ptr
+  else begin
+    let n = a.Reorder.Access.n_iter + 1 in
+    let h = ref (raw_int (byte b.h 0x04) n) in
+    for r = 0 to n - 1 do
+      h := raw_int !h (k * r)
+    done;
+    b.h <- !h
+  end;
+  add_int_array b a.Reorder.Access.dat
+
 let add_float b f = b.h <- raw_int64 (byte b.h 0x05) (Int64.bits_of_float f)
 
 let value b = b.h
 
 (* Plain FNV-1a over the first [len] bytes of [buf], with no tags: the
-   checksum that seals the files of the on-disk tiers. *)
+   checksum that seals the files of the on-disk tiers. Eight bytes at a
+   time, read little-endian, are the eight bytes [raw_int64] hashes in
+   order; the tail goes byte by byte. *)
 let checksum buf len =
+  if len < 0 || len > Bytes.length buf then invalid_arg "Fingerprint.checksum";
   let h = ref fnv_offset in
-  for i = 0 to len - 1 do
+  let words = len / 8 in
+  for w = 0 to words - 1 do
+    h := raw_int64 !h (Bytes.get_int64_le buf (8 * w))
+  done;
+  for i = 8 * words to len - 1 do
     h := byte !h (Char.code (Bytes.unsafe_get buf i))
   done;
   !h

@@ -21,6 +21,12 @@ val add_int : builder -> int -> unit
 val add_bool : builder -> bool -> unit
 val add_string : builder -> string -> unit
 val add_int_array : builder -> int array -> unit
+
+(** An access's row pointer then its touches, as two [add_int_array]s;
+    a fixed-arity access hashes the row pointer it implies, so an access
+    and its ragged twin (same rows, explicit [ptr]) hash alike. *)
+val add_access : builder -> Reorder.Access.t -> unit
+
 val add_float : builder -> float -> unit
 val value : builder -> t
 

@@ -48,12 +48,14 @@ let run (access : Access.t) =
    explicit visit order over current iterations (tilePack's schedule
    traversal); default is ascending. Bit-identical to [run] on the
    materialized access when the order is ascending. A plain loop over
-   [ptr]/[dat]: besides its output and two arrays per datum it
-   allocates nothing per iteration. *)
+   the access's fields: besides its output and two arrays per datum it
+   allocates nothing per iteration, and a fixed-arity row costs no
+   row-pointer read. *)
 let run_view ?order (base : Access.t) ~(sigma : int array)
     ~(delta_inv : int array) =
   let n_data = Access.n_data base in
-  let ptr = base.Access.ptr and dat = base.Access.dat in
+  let k = base.Access.arity and ptr = base.Access.ptr in
+  let dat = base.Access.dat in
   let already_ordered = Array.make n_data false in
   let inv = Array.make n_data 0 in
   let count = ref 0 in
@@ -66,7 +68,9 @@ let run_view ?order (base : Access.t) ~(sigma : int array)
   in
   let visit cur =
     let r = delta_inv.(cur) in
-    for idx = ptr.(r) to ptr.(r + 1) - 1 do
+    let lo = if k > 0 then k * r else ptr.(r) in
+    let hi = if k > 0 then lo + k else ptr.(r + 1) in
+    for idx = lo to hi - 1 do
       place sigma.(dat.(idx))
     done
   in

@@ -37,15 +37,20 @@ let run (access : Access.t) =
    [delta_inv.(cur)] touches, i.e. [sigma.(first_touch base
    delta_inv.(cur))]. Bit-identical to [run] on the materialized
    access (the counting sort sees the same key sequence). A plain
-   loop over [ptr]/[dat] that rejects an empty iteration as
+   loop over the access's fields that rejects an empty iteration as
    [Access.first_touch] does. *)
 let run_view (base : Access.t) ~(sigma : int array) ~(delta_inv : int array) =
   let n_iter = Access.n_iter base in
-  let ptr = base.Access.ptr and dat = base.Access.dat in
+  let k = base.Access.arity and ptr = base.Access.ptr in
+  let dat = base.Access.dat in
   let key = Array.make n_iter 0 in
   for cur = 0 to n_iter - 1 do
     let r = delta_inv.(cur) in
-    if ptr.(r + 1) = ptr.(r) then invalid_arg "Access.first_touch: empty";
-    key.(cur) <- sigma.(dat.(ptr.(r)))
+    let lo =
+      if k > 0 then k * r
+      else if ptr.(r + 1) > ptr.(r) then ptr.(r)
+      else invalid_arg "Access.first_touch: empty"
+    in
+    key.(cur) <- sigma.(dat.(lo))
   done;
   sort_by_key ~n_data:(Access.n_data base) key

@@ -25,6 +25,13 @@ let c_growth_passes = Rtrt_obs.Metrics.counter "sparse_tile.growth_passes"
 let c_deps_traversed = Rtrt_obs.Metrics.counter "sparse_tile.deps_traversed"
 let c_tiles_grown = Rtrt_obs.Metrics.counter "sparse_tile.tiles_grown"
 
+(* Row [r] of a set with arity [k] and row pointer [ptr] is
+   [dat.(row_lo k ptr r) .. dat.(row_hi k ptr r - 1)], as in Access.t.
+   Computed here from the fields: the dev profile compiles every
+   module -opaque, so a per-row call into Access is never inlined. *)
+let[@inline] row_lo k ptr r = if k > 0 then k * r else ptr.(r)
+let[@inline] row_hi k ptr r = if k > 0 then k * (r + 1) else ptr.(r + 1)
+
 let count_growth ~(conn : Access.t) n_tiles =
   Rtrt_obs.Metrics.incr c_growth_passes;
   Rtrt_obs.Metrics.add c_deps_traversed (Access.n_touches conn);
@@ -41,19 +48,20 @@ let tile_fn_of_partition p =
    with. Backward growth (this loop runs before the assigned one):
    every successor's tile is an upper bound, so take the min; an
    iteration without dependences may go anywhere — tile 0 keeps it
-   earliest. The growers are plain loops over [ptr]/[dat] with
+   earliest. The growers are plain loops over the set's fields with
    [Int.min]/[Int.max], so besides their output they allocate nothing
    per iteration. *)
 let grow_backward ~(conn : Access.t) ~(next : tile_fn) =
   if Access.n_data conn <> Array.length next.tile_of then
     invalid "grow_backward: conn/next size mismatch";
   let n = Access.n_iter conn in
-  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
   let next_of = next.tile_of in
   let tile_of = Array.make n 0 in
   for a = 0 to n - 1 do
     let t = ref max_int in
-    for idx = ptr.(a) to ptr.(a + 1) - 1 do
+    for idx = row_lo k ptr a to row_hi k ptr a - 1 do
       t := Int.min !t next_of.(dat.(idx))
     done;
     if !t <> max_int then tile_of.(a) <- !t
@@ -72,11 +80,12 @@ let grow_backward_scatter ~(conn : Access.t) ~(next : tile_fn) =
   if Access.n_iter conn <> Array.length next.tile_of then
     invalid "grow_backward_scatter: conn/next size mismatch";
   let n = Access.n_data conn in
-  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
   let tile_of = Array.make n max_int in
   for b = 0 to Access.n_iter conn - 1 do
     let t = next.tile_of.(b) in
-    for idx = ptr.(b) to ptr.(b + 1) - 1 do
+    for idx = row_lo k ptr b to row_hi k ptr b - 1 do
       let a = dat.(idx) in
       if t < tile_of.(a) then tile_of.(a) <- t
     done
@@ -93,12 +102,13 @@ let grow_forward ~(conn : Access.t) ~(prev : tile_fn) =
   if Access.n_data conn <> Array.length prev.tile_of then
     invalid "grow_forward: conn/prev size mismatch";
   let n = Access.n_iter conn in
-  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
   let prev_of = prev.tile_of in
   let tile_of = Array.make n 0 in
   for b = 0 to n - 1 do
     let t = ref 0 in
-    for idx = ptr.(b) to ptr.(b + 1) - 1 do
+    for idx = row_lo k ptr b to row_hi k ptr b - 1 do
       t := Int.max !t prev_of.(dat.(idx))
     done;
     tile_of.(b) <- !t
@@ -114,12 +124,13 @@ let grow_forward ~(conn : Access.t) ~(prev : tile_fn) =
 let grow_forward_scatter ~(conn : Access.t) ~(prev : tile_fn) =
   if Access.n_iter conn <> Array.length prev.tile_of then
     invalid "grow_forward_scatter: conn/prev size mismatch";
-  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
   let prev_of = prev.tile_of in
   let tile_of = Array.make (Access.n_data conn) 0 in
   for a = 0 to Access.n_iter conn - 1 do
     let t = prev_of.(a) in
-    for idx = ptr.(a) to ptr.(a + 1) - 1 do
+    for idx = row_lo k ptr a to row_hi k ptr a - 1 do
       let b = dat.(idx) in
       if t > tile_of.(b) then tile_of.(b) <- t
     done
@@ -135,11 +146,12 @@ let grow_cache_block ~leftover ~(conn : Access.t) ~(prev : tile_fn) =
   if Access.n_data conn <> Array.length prev.tile_of then
     invalid "grow_cache_block: conn/prev size mismatch";
   let n = Access.n_iter conn in
-  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
   let prev_of = prev.tile_of in
   let tile_of = Array.make n 0 in
   for b = 0 to n - 1 do
-    let lo = ptr.(b) and hi = ptr.(b + 1) in
+    let lo = row_lo k ptr b and hi = row_hi k ptr b in
     if hi > lo then begin
       let t0 = prev_of.(dat.(lo)) in
       let t = ref (if t0 = leftover then leftover else t0) in
@@ -160,12 +172,13 @@ let grow_cache_block ~leftover ~(conn : Access.t) ~(prev : tile_fn) =
 let grow_cache_block_scatter ~leftover ~(conn : Access.t) ~(prev : tile_fn) =
   if Access.n_iter conn <> Array.length prev.tile_of then
     invalid "grow_cache_block_scatter: conn/prev size mismatch";
-  let ptr = conn.Access.ptr and dat = conn.Access.dat in
+  let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
   let prev_of = prev.tile_of in
   let tile_of = Array.make (Access.n_data conn) (-1) in
   for a = 0 to Access.n_iter conn - 1 do
     let t = prev_of.(a) in
-    for idx = ptr.(a) to ptr.(a + 1) - 1 do
+    for idx = row_lo k ptr a to row_hi k ptr a - 1 do
       let b = dat.(idx) in
       let cur = tile_of.(b) in
       if cur < 0 then tile_of.(b) <- t
@@ -283,7 +296,7 @@ let cache_block ~chain ~(seed_tiles : tile_fn) =
 (* Run-time legality check: every dependence edge a -> b between
    adjacent loops must satisfy tile(a) <= tile(b). Returns the list of
    violated (loop_pair, a, b) triples (empty = legal), in the order
-   the stored rows list them. Plain loops over [ptr]/[dat], so a legal
+   the stored rows list them. Plain loops over the fields, so a legal
    chain allocates nothing per edge. *)
 let check_legality ~chain ~tiles =
   let violations = ref [] in
@@ -292,19 +305,21 @@ let check_legality ~chain ~tiles =
       let src = tiles.(l).tile_of and dst = tiles.(l + 1).tile_of in
       match deps with
       | Preds (conn : Access.t) ->
-        let ptr = conn.Access.ptr and dat = conn.Access.dat in
+        let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
         for b = 0 to Access.n_iter conn - 1 do
           let tb = dst.(b) in
-          for idx = ptr.(b) to ptr.(b + 1) - 1 do
+          for idx = row_lo k ptr b to row_hi k ptr b - 1 do
             let a = dat.(idx) in
             if src.(a) > tb then violations := (l, a, b) :: !violations
           done
         done
       | Succs conn ->
-        let ptr = conn.Access.ptr and dat = conn.Access.dat in
+        let k = conn.Access.arity and ptr = conn.Access.ptr in
+  let dat = conn.Access.dat in
         for a = 0 to Access.n_iter conn - 1 do
           let ta = src.(a) in
-          for idx = ptr.(a) to ptr.(a + 1) - 1 do
+          for idx = row_lo k ptr a to row_hi k ptr a - 1 do
             let b = dat.(idx) in
             if ta > dst.(b) then violations := (l, a, b) :: !violations
           done

@@ -28,10 +28,17 @@ let run ~(schedule : Schedule.t) ~(accesses : (int * Access.t) list) ~n_data =
   let nl = Schedule.n_loops schedule in
   for tile = 0 to Schedule.n_tiles schedule - 1 do
     List.iter
-      (fun (loop, access) ->
+      (fun (loop, (access : Access.t)) ->
+        let k = access.Access.arity and ptr = access.Access.ptr in
+        let dat = access.Access.dat in
         let r = (tile * nl) + loop in
         for i = rp.(r) to rp.(r + 1) - 1 do
-          Access.iter_touches access fl.(i) place
+          let it = fl.(i) in
+          let lo = if k > 0 then k * it else ptr.(it) in
+          let hi = if k > 0 then lo + k else ptr.(it + 1) in
+          for idx = lo to hi - 1 do
+            place dat.(idx)
+          done
         done)
       accesses
   done;

@@ -508,8 +508,7 @@ let prop_apply_perms_is_two_steps =
       and i0, f0 = k.Kernels.Kernel.exec_arrays () in
       let a1 = one.Kernels.Kernel.access and a2 = two.Kernels.Kernel.access in
       i1 = i2
-      && a1.Reorder.Access.ptr = a2.Reorder.Access.ptr
-      && a1.Reorder.Access.dat = a2.Reorder.Access.dat
+      && Reorder.Access.equal a1 a2
       && Array.for_all2 same_bits f1 f2
       && Kernels.Kernel.snapshots_equal_bits
            (one.Kernels.Kernel.snapshot ())

@@ -243,6 +243,40 @@ let prop_builder_is_fnv1a =
         (F.to_hex (build ingredients))
         (Printf.sprintf "%016Lx" (fnv1a_64 (reference_stream ingredients))))
 
+(* The hash folds a run of zero bytes into one multiply by a power of
+   the prime, and the checksum reads eight bytes at a time: for any int
+   (the high bytes of a small non-negative one are the zero run) and
+   any prefix of any buffer, the value is still the byte-serial
+   FNV-1a's. *)
+let arb_int_and_buffer =
+  let open QCheck.Gen in
+  let any_int =
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl [ 0; -1; max_int; min_int ];
+        map (fun b -> 1 lsl b) (int_bound 62);
+      ]
+  in
+  let byte = oneof [ char; return '\000' ] in
+  QCheck.make
+    ~print:(fun (n, s, len) -> Printf.sprintf "%d, %S, %d" n s len)
+    (let* n = any_int in
+     let* s = string_size ~gen:byte (int_bound 80) in
+     let* len = int_bound (String.length s) in
+     return (n, s, len))
+
+let prop_hash_is_byte_serial =
+  QCheck.Test.make ~name:"int hash and checksum = byte-serial FNV-1a"
+    ~count:1000 arb_int_and_buffer (fun (n, s, len) ->
+      String.equal
+        (F.to_hex (build [ Int n ]))
+        (Printf.sprintf "%016Lx" (fnv1a_64 (reference_stream [ Int n ])))
+      && Int64.equal
+           (F.checksum (Bytes.of_string s) len)
+           (fnv1a_64 (String.sub s 0 len)))
+
 (* ------------------------------------------------------------------ *)
 (* Memory tier: hit/miss and bit-identical replay                      *)
 
@@ -891,6 +925,7 @@ let () =
           Alcotest.test_case "no allocation per byte" `Quick
             test_fingerprint_allocation;
           QCheck_alcotest.to_alcotest prop_builder_is_fnv1a;
+          QCheck_alcotest.to_alcotest prop_hash_is_byte_serial;
         ] );
       ( "memory tier",
         [

@@ -85,6 +85,14 @@ let test_access_reorder_iters () =
   Alcotest.(check (array int)) "old 0 now last" [| 0; 3 |]
     (Access.touches a' 5)
 
+(* The row pointer must be a valid CSR pointer: a decreasing one would
+   give a row a negative length. *)
+let test_access_make_rejects_decreasing_ptr () =
+  Alcotest.check_raises "decreasing ptr"
+    (Invalid_argument "Access.make: ptr decreases at 1") (fun () ->
+      ignore
+        (Access.make ~n_iter:3 ~n_data:4 ~ptr:[| 0; 3; 1; 2 |] ~dat:[| 0; 1 |]))
+
 let test_access_transpose () =
   let a = access_ex () in
   let t = Access.transpose a in
@@ -101,13 +109,14 @@ let test_access_transpose () =
 let alloc_n_data = 1_000
 let alloc_n_iter = 100_000
 
-let alloc_pairs () =
+let alloc_index () =
   let n_data = alloc_n_data in
-  let left = Array.init alloc_n_iter (fun j -> j mod n_data) in
-  let right =
-    Array.init alloc_n_iter (fun j -> ((j * 7919) + 1) mod n_data)
-  in
-  Access.of_pairs ~n_data left right
+  ( Array.init alloc_n_iter (fun j -> j mod n_data),
+    Array.init alloc_n_iter (fun j -> ((j * 7919) + 1) mod n_data) )
+
+let alloc_pairs () =
+  let left, right = alloc_index () in
+  Access.of_pairs ~n_data:alloc_n_data left right
 
 (* [f ()] must allocate at most [output r] words plus four per datum. *)
 let check_allocation what f ~output =
@@ -129,6 +138,13 @@ let test_access_transpose_allocation () =
   check_allocation "transpose"
     (fun () -> Access.transpose a)
     ~output:(fun t -> Array.length t.Access.ptr + Array.length t.Access.dat)
+
+(* A pair access stores its 2m touches and no row pointer. *)
+let test_access_of_pairs_allocation () =
+  let left, right = alloc_index () in
+  check_allocation "of_pairs"
+    (fun () -> Access.of_pairs ~n_data:alloc_n_data left right)
+    ~output:(fun _ -> 2 * alloc_n_iter)
 
 let tile_fn_output (t : Sparse_tile.tile_fn) = Array.length t.tile_of
 
@@ -516,6 +532,123 @@ let prop_transpose_involution =
              let s2 = Array.to_list (Access.touches tt it) |> List.sort compare in
              s1 = s2)
            (List.init (Access.n_iter a) Fun.id))
+
+(* A fixed-arity access and its ragged twin: the same rows, the twin
+   built by [make] with the row pointer the fixed one implies. Every
+   consumer must give both the same result. *)
+let ragged_twin (a : Access.t) =
+  let k = a.Access.arity in
+  Access.make ~n_iter:(Access.n_iter a) ~n_data:(Access.n_data a)
+    ~ptr:(Array.init (Access.n_iter a + 1) (fun r -> k * r))
+    ~dat:(Array.copy a.Access.dat)
+
+let shuffle st n =
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let arb_fixed =
+  let gen =
+    QCheck.Gen.(
+      let* n_data = int_range 1 20 in
+      let* n_iter = int_range 0 40 in
+      let* left = array_repeat n_iter (int_range 0 (n_data - 1)) in
+      let* right = array_repeat n_iter (int_range 0 (n_data - 1)) in
+      let* single = bool in
+      let* seed = int in
+      return (n_data, left, right, single, seed))
+  in
+  QCheck.make
+    ~print:(fun (n, l, _, single, seed) ->
+      Printf.sprintf "n_data=%d n_iter=%d single=%b seed=%d" n
+        (Array.length l) single seed)
+    gen
+
+let prop_fixed_matches_ragged_twin =
+  QCheck.Test.make ~name:"fixed arity = ragged twin, in every consumer"
+    ~count:300 arb_fixed (fun (n_data, left, right, single, seed) ->
+      let st = Random.State.make [| seed |] in
+      let a =
+        if single then Access.of_single ~n_data left
+        else Access.of_pairs ~n_data left right
+      in
+      let t = ragged_twin a in
+      let n_iter = Access.n_iter a in
+      let sigma = shuffle st n_data and delta = shuffle st n_iter in
+      let sp = Perm.of_forward sigma and dp = Perm.of_forward delta in
+      let delta_inv = Perm.to_inverse_array dp in
+      let order = shuffle st n_iter in
+      let random_tiles n =
+        {
+          Sparse_tile.n_tiles = 4;
+          tile_of = Array.init n (fun _ -> Random.State.int st 4);
+        }
+      in
+      let on_data = random_tiles n_data and on_iter = random_tiles n_iter in
+      let both f = f a = f t in
+      let rows x = Array.init (Access.n_iter x) (Access.touches x) in
+      let same x y =
+        Access.n_iter x = Access.n_iter y
+        && Access.n_data x = Access.n_data y
+        && rows x = rows y
+      in
+      let module S = Sparse_tile in
+      let chain x =
+        S.make_oriented_chain
+          ~loop_sizes:[| n_data; n_iter; n_data |]
+          ~conn:S.[| Preds x; Succs x |]
+      in
+      let full x = S.full ~chain:(chain x) ~seed:1 ~seed_tiles:on_iter () in
+      let grown f =
+        both (fun x -> Array.map (fun g -> S.(g.n_tiles, g.tile_of)) (f x))
+      in
+      let key x =
+        let b = Rtrt_plancache.Fingerprint.create () in
+        Rtrt_plancache.Fingerprint.add_access b x;
+        Rtrt_plancache.Fingerprint.(to_hex (value b))
+      in
+      let forward p = Perm.to_forward_array p in
+      let ta = Access.transpose a and tt = Access.transpose t in
+      let moved = Access.map_data sp a in
+      a.Access.arity = (if single then 1 else 2)
+      && t.Access.arity = 0
+      && Access.equal a t && Access.equal t a
+      && both (fun x -> forward (Cpack.run x))
+      && both (fun x -> forward (Cpack.run_view x ~sigma ~delta_inv))
+      && both (fun x -> forward (Cpack.run_view ~order x ~sigma ~delta_inv))
+      && both (fun x -> forward (Lexgroup.run x))
+      && both (fun x -> forward (Lexgroup.run_view x ~sigma ~delta_inv))
+      && grown (fun conn -> [| S.grow_backward ~conn ~next:on_data |])
+      && grown (fun conn -> [| S.grow_backward_scatter ~conn ~next:on_iter |])
+      && grown (fun conn -> [| S.grow_forward ~conn ~prev:on_data |])
+      && grown (fun conn ->
+             [| S.grow_cache_block ~leftover:4 ~conn ~prev:on_data |])
+      (* [full] from loop 1 scatters over both sets, [cache_block] from
+         loop 0 gathers over the first and scatters over the second:
+         the two growers Sparse_tile does not export. *)
+      && grown full
+      && grown (fun x -> S.cache_block ~chain:(chain x) ~seed_tiles:on_data)
+      && both (fun x -> S.check_legality ~chain:(chain x) ~tiles:(full x))
+      && both (fun x ->
+             S.check_legality ~chain:(chain x)
+               ~tiles:[| on_data; on_iter; on_data |])
+      && both (fun x ->
+             forward
+               (Tile_pack.run ~schedule:(Schedule.of_tile_fns (full x))
+                  ~accesses:[ (1, x) ] ~n_data))
+      && ta.Access.ptr = tt.Access.ptr && ta.Access.dat = tt.Access.dat
+      && same moved (Access.map_data sp t)
+      && moved.Access.arity = a.Access.arity
+      && same (Access.reorder_iters dp a) (Access.reorder_iters dp t)
+      && (Access.reorder_iters dp a).Access.arity = a.Access.arity
+      && both (fun x -> Access.equal x moved)
+      && both (fun x -> Access.equal moved x)
+      && key a = key t)
 
 let prop_fst_always_legal =
   QCheck.Test.make ~name:"full sparse tiling is always legal" ~count:100
@@ -1043,6 +1176,10 @@ let () =
           Alcotest.test_case "identity" `Quick test_access_identity;
           Alcotest.test_case "map_data" `Quick test_access_map_data;
           Alcotest.test_case "reorder_iters" `Quick test_access_reorder_iters;
+          Alcotest.test_case "make rejects a decreasing ptr" `Quick
+            test_access_make_rejects_decreasing_ptr;
+          Alcotest.test_case "of_pairs allocation" `Quick
+            test_access_of_pairs_allocation;
           Alcotest.test_case "transpose" `Quick test_access_transpose;
           Alcotest.test_case "transpose allocation" `Quick
             test_access_transpose_allocation;
@@ -1130,6 +1267,7 @@ let () =
             prop_lexgroup_permutation;
             prop_lexgroup_sorts_first_touch;
             prop_transpose_involution;
+            prop_fixed_matches_ragged_twin;
             prop_fst_always_legal;
             prop_scatter_growth_matches_transpose;
             prop_orientations_agree;
