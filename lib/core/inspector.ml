@@ -16,12 +16,17 @@
      so a composition performs one pass over the access per
      transformation, one in-place pointer update per reordering
      function ([Perm.compose_into] over scratch-backed accumulators),
-     and one data remap at the very end. Even the schedule's
-     identity-loop renames are deferred and applied once through the
-     composed post-tiling rename.
+     and one data remap at the very end. Even the identity loops'
+     renames are deferred and applied once through the composed
+     post-tiling rename.
 
    Both strategies produce identical results; only the inspector cost
-   differs (Figure 16 measures the difference). *)
+   differs (Figure 16 measures the difference). Under both, what the
+   composition knows saves passes: a lexGroup right after a CPACK is
+   keyed by CPACK's new number of each iteration's first touch, which
+   CPACK's pass records, so lexGroup only sorts; and sparse tiling
+   keeps its tile functions, which later data reorderings rename,
+   and the schedule is built once, at the end. *)
 
 open Reorder
 
@@ -63,11 +68,17 @@ type walk = {
   sigma_acc : int array; (* composed data forward; live prefix n_nodes *)
   delta_acc : int array; (* composed iteration forward; prefix n_inter *)
   delta_inv : int array; (* inverse of [delta_acc]; prefix n_inter *)
-  (* Remap_once: snapshot of [sigma_acc] when the schedule was
-     created, so the identity-loop renames can be applied once at the
-     end through the composed post-tiling rename. *)
+  (* The sparse tiling's tile functions, one per loop of the chain;
+     the schedule is built from them at the end. Data reorderings
+     after tiling rename the identity loops' (every loop but the
+     seed's): Remap_each at once, Remap_once at the end. *)
+  mutable tiles : Sparse_tile.tile_fn array option;
+  (* Remap_once: [sigma_acc] as it was when tiling, snapshotted by the
+     first data reordering after it, so the identity loops are renamed
+     once at the end through the composed post-tiling rename. *)
   mutable sigma_at_tiling : int array option;
-  mutable schedule : Schedule.t option;
+  (* The keys a CPACK recorded for the lexGroup right after it. *)
+  mutable lexgroup_keys : int array option;
   mutable remaps : int;
   mutable fns : (string * Perm.t) list; (* reverse order *)
   mutable counters : (string * int) list;
@@ -126,31 +137,51 @@ let current walk =
     a
 
 (* Identity-mapped loops are renamed by a data reordering
-   (T_{I3->I4}); the interaction loop's ids are untouched. *)
-let rename_identity_loops walk sched rename =
+   (T_{I3->I4}); the seed loop's (the interaction loop's) ids are
+   untouched. The node numbered [before.(d)] (default [d]) in the tile
+   functions is numbered [after.(d)] now: one pass and one fresh tile
+   function per loop. *)
+let rename_node_loops walk tiles ?before after =
   let seed = walk.kern.Kernels.Kernel.seed_loop in
-  List.fold_left
-    (fun acc l ->
-      if l = seed then acc else Schedule.remap_loop acc ~loop:l rename)
-    sched
-    (List.init (Schedule.n_loops sched) Fun.id)
+  Array.iteri
+    (fun l (tf : Sparse_tile.tile_fn) ->
+      if l <> seed then begin
+        let tile_of = tf.Sparse_tile.tile_of in
+        let out = Array.make (Array.length tile_of) 0 in
+        (match before with
+        | None ->
+          for d = 0 to Array.length out - 1 do
+            out.(after.(d)) <- tile_of.(d)
+          done
+        | Some before ->
+          for d = 0 to Array.length out - 1 do
+            out.(after.(d)) <- tile_of.(before.(d))
+          done);
+        tiles.(l) <- { tf with Sparse_tile.tile_of = out }
+      end)
+    tiles
 
 let data_perm walk strategy sigma_new =
   Rtrt_obs.Metrics.incr c_perms_composed;
-  Perm.compose_into sigma_new walk.sigma_acc;
   match strategy with
   | Remap_once ->
     (* Defer everything: later inspectors traverse the view through
-       the updated accumulator; the schedule's identity loops are
-       renamed once at finalization. *)
+       the updated accumulator; the identity loops' tile functions are
+       renamed once at finalization, from the accumulator as the first
+       data reordering after tiling found it. *)
+    if walk.tiles <> None && walk.sigma_at_tiling = None then
+      walk.sigma_at_tiling <-
+        Some (Array.sub walk.sigma_acc 0 (Perm.size sigma_new));
+    Perm.compose_into sigma_new walk.sigma_acc;
     walk.work_access <- None
   | Remap_each ->
+    Perm.compose_into sigma_new walk.sigma_acc;
     walk.work_access <-
       Some (Access.map_data sigma_new (Option.get walk.work_access));
-    walk.schedule <-
-      Option.map
-        (fun sched -> rename_identity_loops walk sched sigma_new)
-        walk.schedule;
+    Option.iter
+      (fun tiles ->
+        rename_node_loops walk tiles (Perm.unsafe_forward sigma_new))
+      walk.tiles;
     walk.kern <- walk.kern.Kernels.Kernel.apply_data_perm sigma_new;
     walk.remaps <- walk.remaps + 1;
     Rtrt_obs.Metrics.incr c_data_remaps
@@ -189,9 +220,9 @@ let seed_tiles_of walk (seed : Transform.seed_partition) ~seed_loop ~work =
     in
     { Sparse_tile.n_tiles = Irgraph.Partition.n_parts p; tile_of }
 
-let sparse_tile walk strategy ~share_symmetric_deps growth seed =
+let sparse_tile walk ~share_symmetric_deps growth seed =
   let kern = walk.kern in
-  if walk.schedule <> None then invalid "Inspector: already sparse tiled";
+  if walk.tiles <> None then invalid "Inspector: already sparse tiled";
   (* The chain build is the one Remap_once stage that needs a concrete
      access (it is a kernel closure); the lazy cache makes it a single
      materialization. The chain holds that access itself, once per
@@ -222,10 +253,7 @@ let sparse_tile walk strategy ~share_symmetric_deps growth seed =
   | [] -> ()
   | (l, a, b) :: _ ->
     invalid "Inspector: illegal tile function (loop pair %d, %d -> %d)" l a b);
-  walk.schedule <- Some (Schedule.of_tile_fns tiles);
-  if strategy = Remap_once then
-    walk.sigma_at_tiling <-
-      Some (Array.sub walk.sigma_acc 0 (Access.n_data work))
+  walk.tiles <- Some tiles
 
 (* Also the fingerprint's strategy ingredient: changing a name changes
    every key, orphaning the stored plans. *)
@@ -369,55 +397,65 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       sigma_acc;
       delta_acc;
       delta_inv;
+      tiles = None;
       sigma_at_tiling = None;
-      schedule = None;
+      lexgroup_keys = None;
       remaps = 0;
       fns = [];
       counters = [];
     }
   in
-  let apply (t : Transform.t) =
+  let apply (t : Transform.t) ~next =
     Rtrt_obs.Span.with_span ~name:"inspector.transform"
       ~attrs:[ ("kind", Rtrt_obs.Json.String (Transform.name t)) ]
     @@ fun span ->
+    let lexgroup_keys = walk.lexgroup_keys in
+    walk.lexgroup_keys <- None;
     match t with
     | Transform.Data_reorder alg ->
       let sigma_new =
         match alg with
         | Transform.Cpack -> (
+          (* A lexGroup next is keyed by this pass (see [Cpack.run]). *)
+          let keys =
+            match next with
+            | Some (Transform.Iter_reorder Transform.Lexgroup) ->
+              Some (Array.make n_inter 0)
+            | _ -> None
+          in
+          walk.lexgroup_keys <- keys;
           match strategy with
           | Remap_once ->
-            Cpack.run_view walk.base ~sigma:walk.sigma_acc
+            Cpack.run_view ?keys walk.base ~sigma:walk.sigma_acc
               ~delta_inv:walk.delta_inv
-          | Remap_each -> Cpack.run (current walk))
+          | Remap_each -> Cpack.run ?keys (current walk))
         | Transform.Gpart { part_size } ->
           Gpart_reorder.run (current walk) ~part_size
         | Transform.Multilevel { part_size } ->
           Multilevel_reorder.run (current walk) ~part_size
         | Transform.Rcm -> Rcm_reorder.run (current walk)
         | Transform.Tile_pack -> (
-          match walk.schedule with
-          | None -> invalid "Inspector: tilePack without schedule"
-          | Some sched -> (
+          match walk.tiles with
+          | None -> invalid "Inspector: tilePack without sparse tiling"
+          | Some tiles -> (
             let seed_loop = walk.kern.Kernels.Kernel.seed_loop in
             (* tilePack is CPACK over the tiled execution order of the
-               seed loop (whose schedule rows data perms never touch,
-               so the deferred Remap_once schedule is already correct
-               here). Where the current access is at hand — always
+               seed loop (whose tile function data perms never
+               rename). Where the current access is at hand — always
                under Remap_each, and under Remap_once when sparse
                tiling materialized the view and nothing reordered
-               since — it is packed in schedule order; otherwise the
-               view is read through sigma and delta^-1 in that order.
-               Both visit the same touches in the same order. *)
+               since — it is packed in tile order; otherwise the view
+               is read through sigma and delta^-1 in that order. Both
+               visit the same touches in the same order. *)
             match walk.work_access with
             | Some work ->
-              Tile_pack.run ~schedule:sched
+              Tile_pack.run ~tiles
                 ~accesses:[ (seed_loop, work) ]
                 ~n_data:(Access.n_data work)
             | None ->
-              let order = Schedule.loop_order sched seed_loop in
-              Cpack.run_view ~order walk.base ~sigma:walk.sigma_acc
-                ~delta_inv:walk.delta_inv))
+              Cpack.run_view
+                ~order:(Tile_pack.order tiles.(seed_loop))
+                walk.base ~sigma:walk.sigma_acc ~delta_inv:walk.delta_inv))
       in
       let base =
         match alg with
@@ -434,11 +472,13 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       let delta_new =
         match alg with
         | Transform.Lexgroup -> (
-          match strategy with
-          | Remap_once ->
+          match (lexgroup_keys, strategy) with
+          | Some key, _ ->
+            Lexgroup.sort_by_key ~n_data:(Access.n_data walk.base) key
+          | None, Remap_once ->
             Lexgroup.run_view walk.base ~sigma:walk.sigma_acc
               ~delta_inv:walk.delta_inv
-          | Remap_each -> Lexgroup.run (current walk))
+          | None, Remap_each -> Lexgroup.run (current walk))
         | Transform.Lexsort -> Lexsort.run (current walk)
         | Transform.Bucket_tile { bucket_size } ->
           (Bucket_tile.run (current walk) ~bucket_size).Bucket_tile.delta
@@ -453,32 +493,34 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
       Rtrt_obs.Span.set_attr span "fn" (Rtrt_obs.Json.String fn);
       iter_perm walk strategy delta_new
     | Transform.Sparse_tile { growth; seed } ->
-      sparse_tile walk strategy ~share_symmetric_deps growth seed
+      sparse_tile walk ~share_symmetric_deps growth seed
   in
-  List.iter apply (Plan.transforms plan);
+  let rec go = function
+    | [] -> ()
+    | t :: rest ->
+      apply t ~next:(match rest with t' :: _ -> Some t' | [] -> None);
+      go rest
+  in
+  go (Plan.transforms plan);
   let sigma_total = Perm.unsafe_of_forward (Array.sub sigma_acc 0 n_nodes) in
   let delta_total = Perm.unsafe_of_forward (Array.sub delta_acc 0 n_inter) in
-  (* Remap_once: the schedule's identity loops have seen none of the
-     data reorderings applied after tiling; rename them once through
-     the composed post-tiling rename sigma_total . sigma_at_tiling^-1
-     (remap_loop re-sorts each row, so one composed rename is
-     bit-identical to the per-transformation renames). *)
-  (match (walk.schedule, walk.sigma_at_tiling) with
-  | Some sched, Some sig_tile ->
-    let n = Array.length sig_tile in
-    let inv_tile = Array.make n 0 in
-    for d = 0 to n - 1 do
-      inv_tile.(sig_tile.(d)) <- d
-    done;
-    let rename = Array.init n (fun x -> sigma_acc.(inv_tile.(x))) in
-    let is_identity = ref true in
-    for x = 0 to n - 1 do
-      if rename.(x) <> x then is_identity := false
-    done;
-    if not !is_identity then
-      walk.schedule <-
-        Some (rename_identity_loops walk sched (Perm.unsafe_of_forward rename))
-  | _ -> ());
+  (* The one schedule build. Remap_once: the identity loops' tile
+     functions have seen none of the data reorderings applied after
+     tiling; rename them once through the composed post-tiling rename
+     sigma_total . sigma_at_tiling^-1 (the node numbered
+     [sigma_at_tiling.(d)] at tiling is [sigma_acc.(d)] now), one pass
+     per loop. [of_tile_fns] leaves every row ascending, so one composed
+     rename is bit-identical to the per-transformation renames. *)
+  let schedule =
+    Option.map
+      (fun tiles ->
+        Rtrt_obs.Span.with_ ~name:"inspector.schedule" @@ fun () ->
+        Option.iter
+          (fun before -> rename_node_loops walk tiles ~before sigma_acc)
+          walk.sigma_at_tiling;
+        Schedule.of_tile_fns tiles)
+      walk.tiles
+  in
   (* Remap_once: one data remap at the very end, in the same rebuild
      as the index-array adjustment that both strategies pay. *)
   let kern =
@@ -500,7 +542,7 @@ let run ?cache ?pool:_ ?(strategy = Remap_once) ?(share_symmetric_deps = true)
     (Rtrt_obs.Json.Int walk.remaps);
   {
     kernel = kern;
-    schedule = walk.schedule;
+    schedule;
     sigma_total;
     delta_total;
     inspector_seconds = seconds;

@@ -13,7 +13,8 @@ type t = private {
 val n_parts : t -> int
 val part_of : t -> int -> int
 
-(** The underlying node -> part array. *)
+(** The underlying node -> part array itself, without copying. Do not
+    mutate. *)
 val assignment : t -> int array
 
 (** Build from an explicit assignment; raises [Invalid_argument] if an

@@ -2,7 +2,7 @@
    experiments over an identical (dataset, plan) pair pay the
    inspection cost once (the paper's amortization argument, Figures
    8/9/17, made a first-class subsystem). This module is the entry,
-   its binary codec (format v4, below) and its validation against the
+   its binary codec (format v5, below) and its validation against the
    kernel at hand; [Store] holds the memory and disk tiers. *)
 
 open Reorder
@@ -51,7 +51,7 @@ let entry_bytes e =
   + 128
 
 (* ------------------------------------------------------------------ *)
-(* Binary entries (format v4) — on-disk tier                           *)
+(* Binary entries (format v5) — on-disk tier                           *)
 
 (* One [<key>.plan] file per key. Every int is a little-endian int32 in
    [0, 2^31), every float the int64 of its bits:
@@ -66,18 +66,21 @@ let entry_bytes e =
    - per reordering function: its name's length and bytes, then its
      size and forward array;
    - [n_data_remaps] and [cold_inspector_seconds];
-   - a 64-bit FNV-1a checksum of every byte before it.
+   - a 64-bit checksum of every byte before it
+     ([Fingerprint.lane_checksum]: four FNV-1a lanes over 32-bit
+     words, folded by the byte-serial FNV-1a).
 
    The header's counts fix the file size, so the reader rejects a bad
    length, magic, version, checksum, key or size before it decodes any
    array. Versions 1 and 2 were JSON [<key>.json] files: they are never
    opened, and a JSON body under a [.plan] name fails the magic check,
-   so either is a miss that the re-inspection overwrites. A version-3
-   file (it also held a shape summary) fails the version check: a miss
-   overwritten like any other bad entry. The layout is a storage
-   format: change it only with a [format_version] bump (test_plancache
-   pins it with a known answer). *)
-let format_version = 4
+   so either is a miss that the re-inspection overwrites. Version 3
+   also held a shape summary; version 4 had this layout under the
+   byte-serial FNV-1a checksum. Either fails the version check: a
+   counted miss overwritten like any other bad entry. The layout is a
+   storage format: change it only with a [format_version] bump
+   (test_plancache pins it with a known answer). *)
+let format_version = 5
 let magic = "RTRTPLAN"
 let key_bytes = 16
 let header_bytes = 8 + 4 + key_bytes + (8 * 4)
@@ -90,44 +93,80 @@ let file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~n_fns
   + (if n_tiles > 0 then 4 * ((n_tiles * n_loops) + 1 + n_items) else 0)
   + (8 * n_fns) + fn_name_bytes + (4 * fn_ints) + trailer_bytes
 
-(* A cursor over everything before the checksum. Both directions go
-   through [advance], so no read or write can leave [0, limit). *)
-type cursor = { buf : Bytes.t; mutable pos : int; limit : int }
-
 exception Corrupt of string
 exception Unrepresentable of string
 
 let corrupt msg = raise (Corrupt msg)
-
-let advance c n =
-  let p = c.pos in
-  if n < 0 || p > c.limit - n then corrupt "entry ends before its contents";
-  c.pos <- p + n;
-  p
-
 let max_int32 = 0x7fff_ffff
 
-let put_ints c n get =
-  let p = advance c (4 * n) in
-  for i = 0 to n - 1 do
-    let v = get i in
-    if v < 0 || v > max_int32 then
-      raise (Unrepresentable (Fmt.str "%d is outside [0, 2^31)" v));
-    Bytes.set_int32_le c.buf (p + (4 * i)) (Int32.of_int v)
+(* The writer streams the file through one fixed chunk: each put
+   first makes room, and making room checksums and writes out the
+   chunk's whole 16-byte blocks (the lanes take whole blocks) and moves
+   the rest, under 16 bytes, to the front. No buffer the size of the
+   file, no copy of any array. *)
+let chunk_bytes = 1 lsl 16
+
+type writer = {
+  oc : out_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  sum : Fingerprint.lanes;
+}
+
+let room w n =
+  if w.pos > chunk_bytes - n then begin
+    let whole = w.pos land lnot 15 in
+    Fingerprint.feed w.sum w.chunk 0 whole;
+    Out_channel.output w.oc w.chunk 0 whole;
+    Bytes.blit w.chunk whole w.chunk 0 (w.pos - whole);
+    w.pos <- w.pos - whole
+  end
+
+let unrepresentable v =
+  raise (Unrepresentable (Fmt.str "%d is outside [0, 2^31)" v))
+
+let put_int w v =
+  if v < 0 || v > max_int32 then unrepresentable v;
+  room w 4;
+  Bytes.set_int32_le w.chunk w.pos (Int32.of_int v);
+  w.pos <- w.pos + 4
+
+(* As many ints as the chunk holds per round, in a plain loop. *)
+let put_ints w (a : int array) =
+  let n = Array.length a in
+  let i = ref 0 in
+  while !i < n do
+    room w 4;
+    let first = !i and p = w.pos and chunk = w.chunk in
+    let fit = min (n - first) ((chunk_bytes - p) / 4) in
+    for k = 0 to fit - 1 do
+      let v = a.(first + k) in
+      if v < 0 || v > max_int32 then unrepresentable v;
+      Bytes.set_int32_le chunk (p + (4 * k)) (Int32.of_int v)
+    done;
+    w.pos <- p + (4 * fit);
+    i := first + fit
   done
 
-let put_int c v = put_ints c 1 (fun _ -> v)
-let put_perm c p = put_ints c (Perm.size p) (Perm.forward p)
+let put_string w s =
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n do
+    room w 1;
+    let fit = min (n - !i) (chunk_bytes - w.pos) in
+    Bytes.blit_string s !i w.chunk w.pos fit;
+    w.pos <- w.pos + fit;
+    i := !i + fit
+  done
 
-let put_string c s =
-  Bytes.blit_string s 0 c.buf (advance c (String.length s)) (String.length s)
+let put_float w f =
+  room w 8;
+  Bytes.set_int64_le w.chunk w.pos (Int64.bits_of_float f);
+  w.pos <- w.pos + 8
 
-let put_float c f =
-  Bytes.set_int64_le c.buf (advance c 8) (Int64.bits_of_float f)
-
-(* The whole file in one exact-size buffer; raises [Unrepresentable]
-   on a value outside [0, 2^31). *)
-let encode ~hex e =
+(* The whole file onto [oc]; raises [Unrepresentable] on a value
+   outside [0, 2^31), after which what was written is discarded. *)
+let write ~hex e oc =
   let n_data = Perm.size e.sigma_total and n_iter = Perm.size e.delta_total in
   let n_tiles, n_loops, row_ptr, items =
     match e.schedule with
@@ -137,7 +176,6 @@ let encode ~hex e =
        Schedule.flat_items s)
     | Some _ -> raise (Unrepresentable "a schedule without tiles")
   in
-  let n_items = Array.length items in
   let n_fns = List.length e.reordering_fns in
   let fn_name_bytes =
     List.fold_left (fun n (name, _) -> n + String.length name) 0
@@ -146,40 +184,50 @@ let encode ~hex e =
   let fn_ints =
     List.fold_left (fun n (_, p) -> n + Perm.size p) 0 e.reordering_fns
   in
-  let len =
-    file_bytes ~n_data ~n_iter ~n_tiles ~n_loops ~n_items ~n_fns
-      ~fn_name_bytes ~fn_ints
+  let w =
+    { oc; chunk = Bytes.create chunk_bytes; pos = 0; sum = Fingerprint.lanes () }
   in
-  let c = { buf = Bytes.create len; pos = 0; limit = len - 8 } in
-  put_string c magic;
-  put_int c format_version;
-  put_string c hex;
-  List.iter (put_int c)
+  put_string w magic;
+  put_int w format_version;
+  put_string w hex;
+  List.iter (put_int w)
     [
       n_data;
       n_iter;
       n_tiles;
       n_loops;
-      n_items;
+      Array.length items;
       n_fns;
       fn_name_bytes;
       fn_ints;
     ];
-  put_perm c e.sigma_total;
-  put_perm c e.delta_total;
-  put_ints c (Array.length row_ptr) (Array.get row_ptr);
-  put_ints c (Array.length items) (Array.get items);
+  put_ints w (Perm.unsafe_forward e.sigma_total);
+  put_ints w (Perm.unsafe_forward e.delta_total);
+  put_ints w row_ptr;
+  put_ints w items;
   List.iter
     (fun (name, p) ->
-      put_int c (String.length name);
-      put_string c name;
-      put_int c (Perm.size p);
-      put_perm c p)
+      put_int w (String.length name);
+      put_string w name;
+      put_int w (Perm.size p);
+      put_ints w (Perm.unsafe_forward p))
     e.reordering_fns;
-  put_int c e.n_data_remaps;
-  put_float c e.cold_inspector_seconds;
-  Bytes.set_int64_le c.buf c.limit (Fingerprint.checksum c.buf c.limit);
-  c.buf
+  put_int w e.n_data_remaps;
+  put_float w e.cold_inspector_seconds;
+  room w 8;
+  let sum = Fingerprint.seal w.sum w.chunk 0 w.pos in
+  Bytes.set_int64_le w.chunk w.pos sum;
+  Out_channel.output w.oc w.chunk 0 (w.pos + 8)
+
+(* A cursor over everything before the checksum. Every read goes
+   through [advance], so none can leave [0, limit). *)
+type cursor = { buf : Bytes.t; mutable pos : int; limit : int }
+
+let advance c n =
+  let p = c.pos in
+  if n < 0 || p > c.limit - n then corrupt "entry ends before its contents";
+  c.pos <- p + n;
+  p
 
 let get_int c =
   let v = Int32.to_int (Bytes.get_int32_le c.buf (advance c 4)) in
@@ -189,43 +237,39 @@ let get_int c =
 let get_float c = Int64.float_of_bits (Bytes.get_int64_le c.buf (advance c 8))
 let get_string c n = Bytes.sub_string c.buf (advance c n) n
 
+(* Values as stored, in a plain loop; a negative one stays negative for
+   the constructor to reject. *)
 let get_ints c n =
   let p = advance c (4 * n) in
-  Array.init n (fun i -> Int32.to_int (Bytes.get_int32_le c.buf (p + (4 * i))))
-
-let get_perm c n =
-  match Perm.of_forward (get_ints c n) with
-  | p -> p
-  | exception Invalid_argument msg -> corrupt ("not a permutation: " ^ msg)
-
-(* Rebuild a schedule from its flat CSR through per-loop tile
-   functions ([Schedule.tile_fns_of_rows]), so [Schedule.of_tile_fns]
-   revalidates from scratch: each loop's rows must address the
-   caller's iterations of that loop exactly once or the reconstruction
-   fails (the bijectivity check for tile schedules, the analogue of
-   [Perm.of_forward] for permutations). Reconstruction also requires
-   the file's [items] to match the canonical (row-ascending) order the
-   constructor produces — every writer emits that order, and insisting
-   on it keeps warm replay bit-identical to the cold run. *)
-let schedule_of_csr ~n_tiles ~row_ptr ~items ~loop_sizes =
-  let n_rows = Array.length row_ptr - 1 in
-  if row_ptr.(0) <> 0 || row_ptr.(n_rows) <> Array.length items then
-    corrupt "bad schedule row pointers";
-  for r = 0 to n_rows - 1 do
-    if row_ptr.(r + 1) < row_ptr.(r) then corrupt "bad schedule row pointers"
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- Int32.to_int (Bytes.get_int32_le c.buf (p + (4 * i)))
   done;
-  let tiles, covered =
-    Schedule.tile_fns_of_rows ~n_tiles ~row_ptr ~items ~loop_sizes
-  in
-  if not covered then
-    corrupt "schedule loop does not cover its iterations exactly once";
-  let s = Schedule.of_tile_fns tiles in
-  if Schedule.row_ptr s <> row_ptr || Schedule.flat_items s <> items then
-    corrupt "schedule items not in canonical order";
-  s
+  a
 
-(* Raises [Corrupt] (or [Invalid_argument] from a constructor) on
-   anything but a well-formed entry for [hex] of the caller's sizes. *)
+(* A permutation of [0, n), checked as it is read: each value in range
+   and not seen before (a bit per value), so the array read is the
+   permutation's own, with no copy and no second pass. *)
+let get_perm c n =
+  let p = advance c (4 * n) in
+  let a = Array.make n 0 in
+  let seen = Bytes.make ((n + 7) / 8) '\000' in
+  for i = 0 to n - 1 do
+    let v = Int32.to_int (Bytes.get_int32_le c.buf (p + (4 * i))) in
+    if v < 0 || v >= n then corrupt "not a permutation: value out of range";
+    let byte = Bytes.get_uint8 seen (v lsr 3) and m = 1 lsl (v land 7) in
+    if byte land m <> 0 then corrupt "not a permutation: value duplicated";
+    Bytes.set_uint8 seen (v lsr 3) (byte lor m);
+    a.(i) <- v
+  done;
+  Perm.unsafe_of_forward a
+
+(* Raises [Corrupt] (or [Invalid_argument] from [Schedule.of_rows]) on
+   anything but a well-formed entry for [hex] of the caller's sizes.
+   The schedule is validated in one pass over its rows: each loop's
+   rows must name the caller's iterations of that loop exactly once, in
+   the ascending order every writer emits, which keeps warm replay
+   bit-identical to the cold run. *)
 let decode buf ~hex { n_data; n_iter; loop_sizes } =
   let len = Bytes.length buf in
   if len < header_bytes + trailer_bytes then corrupt "shorter than a header";
@@ -233,8 +277,8 @@ let decode buf ~hex { n_data; n_iter; loop_sizes } =
   if get_string c (String.length magic) <> magic then
     corrupt "not a plan-cache entry";
   if get_int c <> format_version then corrupt "unsupported format version";
-  if Bytes.get_int64_le buf c.limit <> Fingerprint.checksum buf c.limit then
-    corrupt "checksum mismatch";
+  if Bytes.get_int64_le buf c.limit <> Fingerprint.lane_checksum buf c.limit
+  then corrupt "checksum mismatch";
   if get_string c key_bytes <> hex then corrupt "key mismatch";
   let f_n_data = get_int c in
   let f_n_iter = get_int c in
@@ -261,7 +305,7 @@ let decode buf ~hex { n_data; n_iter; loop_sizes } =
     else
       let row_ptr = get_ints c ((n_tiles * n_loops) + 1) in
       let items = get_ints c n_items in
-      Some (schedule_of_csr ~n_tiles ~row_ptr ~items ~loop_sizes)
+      Some (Schedule.of_rows ~n_tiles ~row_ptr ~items ~loop_sizes)
   in
   let reordering_fns =
     List.init n_fns (fun _ ->
@@ -314,9 +358,9 @@ let format =
   Store.format ~prefix:"plancache" ~what:"plan-cache entry"
     ~file_name:(fun hex -> hex ^ ".plan")
     ~size:entry_bytes
-    ~encode:(fun ~hex e ->
-      match encode ~hex e with
-      | buf -> Ok (Bytes.unsafe_to_string buf)
+    ~write:(fun ~hex e oc ->
+      match write ~hex e oc with
+      | () -> Ok ()
       | exception Unrepresentable what -> Error ("cannot encode " ^ what))
     ~decode:(fun ~hex shape buf ->
       match decode buf ~hex shape with

@@ -5,17 +5,19 @@
     strategy, symmetric-dependence sharing). Two tiers, kept by the
     library's internal store: an in-memory LRU bounded by a byte
     budget, and an optional on-disk store of one binary [<key>.plan]
-    file per key (format v4: a fixed header, little-endian int32
-    arrays and a trailing FNV-1a checksum), so the amortization
-    survives process restarts.
+    file per key (format v5: a fixed header, little-endian int32
+    arrays and a trailing checksum, four FNV-1a lanes over 32-bit
+    words; {!Fingerprint.lane_checksum}), so the amortization survives
+    process restarts. A store streams the file through one fixed-size
+    chunk, checksumming as it writes.
 
     Disk entries are checked on load (length, magic, version,
     checksum, key, header sizes) and then validated — array sizes
     against the kernel at hand, permutation bijectivity, schedule
     coverage — so a corrupt or stale file degrades to a counted miss,
     never a crash. Files of older formats (JSON, [<key>.json]) are
-    ignored; a v3 [<key>.plan] file fails the version check, a counted
-    miss that the next store overwrites. All operations are
+    ignored; a v3 or v4 [<key>.plan] file fails the version check, a
+    counted miss that the next store overwrites. All operations are
     mutex-guarded and safe to call from worker domains.
 
     Traffic is published to {!Rtrt_obs.Metrics} under

@@ -97,9 +97,9 @@ let add_float b f = b.h <- raw_int64 (byte b.h 0x05) (Int64.bits_of_float f)
 let value b = b.h
 
 (* Plain FNV-1a over the first [len] bytes of [buf], with no tags: the
-   checksum that seals the files of the on-disk tiers. Eight bytes at a
-   time, read little-endian, are the eight bytes [raw_int64] hashes in
-   order; the tail goes byte by byte. *)
+   checksum that seals [Tuned]'s files. Eight bytes at a time, read
+   little-endian, are the eight bytes [raw_int64] hashes in order; the
+   tail goes byte by byte. *)
 let checksum buf len =
   if len < 0 || len > Bytes.length buf then invalid_arg "Fingerprint.checksum";
   let h = ref fnv_offset in
@@ -111,3 +111,79 @@ let checksum buf len =
     h := byte !h (Char.code (Bytes.unsafe_get buf i))
   done;
   !h
+
+(* The plan-cache checksum (format v5): four FNV-1a lanes over the
+   little-endian 32-bit words, lane i taking words i, i + 4, i + 8, ...
+   (each step [h <- (h xor word) * prime]); then the byte-serial FNV-1a
+   folds the four lane values, eight little-endian bytes each, and the
+   bytes after the last whole word. Four independent multiply chains
+   over words instead of one chain over bytes, so a megabyte entry is
+   checksummed in a fraction of the byte-serial time.
+
+   A writer feeds whole 16-byte blocks (one word per lane) as it goes
+   and seals the rest, so the lane a word lands in depends only on its
+   offset. The lanes live in the record only between calls: each call
+   works on local [int64]s, which the compiler keeps unboxed. *)
+type lanes = {
+  mutable l0 : int64;
+  mutable l1 : int64;
+  mutable l2 : int64;
+  mutable l3 : int64;
+}
+
+let lanes () = { l0 = fnv_offset; l1 = fnv_offset; l2 = fnv_offset; l3 = fnv_offset }
+
+let[@inline] word buf p =
+  Int64.of_int (Int32.to_int (Bytes.get_int32_le buf p) land 0xffff_ffff)
+
+let[@inline] step h w = Int64.mul (Int64.logxor h w) fnv_prime
+let low_word = 0xffff_ffffL
+
+let check_span what buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg what
+
+(* A block is two little-endian 64-bit loads: the low half of each is
+   the even lane's word, the high half the odd lane's. *)
+let feed_blocks t buf off blocks =
+  let a = ref t.l0 and b = ref t.l1 and c = ref t.l2 and d = ref t.l3 in
+  for k = 0 to blocks - 1 do
+    let p = off + (16 * k) in
+    let x = Bytes.get_int64_le buf p and y = Bytes.get_int64_le buf (p + 8) in
+    a := step !a (Int64.logand x low_word);
+    b := step !b (Int64.shift_right_logical x 32);
+    c := step !c (Int64.logand y low_word);
+    d := step !d (Int64.shift_right_logical y 32)
+  done;
+  t.l0 <- !a;
+  t.l1 <- !b;
+  t.l2 <- !c;
+  t.l3 <- !d
+
+let feed t buf off len =
+  check_span "Fingerprint.feed" buf off len;
+  if len mod 16 <> 0 then invalid_arg "Fingerprint.feed: not whole blocks";
+  feed_blocks t buf off (len / 16)
+
+let seal t buf off len =
+  check_span "Fingerprint.seal" buf off len;
+  let blocks = len / 16 in
+  feed_blocks t buf off blocks;
+  let p = off + (16 * blocks) in
+  let words = (len - (16 * blocks)) / 4 in
+  if words > 0 then t.l0 <- step t.l0 (word buf p);
+  if words > 1 then t.l1 <- step t.l1 (word buf (p + 4));
+  if words > 2 then t.l2 <- step t.l2 (word buf (p + 8));
+  let h = ref fnv_offset in
+  h := raw_int64 !h t.l0;
+  h := raw_int64 !h t.l1;
+  h := raw_int64 !h t.l2;
+  h := raw_int64 !h t.l3;
+  for i = p + (4 * words) to off + len - 1 do
+    h := byte !h (Char.code (Bytes.unsafe_get buf i))
+  done;
+  !h
+
+let lane_checksum buf len =
+  if len < 0 || len > Bytes.length buf then
+    invalid_arg "Fingerprint.lane_checksum";
+  seal (lanes ()) buf 0 len

@@ -31,5 +31,31 @@ val add_float : builder -> float -> unit
 val value : builder -> t
 
 (** 64-bit FNV-1a of the first [len] bytes of a buffer, untagged: the
-    checksum sealing plan-cache entries. *)
+    checksum sealing [Tuned]'s entries. *)
 val checksum : Bytes.t -> int -> int64
+
+(** {2 The plan-cache checksum}
+
+    Four FNV-1a lanes over little-endian 32-bit words: lane [i] takes
+    words [i], [i + 4], [i + 8], ..., each step [h <- (h xor w) * p].
+    The four lane values (eight little-endian bytes each) and then the
+    bytes after the last whole word are folded by the byte-serial
+    FNV-1a. Lanes start at the FNV offset basis. *)
+
+(** Lane state of a checksum in progress. *)
+type lanes
+
+val lanes : unit -> lanes
+
+(** [feed t buf off len] takes [len] bytes of [buf] from [off], a
+    multiple of 16 (whole blocks of one word per lane). Raises
+    [Invalid_argument] otherwise or outside the buffer. *)
+val feed : lanes -> Bytes.t -> int -> int -> unit
+
+(** [seal t buf off len] takes the last [len] bytes (any length) and
+    returns the checksum of everything fed; [t] is spent. *)
+val seal : lanes -> Bytes.t -> int -> int -> int64
+
+(** The checksum of the first [len] bytes of a buffer:
+    [seal (lanes ()) buf 0 len]. *)
+val lane_checksum : Bytes.t -> int -> int64

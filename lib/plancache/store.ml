@@ -18,7 +18,7 @@ type ('e, 'ctx) format = {
   what : string;
   file_name : string -> string;
   size : 'e -> int;
-  encode : hex:string -> 'e -> (string, string) result;
+  write : hex:string -> 'e -> out_channel -> (unit, string) result;
   decode : hex:string -> 'ctx -> Bytes.t -> ('e, string) result;
   valid : 'ctx -> 'e -> (unit, string) result;
   c_hit : Rtrt_obs.Metrics.counter;
@@ -30,13 +30,13 @@ type ('e, 'ctx) format = {
   g_bytes : Rtrt_obs.Metrics.gauge;
 }
 
-let format ~prefix ~what ~file_name ~size ~encode ~decode ~valid =
+let format ~prefix ~what ~file_name ~size ~write ~decode ~valid =
   let c name = Rtrt_obs.Metrics.counter (prefix ^ "." ^ name) in
   {
     what;
     file_name;
     size;
-    encode;
+    write;
     decode;
     valid;
     c_hit = c "hit";
@@ -144,20 +144,22 @@ let insert_mem t hex entry =
    other still writes it. *)
 let tmp_counter = Atomic.make 0
 
-let write_atomically path contents =
+(* [write] streams the file into the temp file; a codec's refusal,
+   like a failed write, leaves no temp file behind. *)
+let write_atomically path write =
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
       (Domain.self () :> int)
       (Atomic.fetch_and_add tmp_counter 1)
   in
-  match
-    Out_channel.with_open_bin tmp (fun oc -> output_string oc contents);
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error msg ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    Error msg
+  let written =
+    match Out_channel.with_open_bin tmp write with
+    | Ok () -> ( try Ok (Sys.rename tmp path) with Sys_error msg -> Error msg)
+    | Error _ as e -> e
+    | exception Sys_error msg -> Error msg
+  in
+  if Result.is_error written then (try Sys.remove tmp with Sys_error _ -> ());
+  written
 
 let read_file path =
   match
@@ -200,7 +202,7 @@ let disk_store t hex e =
   | None -> ()
   | Some dir -> (
     let path = Filename.concat dir (t.fmt.file_name hex) in
-    match Result.bind (t.fmt.encode ~hex e) (write_atomically path) with
+    match write_atomically path (t.fmt.write ~hex e) with
     | Ok () -> ()
     | Error msg ->
       count_disk_error t;

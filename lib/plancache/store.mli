@@ -32,7 +32,8 @@ type ('e, 'ctx) format
     - [what] names an entry in warnings ("plan-cache entry");
     - [file_name hex] is the entry file's name under the directory;
     - [size e] estimates [e]'s resident bytes;
-    - [encode ~hex e] is the file's contents, or why [e] has none;
+    - [write ~hex e oc] writes the file's contents to [oc], or says
+      why [e] has none (what it wrote by then is discarded);
     - [decode ~hex ctx buf] reads a file's bytes back, rejecting an
       entry that names another key;
     - [valid ctx e] checks a resident or decoded entry before it is
@@ -42,7 +43,7 @@ val format :
   what:string ->
   file_name:(string -> string) ->
   size:('e -> int) ->
-  encode:(hex:string -> 'e -> (string, string) result) ->
+  write:(hex:string -> 'e -> out_channel -> (unit, string) result) ->
   decode:(hex:string -> 'ctx -> Bytes.t -> ('e, string) result) ->
   valid:('ctx -> 'e -> (unit, string) result) ->
   ('e, 'ctx) format

@@ -141,7 +141,8 @@ let format =
   Store.format ~prefix:"autotune.cache" ~what:"tuned-plan entry"
     ~file_name:(fun hex -> "tuned-" ^ hex ^ ".json")
     ~size:entry_bytes
-    ~encode:(fun ~hex e -> Ok (J.to_string (json_of_entry ~hex e) ^ "\n"))
+    ~write:(fun ~hex e oc ->
+      Ok (output_string oc (J.to_string (json_of_entry ~hex e) ^ "\n")))
     ~decode:(fun ~hex _ buf ->
       Result.bind
         (J.of_string (Bytes.unsafe_to_string buf))

@@ -6,7 +6,10 @@
    any access pattern.
 
    Returns the data reordering sigma_cp with
-   [Perm.forward sigma old = new]. *)
+   [Perm.forward sigma old = new]. The pass writes that forward array
+   itself, -1 until a location is placed: the paper's sigma_cp_inv and
+   its already-ordered flags are the same information, so the output
+   is the one array allocated. *)
 
 let c_runs = Rtrt_obs.Metrics.counter "cpack.runs"
 let c_touches_scanned = Rtrt_obs.Metrics.counter "cpack.touches_scanned"
@@ -15,75 +18,82 @@ let c_touches_scanned = Rtrt_obs.Metrics.counter "cpack.touches_scanned"
    relative order in the trailing catch-all loop). *)
 let c_first_touch = Rtrt_obs.Metrics.counter "cpack.first_touch_placements"
 
-let run (access : Access.t) =
-  let n_data = Access.n_data access in
-  let already_ordered = Array.make n_data false in
-  (* sigma_cp_inv in the paper: position -> original location. *)
-  let inv = Array.make n_data 0 in
-  let count = ref 0 in
-  let place loc =
-    if not already_ordered.(loc) then begin
-      inv.(!count) <- loc;
-      already_ordered.(loc) <- true;
-      incr count
-    end
-  in
-  for it = 0 to Access.n_iter access - 1 do
-    Access.iter_touches access it place
-  done;
+(* lexGroup's exception for an iteration without a first touch. *)
+let empty_row () = invalid_arg "Access.first_touch: empty"
+
+(* The paper's final loop over all nodes: the locations no iteration
+   touched, in original order, after the [placed] ones. *)
+let finish (access : Access.t) fwd placed =
   Rtrt_obs.Metrics.incr c_runs;
   Rtrt_obs.Metrics.add c_touches_scanned (Access.n_touches access);
-  Rtrt_obs.Metrics.add c_first_touch !count;
-  (* Remaining locations in original order, as in the paper's final
-     loop over all nodes. *)
-  for loc = 0 to n_data - 1 do
-    place loc
+  Rtrt_obs.Metrics.add c_first_touch placed;
+  let count = ref placed in
+  for loc = 0 to Array.length fwd - 1 do
+    if fwd.(loc) < 0 then begin
+      fwd.(loc) <- !count;
+      incr count
+    end
   done;
-  Perm.of_inverse inv
+  Perm.unsafe_of_forward fwd
+
+(* The fused CPACK -> lexGroup pass: with [keys], iteration [it]'s key
+   is the new number of its first touch, read once that touch is
+   placed. *)
+let run ?keys (access : Access.t) =
+  let k = access.Access.arity and ptr = access.Access.ptr in
+  let dat = access.Access.dat in
+  let fwd = Array.make (Access.n_data access) (-1) in
+  let count = ref 0 in
+  for it = 0 to Access.n_iter access - 1 do
+    let lo = if k > 0 then k * it else ptr.(it) in
+    let hi = if k > 0 then lo + k else ptr.(it + 1) in
+    for idx = lo to hi - 1 do
+      let loc = dat.(idx) in
+      if fwd.(loc) < 0 then begin
+        fwd.(loc) <- !count;
+        incr count
+      end
+    done;
+    match keys with
+    | None -> ()
+    | Some key -> if hi = lo then empty_row () else key.(it) <- fwd.(dat.(lo))
+  done;
+  finish access fwd !count
 
 (* CPACK over a *view* of the base access: current iteration [cur]
    touches [sigma.(d)] for each datum [d] of base iteration
    [delta_inv.(cur)] — the fused-composition traversal that never
    materializes the intermediate access. [order] optionally gives an
-   explicit visit order over current iterations (tilePack's schedule
+   explicit visit order over current iterations (tilePack's tiled
    traversal); default is ascending. Bit-identical to [run] on the
-   materialized access when the order is ascending. A plain loop over
-   the access's fields: besides its output and two arrays per datum it
-   allocates nothing per iteration, and a fixed-arity row costs no
-   row-pointer read. *)
-let run_view ?order (base : Access.t) ~(sigma : int array)
+   materialized access when the order is ascending, keys included.
+   One plain loop over the access's fields: besides its output it
+   allocates nothing, and a fixed-arity row costs no row-pointer
+   read. *)
+let run_view ?order ?keys (base : Access.t) ~(sigma : int array)
     ~(delta_inv : int array) =
-  let n_data = Access.n_data base in
   let k = base.Access.arity and ptr = base.Access.ptr in
   let dat = base.Access.dat in
-  let already_ordered = Array.make n_data false in
-  let inv = Array.make n_data 0 in
+  let fwd = Array.make (Access.n_data base) (-1) in
   let count = ref 0 in
-  let place loc =
-    if not already_ordered.(loc) then begin
-      inv.(!count) <- loc;
-      already_ordered.(loc) <- true;
-      incr count
-    end
+  let visits =
+    match order with Some o -> Array.length o | None -> Access.n_iter base
   in
-  let visit cur =
+  for i = 0 to visits - 1 do
+    let cur = match order with Some o -> o.(i) | None -> i in
     let r = delta_inv.(cur) in
     let lo = if k > 0 then k * r else ptr.(r) in
     let hi = if k > 0 then lo + k else ptr.(r + 1) in
     for idx = lo to hi - 1 do
-      place sigma.(dat.(idx))
-    done
-  in
-  (match order with
-  | Some order -> Array.iter visit order
-  | None ->
-    for cur = 0 to Access.n_iter base - 1 do
-      visit cur
-    done);
-  Rtrt_obs.Metrics.incr c_runs;
-  Rtrt_obs.Metrics.add c_touches_scanned (Access.n_touches base);
-  Rtrt_obs.Metrics.add c_first_touch !count;
-  for loc = 0 to n_data - 1 do
-    place loc
+      let loc = sigma.(dat.(idx)) in
+      if fwd.(loc) < 0 then begin
+        fwd.(loc) <- !count;
+        incr count
+      end
+    done;
+    match keys with
+    | None -> ()
+    | Some key ->
+      if hi = lo then empty_row () else key.(cur) <- fwd.(sigma.(dat.(lo)))
   done;
-  Perm.of_inverse inv
+  finish base fwd !count

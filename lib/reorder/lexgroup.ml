@@ -8,6 +8,11 @@
    which is O(n_iter + n_data). Returns delta_lg with
    [Perm.forward delta old_iter = new_iter]. *)
 
+(* View passes: each is a traversal of the access that a lexGroup
+   right after a CPACK does without (its key comes from CPACK's pass,
+   and only [sort_by_key] runs). One branch when tracing is off. *)
+let c_view_passes = Rtrt_obs.Metrics.counter "lexgroup.view_passes"
+
 (* Stable counting sort of iterations by [key] (locations in
    [0, n_data)). *)
 let sort_by_key ~n_data key =
@@ -40,6 +45,7 @@ let run (access : Access.t) =
    loop over the access's fields that rejects an empty iteration as
    [Access.first_touch] does. *)
 let run_view (base : Access.t) ~(sigma : int array) ~(delta_inv : int array) =
+  Rtrt_obs.Metrics.incr c_view_passes;
   let n_iter = Access.n_iter base in
   let k = base.Access.arity and ptr = base.Access.ptr in
   let dat = base.Access.dat in

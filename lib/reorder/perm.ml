@@ -47,6 +47,8 @@ let is_id p =
 
 let forward p i = p.forward.(i)
 
+let unsafe_forward p = p.forward
+
 let invert p =
   let n = size p in
   let inv = Array.make n 0 in

@@ -25,6 +25,10 @@ val is_id : t -> bool
 (** New position of old index [i]. *)
 val forward : t -> int -> int
 
+(** The forward array itself, without copying, for loops that stream
+    it (the plan cache's writer). Do not mutate. *)
+val unsafe_forward : t -> int array
+
 (** Old position of new index [j] (allocates the inverse; hoist out of
     loops). *)
 val backward : t -> int -> int

@@ -86,33 +86,34 @@ let of_tile_fns (tiles : Sparse_tile.tile_fn array) =
   let row_ptr = Array.make (n_rows + 1) 0 in
   (* Counting sort, pass 1: row lengths (shifted by one for the prefix
      sum), validating every tile id on the way — this is the
-     "validated once" half of the validated-once-then-unsafe story. *)
-  Array.iteri
-    (fun l (tf : Sparse_tile.tile_fn) ->
-      Array.iter
-        (fun t ->
-          if t < 0 || t >= n_tiles then
-            invalid "Schedule.of_tile_fns: tile id %d out of range (loop %d)" t l;
-          let r = (t * n_loops) + l in
-          row_ptr.(r + 1) <- row_ptr.(r + 1) + 1)
-        tf.Sparse_tile.tile_of)
-    tiles;
+     "validated once" half of the validated-once-then-unsafe story.
+     Both passes are plain loops over each tile function. *)
+  for l = 0 to n_loops - 1 do
+    let tile_of = tiles.(l).Sparse_tile.tile_of in
+    for it = 0 to Array.length tile_of - 1 do
+      let t = tile_of.(it) in
+      if t < 0 || t >= n_tiles then
+        invalid "Schedule.of_tile_fns: tile id %d out of range (loop %d)" t l;
+      let r = (t * n_loops) + l + 1 in
+      row_ptr.(r) <- row_ptr.(r) + 1
+    done
+  done;
   for r = 1 to n_rows do
     row_ptr.(r) <- row_ptr.(r) + row_ptr.(r - 1)
   done;
   let items = Array.make row_ptr.(n_rows) 0 in
   (* Pass 2: scatter. Scanning [tile_of] in ascending iteration order
      leaves every row ascending. *)
-  let cursor = Array.copy row_ptr in
-  Array.iteri
-    (fun l (tf : Sparse_tile.tile_fn) ->
-      Array.iteri
-        (fun it t ->
-          let r = (t * n_loops) + l in
-          Array.unsafe_set items cursor.(r) it;
-          cursor.(r) <- cursor.(r) + 1)
-        tf.Sparse_tile.tile_of)
-    tiles;
+  let cursor = Array.sub row_ptr 0 n_rows in
+  for l = 0 to n_loops - 1 do
+    let tile_of = tiles.(l).Sparse_tile.tile_of in
+    for it = 0 to Array.length tile_of - 1 do
+      let r = (Array.unsafe_get tile_of it * n_loops) + l in
+      let c = cursor.(r) in
+      Array.unsafe_set items c it;
+      cursor.(r) <- c + 1
+    done
+  done;
   Rtrt_obs.Metrics.incr c_builds;
   (* The counting sort just validated every tile id and scattered each
      iteration of each loop exactly once, so coverage for the loops'
@@ -121,6 +122,67 @@ let of_tile_fns (tiles : Sparse_tile.tile_fn array) =
     Array.map (fun (tf : Sparse_tile.tile_fn) -> Array.length tf.Sparse_tile.tile_of) tiles
   in
   { n_tiles; n_loops; row_ptr; items; fits_ok = None; coverage_ok = Some sizes }
+
+(* The schedule whose flat CSR is [row_ptr] and [items], validated in
+   one pass over the rows: the pointers run from 0 to the item count
+   without decreasing, each row names iterations of its loop in
+   strictly ascending order, and no iteration of a loop is in two of
+   its rows; then each loop's rows hold as many iterations as it has,
+   so they cover it exactly once. That is what a rebuild through
+   [tile_fns_of_rows] and [of_tile_fns] accepts (ascending rows are
+   the order [of_tile_fns] leaves), without the tile functions, the
+   rebuilt copy or a comparison. The arrays are not copied. *)
+let of_rows ~n_tiles ~row_ptr ~items ~loop_sizes =
+  let nl = Array.length loop_sizes in
+  if n_tiles <= 0 || nl = 0 then
+    invalid "Schedule.of_rows: %d tiles x %d loops" n_tiles nl;
+  let n_rows = n_tiles * nl and n_items = Array.length items in
+  if Array.length row_ptr <> n_rows + 1 then
+    invalid "Schedule.of_rows: %d row pointers for %d rows"
+      (Array.length row_ptr) n_rows;
+  if row_ptr.(0) <> 0 || row_ptr.(n_rows) <> n_items then
+    invalid "Schedule.of_rows: row pointers do not span the items";
+  (* Loop [l]'s iterations are bits [base.(l)] on of [seen]. *)
+  let base = Array.make (nl + 1) 0 in
+  for l = 0 to nl - 1 do
+    base.(l + 1) <- base.(l) + loop_sizes.(l)
+  done;
+  let seen = Bytes.make ((base.(nl) + 7) / 8) '\000' in
+  let placed = Array.make nl 0 in
+  for r = 0 to n_rows - 1 do
+    let l = r mod nl and lo = row_ptr.(r) and hi = row_ptr.(r + 1) in
+    if hi < lo || hi > n_items then
+      invalid "Schedule.of_rows: row pointers decrease at row %d" r;
+    let n = loop_sizes.(l) and b = base.(l) in
+    let prev = ref (-1) in
+    for i = lo to hi - 1 do
+      let it = items.(i) in
+      if it <= !prev || it >= n then
+        invalid "Schedule.of_rows: row %d is not ascending in [0, %d)" r n;
+      let bit = b + it in
+      let byte = Bytes.get_uint8 seen (bit lsr 3) in
+      let m = 1 lsl (bit land 7) in
+      if byte land m <> 0 then
+        invalid "Schedule.of_rows: iteration %d of loop %d is in two rows" it l;
+      Bytes.set_uint8 seen (bit lsr 3) (byte lor m);
+      prev := it
+    done;
+    placed.(l) <- placed.(l) + (hi - lo)
+  done;
+  Array.iteri
+    (fun l n ->
+      if placed.(l) <> n then
+        invalid "Schedule.of_rows: loop %d has %d of its %d iterations" l
+          placed.(l) n)
+    loop_sizes;
+  {
+    n_tiles;
+    n_loops = nl;
+    row_ptr;
+    items;
+    fits_ok = None;
+    coverage_ok = Some (Array.copy loop_sizes);
+  }
 
 (* Execution order of loop [l]'s iterations: the concatenation of its
    per-tile member lists. *)
@@ -148,9 +210,12 @@ let perm_of_loop s l =
   Perm.of_inverse order
 
 (* Remap the iteration ids of [loop] through a permutation and keep
-   each tile's member list ascending — how tilePack's data reordering
-   renames the identity-mapped loops' iterations (T_{I3->I4}:
-   i4 = tp(i3)). Row lengths are unchanged, so [row_ptr] is shared. *)
+   each tile's member list ascending — how a data reordering after
+   sparse tiling renames the identity-mapped loops' iterations
+   (T_{I3->I4}: i4 = tp(i3)). Row lengths are unchanged, so [row_ptr]
+   is shared. The inspector renames those loops' tile functions
+   instead and builds its schedule once; this is the reference that
+   test_fused holds it to. *)
 let remap_loop s ~loop perm =
   if loop < 0 || loop >= s.n_loops then invalid "Schedule.remap_loop: loop %d" loop;
   let items = Array.copy s.items in

@@ -51,6 +51,22 @@ val items : t -> tile:int -> loop:int -> int array
     id; raises [Invalid_argument] on an out-of-range id. *)
 val of_tile_fns : Sparse_tile.tile_fn array -> t
 
+(** [of_rows ~n_tiles ~row_ptr ~items ~loop_sizes] is the schedule
+    with this flat CSR ([n_tiles * Array.length loop_sizes] rows, as in
+    {!t}), validated in one pass: the row pointers run from 0 to
+    [Array.length items] without decreasing, each row names iterations
+    of its loop in strictly ascending order, and each loop [l]'s rows
+    name every iteration of [0, loop_sizes.(l)) exactly once. Exactly
+    the schedules {!of_tile_fns} builds, so coverage for [loop_sizes]
+    is proven ({!check_coverage} is memoized). The arrays are not
+    copied. Raises [Invalid_argument] on anything else. *)
+val of_rows :
+  n_tiles:int ->
+  row_ptr:int array ->
+  items:int array ->
+  loop_sizes:int array ->
+  t
+
 (** Concatenated per-tile execution order of loop [l]. *)
 val loop_order : t -> int -> int array
 
@@ -58,7 +74,10 @@ val loop_order : t -> int -> int array
 val perm_of_loop : t -> int -> Perm.t
 
 (** Remap the iteration ids of one loop through a permutation, keeping
-    tile member lists ascending (tilePack's loop renaming). *)
+    tile member lists ascending: a data reordering's renaming of an
+    identity-mapped loop after sparse tiling. The inspector renames
+    tile functions instead and builds its schedule once; this is the
+    reference its tests compare against. *)
 val remap_loop : t -> loop:int -> Perm.t -> t
 
 (** Renumber tiles: new tile [t] is old tile [order.(t)]; raises

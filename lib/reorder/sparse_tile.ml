@@ -40,7 +40,7 @@ let count_growth ~(conn : Access.t) n_tiles =
 let tile_fn_of_partition p =
   {
     n_tiles = Irgraph.Partition.n_parts p;
-    tile_of = Array.copy (Irgraph.Partition.assignment p);
+    tile_of = Irgraph.Partition.assignment p;
   }
 
 (* [conn] maps each iteration of the loop being assigned to the

@@ -7,6 +7,9 @@ type tile_fn = {
   tile_of : int array; (** iteration -> tile id *)
 }
 
+(** The partition as a tile function, one tile per part. The result
+    shares the partition's assignment array, without a copy; no
+    function of this module writes into a tile function it is given. *)
 val tile_fn_of_partition : Irgraph.Partition.t -> tile_fn
 
 (** Backward growth: [conn] maps each iteration of the loop being

@@ -150,6 +150,77 @@ let test_gc_fused () =
   Alcotest.(check bool) "serial remap-once" true (results_equal each once)
 
 (* ------------------------------------------------------------------ *)
+(* One schedule build = the old renames *)
+
+(* The inspector keeps its tile functions, renames the identity loops'
+   through the data reorderings after tiling, and builds its schedule
+   once. The reference is the schedule built the old way: [of_tile_fns]
+   at tiling (the inspection of the plan cut after its sparse tiling),
+   then [Schedule.remap_loop] of every loop but the seed's through each
+   data reordering after tiling, in order. Every tiling plan of
+   [Plan.candidates], plus one with two data reorderings after tiling,
+   on all four kernels, under both strategies. *)
+let test_one_schedule_build () =
+  let module I = Compose.Inspector in
+  let module P = Compose.Plan in
+  let plans =
+    List.filter P.has_sparse_tiling
+      (P.candidates ~gpart_size:16 ~seed_part_size:24)
+    @ [
+        P.make ~name:"CL+FST+CPACK"
+          (P.transforms (P.with_fst ~seed_part_size:24 P.cpack_lexgroup)
+          @ [ Compose.Transform.(Data_reorder Cpack) ]);
+      ]
+  in
+  let d = Option.get (Datagen.Generators.by_name ~scale:512 "foil") in
+  List.iter
+    (fun (name, of_dataset) ->
+      let kernel = of_dataset d in
+      let seed = kernel.Kernels.Kernel.seed_loop in
+      List.iter
+        (fun plan ->
+          let rec cut = function
+            | [] -> []
+            | (Compose.Transform.Sparse_tile _ as t) :: _ -> [ t ]
+            | t :: rest -> t :: cut rest
+          in
+          let at_tiling = P.make ~name:"cut" (cut (P.transforms plan)) in
+          List.iter
+            (fun strategy ->
+              let label =
+                Fmt.str "%s/%s/%s" name (P.name plan)
+                  (match strategy with
+                  | I.Remap_each -> "remap-each"
+                  | I.Remap_once -> "remap-once")
+              in
+              let tiled = I.run ~strategy at_tiling kernel in
+              let r = I.run ~strategy plan kernel in
+              let after =
+                List.filteri
+                  (fun i _ -> i >= List.length tiled.I.reordering_fns)
+                  r.I.reordering_fns
+              in
+              let reference =
+                List.fold_left
+                  (fun sched (_, perm) ->
+                    List.fold_left
+                      (fun sched l ->
+                        if l = seed then sched
+                        else Reorder.Schedule.remap_loop sched ~loop:l perm)
+                      sched
+                      (List.init (Reorder.Schedule.n_loops sched) Fun.id))
+                  (Option.get tiled.I.schedule)
+                  (List.filter
+                     (fun (fn, _) -> String.starts_with ~prefix:"sigma" fn)
+                     after)
+              in
+              Alcotest.(check bool) label true
+                (Reorder.Schedule.equal reference (Option.get r.I.schedule)))
+            [ I.Remap_each; I.Remap_once ])
+        plans)
+    kernels_under_test
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -158,5 +229,9 @@ let () =
     [
       ("equivalence", qsuite [ prop_bit_identical ]);
       ( "compositions",
-        [ Alcotest.test_case "GC fused end to end" `Quick test_gc_fused ] );
+        [
+          Alcotest.test_case "GC fused end to end" `Quick test_gc_fused;
+          Alcotest.test_case "one schedule build = per-loop renames" `Quick
+            test_one_schedule_build;
+        ] );
     ]

@@ -249,6 +249,26 @@ let prop_components_consistent =
       let _, comp = Csr.connected_components g in
       Array.for_all (fun (u, v) -> comp.(u) = comp.(v)) (Csr.edges g))
 
+(* Block partitions fill each block; they must equal the division
+   they replace, including no ids at all and one block wider than
+   every id. *)
+let prop_block_is_division =
+  QCheck.Test.make ~name:"block fill = id / part_size" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (n, part_size) ->
+          Printf.sprintf "n=%d part_size=%d" n part_size)
+        Gen.(
+          let* n = oneof [ return 0; int_bound 300 ] in
+          let* part_size =
+            oneof [ int_range 1 12; int_range (n + 1) (n + 40); int_range 1 400 ]
+          in
+          return (n, part_size)))
+    (fun (n, part_size) ->
+      let p = Partition.block ~n ~part_size in
+      Partition.assignment p = Array.init n (fun v -> v / part_size)
+      && Partition.n_parts p = max 1 ((n + part_size - 1) / part_size))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -300,5 +320,6 @@ let () =
             prop_gpart_respects_size;
             prop_rcm_permutation;
             prop_components_consistent;
+            prop_block_is_division;
           ] );
     ]

@@ -1,9 +1,9 @@
 (* Tests for the plan-cache subsystem: fingerprint stability,
    sensitivity and known answers, memory-tier hit/miss accounting,
    bit-identical warm replay (the headline guarantee), the on-disk tier
-   (its v4 byte layout, corruption recovery and fuzzing, writers in two
-   domains and two processes), LRU eviction, metrics visibility, and
-   the Experiment.measure integration. *)
+   (its v5 byte layout and checksum, corruption recovery and fuzzing,
+   writers in two domains and two processes), LRU eviction, metrics
+   visibility, and the Experiment.measure integration. *)
 
 module F = Rtrt_plancache.Fingerprint
 module Cache = Rtrt_plancache.Cache
@@ -209,6 +209,24 @@ let fnv1a_64 s =
       Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
     0xcbf29ce484222325L s
 
+(* The v5 entry checksum, written out from its definition: four FNV-1a
+   lanes over the little-endian 32-bit words (lane i takes words i,
+   i + 4, ...), then the byte-serial FNV-1a over the four lane values
+   (eight little-endian bytes each) and the bytes after the last whole
+   word. *)
+let lane_checksum s =
+  let lanes = Array.make 4 0xcbf29ce484222325L in
+  let words = String.length s / 4 in
+  for w = 0 to words - 1 do
+    let v = Int64.of_int32 (String.get_int32_le s (4 * w)) in
+    let v = Int64.logand v 0xffff_ffffL in
+    lanes.(w mod 4) <- Int64.mul (Int64.logxor lanes.(w mod 4) v) 0x100000001b3L
+  done;
+  let folded = Buffer.create 40 in
+  Array.iter (Buffer.add_int64_le folded) lanes;
+  Buffer.add_string folded (String.sub s (4 * words) (String.length s - (4 * words)));
+  fnv1a_64 (Buffer.contents folded)
+
 let build ingredients =
   let b = F.create () in
   List.iter
@@ -276,6 +294,48 @@ let prop_hash_is_byte_serial =
       && Int64.equal
            (F.checksum (Bytes.of_string s) len)
            (fnv1a_64 (String.sub s 0 len)))
+
+(* The library's lane checksum is the reference's, for any prefix of
+   any buffer, also fed in whole-block pieces before the seal (as the
+   entry writer feeds its chunk). *)
+let prop_lane_checksum_is_reference =
+  QCheck.Test.make ~name:"lane checksum = reference, fed in any pieces"
+    ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (s, len, cut) -> Printf.sprintf "%S, %d, %d" s len cut)
+        Gen.(
+          let* s = string_size ~gen:char (int_bound 200) in
+          let* len = int_bound (String.length s) in
+          let* cut = int_bound (len / 16) in
+          return (s, len, cut)))
+    (fun (s, len, cut) ->
+      let b = Bytes.of_string s in
+      let t = F.lanes () in
+      F.feed t b 0 (16 * cut);
+      let pieces = F.seal t b (16 * cut) (len - (16 * cut)) in
+      let want = lane_checksum (String.sub s 0 len) in
+      Int64.equal (F.lane_checksum b len) want && Int64.equal pieces want)
+
+(* Every single-bit flip of a buffer changes its checksum: a flipped
+   word changes its lane (each lane step is a bijection of the lane
+   and of the word), and a flipped tail byte changes the fold. *)
+let prop_bit_flip_changes_lane_checksum =
+  QCheck.Test.make ~name:"every single-bit flip changes the lane checksum"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun (s, bit) -> Printf.sprintf "%S, bit %d" s bit)
+        Gen.(
+          let* s = string_size ~gen:char (int_range 1 120) in
+          let* bit = int_bound ((8 * String.length s) - 1) in
+          return (s, bit)))
+    (fun (s, bit) ->
+      let b = Bytes.of_string s in
+      let len = Bytes.length b in
+      let before = F.lane_checksum b len in
+      Bytes.set_uint8 b (bit / 8) (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+      not (Int64.equal before (F.lane_checksum b len)))
 
 (* ------------------------------------------------------------------ *)
 (* Memory tier: hit/miss and bit-identical replay                      *)
@@ -434,11 +494,14 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path contents =
   Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
-(* The file with its checksum recomputed over the bytes before it. *)
-let reseal contents =
+(* The file with its checksum recomputed over the bytes before it, by
+   the reference [lane_checksum] (v5), or by the byte-serial FNV-1a
+   with [~v4:true], which is how a version-4 file was sealed. *)
+let reseal ?(v4 = false) contents =
   let n = String.length contents - 8 in
   let b = Bytes.of_string contents in
-  Bytes.set_int64_le b n (fnv1a_64 (String.sub contents 0 n));
+  let body = String.sub contents 0 n in
+  Bytes.set_int64_le b n (if v4 then fnv1a_64 body else lane_checksum body);
   Bytes.to_string b
 
 (* When the directory comes from RTRT_PLAN_CACHE_DIR and already holds
@@ -534,18 +597,19 @@ let test_disk_rejects_non_bijective_perm () =
   Alcotest.(check int) "disk error counted" 1
     (Cache.stats cache).Cache.disk_errors
 
-let has_v4_header contents =
+let has_header version contents =
   String.length contents >= 12
   && String.sub contents 0 8 = "RTRTPLAN"
-  && String.get_int32_le contents 8 = 4l
+  && String.get_int32_le contents 8 = Int32.of_int version
 
 let test_disk_rejects_stale_format_version () =
   (* Entries of older formats are misses. A version-2 [<key>.json]
      file is never opened, so it is a plain miss; a JSON body (here a
      version-1 one, with the nested "tiles" schedule of before the
      flat-CSR migration) under the [.plan] name is a counted one, and
-     so is a version-3 header. The next store rewrites the entry as
-     version 4. *)
+     so are a version-3 header and a valid version-4 file (this layout
+     under the byte-serial checksum). The next store rewrites the entry
+     as version 5. *)
   let dir = made_dir () in
   let key = key_of_string "stale-v1" in
   let hex = F.to_hex key in
@@ -571,21 +635,32 @@ let test_disk_rejects_stale_format_version () =
   Alcotest.(check int) "disk error counted" 1
     (Cache.stats cache).Cache.disk_errors;
   Cache.store cache ~key (dummy_entry 2);
-  Alcotest.(check bool) "rewritten with the v4 magic and version" true
-    (has_v4_header (read_file path));
+  Alcotest.(check bool) "rewritten with the v5 magic and version" true
+    (has_header 5 (read_file path));
   Alcotest.(check bool) "the rewrite hits" true
     (find (Cache.create ~dir ()) <> None);
-  let v3 = Bytes.of_string (read_file path) in
-  Bytes.set_int32_le v3 8 3l;
-  write_file path (reseal (Bytes.to_string v3));
-  let cache = Cache.create ~dir () in
-  Alcotest.(check bool) "v3 header under .plan is a miss" true
-    (find cache = None);
-  Alcotest.(check int) "v3 disk error counted" 1
-    (Cache.stats cache).Cache.disk_errors;
-  Cache.store cache ~key (dummy_entry 2);
-  Alcotest.(check bool) "v3 rewritten as v4" true
-    (has_v4_header (read_file path))
+  List.iter
+    (fun version ->
+      let old = Bytes.of_string (read_file path) in
+      Bytes.set_int32_le old 8 (Int32.of_int version);
+      write_file path (reseal ~v4:(version = 4) (Bytes.to_string old));
+      let cache = Cache.create ~dir () in
+      Alcotest.(check bool)
+        (Fmt.str "v%d file under .plan is a miss" version)
+        true (find cache = None);
+      Alcotest.(check int)
+        (Fmt.str "v%d disk error counted" version)
+        1 (Cache.stats cache).Cache.disk_errors;
+      Cache.store cache ~key (dummy_entry 2);
+      Alcotest.(check bool)
+        (Fmt.str "v%d rewritten as v5" version)
+        true
+        (has_header 5 (read_file path));
+      Alcotest.(check bool)
+        (Fmt.str "the v%d rewrite hits" version)
+        true
+        (find (Cache.create ~dir ()) <> None))
+    [ 3; 4 ]
 
 (* Entries equal field by field, floats by their bits. *)
 let entries_equal (a : Cache.entry) (b : Cache.entry) =
@@ -608,7 +683,7 @@ let entries_equal (a : Cache.entry) (b : Cache.entry) =
    fixed entry with every member present (a two-loop schedule, a
    reordering function, non-zero remaps and seconds). The entry layout
    is a storage format, so this constant was recorded once, with the
-   v4 codec, and is never re-recorded to make a test pass: a change to
+   v5 codec, and is never re-recorded to make a test pass: a change to
    the layout bumps the format version instead. *)
 let layout_entry =
   let module R = Reorder in
@@ -635,7 +710,7 @@ let test_disk_layout_known_answer () =
   let bytes = read_file (entry_file dir key) in
   let b = F.create () in
   F.add_string b bytes;
-  Alcotest.(check string) "file bytes" "64e3d6d263769cef"
+  Alcotest.(check string) "file bytes" "e26269ebe29b7aa7"
     (F.to_hex (F.value b));
   Alcotest.(check bool) "reads back equal" true
     (match
@@ -762,6 +837,12 @@ let test_disk_header_mismatch () =
     Alcotest.(check bool) (what ^ ": miss") true (found = None);
     Alcotest.(check int) (what ^ ": disk error counted") 1 errors
   in
+  (* [reseal] computes the checksum the reader checks: an unchanged
+     file resealed still hits, so a resealed flip below reaches the
+     decoder rather than failing the checksum. *)
+  write_file (entry_file dir key) (reseal contents);
+  Alcotest.(check bool) "resealed unchanged file hits" true
+    (match find_subject ~dir () with Some _, 0, _ -> true | _ -> false);
   write_file (entry_file dir key) contents;
   expect_miss "other n_data than the header's"
     (find_subject ~dir ~n_data_delta:1 ());
@@ -926,6 +1007,8 @@ let () =
             test_fingerprint_allocation;
           QCheck_alcotest.to_alcotest prop_builder_is_fnv1a;
           QCheck_alcotest.to_alcotest prop_hash_is_byte_serial;
+          QCheck_alcotest.to_alcotest prop_lane_checksum_is_reference;
+          QCheck_alcotest.to_alcotest prop_bit_flip_changes_lane_checksum;
         ] );
       ( "memory tier",
         [

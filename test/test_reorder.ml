@@ -454,7 +454,7 @@ let test_tile_pack_contiguous () =
   in
   let tiles = Sparse_tile.full ~chain ~seed:1 ~seed_tiles:seed () in
   let sched = Schedule.of_tile_fns tiles in
-  let sigma = Tile_pack.run ~schedule:sched ~accesses:[ (1, acc) ] ~n_data:6 in
+  let sigma = Tile_pack.run ~tiles ~accesses:[ (1, acc) ] ~n_data:6 in
   let tile0_iters = Schedule.items sched ~tile:0 ~loop:1 in
   let touched =
     Array.to_list tile0_iters
@@ -639,8 +639,7 @@ let prop_fixed_matches_ragged_twin =
                ~tiles:[| on_data; on_iter; on_data |])
       && both (fun x ->
              forward
-               (Tile_pack.run ~schedule:(Schedule.of_tile_fns (full x))
-                  ~accesses:[ (1, x) ] ~n_data))
+               (Tile_pack.run ~tiles:(full x) ~accesses:[ (1, x) ] ~n_data))
       && ta.Access.ptr = tt.Access.ptr && ta.Access.dat = tt.Access.dat
       && same moved (Access.map_data sp t)
       && moved.Access.arity = a.Access.arity
@@ -649,6 +648,90 @@ let prop_fixed_matches_ragged_twin =
       && both (fun x -> Access.equal x moved)
       && both (fun x -> Access.equal moved x)
       && key a = key t)
+
+(* The fused CPACK -> lexGroup pass: the keys CPACK records, sorted,
+   are the lexGroup that follows it. On fixed-arity and ragged
+   accesses, plain and under random views, the fused pass gives the
+   same sigma_cp and delta_lg as CPACK followed by lexGroup, and an
+   empty row raises the same exception. *)
+let arb_cpack_lexgroup =
+  let gen =
+    QCheck.Gen.(
+      let* n_data = int_range 1 20 in
+      let* n_iter = int_range 0 40 in
+      let* kind = oneofl [ `Pairs; `Single; `Ragged; `Ragged_with_empty ] in
+      let* left = array_repeat n_iter (int_range 0 (n_data - 1)) in
+      let* right = array_repeat n_iter (int_range 0 (n_data - 1)) in
+      let* rows =
+        array_repeat n_iter (list_size (int_bound 3) (int_range 0 (n_data - 1)))
+      in
+      let* seed = int in
+      let a =
+        match kind with
+        | `Pairs -> Access.of_pairs ~n_data left right
+        | `Single -> Access.of_single ~n_data left
+        | `Ragged ->
+          Access.of_lists ~n_data
+            (Array.map (function [] -> [ 0 ] | r -> r) rows)
+        | `Ragged_with_empty -> Access.of_lists ~n_data rows
+      in
+      return (a, seed))
+  in
+  QCheck.make
+    ~print:(fun ((a : Access.t), seed) ->
+      Fmt.str "%a arity=%d seed=%d" Access.pp a a.Access.arity seed)
+    gen
+
+let prop_fused_cpack_lexgroup =
+  QCheck.Test.make ~name:"fused cpack keys = cpack then lexgroup" ~count:400
+    arb_cpack_lexgroup (fun (a, seed) ->
+      let st = Random.State.make [| seed |] in
+      let n_data = Access.n_data a and n_iter = Access.n_iter a in
+      let sigma = shuffle st n_data and delta_inv = shuffle st n_iter in
+      let outcome f =
+        match f () with
+        | cp, lg -> Ok (Perm.to_forward_array cp, Perm.to_forward_array lg)
+        | exception Invalid_argument msg -> Error msg
+      in
+      let sorted keys = Lexgroup.sort_by_key ~n_data keys in
+      let view_unfused () =
+        let cp = Cpack.run_view a ~sigma ~delta_inv in
+        let sigma' = Array.map (Perm.forward cp) sigma in
+        (cp, Lexgroup.run_view a ~sigma:sigma' ~delta_inv)
+      in
+      let view_fused () =
+        let keys = Array.make n_iter 0 in
+        let cp = Cpack.run_view ~keys a ~sigma ~delta_inv in
+        (cp, sorted keys)
+      in
+      let plain_unfused () =
+        let cp = Cpack.run a in
+        (cp, Lexgroup.run (Access.map_data cp a))
+      in
+      let plain_fused () =
+        let keys = Array.make n_iter 0 in
+        let cp = Cpack.run ~keys a in
+        (cp, sorted keys)
+      in
+      outcome view_unfused = outcome view_fused
+      && outcome plain_unfused = outcome plain_fused)
+
+let test_fused_cpack_empty_row () =
+  let a = Access.of_lists ~n_data:3 [| [ 2; 0 ]; []; [ 1 ] |] in
+  let raises f =
+    match f () with
+    | (_ : Perm.t) -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  let expected = Some "Access.first_touch: empty" in
+  Alcotest.(check (option string)) "lexGroup raises" expected
+    (raises (fun () -> Lexgroup.run (Access.map_data (Cpack.run a) a)));
+  Alcotest.(check (option string)) "the fused pass raises the same" expected
+    (raises (fun () -> Cpack.run ~keys:(Array.make 3 0) a));
+  Alcotest.(check (option string)) "so does its view" expected
+    (raises (fun () ->
+         Cpack.run_view ~keys:(Array.make 3 0) a ~sigma:[| 0; 1; 2 |]
+           ~delta_inv:[| 2; 1; 0 |]))
 
 let prop_fst_always_legal =
   QCheck.Test.make ~name:"full sparse tiling is always legal" ~count:100
@@ -824,6 +907,64 @@ let prop_schedule_covers =
       let tiles = Sparse_tile.full ~chain ~seed:1 ~seed_tiles:seed () in
       let sched = Schedule.of_tile_fns tiles in
       Schedule.check_coverage sched ~loop_sizes:[| n_data; n_iter; n_data |])
+
+(* Random tile functions over random loop sizes: [Tile_pack.order] is
+   each loop's schedule order, [Schedule.of_rows] accepts exactly the
+   rows [of_tile_fns] builds, and any one item changed to another value
+   breaks exact coverage, so it is rejected. *)
+let arb_tile_fns =
+  let gen =
+    QCheck.Gen.(
+      let* n_tiles = int_range 1 6 in
+      let* sizes = list_size (int_range 1 3) (int_bound 30) in
+      let* tiles =
+        flatten_l
+          (List.map
+             (fun n ->
+               map
+                 (fun tile_of -> { Sparse_tile.n_tiles; tile_of })
+                 (array_repeat n (int_bound (n_tiles - 1))))
+             sizes)
+      in
+      let* at = int_bound 1000 and* delta = int_range 1 40 in
+      return (Array.of_list tiles, at, delta))
+  in
+  QCheck.make
+    ~print:(fun (tiles, at, delta) ->
+      Fmt.str "%a at=%d delta=%d"
+        Fmt.(array ~sep:sp Sparse_tile.pp_tile_fn)
+        tiles at delta)
+    gen
+
+let prop_rows_round_trip =
+  QCheck.Test.make ~name:"tile order and of_rows agree with of_tile_fns"
+    ~count:300 arb_tile_fns (fun (tiles, at, delta) ->
+      let sched = Schedule.of_tile_fns tiles in
+      let loop_sizes =
+        Array.map (fun (tf : Sparse_tile.tile_fn) -> Array.length tf.tile_of) tiles
+      in
+      let n_tiles = Schedule.n_tiles sched in
+      let of_rows items =
+        Schedule.of_rows ~n_tiles
+          ~row_ptr:(Array.copy (Schedule.row_ptr sched))
+          ~items ~loop_sizes
+      in
+      let items = Schedule.flat_items sched in
+      Array.for_all2
+        (fun (tf : Sparse_tile.tile_fn) l ->
+          Tile_pack.order tf = Schedule.loop_order sched l)
+        tiles
+        (Array.init (Array.length tiles) Fun.id)
+      && Schedule.equal (of_rows (Array.copy items)) sched
+      && Schedule.check_coverage (of_rows (Array.copy items)) ~loop_sizes
+      && (Array.length items = 0
+         ||
+         let bad = Array.copy items in
+         let i = at mod Array.length bad in
+         bad.(i) <- bad.(i) + (if at mod 2 = 0 then delta else -delta);
+         match of_rows bad with
+         | (_ : Schedule.t) -> false
+         | exception Invalid_argument _ -> true))
 
 (* Reference schedule implementation over nested arrays — the pre-flat
    representation, reimplemented independently so the flat-CSR
@@ -1207,6 +1348,8 @@ let () =
           Alcotest.test_case "lexgroup sorted" `Quick
             test_lexgroup_groups_by_first_touch;
           Alcotest.test_case "lexgroup stable" `Quick test_lexgroup_stable;
+          Alcotest.test_case "fused cpack: empty row raises" `Quick
+            test_fused_cpack_empty_row;
           Alcotest.test_case "lexsort tuples" `Quick test_lexsort_orders_tuples;
           Alcotest.test_case "lexsort compare" `Quick test_lexsort_compare;
           Alcotest.test_case "bucket tile" `Quick test_bucket_tile;
@@ -1268,11 +1411,13 @@ let () =
             prop_lexgroup_sorts_first_touch;
             prop_transpose_involution;
             prop_fixed_matches_ragged_twin;
+            prop_fused_cpack_lexgroup;
             prop_fst_always_legal;
             prop_scatter_growth_matches_transpose;
             prop_orientations_agree;
             prop_cache_block_always_legal;
             prop_schedule_covers;
+            prop_rows_round_trip;
             prop_schedule_flat_matches_nested;
             prop_map_data_reorder_iters_commute;
             prop_perm_compose_assoc;
